@@ -37,7 +37,9 @@ from .multicopy import (
 from .qcore import (
     DEFAULT_TOL,
     BipartiteState,
+    DimensionMismatchError,
     Dims,
+    InvariantViolationError,
     NumericalFailureError,
     ToleranceConfig,
     partial_transpose,
@@ -413,7 +415,12 @@ def _suite_multicopy(spec: EnsembleSpec, cfg: ToleranceConfig) -> SuiteReport:
     for name, check in checks:
         try:
             check()
-        except Exception as exc:  # failures are data
+        except (
+            NumericalFailureError,
+            InvariantViolationError,
+            DimensionMismatchError,
+            AssertionError,
+        ) as exc:  # failures are data; anything else is a bug and propagates
             failures.append({"check": name, "reason": str(exc)})
     return SuiteReport(
         suite="multicopy",

@@ -55,6 +55,10 @@ class ToleranceConfig:
                 raise ValueError(f"{name} must lie in [0, 1), got {v}")
         if self.opt_restarts < 1 or self.opt_max_iters < 1:
             raise ValueError("optimizer budget must be positive")
+        # restart r of each route seeds from derive_seed(seed, k * 1_000_000 + r),
+        # k = 0..3, so a larger budget would make the routes share streams
+        if self.opt_restarts >= 1_000_000:
+            raise ValueError(f"opt_restarts must be below 1000000, got {self.opt_restarts}")
 
 
 DEFAULT_TOL = ToleranceConfig()

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import compress
 from typing import Optional
 
 import numpy as np
@@ -39,7 +40,6 @@ from .qcore import (
     partial_transpose,
     rank_kernel_range,
     regroup_tensor_power,
-    schmidt_decompose,
     schmidt_rank,
 )
 from .rng import SplitMix64, derive_seed, random_isometry
@@ -126,10 +126,11 @@ def pt_quadratic_form(
     return float(np.real(v.conj() @ pt @ v))
 
 
-def _frames_from_vector(vec: np.ndarray, dims: Dims) -> tuple[np.ndarray, np.ndarray]:
-    """Local 2-frames spanning the two leading Schmidt directions of ``vec``."""
-    _, left, right = schmidt_decompose(vec, dims)
-    return left[:, :2], right[:, :2]
+def _schmidt_frames(psi: np.ndarray, dims: Dims) -> tuple[np.ndarray, np.ndarray]:
+    """Local 2-frames spanning the two leading Schmidt directions of each row of ``psi``."""
+    u, _, vh = np.linalg.svd(psi.reshape(-1, dims.dim_a, dims.dim_b), full_matrices=False)
+    # right Schmidt vectors are the rows of vh, unconjugated
+    return u[:, :, :2], vh[:, :2, :].transpose(0, 2, 1)
 
 
 def _complete_to_frame(gen: SplitMix64, a: np.ndarray) -> np.ndarray:
@@ -143,26 +144,117 @@ def _complete_to_frame(gen: SplitMix64, a: np.ndarray) -> np.ndarray:
             return np.column_stack([a, extra / nrm])
 
 
+def _hermitian_part(mats: np.ndarray) -> np.ndarray:
+    return (mats + mats.conj().transpose(0, 2, 1)) / 2
+
+
+class _Lockstep:
+    """Book-keeping for restarts that advance together as stacked rows.
+
+    A row leaves the active set at the iteration where its own stop rule
+    fires: its value drops below ``floor`` or improves by at most ``tol``.
+    ``outs`` collects the final arrays of every row in the original order.
+    """
+
+    __slots__ = ("tol", "floor", "rows", "prev", "outs")
+
+    def __init__(self, rows: int, tol: float, floor: float = -np.inf):
+        self.tol = tol
+        self.floor = floor
+        self.rows = np.arange(rows)
+        self.prev = [np.inf] * rows
+        self.outs: Optional[tuple[np.ndarray, ...]] = None
+
+    def stop(self, values: list[float]) -> Optional[np.ndarray]:
+        """Mask of the active rows that stop at ``values``, or ``None`` if none does."""
+        prev, self.prev = self.prev, values
+        floor, tol = self.floor, self.tol
+        # plain floats: on a handful of rows this beats numpy's per-call overhead
+        for p, x in zip(prev, values):
+            if x < floor or p - x <= tol:
+                break
+        else:
+            return None
+        stop = np.array([x < floor or p - x <= tol for p, x in zip(prev, values)])
+        self.prev = list(compress(values, ~stop))
+        return stop
+
+    def retire(self, stop: np.ndarray, *current: np.ndarray) -> np.ndarray:
+        """Record the stopping rows of ``current``; return the mask of rows that go on."""
+        self._record(self.rows[stop], tuple(cur[stop] for cur in current))
+        keep = ~stop
+        self.rows = self.rows[keep]
+        return keep
+
+    @property
+    def done(self) -> bool:
+        return self.rows.size == 0
+
+    def finish(self, *current: np.ndarray) -> None:
+        """Record the rows still active when the iteration budget runs out."""
+        self._record(self.rows, current)
+
+    def _record(self, rows: np.ndarray, current: tuple[np.ndarray, ...]) -> None:
+        if self.outs is None:  # first record: no row has left yet
+            n = self.rows.size
+            self.outs = tuple(np.empty((n,) + c.shape[1:], c.dtype) for c in current)
+        for out, cur in zip(self.outs, current):
+            out[rows] = cur
+
+
 def _product_descent(
-    x4: np.ndarray, dims: Dims, a: np.ndarray, b: np.ndarray, iters: int, tol: float
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Alternating bottom-eigenvector descent over product vectors a (x) b."""
-    val_prev = np.inf
-    val = np.inf
+    x4: np.ndarray, a: np.ndarray, b: np.ndarray, iters: int, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Alternating bottom-eigenvector descent over product vectors a (x) b.
+
+    One start per row of ``a`` and ``b``; returns the final local vectors,
+    one row per start.
+    """
+    lock = _Lockstep(a.shape[0], tol)
     for _ in range(iters):
-        mb = np.einsum("injm,n,m->ij", x4, b.conj(), b)
-        mb = (mb + mb.conj().T) / 2
-        _, vecs = np.linalg.eigh(mb)
-        a = vecs[:, 0]
-        ma = np.einsum("injm,i,j->nm", x4, a.conj(), a)
-        ma = (ma + ma.conj().T) / 2
-        w, vecs = np.linalg.eigh(ma)
-        b = vecs[:, 0]
-        val = float(w[0])
-        if val_prev - val <= tol:
-            break
-        val_prev = val
-    return val, a, b
+        form_a = _hermitian_part(np.einsum("injm,rn,rm->rij", x4, b.conj(), b))
+        a = np.linalg.eigh(form_a)[1][:, :, 0]
+        form_b = _hermitian_part(np.einsum("injm,ri,rj->rnm", x4, a.conj(), a))
+        w, vecs = np.linalg.eigh(form_b)
+        b = vecs[:, :, 0]
+        stop = lock.stop(w[:, 0].tolist())
+        if stop is not None:
+            keep = lock.retire(stop, a, b)
+            if lock.done:
+                break
+            a, b = a[keep], b[keep]
+    else:
+        lock.finish(a, b)
+    return lock.outs
+
+
+def _rank2_descent(
+    m: np.ndarray, dims: Dims, fa: np.ndarray, fb: np.ndarray, cfg: ToleranceConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Alternating rank-2 minimization from stacked start frames ``fa``, ``fb``.
+
+    Returns each start's final value and frames.  A start that stops keeps
+    the frames it was evaluated at; one that runs out of iterations keeps
+    its last update.
+    """
+    lock = _Lockstep(fa.shape[0], cfg.opt_step_tol)
+    for _ in range(cfg.opt_max_iters):
+        # np.kron(frame_a, frame_b) for every row
+        w_op = (fa[:, :, None, :, None] * fb[:, None, :, None, :]).reshape(-1, dims.total, 4)
+        comp = w_op.conj().transpose(0, 2, 1) @ m @ w_op
+        w4, v4 = np.linalg.eigh(_hermitian_part(comp))
+        val = w4[:, 0]
+        psi = w_op @ v4[:, :, :1]
+        stop = lock.stop(val.tolist())
+        if stop is not None:
+            keep = lock.retire(stop, val, fa, fb)
+            if lock.done:
+                break
+            val, psi = val[keep], psi[keep]
+        fa, fb = _schmidt_frames(psi, dims)
+    else:
+        lock.finish(val, fa, fb)
+    return lock.outs
 
 
 def min_rank2_expectation(
@@ -178,8 +270,11 @@ def min_rank2_expectation(
     ``opt_step_tol``.  Starts are seeded deterministically from
     ``cfg.seed``: the Schmidt-truncated bottom eigenvector, Haar-random
     frames, random draws from the bottom eigenspace, and product vectors
-    polished by a rank-1 descent.  The result never undercuts the true
-    minimum over all unit vectors, and no global-optimality claim is made.
+    polished by a rank-1 descent.  All restarts advance together as
+    stacked arrays, each with its own stop rule, so the result equals that
+    of running them one after another; the earliest restart with the
+    smallest value wins.  The result never undercuts the true minimum over
+    all unit vectors, and no global-optimality claim is made.
     """
     m = np.asarray(x, dtype=complex)
     ma, mb = dims
@@ -194,54 +289,44 @@ def min_rank2_expectation(
     scale = max(float(np.abs(evals).max()), 1e-300)
     span = int(np.sum(evals <= evals[0] + 1e-10 * scale))
     span = min(max(span, 2), dims.total)
-    x4 = m.reshape(ma, mb, ma, mb)
 
-    def run(frame_a: np.ndarray, frame_b: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        val_prev = np.inf
-        coeff = None
-        for _ in range(cfg.opt_max_iters):
-            w_op = np.kron(frame_a, frame_b)
-            comp = w_op.conj().T @ m @ w_op
-            comp = (comp + comp.conj().T) / 2
-            w4, v4 = np.linalg.eigh(comp)
-            val = float(w4[0])
-            coeff = v4[:, 0]
-            psi = w_op @ coeff
-            if val_prev - val <= cfg.opt_step_tol:
-                break
-            val_prev = val
-            frame_a, frame_b = _frames_from_vector(psi, dims)
-        return val, frame_a, frame_b
-
-    starts: list[tuple[np.ndarray, np.ndarray]] = [_frames_from_vector(evecs[:, 0], dims)]
+    # start 0 is the bottom eigenvector; restart r sits at row r + 1
+    fa = np.empty((cfg.opt_restarts + 1, ma, 2), dtype=complex)
+    fb = np.empty((cfg.opt_restarts + 1, mb, 2), dtype=complex)
+    schmidt_rows, schmidt_vecs = [0], [evecs[:, 0]]
+    product_rows, product_gens, a0, b0 = [], [], [], []
     for r in range(cfg.opt_restarts):
         gen = SplitMix64(derive_seed(cfg.seed, r))
         kind = r % 3
         if kind == 0:
-            starts.append((random_isometry(gen, ma, 2), random_isometry(gen, mb, 2)))
+            fa[r + 1] = random_isometry(gen, ma, 2)
+            fb[r + 1] = random_isometry(gen, mb, 2)
         elif kind == 1:
             c = gen.unit_vector(span)
-            starts.append(_frames_from_vector(evecs[:, :span] @ c, dims))
+            schmidt_rows.append(r + 1)
+            schmidt_vecs.append(evecs[:, :span] @ c)
         else:
-            a0 = gen.unit_vector(ma)
-            b0 = gen.unit_vector(mb)
-            _, a1, b1 = _product_descent(x4, dims, a0, b0, cfg.opt_max_iters, cfg.opt_step_tol)
-            starts.append((_complete_to_frame(gen, a1), _complete_to_frame(gen, b1)))
+            a0.append(gen.unit_vector(ma))
+            b0.append(gen.unit_vector(mb))
+            product_rows.append(r + 1)
+            product_gens.append(gen)
+    fa[schmidt_rows], fb[schmidt_rows] = _schmidt_frames(np.array(schmidt_vecs), dims)
+    if product_rows:
+        a1, b1 = _product_descent(
+            m.reshape(ma, mb, ma, mb), np.array(a0), np.array(b0),
+            cfg.opt_max_iters, cfg.opt_step_tol,
+        )
+        for j, (row, gen) in enumerate(zip(product_rows, product_gens)):
+            fa[row] = _complete_to_frame(gen, a1[j])
+            fb[row] = _complete_to_frame(gen, b1[j])
 
-    best_val = np.inf
-    best_frames: Optional[tuple[np.ndarray, np.ndarray]] = None
-    for frame_a, frame_b in starts:
-        val, fa, fb = run(frame_a, frame_b)
-        if val < best_val:
-            best_val = val
-            best_frames = (fa, fb)
-    assert best_frames is not None
-    fa, fb = best_frames
-    w_op = np.kron(fa, fb)
+    vals, fa, fb = _rank2_descent(m, dims, fa, fb, cfg)
+    best = int(np.argmin(vals))
+    w_op = np.kron(fa[best], fb[best])
     comp = w_op.conj().T @ m @ w_op
     comp = (comp + comp.conj().T) / 2
     w4, v4 = np.linalg.eigh(comp)
-    ansatz = Rank2Ansatz(fa, fb, v4[:, 0].reshape(2, 2))
+    ansatz = Rank2Ansatz(fa[best], fb[best], v4[:, 0].reshape(2, 2))
     psi = ansatz.vector()
     value = float(np.real(psi.conj() @ m @ psi))
     return value, ansatz
@@ -390,6 +475,30 @@ def two_nonpositive_witness(
     )
 
 
+def _product_search_descent(
+    ck: np.ndarray, a: np.ndarray, b: np.ndarray, cfg: ToleranceConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Alternating smallest-singular-vector steps, one start per row of ``a``, ``b``.
+
+    A row stops once the smallest singular value drops below 1e-9 or
+    improves by at most ``opt_step_tol``; returns the final rows.
+    """
+    lock = _Lockstep(a.shape[0], cfg.opt_step_tol, floor=1e-9)
+    for _ in range(cfg.opt_max_iters):
+        b = np.linalg.svd(np.einsum("dmn,rm->rdn", ck, a))[2][:, -1, :].conj()
+        _, s, vh = np.linalg.svd(np.einsum("dmn,rn->rdm", ck, b))
+        a = vh[:, -1, :].conj()
+        stop = lock.stop(s[:, -1].tolist())
+        if stop is not None:
+            keep = lock.retire(stop, a, b)
+            if lock.done:
+                break
+            a, b = a[keep], b[keep]
+    else:
+        lock.finish(a, b)
+    return lock.outs
+
+
 def product_vector_in_subspace(
     basis: np.ndarray, dims: Dims, cfg: ToleranceConfig = DEFAULT_TOL
 ) -> Optional[tuple[np.ndarray, np.ndarray]]:
@@ -398,7 +507,10 @@ def product_vector_in_subspace(
     Minimizes the violation of the orthogonal-complement constraints over
     local unit vectors by alternating closed-form singular-vector steps;
     a solution must drive the smallest singular value of the constraint
-    matrix below 1e-8.  ``None`` after restart exhaustion is a legitimate
+    matrix below 1e-8.  Restarts run in blocks of 1, 2, 4, ... whose
+    members advance together, each with its own stop rule, and the first
+    success in restart order is returned, exactly as if the restarts ran
+    one after another.  ``None`` after restart exhaustion is a legitimate
     "no product vector found" outcome, except for subspaces of dimension
     at least 5 in a 3x3 system, where a product vector provably exists
     and emptiness is flagged as an optimizer failure.
@@ -423,26 +535,20 @@ def product_vector_in_subspace(
     # constraint tensor: <k_i | a (x) b> = a^T conj(K_i) b
     ck = comp.conj().T.reshape(comp.shape[1], ma, mb)
 
-    for r in range(cfg.opt_restarts):
-        gen = SplitMix64(derive_seed(cfg.seed, 2_000_000 + r))
-        a = gen.unit_vector(ma)
-        b = gen.unit_vector(mb)
-        smin_prev = np.inf
-        for _ in range(cfg.opt_max_iters):
-            c_of_a = np.einsum("dmn,m->dn", ck, a)
-            _, s, vh = np.linalg.svd(c_of_a)
-            b = vh[-1, :].conj()
-            d_of_b = np.einsum("dmn,n->dm", ck, b)
-            _, s, vh = np.linalg.svd(d_of_b)
-            a = vh[-1, :].conj()
-            smin = float(s[-1])
-            if smin < 1e-9 or smin_prev - smin <= cfg.opt_step_tol:
-                break
-            smin_prev = smin
-        c_of_a = np.einsum("dmn,m->dn", ck, a)
-        residual = float(np.linalg.norm(c_of_a @ b))
-        if residual < 1e-7 and float(np.linalg.svd(c_of_a, compute_uv=False)[-1]) < 1e-8:
-            return a, b
+    first, size = 0, 1
+    while first < cfg.opt_restarts:
+        a0, b0 = [], []
+        for r in range(first, min(first + size, cfg.opt_restarts)):
+            gen = SplitMix64(derive_seed(cfg.seed, 2_000_000 + r))
+            a0.append(gen.unit_vector(ma))
+            b0.append(gen.unit_vector(mb))
+        a, b = _product_search_descent(ck, np.array(a0), np.array(b0), cfg)
+        c_of_a = np.einsum("dmn,rm->rdn", ck, a)
+        smallest = np.linalg.svd(c_of_a, compute_uv=False)[:, -1]
+        for j in np.flatnonzero(smallest < 1e-8):
+            if float(np.linalg.norm(c_of_a[j] @ b[j])) < 1e-7:
+                return a[j], b[j]
+        first, size = first + size, 2 * size
     if (ma, mb) == (3, 3) and k >= (ma - 1) * (mb - 1) + 1:
         warnings.warn(
             "no product vector found in a subspace where one provably exists; "

@@ -84,6 +84,14 @@ class TestWitness:
         assert doc["best_value"] > 0
         assert doc["restarts"] == 64
 
+    def test_rejects_restart_budget_at_stream_offset(self, tmp_path, capsys):
+        path = tmp_path / "rho.json"
+        _run(capsys, "rho", "--b", "1.0", "--theta", str(math.pi / 6), "--out", str(path))
+        code, out, err = _run(capsys, "witness", "--in", str(path), "--restarts", "1000000")
+        assert code == 2
+        assert out == ""
+        assert "opt_restarts" in err
+
     def test_two_copies_on_mes(self, tmp_path, capsys):
         # the maximally entangled projector is distillable at any copy count
         import distill_lab as dl

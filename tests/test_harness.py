@@ -126,6 +126,24 @@ class TestSuites:
         assert report.trials == 12
         assert report.passes == 12
 
+    def test_multicopy_counts_library_errors(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise NumericalFailureError("solver gave up")
+
+        monkeypatch.setattr(harness, "verify_n_undistillable", fail)
+        report = run_suite("multicopy")
+        assert report.trials == 5
+        assert report.passes == 3
+        assert [f["reason"] for f in report.failures] == ["solver gave up"] * 2
+
+    def test_multicopy_propagates_programming_errors(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("shape bug")
+
+        monkeypatch.setattr(harness, "extremal_rank2_tensor_power", broken)
+        with pytest.raises(TypeError, match="shape bug"):
+            run_suite("multicopy")
+
     def test_unknown_suite(self):
         with pytest.raises(ValueError):
             run_suite("nope")

@@ -11,6 +11,7 @@ from distill_lab.qcore import (
     DimensionMismatchError,
     Dims,
     PureState,
+    ToleranceConfig,
     hermitian_eig,
     is_ppt,
     partial_trace,
@@ -347,3 +348,16 @@ class TestStateValidation:
         mes_state = BipartiteState(maximally_entangled_qutrits().projector(), D33)
         assert not is_ppt(mes_state)
         assert is_ppt(BipartiteState(np.eye(9) / 9, D33))
+
+
+class TestToleranceConfig:
+    def test_restart_budget_below_stream_offset(self):
+        assert ToleranceConfig(opt_restarts=999_999).opt_restarts == 999_999
+        # 1e6 restarts would reach the sub-streams of the next route
+        for bad in (1_000_000, 2_500_000):
+            with pytest.raises(ValueError, match="opt_restarts"):
+                ToleranceConfig(opt_restarts=bad)
+
+    def test_rejects_empty_budget(self):
+        with pytest.raises(ValueError):
+            ToleranceConfig(opt_restarts=0)
