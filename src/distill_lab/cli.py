@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 = ran to completion (results, including "not certified",
-are payload), 2 = invalid input or flags, 3 = numerical failure.  The
-environment variable ``DISTILL_LAB_THREADS`` caps suite concurrency.
+are payload), 2 = invalid input or flags, 3 = numerical failure.  Copy
+counts (``witness --copies``, ``multicopy --n``) run from 1 to
+``qcore.MAX_COPIES``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,13 @@ from .edgestate import (
 )
 from .harness import EnsembleSpec, random_state, run_suite, sample_ensemble
 from .multicopy import extremal_rank2_tensor_power, verify_n_undistillable
-from .qcore import DEFAULT_TOL, Dims, NumericalFailureError, rank_kernel_range
+from .qcore import (
+    DEFAULT_TOL,
+    MAX_COPIES,
+    Dims,
+    NumericalFailureError,
+    rank_kernel_range,
+)
 from .serialize import (
     certificate_document,
     dumps,
@@ -35,6 +42,8 @@ from .witness import best_rank2_witness, certify_1_distillable, verify_certifica
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_NUMERICAL = 3
+
+_COPY_CHOICES = tuple(range(1, MAX_COPIES + 1))
 
 
 def _write_output(text: str, out: Optional[str]) -> None:
@@ -251,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("witness", help="search a state file for a distillation witness")
     p.add_argument("--in", dest="infile", required=True, metavar="FILE")
-    p.add_argument("--copies", type=int, choices=(1, 2), default=1)
+    p.add_argument("--copies", type=int, choices=_COPY_CHOICES, default=1)
     p.add_argument("--restarts", type=int, default=None, metavar="N")
     p.add_argument("--seed", type=int, default=None, metavar="S")
     p.add_argument("--json", action="store_true")
@@ -263,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_certify_rank4)
 
     p = sub.add_parser("multicopy", help="n-copy extremal values and thresholds")
-    p.add_argument("--n", type=int, choices=(1, 2), required=True)
+    p.add_argument("--n", type=int, choices=_COPY_CHOICES, required=True)
     p.add_argument("--b", type=float, default=1.0)
     p.add_argument("--theta", type=float, default=math.pi / 6)
     p.add_argument("--eps", type=float, default=0.0)

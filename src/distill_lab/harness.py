@@ -11,9 +11,7 @@ rejections) raises.
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -49,19 +47,12 @@ from .qcore import (
 from .rng import SplitMix64, derive_seed
 from .serialize import matrix_document
 from .witness import (
+    WitnessCertificate,
     certify_1_distillable,
     product_vector_in_subspace,
     submatrix_2x2_scan,
     two_nonpositive_witness,
     verify_certificate,
-)
-
-SUITE_NAMES = (
-    "theorem-rank4",
-    "theorem-two-eigs",
-    "lemma-2x2",
-    "edge-family",
-    "multicopy",
 )
 
 FILTERS = ("any", "NPT", "PPT", "kernelHasProduct", "twoNonpositivePT")
@@ -186,25 +177,6 @@ def sample_ensemble(
     return states, len(states) / attempt
 
 
-def thread_cap() -> int:
-    """Concurrency cap from DISTILL_LAB_THREADS; 1 when unset or invalid."""
-    raw = os.environ.get("DISTILL_LAB_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _run_trials(bodies: list[Callable[[], Optional[dict]]]) -> list[Optional[dict]]:
-    """Evaluate trial bodies, optionally threaded; order-stable reduction."""
-    cap = thread_cap()
-    if cap <= 1 or len(bodies) <= 1:
-        return [body() for body in bodies]
-    with ThreadPoolExecutor(max_workers=cap) as pool:
-        futures = [pool.submit(body) for body in bodies]
-        return [f.result() for f in futures]
-
-
 def _counterexample(trial: int, state: BipartiteState, reason: str, **extra) -> dict:
     doc = {
         "trial": trial,
@@ -228,50 +200,28 @@ def _config_echo(spec: EnsembleSpec, cfg: ToleranceConfig) -> dict:
     }
 
 
-def _suite_rank4(spec: EnsembleSpec, cfg: ToleranceConfig) -> SuiteReport:
-    spec = replace(spec, rank=4, filter="NPT")
+def _suite_route(
+    spec: EnsembleSpec,
+    cfg: ToleranceConfig,
+    suite: str,
+    route: Callable[[BipartiteState, ToleranceConfig], Optional[WitnessCertificate]],
+    empty_reason: str,
+) -> SuiteReport:
+    """Certify every sampled state through ``route`` and re-check each certificate."""
     states, rate = sample_ensemble(spec, cfg)
-
-    def body(idx: int, state: BipartiteState) -> Optional[dict]:
-        cert = certify_1_distillable(state, cfg)
+    failures: list[dict] = []
+    for idx, state in enumerate(states):
+        cert = route(state, cfg)
         if cert is None:
-            return _counterexample(idx, state, "no certificate found")
-        if not verify_certificate(cert, state, cfg=cfg):
-            return _counterexample(
-                idx, state, "certificate failed verification", value=cert.value
+            failures.append(_counterexample(idx, state, empty_reason))
+        elif not verify_certificate(cert, state, cfg=cfg):
+            failures.append(
+                _counterexample(
+                    idx, state, "certificate failed verification", value=cert.value
+                )
             )
-        return None
-
-    outcomes = _run_trials([lambda i=i, s=s: body(i, s) for i, s in enumerate(states)])
-    failures = [o for o in outcomes if o is not None]
     return SuiteReport(
-        suite="theorem-rank4",
-        trials=len(states),
-        passes=len(states) - len(failures),
-        failures=failures,
-        config=_config_echo(spec, cfg),
-        rejection_rate=rate,
-    )
-
-
-def _suite_two_eigs(spec: EnsembleSpec, cfg: ToleranceConfig) -> SuiteReport:
-    spec = replace(spec, filter="twoNonpositivePT")
-    states, rate = sample_ensemble(spec, cfg)
-
-    def body(idx: int, state: BipartiteState) -> Optional[dict]:
-        cert = two_nonpositive_witness(state, cfg)
-        if cert is None:
-            return _counterexample(idx, state, "two-nonpositive route returned empty")
-        if not verify_certificate(cert, state, cfg=cfg):
-            return _counterexample(
-                idx, state, "certificate failed verification", value=cert.value
-            )
-        return None
-
-    outcomes = _run_trials([lambda i=i, s=s: body(i, s) for i, s in enumerate(states)])
-    failures = [o for o in outcomes if o is not None]
-    return SuiteReport(
-        suite="theorem-two-eigs",
+        suite=suite,
         trials=len(states),
         passes=len(states) - len(failures),
         failures=failures,
@@ -431,21 +381,31 @@ def _suite_multicopy(spec: EnsembleSpec, cfg: ToleranceConfig) -> SuiteReport:
     )
 
 
-_SUITE_BODIES = {
-    "theorem-rank4": _suite_rank4,
-    "theorem-two-eigs": _suite_two_eigs,
-    "lemma-2x2": _suite_lemma_2x2,
-    "edge-family": _suite_edge_family,
-    "multicopy": _suite_multicopy,
+# suite name -> (body, default ensemble), in the order "all" runs and reports them;
+# the routes are looked up by name at call time, so a patched module global takes effect
+_SUITES = {
+    "theorem-rank4": (
+        lambda spec, cfg: _suite_route(
+            spec, cfg, "theorem-rank4", certify_1_distillable, "no certificate found"
+        ),
+        EnsembleSpec(rank=4, filter="NPT"),
+    ),
+    "theorem-two-eigs": (
+        lambda spec, cfg: _suite_route(
+            spec,
+            cfg,
+            "theorem-two-eigs",
+            two_nonpositive_witness,
+            "two-nonpositive route returned empty",
+        ),
+        EnsembleSpec(rank=5, filter="twoNonpositivePT"),
+    ),
+    "lemma-2x2": (_suite_lemma_2x2, EnsembleSpec(rank=4, filter="any")),
+    "edge-family": (_suite_edge_family, EnsembleSpec(count=1)),
+    "multicopy": (_suite_multicopy, EnsembleSpec(count=1)),
 }
 
-_SUITE_DEFAULTS = {
-    "theorem-rank4": EnsembleSpec(rank=4, filter="NPT"),
-    "theorem-two-eigs": EnsembleSpec(rank=5, filter="twoNonpositivePT"),
-    "lemma-2x2": EnsembleSpec(rank=4, filter="any"),
-    "edge-family": EnsembleSpec(count=1),
-    "multicopy": EnsembleSpec(count=1),
-}
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(
@@ -468,12 +428,12 @@ def run_suite(
         )
         report.wall_time_s = time.perf_counter() - start
         return report
-    if name not in _SUITE_BODIES:
+    if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES + ('all',)}")
-    base = _SUITE_DEFAULTS[name]
+    body, base = _SUITES[name]
     if spec is not None:
         base = replace(base, count=spec.count, seed=spec.seed)
     start = time.perf_counter()
-    report = _SUITE_BODIES[name](base, cfg)
+    report = body(base, cfg)
     report.wall_time_s = time.perf_counter() - start
     return report

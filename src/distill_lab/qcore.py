@@ -46,7 +46,6 @@ class ToleranceConfig:
     opt_max_iters: int = 500
     opt_step_tol: float = 1e-12
     seed: int = 2024
-    tensor_copy_cap: int = 2
 
     def __post_init__(self) -> None:
         for name in ("herm_tol", "psd_tol", "spec_tol", "rank_rel_tol", "opt_step_tol"):
@@ -262,7 +261,11 @@ def rank_kernel_range(
     return rank, kernel, range_basis
 
 
-# largest admissible tensor-power order (a 6561 x 6561 matrix)
+# most copies any tensor power takes, and so any n-copy witness search or bracket
+MAX_COPIES = 2
+
+# largest admissible tensor-power order (a 6561 x 6561 matrix); with the copy cap
+# this still guards input from outside, e.g. a 10x10 state at n = 2
 _POWER_DIM_CAP = 6561
 
 
@@ -271,11 +274,11 @@ def regroup_tensor_power(mat: np.ndarray, dims: Dims, n: int) -> tuple[np.ndarra
 
     The Kronecker power orders indices (a1 b1 a2 b2 ...); the result is
     reindexed so all A factors come first.  The reindexing is an exact
-    permutation of entries.
+    permutation of entries.  The copy count must lie in ``1..MAX_COPIES``.
     """
     m = _check_dims(mat, dims)
-    if n < 1:
-        raise ValueError("tensor power requires n >= 1")
+    if not 1 <= n <= MAX_COPIES:
+        raise ValueError(f"copy count must lie in 1..{MAX_COPIES}, got {n}")
     if dims.total**n > _POWER_DIM_CAP:
         raise ValueError(
             f"tensor power of order {dims.total}^{n} exceeds the dimension cap"
@@ -299,10 +302,6 @@ def tensor_power_bipartite(
     state: BipartiteState, n: int, cfg: ToleranceConfig = DEFAULT_TOL
 ) -> BipartiteState:
     """``state^(x n)`` as a bipartite state with parties grouped A..A : B..B."""
-    if n > cfg.tensor_copy_cap:
-        raise ValueError(
-            f"n={n} exceeds the configured copy cap {cfg.tensor_copy_cap}"
-        )
     mat, big = regroup_tensor_power(state.mat, state.dims, n)
     return BipartiteState(mat, big, cfg)
 

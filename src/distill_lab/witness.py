@@ -531,7 +531,9 @@ def product_vector_in_subspace(
         b[0] = 1.0
         return a, b
     u_full, _, _ = np.linalg.svd(b_mat)
-    comp = u_full[:, k:]
+    # zero columns pad the complement to at least mb constraints, so that a
+    # null vector b of C(a) shows as a zero among the singular values
+    comp = np.pad(u_full[:, k:], ((0, 0), (0, max(0, mb - (dims.total - k)))))
     # constraint tensor: <k_i | a (x) b> = a^T conj(K_i) b
     ck = comp.conj().T.reshape(comp.shape[1], ma, mb)
 

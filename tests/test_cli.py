@@ -109,6 +109,19 @@ class TestWitness:
         assert doc["certified"] is True
         assert doc["certificate"]["copies"] == 2
 
+    def test_two_copies_beyond_dimension_cap(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        code, _, _ = _run(
+            capsys,
+            "random", "--dimA", "10", "--dimB", "10", "--rank", "1",
+            "--seed", "3", "--out", str(path),
+        )
+        assert code == 0
+        code, out, err = _run(capsys, "witness", "--in", str(path), "--copies", "2")
+        assert code == 2
+        assert out == ""
+        assert "dimension cap" in err
+
     def test_missing_file_is_invalid_input(self, capsys):
         code, _, err = _run(capsys, "witness", "--in", "/nonexistent.json")
         assert code == 2

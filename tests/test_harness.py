@@ -1,6 +1,7 @@
 """Ensembles, reproducibility, and the verification suites."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from distill_lab.harness import (
     random_state,
     run_suite,
     sample_ensemble,
-    thread_cap,
 )
 from distill_lab.qcore import Dims, NumericalFailureError, rank_kernel_range
 from distill_lab.rng import SplitMix64, derive_seed
@@ -165,16 +165,50 @@ class TestSuites:
         state = state_from_json(dumps(loaded["state"]))
         assert np.array_equal(state.mat, states[0].mat)
 
-    def test_threaded_run_matches_serial(self, monkeypatch):
-        spec = EnsembleSpec(count=10, seed=77)
-        serial = run_suite("theorem-rank4", spec).to_document()
-        monkeypatch.setenv("DISTILL_LAB_THREADS", "4")
-        assert thread_cap() == 4
-        threaded = run_suite("theorem-rank4", spec).to_document()
-        assert dumps(_strip_wall_time(serial)) == dumps(_strip_wall_time(threaded))
 
-    def test_thread_cap_defaults(self, monkeypatch):
-        monkeypatch.delenv("DISTILL_LAB_THREADS", raising=False)
-        assert thread_cap() == 1
-        monkeypatch.setenv("DISTILL_LAB_THREADS", "garbage")
-        assert thread_cap() == 1
+# each theorem suite, the route it checks, and the reason it gives when that route is empty
+THEOREM_ROUTES = [
+    ("theorem-rank4", "certify_1_distillable", "no certificate found"),
+    ("theorem-two-eigs", "two_nonpositive_witness", "two-nonpositive route returned empty"),
+]
+
+
+class TestTheoremSuiteFailures:
+    @pytest.mark.parametrize("suite, route, reason", THEOREM_ROUTES)
+    def test_empty_route_is_counted(self, monkeypatch, suite, route, reason):
+        real = getattr(harness, route)
+        calls = []
+
+        def every_other_empty(state, cfg):
+            calls.append(state)
+            return None if len(calls) % 2 == 0 else real(state, cfg)
+
+        monkeypatch.setattr(harness, route, every_other_empty)
+        report = run_suite(suite, EnsembleSpec(count=4, seed=5))
+        assert len(calls) == 4
+        assert report.trials == 4
+        assert report.passes == 2
+        assert [f["trial"] for f in report.failures] == [1, 3]
+        assert [f["reason"] for f in report.failures] == [reason] * 2
+        assert all("value" not in f for f in report.failures)
+
+    @pytest.mark.parametrize("suite, route, reason", THEOREM_ROUTES)
+    def test_tampered_certificate_is_counted(self, monkeypatch, suite, route, reason):
+        real = getattr(harness, route)
+        stored = []
+
+        def value_off(state, cfg):
+            cert = real(state, cfg)
+            cert = replace(cert, value=cert.value + 1e-6)
+            stored.append(cert.value)
+            return cert
+
+        monkeypatch.setattr(harness, route, value_off)
+        report = run_suite(suite, EnsembleSpec(count=3, seed=5))
+        assert report.trials == 3
+        assert report.passes == 0
+        assert [f["trial"] for f in report.failures] == [0, 1, 2]
+        assert [f["reason"] for f in report.failures] == [
+            "certificate failed verification"
+        ] * 3
+        assert [f["value"] for f in report.failures] == stored

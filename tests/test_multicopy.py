@@ -21,14 +21,16 @@ from distill_lab.multicopy import (
     werner_projector,
 )
 from distill_lab.qcore import (
+    MAX_COPIES,
     Dims,
     is_ppt,
     partial_transpose,
     regroup_tensor_power,
     schmidt_rank,
+    tensor_power_bipartite,
 )
 from distill_lab.rng import SplitMix64
-from distill_lab.witness import min_rank2_expectation
+from distill_lab.witness import best_rank2_witness, min_rank2_expectation, pt_quadratic_form
 
 D33 = Dims(3, 3)
 PARAMS = EdgeParams(1.0, math.pi / 6)
@@ -117,6 +119,24 @@ class TestExtremalTensorPower:
             joint = np.kron(psi1, psi2).reshape(3, 3, 3, 3).transpose(0, 2, 1, 3).reshape(81)
             got = float(np.real(joint.conj() @ mat @ joint))
             assert got == pytest.approx(v1 * v2, abs=1e-12)
+
+
+class TestCopyCap:
+    @pytest.mark.parametrize("n", [0, MAX_COPIES + 1])
+    def test_every_n_copy_entry_point_rejects(self, n):
+        ws = werner_projector()
+        psi = np.ones(ws.dims.total, dtype=complex) / 3
+        calls = [
+            lambda: regroup_tensor_power(ws.mat, ws.dims, n),
+            lambda: tensor_power_bipartite(ws, n),
+            lambda: pt_quadratic_form(psi, ws, n),
+            lambda: best_rank2_witness(ws, n),
+            lambda: extremal_rank2_tensor_power(n),
+            lambda: verify_n_undistillable(PARAMS, n),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="copy count"):
+                call()
 
 
 class TestOperatorBound:

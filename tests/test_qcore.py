@@ -301,6 +301,12 @@ class TestTensorPower:
         with pytest.raises(ValueError):
             regroup_tensor_power(m, Dims(4, 4), 4)
 
+    def test_dimension_cap_within_copy_cap(self):
+        # two copies of a 10x10 operator would be 10000 x 10000 (1.6 GB)
+        m = np.eye(100, dtype=complex)
+        with pytest.raises(ValueError, match="dimension cap"):
+            regroup_tensor_power(m, Dims(10, 10), 2)
+
 
 class TestStateValidation:
     def test_rejects_non_hermitian(self):

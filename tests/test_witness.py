@@ -1,6 +1,7 @@
 """Witness routes: minimizer contracts, constructive routes, soundness."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -224,6 +225,24 @@ class TestProductVectorSearch:
     def test_mes_line_has_none(self):
         basis = maximally_entangled_qutrits().vec.reshape(9, 1)
         assert product_vector_in_subspace(basis, D33) is None
+
+    @pytest.mark.parametrize(
+        "dim_a, dim_b, rank", [(3, 3, 1), (3, 3, 2), (2, 4, 1), (2, 4, 2), (2, 4, 3)]
+    )
+    def test_fewer_constraints_than_dim_b(self, dim_a, dim_b, rank):
+        # kernels of dimension 8, 7 (3x3) and 7, 6, 5 (2x4): fewer than dB
+        # complement rows, where a product vector always exists
+        dims = Dims(dim_a, dim_b)
+        for seed in range(3):
+            state = random_state(dims, rank, derive_seed(9700 + rank, seed))
+            _, kernel, _ = rank_kernel_range(state.mat)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                found = product_vector_in_subspace(kernel, dims)
+            assert found is not None
+            prod = np.kron(*found)
+            residual = np.linalg.norm(prod - kernel @ (kernel.conj().T @ prod))
+            assert residual < 1e-7
 
 
 class TestKernelProductWitness:

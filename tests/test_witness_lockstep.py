@@ -2,8 +2,10 @@
 
 The reference functions below are the sequential implementations of
 ``min_rank2_expectation`` and ``product_vector_in_subspace``, kept verbatim
-as an oracle.  The stacked versions must reproduce them byte for byte:
-values, frames, coefficients, returned vectors and found versus ``None``.
+as an oracle, except that the search zero-pads its constraint matrix to at
+least dB rows, as the library does.  The stacked versions must
+reproduce them byte for byte: values, frames, coefficients, returned
+vectors and found versus ``None``.
 """
 
 import math
@@ -146,7 +148,7 @@ def reference_product_vector_in_subspace(
     b_mat = np.asarray(basis, dtype=complex)
     k = b_mat.shape[1]
     u_full, _, _ = np.linalg.svd(b_mat)
-    comp = u_full[:, k:]
+    comp = np.pad(u_full[:, k:], ((0, 0), (0, max(0, mb - (dims.total - k)))))
     # constraint tensor: <k_i | a (x) b> = a^T conj(K_i) b
     ck = comp.conj().T.reshape(comp.shape[1], ma, mb)
 
