@@ -44,7 +44,7 @@ from .qcore import (
     rank_kernel_range,
     regroup_tensor_power,
 )
-from .rng import SplitMix64, derive_seed
+from .rng import _complex_normals, derive_seed
 from .serialize import matrix_document
 from .witness import (
     WitnessCertificate,
@@ -116,8 +116,8 @@ def random_state(
     """Trace-normalized ``G G*`` with G a (dims.total x rank) complex Gaussian."""
     if not 1 <= rank <= dims.total:
         raise ValueError(f"rank must lie in 1..{dims.total}, got {rank}")
-    gen = SplitMix64(seed)
-    g = gen.complex_matrix(dims.total, rank)
+    # one stream, filled row-major: SplitMix64(seed).complex_matrix(dims.total, rank)
+    g = _complex_normals([seed], dims.total * rank)[0].reshape(dims.total, rank)
     mat = g @ g.conj().T
     mat /= np.trace(mat).real
     state = BipartiteState(mat, dims, cfg)

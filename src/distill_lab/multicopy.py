@@ -33,6 +33,7 @@ from .qcore import (
     InvariantViolationError,
     PureState,
     ToleranceConfig,
+    _check_copy_count,
     partial_transpose,
     regroup_tensor_power,
 )
@@ -109,6 +110,7 @@ def extremal_rank2_tensor_power(
     proven bracket [1/24^n, 1/8^n]; reports the distance of the found
     minimum to the conjectured (1/2) * 12^-n.
     """
+    _check_copy_count(n)
     rho_s = werner_projector(cfg)
     mat, dims = regroup_tensor_power(rho_s.mat, rho_s.dims, n)
 
@@ -193,6 +195,7 @@ def verify_n_undistillable(
     analytic bound.  A violation raises; it would mean a bug, not a
     distillation protocol.
     """
+    _check_copy_count(n)
     gap = min_positive_pt_eigenvalue(params)
     threshold = eps_threshold_for_copies(params, n)
     requested = params.eps if params.eps > 0 else 0.9 * gap / 3

@@ -269,6 +269,11 @@ MAX_COPIES = 2
 _POWER_DIM_CAP = 6561
 
 
+def _check_copy_count(n: int) -> None:
+    if not 1 <= n <= MAX_COPIES:
+        raise ValueError(f"copy count must lie in 1..{MAX_COPIES}, got {n}")
+
+
 def regroup_tensor_power(mat: np.ndarray, dims: Dims, n: int) -> tuple[np.ndarray, Dims]:
     """n-fold tensor power of a bipartite operator, regrouped to (A..A : B..B).
 
@@ -277,8 +282,7 @@ def regroup_tensor_power(mat: np.ndarray, dims: Dims, n: int) -> tuple[np.ndarra
     permutation of entries.  The copy count must lie in ``1..MAX_COPIES``.
     """
     m = _check_dims(mat, dims)
-    if not 1 <= n <= MAX_COPIES:
-        raise ValueError(f"copy count must lie in 1..{MAX_COPIES}, got {n}")
+    _check_copy_count(n)
     if dims.total**n > _POWER_DIM_CAP:
         raise ValueError(
             f"tensor power of order {dims.total}^{n} exceeds the dimension cap"

@@ -13,11 +13,21 @@ across reimplementations in other languages.  Conventions:
 * Matrices fill row by row, left to right.
 * Sub-streams derive as ``derive_seed(seed, index)``; derivation is a
   single SplitMix64 step from ``seed XOR mix64(index + 1)``.
+
+The ``SplitMix64`` methods are the specification.  Word ``k`` (from 1) of
+the stream whose state is ``s`` is ``mix64(s + k * increment)``, so
+``_complex_normals`` draws many streams at once as one uint64 array and
+equals the per-stream draws bit for bit.  Its logarithms, cosines and
+sines stay in ``math``: numpy's versions may round differently in the last
+place (``np.log`` disagrees with ``math.log`` on a fraction of a percent
+of draws on some CPUs), while the square root, products and quotients are
+correctly rounded either way.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 
@@ -79,12 +89,66 @@ class SplitMix64:
         return v / np.linalg.norm(v)
 
 
+def _elementwise(fn, x: np.ndarray) -> np.ndarray:
+    """``fn`` applied to every entry of ``x`` through Python floats."""
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def _complex_normals(states: Sequence[int], count: int) -> tuple[np.ndarray, list[int]]:
+    """``count`` standard complex Gaussians from each of several streams at once.
+
+    Row ``i`` equals ``SplitMix64(states[i]).complex_vector(count)`` bit for
+    bit, and end state ``i`` equals that generator's state afterwards.  A
+    row with a zero ``u1`` (redrawn, so its later words shift) takes the
+    scalar path.
+    """
+    states = [s & _MASK for s in states]
+    start = np.array(states, dtype=np.uint64).reshape(-1, 1)
+    # uint64 array arithmetic wraps mod 2**64, as the scalar stream's masks do
+    z = start + np.arange(1, 2 * count + 1, dtype=np.uint64) * _GAMMA
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+    z ^= z >> 31
+    u = (z >> 11).astype(float) * 2.0**-53
+    redraw = None
+    if not u[:, 0::2].all():
+        redraw = ~u[:, 0::2].all(axis=1)
+        u = u[~redraw]
+    u1, u2 = u[:, 0::2], u[:, 1::2]
+    r = np.sqrt(-2.0 * _elementwise(math.log, u1))
+    angle = 2.0 * math.pi * u2
+    good = np.empty(u1.shape, dtype=complex)
+    good.real = r * _elementwise(math.cos, angle) / math.sqrt(2.0)
+    good.imag = r * _elementwise(math.sin, angle) / math.sqrt(2.0)
+    step = 2 * count * _GAMMA
+    ends = [(s + step) & _MASK for s in states]
+    if redraw is None:
+        return good, ends
+    rows = np.empty((len(ends), count), dtype=complex)
+    rows[~redraw] = good
+    for i in np.flatnonzero(redraw):
+        gen = SplitMix64(states[i])
+        rows[i] = gen.complex_vector(count)
+        ends[i] = gen._state
+    return rows, ends
+
+
+def _unit_rows(v: np.ndarray) -> np.ndarray:
+    """Each row of ``v`` scaled to unit norm exactly as ``unit_vector`` scales one."""
+    return v / np.array([np.linalg.norm(row) for row in v]).reshape(-1, 1)
+
+
+def _phase_fixed_qr(g: np.ndarray) -> np.ndarray:
+    """Q factor of each matrix in ``g`` with the R-diagonal phases moved into Q."""
+    q, r = np.linalg.qr(g)
+    d = r.diagonal(axis1=-2, axis2=-1).copy()
+    d[d == 0] = 1.0
+    return q * (d / np.abs(d))[..., None, :]
+
+
 def random_isometry(gen: SplitMix64, rows: int, cols: int) -> np.ndarray:
     """Haar-ish random isometry via QR with the R-diagonal phase fixed."""
-    q, r = np.linalg.qr(gen.complex_matrix(rows, cols))
-    d = r.diagonal().copy()
-    d[d == 0] = 1.0
-    return q * (d / np.abs(d))
+    return _phase_fixed_qr(gen.complex_matrix(rows, cols))
 
 
 def random_unitary(gen: SplitMix64, dim: int) -> np.ndarray:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from itertools import compress
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -42,7 +42,7 @@ from .qcore import (
     regroup_tensor_power,
     schmidt_rank,
 )
-from .rng import SplitMix64, derive_seed, random_isometry
+from .rng import SplitMix64, _complex_normals, _phase_fixed_qr, _unit_rows, derive_seed
 
 ROUTE_SUBMATRIX = "submatrix2x2"
 ROUTE_TWO_NONPOSITIVE = "twoNonpositive"
@@ -133,15 +133,40 @@ def _schmidt_frames(psi: np.ndarray, dims: Dims) -> tuple[np.ndarray, np.ndarray
     return u[:, :, :2], vh[:, :2, :].transpose(0, 2, 1)
 
 
-def _complete_to_frame(gen: SplitMix64, a: np.ndarray) -> np.ndarray:
-    """Extend a unit vector to a 2-column isometry with a seeded second column."""
-    d = a.size
-    while True:
-        extra = gen.complex_vector(d)
-        extra -= a * (a.conj() @ extra)
+def _complete_to_frame(a: np.ndarray, extras: Iterable[np.ndarray]) -> Optional[np.ndarray]:
+    """Extend a unit vector to a 2-column isometry with the first of ``extras``
+    not nearly parallel to it; ``None`` if there is no such one."""
+    for extra in extras:
+        extra = extra - a * (a.conj() @ extra)
         nrm = float(np.linalg.norm(extra))
         if nrm > 1e-8:
             return np.column_stack([a, extra / nrm])
+    return None
+
+
+def _redraws(gen: SplitMix64, d: int) -> Iterator[np.ndarray]:
+    while True:
+        yield gen.complex_vector(d)
+
+
+def _complete_frames(
+    seed: int, a: np.ndarray, b: np.ndarray, extra_a: np.ndarray, extra_b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Local 2-frames around a polished product start ``a (x) b``.
+
+    The second columns come from the restart's stream right after its two
+    start vectors; ``extra_a`` and ``extra_b`` are those draws, made in
+    advance.  A draw nearly parallel to its vector is redrawn, so in that
+    (rare) case the stream is replayed on the scalar path.
+    """
+    fa = _complete_to_frame(a, [extra_a])
+    fb = _complete_to_frame(b, [extra_b])
+    if fa is None or fb is None:
+        gen = SplitMix64(seed)
+        gen.complex_vector(a.size + b.size)
+        fa = _complete_to_frame(a, _redraws(gen, a.size))
+        fb = _complete_to_frame(b, _redraws(gen, b.size))
+    return fa, fb
 
 
 def _hermitian_part(mats: np.ndarray) -> np.ndarray:
@@ -290,35 +315,35 @@ def min_rank2_expectation(
     span = int(np.sum(evals <= evals[0] + 1e-10 * scale))
     span = min(max(span, 2), dims.total)
 
-    # start 0 is the bottom eigenvector; restart r sits at row r + 1
-    fa = np.empty((cfg.opt_restarts + 1, ma, 2), dtype=complex)
-    fb = np.empty((cfg.opt_restarts + 1, mb, 2), dtype=complex)
-    schmidt_rows, schmidt_vecs = [0], [evecs[:, 0]]
-    product_rows, product_gens, a0, b0 = [], [], [], []
-    for r in range(cfg.opt_restarts):
-        gen = SplitMix64(derive_seed(cfg.seed, r))
-        kind = r % 3
-        if kind == 0:
-            fa[r + 1] = random_isometry(gen, ma, 2)
-            fb[r + 1] = random_isometry(gen, mb, 2)
-        elif kind == 1:
-            c = gen.unit_vector(span)
-            schmidt_rows.append(r + 1)
-            schmidt_vecs.append(evecs[:, :span] @ c)
-        else:
-            a0.append(gen.unit_vector(ma))
-            b0.append(gen.unit_vector(mb))
-            product_rows.append(r + 1)
-            product_gens.append(gen)
+    # start 0 is the bottom eigenvector; restart r sits at row r + 1, and its
+    # kind r % 3 picks Haar-random frames (rows 1, 4, ...), a random vector of
+    # the bottom eigenspace (rows 2, 5, ...) or a polished product vector
+    # (rows 3, 6, ...), each drawn from the stream derive_seed(seed, r)
+    rows = cfg.opt_restarts + 1
+    seeds = [derive_seed(cfg.seed, r) for r in range(cfg.opt_restarts)]
+    fa = np.empty((rows, ma, 2), dtype=complex)
+    fb = np.empty((rows, mb, 2), dtype=complex)
+    g = _complex_normals(seeds[0::3], 2 * (ma + mb))[0]
+    fa[1::3] = _phase_fixed_qr(g[:, : 2 * ma].reshape(-1, ma, 2))
+    fb[1::3] = _phase_fixed_qr(g[:, 2 * ma :].reshape(-1, mb, 2))
+
+    c = _unit_rows(_complex_normals(seeds[1::3], span)[0])
+    schmidt_rows = [0, *range(2, rows, 3)]
+    schmidt_vecs = [evecs[:, 0]] + [evecs[:, :span] @ ci for ci in c]
     fa[schmidt_rows], fb[schmidt_rows] = _schmidt_frames(np.array(schmidt_vecs), dims)
-    if product_rows:
+
+    product_seeds = seeds[2::3]
+    if product_seeds:
+        g = _complex_normals(product_seeds, 2 * (ma + mb))[0]
         a1, b1 = _product_descent(
-            m.reshape(ma, mb, ma, mb), np.array(a0), np.array(b0),
+            m.reshape(ma, mb, ma, mb), _unit_rows(g[:, :ma]), _unit_rows(g[:, ma : ma + mb]),
             cfg.opt_max_iters, cfg.opt_step_tol,
         )
-        for j, (row, gen) in enumerate(zip(product_rows, product_gens)):
-            fa[row] = _complete_to_frame(gen, a1[j])
-            fb[row] = _complete_to_frame(gen, b1[j])
+        extras_a, extras_b = g[:, ma + mb : 2 * ma + mb], g[:, 2 * ma + mb :]
+        for j, seed in enumerate(product_seeds):
+            fa[3 * j + 3], fb[3 * j + 3] = _complete_frames(
+                seed, a1[j], b1[j], extras_a[j], extras_b[j]
+            )
 
     vals, fa, fb = _rank2_descent(m, dims, fa, fb, cfg)
     best = int(np.argmin(vals))
@@ -539,12 +564,12 @@ def product_vector_in_subspace(
 
     first, size = 0, 1
     while first < cfg.opt_restarts:
-        a0, b0 = [], []
-        for r in range(first, min(first + size, cfg.opt_restarts)):
-            gen = SplitMix64(derive_seed(cfg.seed, 2_000_000 + r))
-            a0.append(gen.unit_vector(ma))
-            b0.append(gen.unit_vector(mb))
-        a, b = _product_search_descent(ck, np.array(a0), np.array(b0), cfg)
+        seeds = [
+            derive_seed(cfg.seed, 2_000_000 + r)
+            for r in range(first, min(first + size, cfg.opt_restarts))
+        ]
+        g = _complex_normals(seeds, ma + mb)[0]
+        a, b = _product_search_descent(ck, _unit_rows(g[:, :ma]), _unit_rows(g[:, ma:]), cfg)
         c_of_a = np.einsum("dmn,rm->rdn", ck, a)
         smallest = np.linalg.svd(c_of_a, compute_uv=False)[:, -1]
         for j in np.flatnonzero(smallest < 1e-8):

@@ -32,6 +32,15 @@ class TestSplitMix:
         gen = SplitMix64(0)
         assert gen.next_u64() == 16294208416658607535
 
+    def test_reference_gaussians(self):
+        # Box-Muller on the words above, exact to the last bit
+        gen = SplitMix64(1234567)
+        assert [gen.complex_normal() for _ in range(3)] == [
+            complex(float.fromhex("0x1.e43887b48e981p-2"), float.fromhex("0x1.d15340fbdac83p-1")),
+            complex(float.fromhex("0x1.448465880ef33p-8"), float.fromhex("0x1.969cc3a87ca78p-1")),
+            complex(float.fromhex("-0x1.363c5a4ab6f09p-2"), float.fromhex("0x1.459802e8e4b2bp-3")),
+        ]
+
     def test_uniform_range(self):
         gen = SplitMix64(9)
         for _ in range(1000):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import distill_lab.multicopy as multicopy
 from distill_lab.edgestate import (
     EdgeParams,
     edge_state_pt,
@@ -135,6 +136,20 @@ class TestCopyCap:
             lambda: verify_n_undistillable(PARAMS, n),
         ]
         for call in calls:
+            with pytest.raises(ValueError, match="copy count"):
+                call()
+
+    @pytest.mark.parametrize("n", [0, MAX_COPIES + 1])
+    def test_rejects_before_any_work(self, n, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("work done before the copy count was checked")
+
+        for name in ("eps_threshold_for_copies", "build_edge_bundle", "werner_projector"):
+            monkeypatch.setattr(multicopy, name, unreachable)
+        for call in (
+            lambda: extremal_rank2_tensor_power(n),
+            lambda: verify_n_undistillable(PARAMS, n),
+        ):
             with pytest.raises(ValueError, match="copy count"):
                 call()
 
