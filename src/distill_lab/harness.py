@@ -2,10 +2,17 @@
 
 States are Ginibre-style ``G G*`` draws with ``G`` filled from the
 portable SplitMix64/Box-Muller stream, so a (seed, trial) pair pins every
-sample bit-for-bit.  Suites never abort on a failed trial: failures are
-serialized counterexamples in the report, because a tolerance miss is
-diagnostic data.  Only a stalled rejection filter (10000 consecutive
-rejections) raises.
+sample bit-for-bit.
+
+Every suite is a list of trials and a judge, which returns ``None`` for a
+pass, ``_SKIP`` for a trial outside the claim, or the trial's failure
+document; one tally builds every suite's report.  Suites never abort on a
+failed trial, because a tolerance miss is diagnostic data: a
+``NumericalFailureError``, ``InvariantViolationError``,
+``DimensionMismatchError`` or ``AssertionError`` fails its trial with the
+error text as the reason, and any other exception is a bug and propagates.
+Only a stalled rejection filter (10000 consecutive rejections) aborts a
+suite.
 """
 
 from __future__ import annotations
@@ -58,6 +65,13 @@ from .witness import (
 FILTERS = ("any", "NPT", "PPT", "kernelHasProduct", "twoNonpositivePT")
 
 _MAX_CONSECUTIVE_REJECTS = 10_000
+
+# what the code under test raises when a trial fails; anything else is a bug
+_TRIAL_ERRORS = (
+    NumericalFailureError, InvariantViolationError, DimensionMismatchError, AssertionError
+)
+
+_SKIP = object()  # a judge's verdict on a trial the suite's claim does not cover
 
 
 @dataclass(frozen=True)
@@ -129,14 +143,10 @@ def random_state(
     return state
 
 
-def _pt_eigenvalues(state: BipartiteState) -> np.ndarray:
-    return np.linalg.eigvalsh(partial_transpose(state.mat, state.dims))
-
-
 def _passes_filter(state: BipartiteState, name: str, cfg: ToleranceConfig) -> bool:
     if name == "any":
         return True
-    evals = _pt_eigenvalues(state)
+    evals = np.linalg.eigvalsh(partial_transpose(state.mat, state.dims))
     if name == "NPT":
         return bool(evals[0] < -cfg.psd_tol)
     if name == "PPT":
@@ -187,8 +197,10 @@ def _counterexample(trial: int, state: BipartiteState, reason: str, **extra) -> 
     return doc
 
 
-def _config_echo(spec: EnsembleSpec, cfg: ToleranceConfig) -> dict:
-    return {
+def _sampled(spec: EnsembleSpec, cfg: ToleranceConfig):
+    """Trials of an ensemble suite: the sampled states; the config echoes spec and cfg."""
+    states, rate = sample_ensemble(spec, cfg)
+    config = {
         "dims": [spec.dims.dim_a, spec.dims.dim_b],
         "rank": spec.rank,
         "count": spec.count,
@@ -198,71 +210,50 @@ def _config_echo(spec: EnsembleSpec, cfg: ToleranceConfig) -> dict:
         "rank_rel_tol": cfg.rank_rel_tol,
         "opt_restarts": cfg.opt_restarts,
     }
+    return states, config, rate
 
 
-def _suite_route(
-    spec: EnsembleSpec,
+def _judge_route(
+    idx: int,
+    state: BipartiteState,
     cfg: ToleranceConfig,
-    suite: str,
     route: Callable[[BipartiteState, ToleranceConfig], Optional[WitnessCertificate]],
     empty_reason: str,
-) -> SuiteReport:
-    """Certify every sampled state through ``route`` and re-check each certificate."""
-    states, rate = sample_ensemble(spec, cfg)
-    failures: list[dict] = []
-    for idx, state in enumerate(states):
+) -> Optional[dict]:
+    """Certify the state through ``route`` and re-check the certificate."""
+    try:
         cert = route(state, cfg)
-        if cert is None:
-            failures.append(_counterexample(idx, state, empty_reason))
-        elif not verify_certificate(cert, state, cfg=cfg):
-            failures.append(
-                _counterexample(
-                    idx, state, "certificate failed verification", value=cert.value
-                )
-            )
-    return SuiteReport(
-        suite=suite,
-        trials=len(states),
-        passes=len(states) - len(failures),
-        failures=failures,
-        config=_config_echo(spec, cfg),
-        rejection_rate=rate,
+    except _TRIAL_ERRORS as exc:
+        return _counterexample(idx, state, str(exc))
+    if cert is None:
+        return _counterexample(idx, state, empty_reason)
+    if not verify_certificate(cert, state, cfg=cfg):
+        return _counterexample(idx, state, "certificate failed verification", value=cert.value)
+    return None
+
+
+def _judge_2x2(idx: int, state: BipartiteState, cfg: ToleranceConfig):
+    """Skip a state with no qualifying minor; otherwise re-check its certificate."""
+    hit = submatrix_2x2_scan(state, cfg)
+    if hit is None:
+        return _SKIP
+    if verify_certificate(hit.certificate, state, cfg=cfg):
+        return None
+    return _counterexample(
+        idx,
+        state,
+        "negative minor did not yield a verified certificate",
+        determinant=hit.determinant,
+        value=hit.certificate.value,
     )
 
 
-def _suite_lemma_2x2(spec: EnsembleSpec, cfg: ToleranceConfig) -> SuiteReport:
-    states, rate = sample_ensemble(spec, cfg)
-    failures: list[dict] = []
-    skipped = 0
-    qualifying = 0
-    for idx, state in enumerate(states):
-        hit = submatrix_2x2_scan(state, cfg)
-        if hit is None:
-            skipped += 1
-            continue
-        qualifying += 1
-        if not verify_certificate(hit.certificate, state, cfg=cfg):
-            failures.append(
-                _counterexample(
-                    idx,
-                    state,
-                    "negative minor did not yield a verified certificate",
-                    determinant=hit.determinant,
-                    value=hit.certificate.value,
-                )
-            )
-    return SuiteReport(
-        suite="lemma-2x2",
-        trials=qualifying,
-        passes=qualifying - len(failures),
-        failures=failures,
-        skipped=skipped,
-        config=_config_echo(spec, cfg),
-        rejection_rate=rate,
-    )
+def _edge_points(spec: EnsembleSpec, cfg: ToleranceConfig):
+    return DEFAULT_GRID, {"grid": [[b, th] for b, th in DEFAULT_GRID], "seed": spec.seed}, None
 
 
-def _edge_point_checks(b: float, theta: float, cfg: ToleranceConfig) -> list[str]:
+def _judge_edge_point(idx: int, point: tuple[float, float], cfg: ToleranceConfig):
+    b, theta = point
     problems: list[str] = []
     params = EdgeParams(b, theta)
     sigma = edge_state(params, cfg)
@@ -310,27 +301,11 @@ def _edge_point_checks(b: float, theta: float, cfg: ToleranceConfig) -> list[str
             problems.append("margin is not positive at the default noise")
     except (NumericalFailureError, ValueError) as exc:
         problems.append(f"bundle construction failed: {exc}")
-    return problems
+    return {"b": b, "theta": theta, "problems": problems} if problems else None
 
 
-def _suite_edge_family(spec: EnsembleSpec, cfg: ToleranceConfig) -> SuiteReport:
-    failures: list[dict] = []
-    for b, theta in DEFAULT_GRID:
-        problems = _edge_point_checks(b, theta, cfg)
-        if problems:
-            failures.append({"b": b, "theta": theta, "problems": problems})
-    return SuiteReport(
-        suite="edge-family",
-        trials=len(DEFAULT_GRID),
-        passes=len(DEFAULT_GRID) - len(failures),
-        failures=failures,
-        config={"grid": [[b, th] for b, th in DEFAULT_GRID], "seed": spec.seed},
-    )
-
-
-def _suite_multicopy(spec: EnsembleSpec, cfg: ToleranceConfig) -> SuiteReport:
+def _multicopy_checks(spec: EnsembleSpec, cfg: ToleranceConfig):
     params = EdgeParams(1.0, math.pi / 6)
-    checks: list[tuple[str, Callable[[], None]]] = []
 
     def check_extremal(n: int) -> None:
         report = extremal_rank2_tensor_power(n, cfg)
@@ -355,57 +330,66 @@ def _suite_multicopy(spec: EnsembleSpec, cfg: ToleranceConfig) -> SuiteReport:
         if not report.min_value > 0:
             raise AssertionError(f"n={n} minimum is not positive")
 
-    checks.append(("extremal n=1", lambda: check_extremal(1)))
-    checks.append(("extremal n=2", lambda: check_extremal(2)))
-    checks.append(("operator bound n=1,2", check_operator_bound))
-    checks.append(("undistillable n=1", lambda: check_undistillable(1)))
-    checks.append(("undistillable n=2", lambda: check_undistillable(2)))
-
-    failures: list[dict] = []
-    for name, check in checks:
-        try:
-            check()
-        except (
-            NumericalFailureError,
-            InvariantViolationError,
-            DimensionMismatchError,
-            AssertionError,
-        ) as exc:  # failures are data; anything else is a bug and propagates
-            failures.append({"check": name, "reason": str(exc)})
-    return SuiteReport(
-        suite="multicopy",
-        trials=len(checks),
-        passes=len(checks) - len(failures),
-        failures=failures,
-        config={"b": params.b, "theta": params.theta, "seed": spec.seed},
-    )
+    checks = [
+        ("extremal n=1", lambda: check_extremal(1)),
+        ("extremal n=2", lambda: check_extremal(2)),
+        ("operator bound n=1,2", check_operator_bound),
+        ("undistillable n=1", lambda: check_undistillable(1)),
+        ("undistillable n=2", lambda: check_undistillable(2)),
+    ]
+    return checks, {"b": params.b, "theta": params.theta, "seed": spec.seed}, None
 
 
-# suite name -> (body, default ensemble), in the order "all" runs and reports them;
-# the routes are looked up by name at call time, so a patched module global takes effect
+def _judge_check(idx: int, trial: tuple[str, Callable[[], None]], cfg: ToleranceConfig):
+    name, check = trial
+    try:
+        check()
+    except _TRIAL_ERRORS as exc:
+        return {"check": name, "reason": str(exc)}
+    return None
+
+
+# suite name -> (trials, judge, default ensemble), in the order "all" runs and reports
+# them; ``trials(spec, cfg)`` gives (trials, config, rejection rate).  The routes are
+# looked up by name at call time, so a patched module global takes effect.
 _SUITES = {
     "theorem-rank4": (
-        lambda spec, cfg: _suite_route(
-            spec, cfg, "theorem-rank4", certify_1_distillable, "no certificate found"
-        ),
+        _sampled,
+        lambda i, s, c: _judge_route(i, s, c, certify_1_distillable, "no certificate found"),
         EnsembleSpec(rank=4, filter="NPT"),
     ),
     "theorem-two-eigs": (
-        lambda spec, cfg: _suite_route(
-            spec,
-            cfg,
-            "theorem-two-eigs",
-            two_nonpositive_witness,
-            "two-nonpositive route returned empty",
+        _sampled,
+        lambda i, s, c: _judge_route(
+            i, s, c, two_nonpositive_witness, "two-nonpositive route returned empty"
         ),
         EnsembleSpec(rank=5, filter="twoNonpositivePT"),
     ),
-    "lemma-2x2": (_suite_lemma_2x2, EnsembleSpec(rank=4, filter="any")),
-    "edge-family": (_suite_edge_family, EnsembleSpec(count=1)),
-    "multicopy": (_suite_multicopy, EnsembleSpec(count=1)),
+    "lemma-2x2": (_sampled, _judge_2x2, EnsembleSpec(rank=4, filter="any")),
+    "edge-family": (_edge_points, _judge_edge_point, EnsembleSpec(count=1)),
+    "multicopy": (_multicopy_checks, _judge_check, EnsembleSpec(count=1)),
 }
 
 SUITE_NAMES = tuple(_SUITES)
+
+
+def _tally(name: str, spec: EnsembleSpec, cfg: ToleranceConfig) -> SuiteReport:
+    """Judge every trial of suite ``name``: the one place a suite's report is built."""
+    trials_of, judge, _ = _SUITES[name]
+    trials, config, rate = trials_of(spec, cfg)
+    verdicts = [judge(idx, trial, cfg) for idx, trial in enumerate(trials)]
+    failures = [v for v in verdicts if v is not None and v is not _SKIP]
+    skipped = verdicts.count(_SKIP)
+    judged = len(verdicts) - skipped
+    return SuiteReport(
+        suite=name,
+        trials=judged,
+        passes=judged - len(failures),
+        failures=failures,
+        skipped=skipped,
+        config=config,
+        rejection_rate=rate,
+    )
 
 
 def run_suite(
@@ -430,10 +414,10 @@ def run_suite(
         return report
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES + ('all',)}")
-    body, base = _SUITES[name]
+    _, _, base = _SUITES[name]
     if spec is not None:
         base = replace(base, count=spec.count, seed=spec.seed)
     start = time.perf_counter()
-    report = body(base, cfg)
+    report = _tally(name, base, cfg)
     report.wall_time_s = time.perf_counter() - start
     return report

@@ -153,8 +153,16 @@ def undistillability_bound(params: EdgeParams, n: int, eps: float) -> float:
     The leading term is (gap/3)^n; every cross term with k noise factors
     is controlled by operator norms, C(n,k) eps^k ||edge_pt||^(n-k).
     """
+    return _series_bound(*_gap_and_pt_norm(params), n, eps)
+
+
+def _gap_and_pt_norm(params: EdgeParams) -> tuple[float, float]:
+    """The bound's two constants: the PT gap and the PT operator norm."""
     gap = min_positive_pt_eigenvalue(params)
-    pt_norm = float(np.linalg.eigvalsh(edge_state_pt(params))[-1])
+    return gap, float(np.linalg.eigvalsh(edge_state_pt(params))[-1])
+
+
+def _series_bound(gap: float, pt_norm: float, n: int, eps: float) -> float:
     bound = (gap / 3.0) ** n
     for k in range(1, n + 1):
         bound -= math.comb(n, k) * eps**k * pt_norm ** (n - k)
@@ -167,17 +175,19 @@ def eps_threshold_for_copies(
     """Largest dyadic noise (within the budget gap/3) keeping the bound positive.
 
     Monotone bisection over [0, gap/3]; nonincreasing in the copy count.
+    The bound's constants depend on ``params`` only, so they are computed
+    once, not at every step.
     """
     if n < 1:
         raise ValueError("copy count must be positive")
-    gap = min_positive_pt_eigenvalue(params)
+    gap, pt_norm = _gap_and_pt_norm(params)
     hi = gap / 3.0
-    if undistillability_bound(params, n, hi) > 0.0:
+    if _series_bound(gap, pt_norm, n, hi) > 0.0:
         return hi
     lo = 0.0
     for _ in range(bisection_steps):
         mid = (lo + hi) / 2.0
-        if undistillability_bound(params, n, mid) > 0.0:
+        if _series_bound(gap, pt_norm, n, mid) > 0.0:
             lo = mid
         else:
             hi = mid

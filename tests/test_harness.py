@@ -7,15 +7,23 @@ import numpy as np
 import pytest
 
 import distill_lab.harness as harness
+from distill_lab.edgestate import DEFAULT_GRID
 from distill_lab.harness import (
     EnsembleSpec,
     random_state,
     run_suite,
     sample_ensemble,
 )
-from distill_lab.qcore import Dims, NumericalFailureError, rank_kernel_range
+from distill_lab.qcore import (
+    DimensionMismatchError,
+    Dims,
+    InvariantViolationError,
+    NumericalFailureError,
+    rank_kernel_range,
+)
 from distill_lab.rng import SplitMix64, derive_seed
 from distill_lab.serialize import dumps, state_from_json
+from distill_lab.witness import submatrix_2x2_scan
 
 D33 = Dims(3, 3)
 
@@ -221,3 +229,67 @@ class TestTheoremSuiteFailures:
             "certificate failed verification"
         ] * 3
         assert [f["value"] for f in report.failures] == stored
+
+    @pytest.mark.parametrize("suite, route, reason", THEOREM_ROUTES)
+    @pytest.mark.parametrize(
+        "error",
+        [NumericalFailureError, InvariantViolationError, DimensionMismatchError, AssertionError],
+    )
+    def test_library_error_is_counted(self, monkeypatch, suite, route, reason, error):
+        real = getattr(harness, route)
+        calls = []
+
+        def fails_on_trial_1(state, cfg):
+            calls.append(state)
+            if len(calls) == 2:
+                raise error("route gave up")
+            return real(state, cfg)
+
+        monkeypatch.setattr(harness, route, fails_on_trial_1)
+        report = run_suite(suite, EnsembleSpec(count=4, seed=5))
+        assert len(calls) == 4
+        assert report.trials == 4
+        assert report.passes == 3
+        assert [f["trial"] for f in report.failures] == [1]
+        assert [f["reason"] for f in report.failures] == ["route gave up"]
+
+    @pytest.mark.parametrize("suite, route, reason", THEOREM_ROUTES)
+    def test_programming_error_propagates(self, monkeypatch, suite, route, reason):
+        def broken(state, cfg):
+            raise TypeError("shape bug")
+
+        monkeypatch.setattr(harness, route, broken)
+        with pytest.raises(TypeError, match="shape bug"):
+            run_suite(suite, EnsembleSpec(count=4, seed=5))
+
+
+class TestFailureDocuments:
+    def test_lemma_2x2_failures(self, monkeypatch):
+        spec = EnsembleSpec(rank=4, count=12, filter="any", seed=99)
+        states, _ = sample_ensemble(spec)
+        hits = [submatrix_2x2_scan(state) for state in states]
+        qualifying = [i for i, hit in enumerate(hits) if hit is not None]
+        assert 0 < len(qualifying) < len(states)
+
+        monkeypatch.setattr(harness, "verify_certificate", lambda *args, **kwargs: False)
+        report = run_suite("lemma-2x2", spec)
+        assert report.trials + report.skipped == spec.count
+        assert report.trials == len(qualifying)
+        assert report.passes == 0
+        assert [f["trial"] for f in report.failures] == qualifying
+        for doc in report.failures:
+            hit = hits[doc["trial"]]
+            assert doc["reason"] == "negative minor did not yield a verified certificate"
+            assert doc["determinant"] == hit.determinant
+            assert doc["value"] == hit.certificate.value
+
+    def test_edge_family_failures(self, monkeypatch):
+        real = harness.edge_state_pt
+        monkeypatch.setattr(harness, "edge_state_pt", lambda params: real(params) + 1e-12)
+        report = run_suite("edge-family")
+        assert report.trials == 12
+        assert report.passes == 0
+        assert [(f["b"], f["theta"]) for f in report.failures] == list(DEFAULT_GRID)
+        for doc in report.failures:
+            assert set(doc) == {"b", "theta", "problems"}
+            assert doc["problems"] == ["closed-form PT disagrees with the permutation PT"]

@@ -7,6 +7,7 @@ import pytest
 
 import distill_lab.multicopy as multicopy
 from distill_lab.edgestate import (
+    DEFAULT_GRID,
     EdgeParams,
     edge_state_pt,
     maximally_entangled_qutrits,
@@ -185,6 +186,31 @@ class TestEpsThreshold:
             t2 = eps_threshold_for_copies(params, 2)
             t3 = eps_threshold_for_copies(params, 3)
             assert t1 >= t2 >= t3 > 0
+
+    # thresholds of the bisection that recomputed its constants at every step, to the last bit
+    PINNED = [
+        (0, 1, "0x1.671d98b933ad8p-9"),
+        (0, 2, "0x1.cd925ac5f4612p-17"),
+        (7, 1, "0x1.3856c15603bbdp-7"),
+        (7, 2, "0x1.2390f7a4fd590p-13"),
+    ]
+
+    @pytest.mark.parametrize("point, n, expected", PINNED)
+    def test_pinned_thresholds(self, point, n, expected):
+        params = EdgeParams(*DEFAULT_GRID[point])
+        assert eps_threshold_for_copies(params, n) == float.fromhex(expected)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_closed_form_pt_built_once_per_threshold(self, monkeypatch, n):
+        calls = []
+
+        def counted(params):
+            calls.append(params)
+            return edge_state_pt(params)
+
+        monkeypatch.setattr(multicopy, "edge_state_pt", counted)
+        eps_threshold_for_copies(PARAMS, n)
+        assert len(calls) == 1
 
     def test_single_copy_bound_is_linear(self):
         gap = min_positive_pt_eigenvalue(PARAMS)

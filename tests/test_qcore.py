@@ -24,18 +24,24 @@ from distill_lab.qcore import (
     tensor_power_bipartite,
 )
 from distill_lab.edgestate import EdgeParams, edge_state, maximally_entangled_qutrits
-from distill_lab.rng import SplitMix64, derive_seed, random_unitary
+from distill_lab.rng import SplitMix64, _complex_normals, derive_seed, random_unitary
 
 D33 = Dims(3, 3)
 
 
+def _complex_matrix(gen: SplitMix64, rows: int, cols: int) -> np.ndarray:
+    """``gen.complex_matrix(rows, cols)``, drawn by the stacked kernel (same bits)."""
+    (g,), (gen._state,) = _complex_normals([gen._state], rows * cols)
+    return g.reshape(rows, cols)
+
+
 def _random_hermitian(gen: SplitMix64, d: int) -> np.ndarray:
-    g = gen.complex_matrix(d, d)
+    g = _complex_matrix(gen, d, d)
     return (g + g.conj().T) / 2
 
 
 def _random_psd_state(gen: SplitMix64, dims: Dims, rank: int) -> BipartiteState:
-    g = gen.complex_matrix(dims.total, rank)
+    g = _complex_matrix(gen, dims.total, rank)
     m = g @ g.conj().T
     return BipartiteState(m / np.trace(m).real, dims)
 

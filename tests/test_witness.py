@@ -69,13 +69,18 @@ class TestMinRank2Expectation:
         assert float(np.real(anti.conj() @ pt @ anti)) == pytest.approx(-1 / 3, abs=1e-15)
 
     def test_never_undercuts_global_minimum(self):
+        # bracket: the global eigen-minimum below, and the best basis product
+        # vector (Schmidt rank 1), min(diag h), above
         gen = SplitMix64(101)
-        for _ in range(20):
-            g = gen.complex_matrix(9, 9)
-            h = (g + g.conj().T) / 2
-            lam_min = float(np.linalg.eigvalsh(h)[0])
-            value, _ = min_rank2_expectation(h, D33)
-            assert value >= lam_min - 1e-12
+        cases = ((D33, 20), (Dims(2, 2), 8), (Dims(2, 3), 8), (Dims(2, 4), 8), (Dims(3, 4), 8))
+        for dims, count in cases:
+            for _ in range(count):
+                g = gen.complex_matrix(dims.total, dims.total)
+                h = (g + g.conj().T) / 2
+                lam_min = float(np.linalg.eigvalsh(h)[0])
+                value, _ = min_rank2_expectation(h, dims)
+                assert value >= lam_min - 1e-12
+                assert value <= float(h.diagonal().real.min()) + 1e-12
 
     def test_exact_on_2xn_systems(self):
         gen = SplitMix64(103)
