@@ -48,6 +48,10 @@ def dumps(obj: Any) -> str:
     raise TypeError(f"cannot serialize object of type {type(obj)!r}")
 
 
+# keeps the sign of a zero, which dumps writes as "-0"
+_DECODER = json.JSONDecoder(parse_int=lambda s: -0.0 if s == "-0" else int(s))
+
+
 def _complex_pairs(values: np.ndarray) -> list[list[float]]:
     flat = np.asarray(values, dtype=complex).reshape(-1)
     return [[float(z.real), float(z.imag)] for z in flat]
@@ -100,7 +104,7 @@ def matrix_from_document(doc: dict) -> tuple[np.ndarray, Dims]:
 
 
 def state_from_json(text: str, cfg: ToleranceConfig = DEFAULT_TOL) -> BipartiteState:
-    mat, dims = matrix_from_document(json.loads(text))
+    mat, dims = matrix_from_document(_DECODER.decode(text))
     return BipartiteState(mat, dims, cfg)
 
 
@@ -138,7 +142,7 @@ def certificate_to_json(cert: WitnessCertificate) -> str:
 
 
 def certificate_from_json(text: str) -> WitnessCertificate:
-    doc = json.loads(text)
+    doc = _DECODER.decode(text)
     return WitnessCertificate(
         psi=pure_state_from_document(doc["psi"]),
         value=float(doc["value"]),

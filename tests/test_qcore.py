@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from distill_lab.qcore import (
     DEFAULT_TOL,
@@ -101,6 +104,13 @@ class TestPartialTranspose:
         for dims in (D33, Dims(2, 3), Dims(2, 4)):
             m = gen.complex_matrix(dims.total, dims.total)
             assert np.array_equal(partial_transpose(partial_transpose(m, dims), dims), m)
+
+    @settings(max_examples=60, deadline=None)
+    @given(dims=st.tuples(st.integers(2, 4), st.integers(2, 4)), data=st.data())
+    def test_property_involution_is_bit_exact(self, dims, data):
+        dims = Dims(*dims)
+        m = data.draw(arrays(np.complex128, (dims.total, dims.total)))
+        assert partial_transpose(partial_transpose(m, dims), dims).tobytes() == m.tobytes()
 
     def test_preserves_trace_hermiticity_and_eigensum(self):
         gen = SplitMix64(5)

@@ -5,9 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from distill_lab.harness import random_state
-from distill_lab.qcore import Dims, PureState
+from distill_lab.qcore import BipartiteState, Dims, PureState
 from distill_lab.serialize import (
     certificate_from_json,
     certificate_to_json,
@@ -19,7 +21,14 @@ from distill_lab.serialize import (
     state_from_json,
     state_to_json,
 )
-from distill_lab.witness import certify_1_distillable
+from distill_lab.witness import (
+    ROUTE_KERNEL_PRODUCT,
+    ROUTE_OPTIMIZER,
+    ROUTE_SUBMATRIX,
+    ROUTE_TWO_NONPOSITIVE,
+    WitnessCertificate,
+    certify_1_distillable,
+)
 from distill_lab.harness import EnsembleSpec, sample_ensemble
 
 D33 = Dims(3, 3)
@@ -65,6 +74,15 @@ class TestMatrixRoundTrip:
         assert np.array_equal(loaded.mat, state.mat)
         assert loaded.dims == state.dims
 
+    def test_negative_zero_keeps_its_sign(self):
+        mat = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+        mat.imag[0, 1] = -0.0
+        mat.real[2, 3] = -0.0
+        state = BipartiteState(mat, Dims(2, 2))
+        text = state_to_json(state)
+        assert "[0,-0]" in text and "[-0,0]" in text
+        assert state_from_json(text).mat.tobytes() == state.mat.tobytes()
+
     def test_document_schema(self):
         state = random_state(Dims(2, 3), 2, 7)
         doc = matrix_document(state.mat, state.dims)
@@ -109,3 +127,41 @@ class TestPureStateAndCertificate:
         assert back.copies == cert.copies
         assert back.schmidt_rank == cert.schmidt_rank
         assert np.array_equal(back.psi.vec, cert.psi.vec)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        dims=st.tuples(st.integers(2, 4), st.integers(2, 4)),
+        data=st.data(),
+        value=st.floats(allow_nan=False, allow_infinity=False),
+        copies=st.integers(1, 2),
+        route=st.sampled_from(
+            [ROUTE_SUBMATRIX, ROUTE_TWO_NONPOSITIVE, ROUTE_KERNEL_PRODUCT, ROUTE_OPTIMIZER]
+        ),
+        schmidt_rank=st.integers(1, 4),
+        seed=st.integers(0, 2**64 - 1),
+        restarts=st.integers(1, 999_999),
+        delta=st.none() | st.floats(allow_nan=False, allow_infinity=False),
+    )
+    def test_property_certificate_reserializes_byte_for_byte(
+        self, dims, data, value, copies, route, schmidt_rank, seed, restarts, delta
+    ):
+        dims = Dims(*dims)
+        parts = st.floats(-1.0, 1.0)
+        entries = st.lists(
+            st.builds(complex, parts, parts), min_size=dims.total, max_size=dims.total
+        )
+        vec = np.array(data.draw(entries))
+        norm = float(np.linalg.norm(vec))
+        assume(norm > 1e-100)
+        cert = WitnessCertificate(
+            psi=PureState(vec / norm, dims),
+            value=value,
+            copies=copies,
+            route=route,
+            schmidt_rank=schmidt_rank,
+            seed=seed,
+            restarts=restarts,
+            delta=delta,
+        )
+        text = certificate_to_json(cert)
+        assert certificate_to_json(certificate_from_json(text)) == text

@@ -7,12 +7,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import distill_lab.witness as witness
+from distill_lab.cli import main
 from distill_lab.edgestate import (
     EdgeParams,
     build_edge_bundle,
     edge_state,
     maximally_entangled_qutrits,
     range_product_vector,
+    undistillability_margin,
 )
 from distill_lab.harness import EnsembleSpec, random_state, sample_ensemble
 from distill_lab.multicopy import werner_projector
@@ -21,6 +24,7 @@ from distill_lab.qcore import (
     BipartiteState,
     DimensionMismatchError,
     Dims,
+    hermitian_eig,
     partial_transpose,
     rank_kernel_range,
     schmidt_rank,
@@ -94,6 +98,8 @@ class TestMinRank2Expectation:
     def test_deterministic_for_fixed_seed(self):
         pt = partial_transpose(_mes_state().mat, D33)
         v1, a1 = min_rank2_expectation(pt, D33)
+        # a different matrix in between, so that the second call recomputes
+        min_rank2_expectation(werner_projector().mat, D33)
         v2, a2 = min_rank2_expectation(pt, D33)
         assert v1 == v2
         assert np.array_equal(a1.vector(), a2.vector())
@@ -107,6 +113,96 @@ class TestMinRank2Expectation:
     def test_ansatz_validates_frames(self):
         with pytest.raises(ValueError):
             Rank2Ansatz(np.ones((3, 2)), np.eye(3)[:, :2], np.eye(2) / math.sqrt(2))
+
+    def test_ansatz_arrays_are_read_only_copies(self):
+        frame = np.eye(3, 2, dtype=complex)
+        coeff = np.eye(2, dtype=complex) / math.sqrt(2)
+        ansatz = Rank2Ansatz(frame, frame, coeff)
+        frame[0, 0] = 0.0  # the caller's array stays its own
+        assert ansatz.frame_a[0, 0] == 1.0
+        for name in ("frame_a", "frame_b", "coeff"):
+            with pytest.raises(ValueError):
+                getattr(ansatz, name)[0, 0] = 0.5
+
+
+class TestMinimizerMemo:
+    """``min_rank2_expectation`` remembers its last call, and only that."""
+
+    @pytest.fixture
+    def eig_calls(self, monkeypatch):
+        calls = []
+
+        def counted(mat, cfg=DEFAULT_TOL):
+            calls.append(np.shape(mat))
+            return hermitian_eig(mat, cfg)
+
+        monkeypatch.setattr(witness, "_last_minimum", None)
+        monkeypatch.setattr(witness, "hermitian_eig", counted)
+        return calls
+
+    @pytest.fixture
+    def descents(self, monkeypatch):
+        calls = []
+        descent = witness._rank2_descent
+
+        def counted(*args):
+            calls.append(args[1])
+            return descent(*args)
+
+        monkeypatch.setattr(witness, "_last_minimum", None)
+        monkeypatch.setattr(witness, "_rank2_descent", counted)
+        return calls
+
+    def test_repeat_call_computes_once(self, eig_calls):
+        pt = partial_transpose(_mes_state().mat, D33)
+        v1, a1 = min_rank2_expectation(pt, D33)
+        v2, a2 = min_rank2_expectation(pt.copy(), D33)
+        assert len(eig_calls) == 1
+        assert v1 == v2
+        assert np.array_equal(a1.vector(), a2.vector())
+
+    def test_other_seed_recomputes(self, eig_calls):
+        pt = partial_transpose(_mes_state().mat, D33)
+        v1, a1 = min_rank2_expectation(pt, D33)
+        v2, a2 = min_rank2_expectation(pt, D33, replace(DEFAULT_TOL, seed=7))
+        assert len(eig_calls) == 2
+        assert abs(v1 - v2) < 1e-8
+
+    def test_other_dims_recompute(self, eig_calls):
+        state = random_state(Dims(2, 4), 3, 4321)
+        v24, a24 = min_rank2_expectation(state.mat, Dims(2, 4))
+        v42, a42 = min_rank2_expectation(state.mat, Dims(4, 2))
+        assert len(eig_calls) == 2
+        assert a24.frame_a.shape == (2, 2) and a42.frame_a.shape == (4, 2)
+
+    def test_input_changed_in_place_recomputes(self, eig_calls):
+        h = partial_transpose(_mes_state().mat, D33)
+        v1, _ = min_rank2_expectation(h, D33)
+        h += np.eye(9)
+        v2, _ = min_rank2_expectation(h, D33)
+        assert len(eig_calls) == 2
+        assert v2 == pytest.approx(v1 + 1.0, abs=1e-8)
+
+    def test_raising_call_is_not_remembered(self, eig_calls):
+        m = np.zeros((9, 9), dtype=complex)
+        m[0, 3] = 1.0
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                min_rank2_expectation(m, D33)
+        assert len(eig_calls) == 2
+
+    def test_rank5_check_minimizes_once(self, descents):
+        bundle = build_edge_bundle(EdgeParams(1.0, math.pi / 6))
+        assert certify_1_distillable(bundle.npt_state) is None
+        assert undistillability_margin(bundle) > 0
+        assert descents == [D33]
+
+    def test_cli_witness_minimizes_once(self, tmp_path, capsys, descents):
+        path = tmp_path / "rho.json"
+        assert main(["rho", "--b", "1.0", "--theta", str(math.pi / 6), "--out", str(path)]) == 0
+        assert main(["witness", "--in", str(path)]) == 0
+        assert "no witness found" in capsys.readouterr().out
+        assert descents == [D33]
 
 
 class TestSubmatrixScan:
@@ -226,6 +322,23 @@ class TestProductVectorSearch:
         f, g = range_product_vector(params)
         fg = np.kron(f, g)
         assert np.linalg.norm(fg - rng_basis @ (rng_basis.conj().T @ fg)) < 1e-10
+
+    def test_restart_schedule(self, monkeypatch):
+        # restart 0 alone, then every other restart in one block
+        blocks = []
+        descent = witness._product_search_descent
+
+        def counted(ck, a, b, cfg):
+            blocks.append(a.shape[0])
+            return descent(ck, a, b, cfg)
+
+        monkeypatch.setattr(witness, "_product_search_descent", counted)
+        _, kernel, _ = rank_kernel_range(edge_state(EdgeParams(1.0, math.pi / 6)).mat)
+        assert product_vector_in_subspace(kernel, D33) is None
+        assert blocks == [1, DEFAULT_TOL.opt_restarts - 1]
+        blocks.clear()
+        assert product_vector_in_subspace(kernel, D33, replace(DEFAULT_TOL, opt_restarts=1)) is None
+        assert blocks == [1]
 
     def test_mes_line_has_none(self):
         basis = maximally_entangled_qutrits().vec.reshape(9, 1)
