@@ -28,7 +28,7 @@ from .qcore import (
     MAX_COPIES,
     Dims,
     NumericalFailureError,
-    rank_kernel_range,
+    _numeric_rank,
 )
 from .serialize import (
     certificate_document,
@@ -133,7 +133,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 
 def _cmd_certify_rank4(args: argparse.Namespace) -> int:
     state = _load_state(args.infile)
-    rank = rank_kernel_range(state.mat)[0]
+    rank = _numeric_rank(state.mat)
     if rank != 4:
         print(f"input state has rank {rank}, expected 4", file=sys.stderr)
         return EXIT_INVALID

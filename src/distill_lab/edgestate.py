@@ -25,7 +25,9 @@ from .qcore import (
     NumericalFailureError,
     PureState,
     ToleranceConfig,
+    _numeric_rank,
     is_ppt,
+    min_pt_eigenvalue,
     partial_transpose,
     rank_kernel_range,
 )
@@ -226,11 +228,10 @@ def build_edge_bundle(
             raise NumericalFailureError("eps shrank below 1e-12 without reaching PSD")
     npt_state = BipartiteState(candidate, QUTRIT_PAIR, cfg)
 
-    rank = rank_kernel_range(npt_state.mat, cfg)[0]
+    rank = _numeric_rank(npt_state.mat, cfg)
     if rank != 5:
         raise InvariantViolationError(f"perturbed edge state has rank {rank}, not 5")
-    pt_evals = np.linalg.eigvalsh(partial_transpose(npt_state.mat, QUTRIT_PAIR))
-    if pt_evals[0] >= -cfg.psd_tol:
+    if min_pt_eigenvalue(npt_state) >= -cfg.psd_tol:
         raise InvariantViolationError("perturbed edge state is not NPT")
 
     return EdgeBundle(
@@ -296,7 +297,7 @@ def distillable_of_rank(
         gen = SplitMix64(derive_seed(cfg.seed, 3_000_000 + attempt))
         cand = [np.kron(gen.unit_vector(3), gen.unit_vector(3)) for _ in range(5)]
         stacked = np.column_stack([range_basis] + cand)
-        if rank_kernel_range(stacked, cfg)[0] == 9:
+        if _numeric_rank(stacked, cfg) == 9:
             products = cand
             break
     if products is None:
@@ -306,7 +307,7 @@ def distillable_of_rank(
     bump = sum(np.outer(p, p.conj()) for p in products[:extra])
     for _ in range(60):
         candidate = BipartiteState(base.mat + eps * bump, base.dims, cfg)
-        ok_rank = rank_kernel_range(candidate.mat, cfg)[0] == rank_target
+        ok_rank = _numeric_rank(candidate.mat, cfg) == rank_target
         if not ok_rank:
             raise NumericalFailureError(
                 f"eps={eps} too small to realize rank {rank_target} numerically"

@@ -47,6 +47,7 @@ from .qcore import (
     InvariantViolationError,
     NumericalFailureError,
     ToleranceConfig,
+    _numeric_rank,
     partial_transpose,
     rank_kernel_range,
     regroup_tensor_power,
@@ -135,7 +136,7 @@ def random_state(
     mat = g @ g.conj().T
     mat /= np.trace(mat).real
     state = BipartiteState(mat, dims, cfg)
-    got = rank_kernel_range(mat, cfg)[0]
+    got = _numeric_rank(mat, cfg)
     if got != rank:
         raise NumericalFailureError(
             f"sampled state has numeric rank {got}, expected {rank}"
@@ -146,7 +147,7 @@ def random_state(
 def _passes_filter(state: BipartiteState, name: str, cfg: ToleranceConfig) -> bool:
     if name == "any":
         return True
-    evals = np.linalg.eigvalsh(partial_transpose(state.mat, state.dims))
+    evals = state._pt_eigenvalues
     if name == "NPT":
         return bool(evals[0] < -cfg.psd_tol)
     if name == "PPT":
@@ -263,9 +264,9 @@ def _judge_edge_point(idx: int, point: tuple[float, float], cfg: ToleranceConfig
 
     if abs(sigma.trace - 1.0) > 1e-12:
         problems.append(f"trace {sigma.trace} != 1")
-    if rank_kernel_range(sigma.mat, cfg)[0] != 5:
+    if _numeric_rank(sigma.mat, cfg) != 5:
         problems.append("edge state rank != 5")
-    if rank_kernel_range(pt, cfg)[0] != 8:
+    if _numeric_rank(pt, cfg) != 8:
         problems.append("edge-state PT rank != 8")
     if float(np.abs(pt - closed).max()) > 1e-15:
         problems.append("closed-form PT disagrees with the permutation PT")
@@ -290,9 +291,7 @@ def _judge_edge_point(idx: int, point: tuple[float, float], cfg: ToleranceConfig
 
     try:
         bundle = build_edge_bundle(params, cfg)
-        pt_evals = np.linalg.eigvalsh(
-            partial_transpose(bundle.npt_state.mat, bundle.npt_state.dims)
-        )
+        pt_evals = bundle.npt_state._pt_eigenvalues
         if int(np.sum(pt_evals < -cfg.psd_tol)) != 1:
             problems.append("perturbed state does not have exactly one negative PT eigenvalue")
         if int(np.sum(pt_evals > cfg.psd_tol)) != 8:

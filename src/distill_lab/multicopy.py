@@ -34,6 +34,7 @@ from .qcore import (
     PureState,
     ToleranceConfig,
     _check_copy_count,
+    min_pt_eigenvalue,
     partial_transpose,
     regroup_tensor_power,
 )
@@ -224,7 +225,7 @@ def verify_n_undistillable(
         raise InvariantViolationError(
             f"n={n} rank-2 minimum {min_value} fell below the analytic bound {bound}"
         )
-    npt_min = float(np.linalg.eigvalsh(pt)[0])
+    npt_min = min_pt_eigenvalue(bundle.npt_state)
     return MulticopyReport(
         n=n,
         target="rho",

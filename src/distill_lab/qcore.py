@@ -11,6 +11,7 @@ the input bit-for-bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -96,7 +97,10 @@ class BipartiteState:
     """A positive-semidefinite operator on an ``dim_a x dim_b`` product space.
 
     Hermiticity, positivity and a positive trace are checked at
-    construction; normalization is deliberately not required.
+    construction; normalization is deliberately not required.  The matrix
+    is stored read-only, so the ascending spectrum of its partial
+    transpose is computed at most once per state, on first use, and shared
+    by ``min_pt_eigenvalue``, ``is_ppt`` and every NPT filter or check.
     """
 
     mat: np.ndarray
@@ -105,7 +109,7 @@ class BipartiteState:
 
     def __post_init__(self) -> None:
         m = _check_dims(self.mat, self.dims).copy()
-        if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
+        if not np.isfinite(m).all():
             raise ValueError("state entries must be finite")
         herm_err = float(np.abs(m - m.conj().T).max())
         if herm_err > self.tol.herm_tol:
@@ -117,6 +121,12 @@ class BipartiteState:
             raise ValueError("state must have positive trace")
         m.setflags(write=False)
         object.__setattr__(self, "mat", m)
+
+    @cached_property
+    def _pt_eigenvalues(self) -> np.ndarray:
+        ev = np.linalg.eigvalsh(partial_transpose(self.mat, self.dims))
+        ev.setflags(write=False)  # shared by every caller, like ``mat``
+        return ev
 
     @property
     def trace(self) -> float:
@@ -140,7 +150,7 @@ class PureState:
             raise DimensionMismatchError(
                 f"vector of length {v.size} does not match dims {tuple(self.dims)}"
             )
-        if not (np.all(np.isfinite(v.real)) and np.all(np.isfinite(v.imag))):
+        if not np.isfinite(v).all():
             raise ValueError("state entries must be finite")
         n = float(np.linalg.norm(v))
         if n == 0.0:
@@ -214,13 +224,8 @@ def hermitian_eig(mat: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL) -> Spectr
     return SpectralData(eigenvalues=evals, eigenvectors=evecs)
 
 
-def schmidt_decompose(vec: np.ndarray, dims: Dims) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Schmidt decomposition of a bipartite vector.
-
-    Returns ``(coeffs, left, right)`` with descending nonnegative
-    coefficients and orthonormal local vectors as columns, so that
-    ``vec = sum_k coeffs[k] * kron(left[:, k], right[:, k])``.
-    """
+def _matricize(vec: np.ndarray, dims: Dims) -> np.ndarray:
+    """The ``dim_a x dim_b`` coefficient matrix of a nonzero bipartite vector."""
     v = np.asarray(vec, dtype=complex).reshape(-1)
     if v.size != dims.total:
         raise DimensionMismatchError(
@@ -228,15 +233,44 @@ def schmidt_decompose(vec: np.ndarray, dims: Dims) -> tuple[np.ndarray, np.ndarr
         )
     if not np.any(v):
         raise ValueError("cannot Schmidt-decompose the zero vector")
-    u, s, vh = np.linalg.svd(v.reshape(dims.dim_a, dims.dim_b), full_matrices=False)
+    return v.reshape(dims.dim_a, dims.dim_b)
+
+
+def schmidt_decompose(vec: np.ndarray, dims: Dims) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Schmidt decomposition of a bipartite vector.
+
+    Returns ``(coeffs, left, right)`` with descending nonnegative
+    coefficients and orthonormal local vectors as columns, so that
+    ``vec = sum_k coeffs[k] * kron(left[:, k], right[:, k])``.
+    """
+    u, s, vh = np.linalg.svd(_matricize(vec, dims), full_matrices=False)
     # right Schmidt vectors are the rows of vh, unconjugated
     return s, u, vh.T
 
 
+def _rank_cut(s: np.ndarray, cfg: ToleranceConfig) -> int:
+    """The one rank rule: descending singular values above ``rank_rel_tol``
+    times the largest; 0 for a zero or empty matrix."""
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int(np.count_nonzero(s > cfg.rank_rel_tol * s[0]))
+
+
+def _numeric_rank(mat: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL) -> int:
+    """Rank of a matrix by ``_rank_cut``, from its singular values alone."""
+    return _rank_cut(np.linalg.svd(np.asarray(mat, dtype=complex), compute_uv=False), cfg)
+
+
 def schmidt_rank(vec: np.ndarray, dims: Dims, cfg: ToleranceConfig = DEFAULT_TOL) -> int:
-    """Number of Schmidt coefficients above ``rank_rel_tol`` times the largest."""
-    s, _, _ = schmidt_decompose(vec, dims)
-    return int(np.sum(s > cfg.rank_rel_tol * s[0]))
+    """Number of Schmidt coefficients above ``rank_rel_tol`` times the largest.
+
+    The Schmidt coefficients are the singular values of the ``dim_a x
+    dim_b`` matricization, so this is the rank rule of
+    ``rank_kernel_range`` applied to that matrix, computed without the
+    local Schmidt vectors.  Raises like ``schmidt_decompose`` on a vector
+    of the wrong length or the zero vector.
+    """
+    return _numeric_rank(_matricize(vec, dims), cfg)
 
 
 def rank_kernel_range(
@@ -244,18 +278,17 @@ def rank_kernel_range(
 ) -> tuple[int, np.ndarray, np.ndarray]:
     """Numeric rank plus orthonormal kernel and range bases (as columns).
 
-    Rank counts singular values above ``rank_rel_tol * sigma_max``; the
-    kernel has ``cols - rank`` columns so the rank-nullity identity holds
-    exactly.
+    Rank counts singular values above ``rank_rel_tol * sigma_max`` (0 for a
+    zero matrix), the same rule ``schmidt_rank`` applies; a caller that
+    needs the rank alone gets it from the singular values without the
+    vectors.  The kernel has ``cols - rank`` columns so the rank-nullity
+    identity holds exactly.
     """
     m = np.asarray(mat, dtype=complex)
     if m.ndim != 2:
         raise DimensionMismatchError(f"expected a matrix, got shape {m.shape}")
     u, s, vh = np.linalg.svd(m)
-    if s.size == 0 or s[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.sum(s > cfg.rank_rel_tol * s[0]))
+    rank = _rank_cut(s, cfg)
     kernel = vh[rank:, :].conj().T
     range_basis = u[:, :rank]
     return rank, kernel, range_basis
@@ -311,8 +344,8 @@ def tensor_power_bipartite(
 
 
 def min_pt_eigenvalue(state: BipartiteState) -> float:
-    """Smallest eigenvalue of the partial transpose."""
-    return float(np.linalg.eigvalsh(partial_transpose(state.mat, state.dims))[0])
+    """Smallest eigenvalue of the partial transpose (the state's cached spectrum)."""
+    return float(state._pt_eigenvalues[0])
 
 
 def is_ppt(state: BipartiteState, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:

@@ -5,7 +5,9 @@ Matrix documents follow one fixed schema: ``{"dimA": M, "dimB": N,
 row-major order.  Floats render with 17 significant digits, which
 round-trips IEEE-754 doubles exactly and keeps serialized output
 byte-identical across runs; extra metadata travels in a ``meta`` block
-that loaders ignore.
+that loaders ignore.  Loaders take JSON numbers only where numbers
+belong: a bool or a string as an ``[re, im]`` entry, or a fractional
+count, raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -20,29 +22,39 @@ from .qcore import BipartiteState, Dims, PureState, ToleranceConfig, DEFAULT_TOL
 from .witness import WitnessCertificate
 
 
+# exactly what json.dumps returns for a str, without its per-call set-up
+_encode_str = json.encoder.encode_basestring_ascii
+
+
 def _fmt_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
+    if not math.isfinite(x):
         raise ValueError("cannot serialize non-finite float")
-    return format(float(x), ".17g")
+    return format(x, ".17g")
 
 
 def dumps(obj: Any) -> str:
-    """Compact deterministic JSON: dict order preserved, floats at 17 digits."""
+    """Compact deterministic JSON: dict order preserved, floats at 17 digits.
+
+    Documents are built mostly from floats, lists, dicts and strs, so those
+    four are tested first; no other JSON type is an instance of any of them.
+    """
+    if isinstance(obj, float):
+        return _fmt_float(float(obj))
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join([dumps(v) for v in obj]) + "]"
+    if isinstance(obj, dict):
+        items = [f"{_encode_str(str(k))}:{dumps(v)}" for k, v in obj.items()]
+        return "{" + ",".join(items) + "}"
+    if isinstance(obj, str):
+        return _encode_str(obj)
     if obj is None:
         return "null"
     if isinstance(obj, bool) or isinstance(obj, np.bool_):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, np.floating):
         return _fmt_float(float(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, dict):
-        items = (f"{json.dumps(str(k))}:{dumps(v)}" for k, v in obj.items())
-        return "{" + ",".join(items) + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(dumps(v) for v in obj) + "]"
     if isinstance(obj, np.ndarray):
         return dumps(obj.tolist())
     raise TypeError(f"cannot serialize object of type {type(obj)!r}")
@@ -53,19 +65,40 @@ _DECODER = json.JSONDecoder(parse_int=lambda s: -0.0 if s == "-0" else int(s))
 
 
 def _complex_pairs(values: np.ndarray) -> list[list[float]]:
-    flat = np.asarray(values, dtype=complex).reshape(-1)
-    return [[float(z.real), float(z.imag)] for z in flat]
+    flat = np.ascontiguousarray(values, dtype=complex).reshape(-1)
+    return flat.view(float).reshape(-1, 2).tolist()
 
 
 def _pairs_to_complex(pairs: Any, expected: int) -> np.ndarray:
     if not isinstance(pairs, list) or len(pairs) != expected:
         raise ValueError(f"data must be a list of {expected} [re, im] pairs")
-    out = np.empty(expected, dtype=complex)
-    for i, pair in enumerate(pairs):
+    flat: list = []
+    for pair in pairs:
         if not isinstance(pair, list) or len(pair) != 2:
             raise ValueError("each entry must be a two-element [re, im] list")
-        out[i] = complex(float(pair[0]), float(pair[1]))
-    return out
+        flat += pair
+    # JSON numbers only: a bool or a string is not a coordinate
+    if not set(map(type, flat)) <= {float, int}:
+        raise ValueError("[re, im] entries must be JSON numbers")
+    return np.array(flat, dtype=float).view(complex)
+
+
+def _integer(doc: dict, key: str) -> int:
+    """Field ``key`` as an int; a bool, a string or a fractional number is refused."""
+    x = doc[key]
+    if type(x) is int:
+        return x
+    if type(x) is float and x.is_integer():  # the decoder reads "-0" as -0.0
+        return int(x)
+    raise ValueError(f"{key!r} must be an integer, got {x!r}")
+
+
+def _number(doc: dict, key: str) -> float:
+    """Field ``key`` as a float; a bool or a string is refused."""
+    x = doc[key]
+    if type(x) is float or type(x) is int:
+        return float(x)
+    raise ValueError(f"{key!r} must be a number, got {x!r}")
 
 
 def matrix_document(
@@ -93,8 +126,8 @@ def matrix_from_document(doc: dict) -> tuple[np.ndarray, Dims]:
     for key in ("dimA", "dimB", "rows", "cols", "data"):
         if key not in doc:
             raise ValueError(f"matrix document is missing key {key!r}")
-    dims = Dims(int(doc["dimA"]), int(doc["dimB"]))
-    rows, cols = int(doc["rows"]), int(doc["cols"])
+    dims = Dims(_integer(doc, "dimA"), _integer(doc, "dimB"))
+    rows, cols = _integer(doc, "rows"), _integer(doc, "cols")
     if rows != dims.total or cols != dims.total:
         raise ValueError(
             f"rows/cols {rows}x{cols} do not match dimA*dimB = {dims.total}"
@@ -117,7 +150,7 @@ def pure_state_document(psi: PureState) -> dict:
 
 
 def pure_state_from_document(doc: dict) -> PureState:
-    dims = Dims(int(doc["dimA"]), int(doc["dimB"]))
+    dims = Dims(_integer(doc, "dimA"), _integer(doc, "dimB"))
     vec = _pairs_to_complex(doc["data"], dims.total)
     return PureState(vec, dims, unnormalized=True)
 
@@ -145,11 +178,11 @@ def certificate_from_json(text: str) -> WitnessCertificate:
     doc = _DECODER.decode(text)
     return WitnessCertificate(
         psi=pure_state_from_document(doc["psi"]),
-        value=float(doc["value"]),
-        copies=int(doc["copies"]),
+        value=_number(doc, "value"),
+        copies=_integer(doc, "copies"),
         route=str(doc["route"]),
-        schmidt_rank=int(doc["schmidt_rank"]),
-        seed=int(doc["seed"]),
-        restarts=int(doc["restarts"]),
-        delta=None if doc.get("delta") is None else float(doc["delta"]),
+        schmidt_rank=_integer(doc, "schmidt_rank"),
+        seed=_integer(doc, "seed"),
+        restarts=_integer(doc, "restarts"),
+        delta=None if doc.get("delta") is None else _number(doc, "delta"),
     )

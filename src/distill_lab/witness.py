@@ -35,6 +35,7 @@ from .qcore import (
     NumericalFailureError,
     PureState,
     ToleranceConfig,
+    _numeric_rank,
     hermitian_eig,
     is_ppt,
     partial_transpose,
@@ -467,9 +468,9 @@ def two_nonpositive_witness(
     beta = spec.eigenvectors[:, 1]
     mat_a = alpha.reshape(3, 3)
     mat_b = beta.reshape(3, 3)
-    if rank_kernel_range(mat_a, cfg)[0] <= 2:
+    if _numeric_rank(mat_a, cfg) <= 2:
         return _make_certificate(alpha, state, ROUTE_TWO_NONPOSITIVE, cfg)
-    if mu < -cfg.psd_tol and rank_kernel_range(mat_b, cfg)[0] <= 2:
+    if mu < -cfg.psd_tol and _numeric_rank(mat_b, cfg) <= 2:
         return _make_certificate(beta, state, ROUTE_TWO_NONPOSITIVE, cfg)
 
     def combine(vec: np.ndarray, mat_v: np.ndarray) -> Optional[tuple[float, np.ndarray]]:
@@ -504,7 +505,7 @@ def two_nonpositive_witness(
         if float(np.real(alpha_p.conj() @ pt @ alpha_p)) >= -cfg.psd_tol:
             continue
         mat_ap = alpha_p.reshape(3, 3)
-        if rank_kernel_range(mat_ap, cfg)[0] <= 2:
+        if _numeric_rank(mat_ap, cfg) <= 2:
             return _make_certificate(
                 alpha_p, state, ROUTE_TWO_NONPOSITIVE, cfg, delta=delta
             )

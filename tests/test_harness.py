@@ -19,11 +19,16 @@ from distill_lab.qcore import (
     Dims,
     InvariantViolationError,
     NumericalFailureError,
+    partial_transpose,
     rank_kernel_range,
 )
 from distill_lab.rng import SplitMix64, derive_seed
 from distill_lab.serialize import dumps, state_from_json
-from distill_lab.witness import submatrix_2x2_scan
+from distill_lab.witness import (
+    certify_1_distillable,
+    kernel_product_witness,
+    submatrix_2x2_scan,
+)
 
 D33 = Dims(3, 3)
 
@@ -103,6 +108,24 @@ class TestEnsemble:
         spec = EnsembleSpec(rank=4, count=2, filter="kernelHasProduct", seed=6)
         states, _ = sample_ensemble(spec)
         assert len(states) == 2
+
+    def test_pt_spectrum_computed_once_per_state(self, monkeypatch):
+        seen = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            seen.append(np.array(a, copy=True))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        spec = EnsembleSpec(rank=4, count=3, filter="NPT", seed=21)
+        states, _ = sample_ensemble(spec)
+        for state in states:
+            assert certify_1_distillable(state) is not None
+            kernel_product_witness(state)
+        for state in states:
+            pt = partial_transpose(state.mat, state.dims)
+            assert sum(np.array_equal(a, pt) for a in seen) == 1
 
     def test_rejection_abort(self, monkeypatch):
         # random rank-4 two-qutrit states are NPT almost surely; a PPT filter stalls

@@ -15,8 +15,10 @@ from distill_lab.qcore import (
     Dims,
     PureState,
     ToleranceConfig,
+    _numeric_rank,
     hermitian_eig,
     is_ppt,
+    min_pt_eigenvalue,
     partial_trace,
     partial_transpose,
     rank_kernel_range,
@@ -27,6 +29,15 @@ from distill_lab.qcore import (
     tensor_power_bipartite,
 )
 from distill_lab.edgestate import EdgeParams, edge_state, maximally_entangled_qutrits
+from distill_lab.harness import EnsembleSpec, random_state, sample_ensemble
+from distill_lab.witness import (
+    ROUTE_KERNEL_PRODUCT,
+    ROUTE_SUBMATRIX,
+    ROUTE_TWO_NONPOSITIVE,
+    kernel_product_witness,
+    submatrix_2x2_scan,
+    two_nonpositive_witness,
+)
 from distill_lab.rng import SplitMix64, _complex_normals, derive_seed, random_unitary
 
 D33 = Dims(3, 3)
@@ -274,6 +285,78 @@ class TestRankKernelRange:
             assert float(np.abs(m @ kernel).max()) < 1e-10
 
 
+def _decomposition_rank(m: np.ndarray) -> int:
+    """The rank as counted from a full singular value decomposition, vectors and all."""
+    s = np.linalg.svd(np.asarray(m, dtype=complex))[1]
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int(np.sum(s > DEFAULT_TOL.rank_rel_tol * s[0]))
+
+
+def _decomposition_schmidt_rank(vec: np.ndarray, dims: Dims) -> int:
+    s, _, _ = schmidt_decompose(vec, dims)
+    return int(np.sum(s > DEFAULT_TOL.rank_rel_tol * s[0]))
+
+
+class TestSingularValueRank:
+    """The rank read from singular values alone equals the count from a decomposition."""
+
+    def test_exactly_rank_deficient_gram_matrices(self):
+        gen = SplitMix64(59)
+        for rank in range(1, 10):
+            for _ in range(4):
+                g = _complex_matrix(gen, 9, rank)
+                m = g @ g.conj().T
+                assert _numeric_rank(m) == _decomposition_rank(m) == rank
+                assert rank_kernel_range(m)[0] == rank
+
+    def test_zero_matrix(self):
+        for m in (np.zeros((4, 4)), np.zeros((3, 5), dtype=complex)):
+            assert _numeric_rank(m) == _decomposition_rank(m) == rank_kernel_range(m)[0] == 0
+
+    def test_witnesses_of_every_route(self):
+        vectors = []
+        for i in range(30):
+            hit = submatrix_2x2_scan(random_state(D33, 4, derive_seed(911, i)))
+            if hit is not None:
+                assert hit.certificate.route == ROUTE_SUBMATRIX
+                vectors.append(hit.certificate.psi.vec)
+        spec = EnsembleSpec(rank=5, count=20, filter="twoNonpositivePT", seed=4242)
+        for state in sample_ensemble(spec)[0]:
+            cert = two_nonpositive_witness(state)
+            assert cert.route == ROUTE_TWO_NONPOSITIVE
+            vectors.append(cert.psi.vec)
+            # the matricizations two_nonpositive_witness ranks
+            evecs = hermitian_eig(partial_transpose(state.mat, D33)).eigenvectors
+            for k in (0, 1):
+                mat = evecs[:, k].reshape(3, 3)
+                assert _numeric_rank(mat) == _decomposition_rank(mat)
+        for i in range(5):
+            cert = kernel_product_witness(random_state(D33, 4, derive_seed(51, i)))
+            assert cert.route == ROUTE_KERNEL_PRODUCT
+            vectors.append(cert.psi.vec)
+        assert len(vectors) > 40
+        for v in vectors:
+            assert schmidt_rank(v, D33) == _decomposition_schmidt_rank(v, D33)
+            assert _numeric_rank(v.reshape(3, 3)) == _decomposition_rank(v.reshape(3, 3))
+
+    def test_schmidt_ranks_one_to_three(self):
+        gen = SplitMix64(61)
+        for dims in (D33, Dims(2, 4)):
+            for rank in range(1, min(dims) + 1):
+                v = sum(
+                    np.kron(gen.unit_vector(dims.dim_a), gen.unit_vector(dims.dim_b))
+                    for _ in range(rank)
+                )
+                assert schmidt_rank(v, dims) == _decomposition_schmidt_rank(v, dims) == rank
+
+    def test_schmidt_rank_rejects_like_the_decomposition(self):
+        with pytest.raises(ValueError):
+            schmidt_rank(np.zeros(9), D33)
+        with pytest.raises(DimensionMismatchError):
+            schmidt_rank(np.ones(8), D33)
+
+
 class TestTensorPower:
     def test_single_copy_is_identity(self):
         gen = SplitMix64(53)
@@ -365,6 +448,17 @@ class TestStateValidation:
         big[::2, ::2] = np.eye(9)
         st = BipartiteState(big[::2, ::2], D33)
         assert abs(st.trace - 9.0) < 1e-14
+
+    def test_cached_pt_spectrum_is_the_eigvalsh_spectrum(self):
+        gen = SplitMix64(67)
+        for dims in (D33, Dims(2, 3)):
+            st = _random_psd_state(gen, dims, 3)
+            expected = np.linalg.eigvalsh(partial_transpose(st.mat, dims))
+            assert st._pt_eigenvalues.tobytes() == expected.tobytes()
+            assert st._pt_eigenvalues is st._pt_eigenvalues
+            assert min_pt_eigenvalue(st) == float(expected[0])
+            with pytest.raises(ValueError):
+                st._pt_eigenvalues[0] = 0.0
 
     def test_ppt_detection(self):
         mes_state = BipartiteState(maximally_entangled_qutrits().projector(), D33)

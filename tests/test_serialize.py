@@ -2,6 +2,7 @@
 
 import json
 import math
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 from distill_lab.harness import random_state
 from distill_lab.qcore import BipartiteState, Dims, PureState
 from distill_lab.serialize import (
+    _pairs_to_complex,
+    certificate_document,
     certificate_from_json,
     certificate_to_json,
     dumps,
@@ -165,3 +168,160 @@ class TestPureStateAndCertificate:
         )
         text = certificate_to_json(cert)
         assert certificate_to_json(certificate_from_json(text)) == text
+
+
+def _old_fmt_float(x: float) -> str:
+    if math.isnan(x) or math.isinf(x):
+        raise ValueError("cannot serialize non-finite float")
+    return format(float(x), ".17g")
+
+
+def _old_dumps(obj):
+    """``dumps`` as it was before its branches were reordered, kept verbatim as the oracle."""
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool) or isinstance(obj, np.bool_):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _old_fmt_float(float(obj))
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, dict):
+        items = (f"{json.dumps(str(k))}:{_old_dumps(v)}" for k, v in obj.items())
+        return "{" + ",".join(items) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(_old_dumps(v) for v in obj) + "]"
+    if isinstance(obj, np.ndarray):
+        return _old_dumps(obj.tolist())
+    raise TypeError(f"cannot serialize object of type {type(obj)!r}")
+
+
+class _Tag(str):
+    """A str subclass whose ``str()`` differs from its characters."""
+
+    def __str__(self) -> str:
+        return "tag:" + super().__str__()
+
+
+def _outcome(fn, obj):
+    try:
+        return "ok", fn(obj)
+    except (TypeError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+_floats = st.floats() | st.sampled_from(
+    [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.1]
+)
+_text = st.text() | st.sampled_from(['"', "\\", "\n\t\x00\x1f", "\u00e9\u2603", "\U0001f600", "/"])
+_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | _floats
+    | _text
+    | _floats.map(np.float64)
+    | st.integers(-(2**63), 2**63 - 1).map(np.int64)
+    | st.booleans().map(np.bool_)
+    | st.floats(width=32).map(np.float32)
+    | _text.map(_Tag)
+    | st.sampled_from([1j, b"x", {1, 2}, object()])
+    | st.lists(_floats, max_size=4).map(np.array)
+    | st.lists(st.integers(-5, 5), max_size=4).map(lambda v: np.array(v).reshape(-1, 1))
+    | st.lists(st.complex_numbers(), min_size=1, max_size=2).map(np.array)
+)
+_keys = _text | st.integers() | _floats | st.booleans() | st.none() | _text.map(_Tag)
+_values = st.recursive(
+    _leaves,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_keys, inner, max_size=4)
+    | st.dictionaries(_keys, inner, max_size=3).map(OrderedDict),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_values)
+def test_property_dumps_matches_the_generic_writer(obj):
+    assert _outcome(dumps, obj) == _outcome(_old_dumps, obj)
+
+
+def test_dumps_matches_the_generic_writer_on_documents():
+    spec = EnsembleSpec(rank=4, count=1, filter="NPT", seed=515)
+    state = sample_ensemble(spec)[0][0]
+    cert = certify_1_distillable(state)
+    docs = [
+        certificate_document(cert),
+        matrix_document(state.mat, state.dims, meta={"note": "caf\u00e9 \"quoted\"\n"}),
+        {"bad": [1.0, float("nan")]},
+        {"bad": {"deep": [float("-inf")]}},
+        {"bad": [1.0, {2, 3}]},
+    ]
+    for doc in docs:
+        assert _outcome(dumps, doc) == _outcome(_old_dumps, doc)
+
+
+class TestStrictDocumentNumbers:
+    def test_pairs_accept_json_numbers_bit_for_bit(self):
+        out = _pairs_to_complex([[1, -0.0], [0.5, 2], [-0.0, 1e-300]], 3)
+        expected = np.array([complex(1, -0.0), complex(0.5, 2), complex(-0.0, 1e-300)])
+        assert out.dtype == complex and out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "pair", [[True, 2.5], [1.0, False], ["2.5", 1.0], [1.0, "nan"], [None, 0.0], [[1.0], 0.0]]
+    )
+    def test_pairs_reject_non_numbers(self, pair):
+        with pytest.raises(ValueError):
+            _pairs_to_complex([[0.0, 0.0], pair], 2)
+
+    def _certificate_doc(self) -> dict:
+        spec = EnsembleSpec(rank=4, count=1, filter="NPT", seed=515)
+        state = sample_ensemble(spec)[0][0]
+        return json.loads(certificate_to_json(certify_1_distillable(state)))
+
+    @pytest.mark.parametrize("key", ["copies", "schmidt_rank", "seed", "restarts"])
+    @pytest.mark.parametrize("bad", [2.7, True, False, "2", None, [2]])
+    def test_certificate_rejects_non_integer_fields(self, key, bad):
+        doc = self._certificate_doc()
+        doc[key] = bad
+        with pytest.raises(ValueError, match=key):
+            certificate_from_json(dumps(doc))
+
+    def test_certificate_reads_integral_numbers(self):
+        doc = self._certificate_doc()
+        text = certificate_to_json(certificate_from_json(dumps(doc)))
+        doc["copies"] = 1.0
+        doc["restarts"] = 64.0
+        doc["seed"] = -0.0  # written as "-0", read back as -0.0
+        cert = certificate_from_json(dumps(doc))
+        assert (cert.copies, cert.restarts, cert.seed) == (1, 64, 0)
+        assert all(type(v) is int for v in (cert.copies, cert.restarts, cert.seed))
+        doc["seed"] = 2024
+        assert certificate_to_json(certificate_from_json(dumps(doc))) == text
+
+    @pytest.mark.parametrize("key", ["value", "delta"])
+    @pytest.mark.parametrize("bad", [True, "-0.5", [0.5]])
+    def test_certificate_rejects_non_number_values(self, key, bad):
+        doc = self._certificate_doc()
+        doc[key] = bad
+        with pytest.raises(ValueError, match=key):
+            certificate_from_json(dumps(doc))
+
+    @pytest.mark.parametrize("key", ["dimA", "dimB", "rows", "cols"])
+    @pytest.mark.parametrize("spoil", [lambda n: n + 0.5, str])
+    def test_matrix_document_rejects_non_integer_fields(self, key, spoil):
+        state = random_state(Dims(2, 2), 2, 7)
+        doc = matrix_document(state.mat, state.dims)
+        doc[key] = spoil(doc[key])
+        with pytest.raises(ValueError, match=key):
+            matrix_from_document(doc)
+
+    @pytest.mark.parametrize("spoil", [lambda n: n + 0.5, str])
+    def test_pure_state_document_rejects_non_integer_dims(self, spoil):
+        doc = pure_state_document(PureState(np.ones(4) / 2, Dims(2, 2)))
+        doc["dimA"] = spoil(doc["dimA"])
+        with pytest.raises(ValueError, match="dimA"):
+            pure_state_from_document(doc)
