@@ -105,7 +105,7 @@ class SuiteReport:
     skipped: int = 0
     wall_time_s: float = 0.0
     config: dict = field(default_factory=dict)
-    rejection_rate: Optional[float] = None
+    acceptance_rate: Optional[float] = None
     sub_reports: list["SuiteReport"] = field(default_factory=list)
 
     def to_document(self) -> dict:
@@ -118,8 +118,8 @@ class SuiteReport:
             "wall_time_s": self.wall_time_s,
             "config": self.config,
         }
-        if self.rejection_rate is not None:
-            doc["rejection_rate"] = self.rejection_rate
+        if self.acceptance_rate is not None:
+            doc["acceptance_rate"] = self.acceptance_rate
         if self.sub_reports:
             doc["sub_reports"] = [r.to_document() for r in self.sub_reports]
         return doc
@@ -349,7 +349,7 @@ def _judge_check(idx: int, trial: tuple[str, Callable[[], None]], cfg: Tolerance
 
 
 # suite name -> (trials, judge, default ensemble), in the order "all" runs and reports
-# them; ``trials(spec, cfg)`` gives (trials, config, rejection rate).  The routes are
+# them; ``trials(spec, cfg)`` gives (trials, config, acceptance rate).  The routes are
 # looked up by name at call time, so a patched module global takes effect.
 _SUITES = {
     "theorem-rank4": (
@@ -387,7 +387,7 @@ def _tally(name: str, spec: EnsembleSpec, cfg: ToleranceConfig) -> SuiteReport:
         failures=failures,
         skipped=skipped,
         config=config,
-        rejection_rate=rate,
+        acceptance_rate=rate,
     )
 
 

@@ -7,7 +7,8 @@ round-trips IEEE-754 doubles exactly and keeps serialized output
 byte-identical across runs; extra metadata travels in a ``meta`` block
 that loaders ignore.  Loaders take JSON numbers only where numbers
 belong: a bool or a string as an ``[re, im]`` entry, or a fractional
-count, raises ``ValueError``.
+count, raises ``ValueError``, and so does a certificate route that is not
+one of the four route names.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Any, Optional
 import numpy as np
 
 from .qcore import BipartiteState, Dims, PureState, ToleranceConfig, DEFAULT_TOL
-from .witness import WitnessCertificate
+from .witness import _ROUTES, WitnessCertificate
 
 
 # exactly what json.dumps returns for a str, without its per-call set-up
@@ -176,11 +177,14 @@ def certificate_to_json(cert: WitnessCertificate) -> str:
 
 def certificate_from_json(text: str) -> WitnessCertificate:
     doc = _DECODER.decode(text)
+    route = doc["route"]
+    if route not in _ROUTES:
+        raise ValueError(f"'route' must be one of {', '.join(_ROUTES)}, got {route!r}")
     return WitnessCertificate(
         psi=pure_state_from_document(doc["psi"]),
         value=_number(doc, "value"),
         copies=_integer(doc, "copies"),
-        route=str(doc["route"]),
+        route=route,
         schmidt_rank=_integer(doc, "schmidt_rank"),
         seed=_integer(doc, "seed"),
         restarts=_integer(doc, "restarts"),

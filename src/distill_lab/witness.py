@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import compress
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -49,6 +48,8 @@ ROUTE_SUBMATRIX = "submatrix2x2"
 ROUTE_TWO_NONPOSITIVE = "twoNonpositive"
 ROUTE_KERNEL_PRODUCT = "kernelProduct"
 ROUTE_OPTIMIZER = "optimizer"
+# every route a certificate can name
+_ROUTES = (ROUTE_SUBMATRIX, ROUTE_TWO_NONPOSITIVE, ROUTE_KERNEL_PRODUCT, ROUTE_OPTIMIZER)
 
 # determinants more negative than this qualify in the 2x2 scan; far above
 # float noise on exactly-PSD inputs, far below any usable violation
@@ -136,98 +137,78 @@ def _schmidt_frames(psi: np.ndarray, dims: Dims) -> tuple[np.ndarray, np.ndarray
     return u[:, :, :2], vh[:, :2, :].transpose(0, 2, 1)
 
 
-def _complete_to_frame(a: np.ndarray, extras: Iterable[np.ndarray]) -> Optional[np.ndarray]:
-    """Extend a unit vector to a 2-column isometry with the first of ``extras``
-    not nearly parallel to it; ``None`` if there is no such one."""
-    for extra in extras:
-        extra = extra - a * (a.conj() @ extra)
-        nrm = float(np.linalg.norm(extra))
-        if nrm > 1e-8:
-            return np.column_stack([a, extra / nrm])
-    return None
+def _complete_frames(v: np.ndarray, states: list[int]) -> tuple[np.ndarray, list[int]]:
+    """Each unit row of ``v`` extended to a 2-column isometry from its own stream.
 
-
-def _redraws(gen: SplitMix64, d: int) -> Iterator[np.ndarray]:
-    while True:
-        yield gen.complex_vector(d)
-
-
-def _complete_frames(
-    seed: int, a: np.ndarray, b: np.ndarray, extra_a: np.ndarray, extra_b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Local 2-frames around a polished product start ``a (x) b``.
-
-    The second columns come from the restart's stream right after its two
-    start vectors; ``extra_a`` and ``extra_b`` are those draws, made in
-    advance.  A draw nearly parallel to its vector is redrawn, so in that
-    (rare) case the stream is replayed on the scalar path.
+    Row ``i``'s second column is the next draw of the stream whose state is
+    ``states[i]``, made orthogonal to ``v[i]`` and normalized; a draw nearly
+    parallel to ``v[i]`` is redrawn from the same stream.  Returns the
+    frames and the streams' end states.
     """
-    fa = _complete_to_frame(a, [extra_a])
-    fb = _complete_to_frame(b, [extra_b])
-    if fa is None or fb is None:
-        gen = SplitMix64(seed)
-        gen.complex_vector(a.size + b.size)
-        fa = _complete_to_frame(a, _redraws(gen, a.size))
-        fb = _complete_to_frame(b, _redraws(gen, b.size))
-    return fa, fb
+    frames = np.empty(v.shape + (2,), dtype=complex)
+    frames[:, :, 0] = v
+    ends = list(states)
+    todo = list(range(len(v)))
+    while todo:
+        draws, drawn_ends = _complex_normals([ends[i] for i in todo], v.shape[1])
+        redraw = []
+        for i, extra, end in zip(todo, draws, drawn_ends):
+            ends[i] = end
+            extra = extra - v[i] * (v[i].conj() @ extra)
+            nrm = float(np.linalg.norm(extra))
+            if nrm > 1e-8:
+                frames[i, :, 1] = extra / nrm
+            else:
+                redraw.append(i)
+        todo = redraw
+    return frames, ends
 
 
 def _hermitian_part(mats: np.ndarray) -> np.ndarray:
     return (mats + mats.conj().transpose(0, 2, 1)) / 2
 
 
-class _Lockstep:
-    """Book-keeping for restarts that advance together as stacked rows.
+def _lockstep(
+    step: Callable, state: tuple[np.ndarray, ...], iters: int, tol: float, floor: float = -np.inf
+) -> tuple[np.ndarray, ...]:
+    """Advance stacked restarts together, each row until its own stop rule fires.
 
-    A row leaves the active set at the iteration where its own stop rule
-    fires: its value drops below ``floor`` or improves by at most ``tol``.
-    ``outs`` collects the final arrays of every row in the original order.
+    ``state`` holds arrays with one row per restart.  ``step(*state)``
+    advances the active rows once and returns ``(values, kept, advance)``:
+    one value per row, the arrays a row keeps if it stops at that value, and
+    either ``None`` (the rows that go on continue from ``kept``) or a
+    function from a row mask to the state those rows continue from.
+
+    A row stops at the first iteration where its value drops below
+    ``floor`` or improves on its previous value by at most ``tol``, and
+    keeps ``kept``.  A row that runs out of ``iters`` keeps its last
+    update: the state it would continue from.  Returns each row's final
+    value followed by its final arrays, in the original row order, equal to
+    running the rows one after another.
     """
-
-    __slots__ = ("tol", "floor", "rows", "prev", "outs")
-
-    def __init__(self, rows: int, tol: float, floor: float = -np.inf):
-        self.tol = tol
-        self.floor = floor
-        self.rows = np.arange(rows)
-        self.prev = [np.inf] * rows
-        self.outs: Optional[tuple[np.ndarray, ...]] = None
-
-    def stop(self, values: list[float]) -> Optional[np.ndarray]:
-        """Mask of the active rows that stop at ``values``, or ``None`` if none does."""
-        prev, self.prev = self.prev, values
-        floor, tol = self.floor, self.tol
+    n = len(state[0])
+    rows, prev = np.arange(n), [np.inf] * n
+    parts = []  # (rows, values, *arrays) of each group of rows that leaves
+    for _ in range(iters):
+        values, kept, advance = step(*state)
+        vals = values.tolist()
         # plain floats: on a handful of rows this beats numpy's per-call overhead
-        for p, x in zip(prev, values):
-            if x < floor or p - x <= tol:
+        stop = [x < floor or p - x <= tol for p, x in zip(prev, vals)]
+        prev, go_on = vals, slice(None)
+        if any(stop):
+            stop = np.array(stop)
+            parts.append((rows[stop], values[stop], *(k[stop] for k in kept)))
+            go_on = ~stop
+            rows, values = rows[go_on], values[go_on]
+            if not rows.size:
                 break
-        else:
-            return None
-        stop = np.array([x < floor or p - x <= tol for p, x in zip(prev, values)])
-        self.prev = list(compress(values, ~stop))
-        return stop
-
-    def retire(self, stop: np.ndarray, *current: np.ndarray) -> np.ndarray:
-        """Record the stopping rows of ``current``; return the mask of rows that go on."""
-        self._record(self.rows[stop], tuple(cur[stop] for cur in current))
-        keep = ~stop
-        self.rows = self.rows[keep]
-        return keep
-
-    @property
-    def done(self) -> bool:
-        return self.rows.size == 0
-
-    def finish(self, *current: np.ndarray) -> None:
-        """Record the rows still active when the iteration budget runs out."""
-        self._record(self.rows, current)
-
-    def _record(self, rows: np.ndarray, current: tuple[np.ndarray, ...]) -> None:
-        if self.outs is None:  # first record: no row has left yet
-            n = self.rows.size
-            self.outs = tuple(np.empty((n,) + c.shape[1:], c.dtype) for c in current)
-        for out, cur in zip(self.outs, current):
-            out[rows] = cur
+            prev = values.tolist()
+            kept = tuple(k[go_on] for k in kept)
+        state = kept if advance is None else advance(go_on)
+    else:
+        parts.append((rows, values, *state))
+    order = np.argsort(np.concatenate([part[0] for part in parts]))
+    return tuple(np.concatenate(col)[order] for col in list(zip(*parts))[1:])
 
 
 def _product_descent(
@@ -238,22 +219,15 @@ def _product_descent(
     One start per row of ``a`` and ``b``; returns the final local vectors,
     one row per start.
     """
-    lock = _Lockstep(a.shape[0], tol)
-    for _ in range(iters):
+
+    def step(a, b):
         form_a = _hermitian_part(np.einsum("injm,rn,rm->rij", x4, b.conj(), b))
         a = np.linalg.eigh(form_a)[1][:, :, 0]
         form_b = _hermitian_part(np.einsum("injm,ri,rj->rnm", x4, a.conj(), a))
         w, vecs = np.linalg.eigh(form_b)
-        b = vecs[:, :, 0]
-        stop = lock.stop(w[:, 0].tolist())
-        if stop is not None:
-            keep = lock.retire(stop, a, b)
-            if lock.done:
-                break
-            a, b = a[keep], b[keep]
-    else:
-        lock.finish(a, b)
-    return lock.outs
+        return w[:, 0], (a, vecs[:, :, 0]), None
+
+    return _lockstep(step, (a, b), iters, tol)[1:]
 
 
 def _rank2_descent(
@@ -263,26 +237,18 @@ def _rank2_descent(
 
     Returns each start's final value and frames.  A start that stops keeps
     the frames it was evaluated at; one that runs out of iterations keeps
-    its last update.
+    its last update, the Schmidt frames of its last vector.
     """
-    lock = _Lockstep(fa.shape[0], cfg.opt_step_tol)
-    for _ in range(cfg.opt_max_iters):
+
+    def step(fa, fb):
         # np.kron(frame_a, frame_b) for every row
         w_op = (fa[:, :, None, :, None] * fb[:, None, :, None, :]).reshape(-1, dims.total, 4)
         comp = w_op.conj().transpose(0, 2, 1) @ m @ w_op
         w4, v4 = np.linalg.eigh(_hermitian_part(comp))
-        val = w4[:, 0]
         psi = w_op @ v4[:, :, :1]
-        stop = lock.stop(val.tolist())
-        if stop is not None:
-            keep = lock.retire(stop, val, fa, fb)
-            if lock.done:
-                break
-            val, psi = val[keep], psi[keep]
-        fa, fb = _schmidt_frames(psi, dims)
-    else:
-        lock.finish(val, fa, fb)
-    return lock.outs
+        return w4[:, 0], (fa, fb), lambda go_on: _schmidt_frames(psi[go_on], dims)
+
+    return _lockstep(step, (fa, fb), cfg.opt_max_iters, cfg.opt_step_tol)
 
 
 # key and result of the last min_rank2_expectation call; a rank-5 check
@@ -304,11 +270,14 @@ def min_rank2_expectation(
     ``opt_step_tol``.  Starts are seeded deterministically from
     ``cfg.seed``: the Schmidt-truncated bottom eigenvector, Haar-random
     frames, random draws from the bottom eigenspace, and product vectors
-    polished by a rank-1 descent.  All restarts advance together as
-    stacked arrays, each with its own stop rule, so the result equals that
-    of running them one after another; the earliest restart with the
-    smallest value wins.  The result never undercuts the true minimum over
-    all unit vectors, and no global-optimality claim is made.
+    ``a (x) b`` polished by a rank-1 descent.  A product start's second
+    frame columns are the next draws of its stream after its start vectors,
+    a's first and then b's, each made orthogonal to its vector; a draw
+    nearly parallel to its vector is redrawn.  All restarts advance
+    together as stacked arrays, each with its own stop rule, so the result
+    equals that of running them one after another; the earliest restart
+    with the smallest value wins.  The result never undercuts the true
+    minimum over all unit vectors, and no global-optimality claim is made.
 
     The last call is remembered: a call whose matrix (shape and bytes after
     conversion to complex), ``dims`` and ``cfg`` all equal the previous
@@ -352,16 +321,13 @@ def min_rank2_expectation(
 
     product_seeds = seeds[2::3]
     if product_seeds:
-        g = _complex_normals(product_seeds, 2 * (ma + mb))[0]
+        g, ends = _complex_normals(product_seeds, ma + mb)
         a1, b1 = _product_descent(
-            m.reshape(ma, mb, ma, mb), _unit_rows(g[:, :ma]), _unit_rows(g[:, ma : ma + mb]),
+            m.reshape(ma, mb, ma, mb), _unit_rows(g[:, :ma]), _unit_rows(g[:, ma:]),
             cfg.opt_max_iters, cfg.opt_step_tol,
         )
-        extras_a, extras_b = g[:, ma + mb : 2 * ma + mb], g[:, 2 * ma + mb :]
-        for j, seed in enumerate(product_seeds):
-            fa[3 * j + 3], fb[3 * j + 3] = _complete_frames(
-                seed, a1[j], b1[j], extras_a[j], extras_b[j]
-            )
+        fa[3::3], ends = _complete_frames(a1, ends)
+        fb[3::3], _ = _complete_frames(b1, ends)
 
     vals, fa, fb = _rank2_descent(m, dims, fa, fb, cfg)
     best = int(np.argmin(vals))
@@ -527,20 +493,13 @@ def _product_search_descent(
     A row stops once the smallest singular value drops below 1e-9 or
     improves by at most ``opt_step_tol``; returns the final rows.
     """
-    lock = _Lockstep(a.shape[0], cfg.opt_step_tol, floor=1e-9)
-    for _ in range(cfg.opt_max_iters):
+
+    def step(a, b):
         b = np.linalg.svd(np.einsum("dmn,rm->rdn", ck, a))[2][:, -1, :].conj()
         _, s, vh = np.linalg.svd(np.einsum("dmn,rn->rdm", ck, b))
-        a = vh[:, -1, :].conj()
-        stop = lock.stop(s[:, -1].tolist())
-        if stop is not None:
-            keep = lock.retire(stop, a, b)
-            if lock.done:
-                break
-            a, b = a[keep], b[keep]
-    else:
-        lock.finish(a, b)
-    return lock.outs
+        return s[:, -1], (vh[:, -1, :].conj(), b), None
+
+    return _lockstep(step, (a, b), cfg.opt_max_iters, cfg.opt_step_tol, floor=1e-9)[1:]
 
 
 def product_vector_in_subspace(

@@ -151,6 +151,16 @@ class TestSuites:
         assert report.failures == []
         assert report.passes + len(report.failures) == report.trials
 
+    @pytest.mark.parametrize(
+        "suite, rate",
+        # the rank-4 sampler keeps every draw; the two-eigs one rejects 1 of 101
+        [("theorem-rank4", 1.0), ("theorem-two-eigs", 100 / 101)],
+    )
+    def test_report_carries_the_acceptance_rate(self, suite, rate):
+        doc = run_suite(suite, EnsembleSpec(count=100, seed=2024)).to_document()
+        assert doc["acceptance_rate"] == rate
+        assert "rejection_rate" not in doc
+
     def test_two_eigs_suite_passes(self):
         report = run_suite("theorem-two-eigs", EnsembleSpec(count=25, seed=1234))
         assert report.passes == 25

@@ -2,9 +2,10 @@
 
 ``_ScalarStream`` is a verbatim copy of the scalar generator as it stood
 before the kernel existed: the oracle the kernel, the stacked QR and the
-pre-drawn frame completion must match byte for byte, values and end states.
+stacked frame completion must match byte for byte, values and end states.
 """
 
+import copy
 import math
 
 import numpy as np
@@ -154,36 +155,52 @@ class TestStackedSteps:
             ref = _isometry_one(_ScalarStream(s).complex_matrix(3, 2))
             assert random_isometry(SplitMix64(s), 3, 2).tobytes() == ref.tobytes()
 
-    def _frames_oracle(self, seed, a, b):
+    @staticmethod
+    def _after_starts(seed: int, n: int) -> _ScalarStream:
         gen = _ScalarStream(seed)
-        gen.complex_vector(a.size + b.size)  # the start vectors
-        return _complete_to_frame(gen, a), _complete_to_frame(gen, b)
+        gen.complex_vector(n)  # the start vectors
+        return gen
 
-    def test_complete_frames_with_predrawn_extras(self):
-        for seed in (11, 12, 13):
-            gen = _ScalarStream(seed)
-            gen.complex_vector(3 + 2)
-            extras = (gen.complex_vector(3), gen.complex_vector(2))
-            a = _unit_rows(_complex_normals([seed + 100], 3)[0])[0]
-            b = _unit_rows(_complex_normals([seed + 200], 2)[0])[0]
-            got = witness._complete_frames(seed, a, b, *extras)
-            for f, ref in zip(got, self._frames_oracle(seed, a, b)):
-                assert f.tobytes() == ref.tobytes()
+    def _frames_oracle(self, seed, a, b):
+        gen = self._after_starts(seed, a.size + b.size)
+        return (_complete_to_frame(gen, a), _complete_to_frame(gen, b)), gen._state
 
-    def test_complete_frames_falls_back_on_parallel_extra(self):
-        # a vector parallel to the stream's pre-drawn extra forces the redraw
-        for seed, parallel in ((21, "a"), (22, "b"), (23, "ab")):
-            gen = _ScalarStream(seed)
-            gen.complex_vector(3 + 3)
-            extras = (gen.complex_vector(3), gen.complex_vector(3))
-            a, b = (_unit_rows(_complex_normals([seed + k], 3)[0])[0] for k in (100, 200))
-            if "a" in parallel:
-                a = extras[0] / np.linalg.norm(extras[0])
-            if "b" in parallel:
-                b = extras[1] / np.linalg.norm(extras[1])
-            for v, e, flag in ((a, extras[0], "a"), (b, extras[1], "b")):
-                assert (witness._complete_to_frame(v, [e]) is None) == (flag in parallel)
-            got = witness._complete_frames(seed, a, b, *extras)
-            for f, ref in zip(got, self._frames_oracle(seed, a, b)):
+    def _assert_matches_oracle(self, seeds, a, b):
+        starts = [self._after_starts(s, a.shape[1] + b.shape[1])._state for s in seeds]
+        fa, ends = witness._complete_frames(a, starts)
+        fb, ends = witness._complete_frames(b, ends)
+        for i, seed in enumerate(seeds):
+            (ref_a, ref_b), ref_end = self._frames_oracle(seed, a[i], b[i])
+            for f, ref in ((fa[i], ref_a), (fb[i], ref_b)):
                 assert f.tobytes() == ref.tobytes()
                 assert np.allclose(f.conj().T @ f, np.eye(2))
+            assert ends[i] == ref_end
+
+    def test_complete_frames_continue_each_stream(self):
+        seeds = [11, 12, 13]
+        a = _unit_rows(_complex_normals([s + 100 for s in seeds], 3)[0])
+        b = _unit_rows(_complex_normals([s + 200 for s in seeds], 2)[0])
+        self._assert_matches_oracle(seeds, a, b)
+
+    def test_complete_frames_redraw_a_parallel_draw(self):
+        # a vector equal to its stream's next draw, normalized, forces a redraw
+        cases = ((21, ""), (22, "a"), (23, "b"), (24, "ab"))
+        seeds = [seed for seed, _ in cases]
+        a = _unit_rows(_complex_normals([s + 100 for s in seeds], 3)[0])
+        b = _unit_rows(_complex_normals([s + 200 for s in seeds], 3)[0])
+
+        def nearly_parallel(v, draw):
+            return float(np.linalg.norm(draw - v * (v.conj() @ draw))) <= 1e-8
+
+        for i, (seed, parallel) in enumerate(cases):
+            gen = self._after_starts(seed, 6)
+            draw = copy.copy(gen).complex_vector(3)  # peek at the next draw
+            if "a" in parallel:
+                a[i] = draw / np.linalg.norm(draw)
+            assert nearly_parallel(a[i], draw) == ("a" in parallel)
+            _complete_to_frame(gen, a[i])
+            draw = gen.complex_vector(3)
+            if "b" in parallel:
+                b[i] = draw / np.linalg.norm(draw)
+            assert nearly_parallel(b[i], draw) == ("b" in parallel)
+        self._assert_matches_oracle(seeds, a, b)

@@ -310,6 +310,23 @@ class TestStrictDocumentNumbers:
         with pytest.raises(ValueError, match=key):
             certificate_from_json(dumps(doc))
 
+    @pytest.mark.parametrize(
+        "bad", [5, None, ["x"], "bogus", "", "Optimizer", {"route": "optimizer"}]
+    )
+    def test_certificate_rejects_unknown_routes(self, bad):
+        doc = self._certificate_doc()
+        doc["route"] = bad
+        with pytest.raises(ValueError, match="route"):
+            certificate_from_json(dumps(doc))
+
+    @pytest.mark.parametrize(
+        "route", [ROUTE_SUBMATRIX, ROUTE_TWO_NONPOSITIVE, ROUTE_KERNEL_PRODUCT, ROUTE_OPTIMIZER]
+    )
+    def test_certificate_reads_every_route_name(self, route):
+        doc = self._certificate_doc()
+        doc["route"] = route
+        assert certificate_from_json(dumps(doc)).route == route
+
     @pytest.mark.parametrize("key", ["dimA", "dimB", "rows", "cols"])
     @pytest.mark.parametrize("spoil", [lambda n: n + 0.5, str])
     def test_matrix_document_rejects_non_integer_fields(self, key, spoil):

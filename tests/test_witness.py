@@ -263,6 +263,26 @@ class TestTwoNonpositive:
             assert cert is not None
             assert verify_certificate(cert, state)
 
+    def test_nudge_certifies_when_the_combination_is_nilpotent(self, monkeypatch):
+        # forced: the first A^-1 B reports only zero eigenvalues, as a
+        # nilpotent one would, so the bottom eigenvector is nudged
+        spec = EnsembleSpec(dims=D33, rank=5, count=20, filter="twoNonpositivePT", seed=2024)
+        states, _ = sample_ensemble(spec)
+        eigvals, calls = np.linalg.eigvals, []
+
+        def nilpotent_first(mat):
+            calls.append(mat)
+            return np.zeros(len(mat), dtype=complex) if len(calls) == 1 else eigvals(mat)
+
+        monkeypatch.setattr(np.linalg, "eigvals", nilpotent_first)
+        for state in states:
+            calls.clear()
+            cert = two_nonpositive_witness(state)
+            assert len(calls) == 2  # the nudged vector went through the combination
+            assert cert is not None and cert.route == ROUTE_TWO_NONPOSITIVE
+            assert cert.delta == 0.01
+            assert verify_certificate(cert, state)
+
     def test_combination_obeys_spectral_chain(self):
         # for invertible bottom matricization, the witness comes from a root t
         # of det(A + tB) with value (lam + |t|^2 mu) / (1 + |t|^2)
@@ -371,6 +391,27 @@ class TestKernelProductWitness:
             assert cert is not None
             assert cert.route == ROUTE_KERNEL_PRODUCT
             assert verify_certificate(cert, state)
+
+    def test_falls_back_to_two_nonpositive_when_the_scan_declines(self, monkeypatch):
+        # forced: the scan declines on the rotated state, so its witness comes
+        # from the two-nonpositive route, and the pullback keeps its value
+        spec = EnsembleSpec(dims=D33, rank=4, count=12, filter="twoNonpositivePT", seed=2024)
+        states, _ = sample_ensemble(spec)
+        route, rotated = witness.two_nonpositive_witness, []
+
+        def spy(state, cfg=DEFAULT_TOL):
+            rotated.append(route(state, cfg))
+            return rotated[-1]
+
+        monkeypatch.setattr(witness, "submatrix_2x2_scan", lambda state, cfg=DEFAULT_TOL: None)
+        monkeypatch.setattr(witness, "two_nonpositive_witness", spy)
+        for state in states:
+            rotated.clear()
+            cert = kernel_product_witness(state)
+            assert len(rotated) == 1 and rotated[0] is not None
+            assert cert is not None and cert.route == ROUTE_KERNEL_PRODUCT
+            assert verify_certificate(cert, state)
+            assert cert.value == pytest.approx(rotated[0].value, rel=1e-9, abs=1e-14)
 
     def test_edge_perturbation_returns_empty(self):
         bundle = build_edge_bundle(EdgeParams(1.0, math.pi / 6))
