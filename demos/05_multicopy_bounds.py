@@ -41,6 +41,8 @@ for n in (1, 2):
     print(f"  conjectured min  = {rep.conjecture_value:.10f}   ((1/2) 12^-n)")
     print(f"  min - conjecture = {rep.min_value - rep.conjecture_value:+.2e}"
           "   (reported, never asserted: the true minimum is open)")
+print("\n  At n = 2 the minimum found agrees with 1/288 to rounding: numerical")
+print("  agreement with the conjecture, not a proof of it.")
 
 print("\n" + "=" * 70)
 print("Noise thresholds eps(n) for n-copy undistillability")

@@ -34,8 +34,12 @@ class ToleranceConfig:
 
     ``herm_tol``/``psd_tol`` gate state validation, ``spec_tol`` gates
     eigendecomposition quality, and ``rank_rel_tol`` is the relative
-    singular-value cutoff for rank decisions.  ``opt_*`` fields budget the
-    multistart rank-2 minimizer; ``seed`` makes every randomized routine
+    singular-value cutoff for rank decisions.  ``opt_restarts`` budgets
+    the product-vector search, the nudges of the two-nonpositive route and
+    the draws of the rank-raising construction; ``opt_step_tol`` is the
+    product-vector search's stop rule, and ``opt_max_iters`` caps its
+    iterations and the sweeps of the rank-2 minimizer, whose five starts
+    and relative stop are fixed.  ``seed`` makes every randomized routine
     reproducible.
     """
 

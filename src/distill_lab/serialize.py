@@ -6,9 +6,9 @@ row-major order.  Floats render with 17 significant digits, which
 round-trips IEEE-754 doubles exactly and keeps serialized output
 byte-identical across runs; extra metadata travels in a ``meta`` block
 that loaders ignore.  Loaders take JSON numbers only where numbers
-belong: a bool or a string as an ``[re, im]`` entry, or a fractional
-count, raises ``ValueError``, and so does a certificate route that is not
-one of the four route names.
+belong: a bool or a string as an ``[re, im]`` entry, a fractional
+count or a dimension below one raises ``ValueError``, and so does a
+certificate route that is not one of the four route names.
 """
 
 from __future__ import annotations
@@ -94,6 +94,14 @@ def _integer(doc: dict, key: str) -> int:
     raise ValueError(f"{key!r} must be an integer, got {x!r}")
 
 
+def _dimension(doc: dict, key: str) -> int:
+    """Field ``key`` as a positive int."""
+    n = _integer(doc, key)
+    if n < 1:
+        raise ValueError(f"{key!r} must be a positive integer, got {n}")
+    return n
+
+
 def _number(doc: dict, key: str) -> float:
     """Field ``key`` as a float; a bool or a string is refused."""
     x = doc[key]
@@ -127,7 +135,7 @@ def matrix_from_document(doc: dict) -> tuple[np.ndarray, Dims]:
     for key in ("dimA", "dimB", "rows", "cols", "data"):
         if key not in doc:
             raise ValueError(f"matrix document is missing key {key!r}")
-    dims = Dims(_integer(doc, "dimA"), _integer(doc, "dimB"))
+    dims = Dims(_dimension(doc, "dimA"), _dimension(doc, "dimB"))
     rows, cols = _integer(doc, "rows"), _integer(doc, "cols")
     if rows != dims.total or cols != dims.total:
         raise ValueError(
@@ -151,7 +159,7 @@ def pure_state_document(psi: PureState) -> dict:
 
 
 def pure_state_from_document(doc: dict) -> PureState:
-    dims = Dims(_integer(doc, "dimA"), _integer(doc, "dimB"))
+    dims = Dims(_dimension(doc, "dimA"), _dimension(doc, "dimB"))
     vec = _pairs_to_complex(doc["data"], dims.total)
     return PureState(vec, dims, unnormalized=True)
 

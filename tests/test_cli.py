@@ -151,6 +151,20 @@ class TestCertifyRank4:
         assert code == 2
         assert "rank 5" in err
 
+    def test_rejects_non_positive_dimensions(self, tmp_path, capsys):
+        # (-3) * (-3) == 9 matches rows and cols; once reported as "rank 9"
+        path = tmp_path / "state.json"
+        _run(capsys, "random", "--dimA", "3", "--dimB", "3", "--rank", "9",
+             "--seed", "23", "--out", str(path))
+        doc = json.loads(path.read_text())
+        for dim_a, dim_b in ((-3, -3), (0, 3)):
+            doc["dimA"], doc["dimB"] = dim_a, dim_b
+            path.write_text(json.dumps(doc))
+            code, out, err = _run(capsys, "certify-rank4", "--in", str(path))
+            assert code == 2
+            assert out == ""
+            assert "'dimA' must be a positive integer" in err
+
 
 class TestMulticopyCommand:
     def test_werner_single_copy(self, capsys):

@@ -1,6 +1,7 @@
 """Many-copy bounds for the Werner projector and the edge perturbation."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from distill_lab.multicopy import (
     werner_projector,
 )
 from distill_lab.qcore import (
+    DEFAULT_TOL,
     MAX_COPIES,
     Dims,
     is_ppt,
@@ -103,6 +105,12 @@ class TestExtremalTensorPower:
         big = Dims(9, 9)
         assert schmidt_rank(report.min_witness.vec, big) <= 2
         assert schmidt_rank(report.max_witness.vec, big) <= 2
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_two_copy_minimum_agrees_with_the_conjecture(self, seed):
+        # numerical agreement with (1/2) 12^-2 at every seed, not a proof
+        report = extremal_rank2_tensor_power(2, replace(DEFAULT_TOL, seed=seed))
+        assert report.min_value == pytest.approx(1 / 288, rel=1e-9)
 
     def test_copy_cap(self):
         with pytest.raises(ValueError):
@@ -234,6 +242,11 @@ class TestVerifyUndistillable:
         assert report.min_value >= report.bound_lower - 1e-8
         assert report.eps_threshold > 0
         assert report.eps_used <= report.eps_threshold / 2
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_two_copy_minimum_at_every_seed(self, seed):
+        report = verify_n_undistillable(PARAMS, 2, replace(DEFAULT_TOL, seed=seed))
+        assert report.bound_lower < report.min_value <= 3.2e-5
 
     def test_rank4_control_state_fails_the_same_check(self):
         # sanity: a distillable state drives the same minimum negative

@@ -1,11 +1,10 @@
 """The stacked multi-stream Gaussian kernel against the scalar SplitMix64 stream.
 
 ``_ScalarStream`` is a verbatim copy of the scalar generator as it stood
-before the kernel existed: the oracle the kernel, the stacked QR and the
-stacked frame completion must match byte for byte, values and end states.
+before the kernel existed: the oracle the kernel and the stacked QR must
+match byte for byte, values and end states.
 """
 
-import copy
 import math
 
 import numpy as np
@@ -22,7 +21,6 @@ from distill_lab.rng import (
     derive_seed,
     random_isometry,
 )
-from distill_lab import witness
 
 # ---- reference oracle: the scalar stream, verbatim ---------------------------
 
@@ -75,17 +73,6 @@ def _isometry_one(g: np.ndarray) -> np.ndarray:
     d = r.diagonal().copy()
     d[d == 0] = 1.0
     return q * (d / np.abs(d))
-
-
-def _complete_to_frame(gen: _ScalarStream, a: np.ndarray) -> np.ndarray:
-    """The seeded frame completion, verbatim."""
-    d = a.size
-    while True:
-        extra = gen.complex_vector(d)
-        extra -= a * (a.conj() @ extra)
-        nrm = float(np.linalg.norm(extra))
-        if nrm > 1e-8:
-            return np.column_stack([a, extra / nrm])
 
 
 def _assert_matches_oracle(states: list[int], count: int) -> None:
@@ -154,53 +141,3 @@ class TestStackedSteps:
         for s in (1, 2, 3):
             ref = _isometry_one(_ScalarStream(s).complex_matrix(3, 2))
             assert random_isometry(SplitMix64(s), 3, 2).tobytes() == ref.tobytes()
-
-    @staticmethod
-    def _after_starts(seed: int, n: int) -> _ScalarStream:
-        gen = _ScalarStream(seed)
-        gen.complex_vector(n)  # the start vectors
-        return gen
-
-    def _frames_oracle(self, seed, a, b):
-        gen = self._after_starts(seed, a.size + b.size)
-        return (_complete_to_frame(gen, a), _complete_to_frame(gen, b)), gen._state
-
-    def _assert_matches_oracle(self, seeds, a, b):
-        starts = [self._after_starts(s, a.shape[1] + b.shape[1])._state for s in seeds]
-        fa, ends = witness._complete_frames(a, starts)
-        fb, ends = witness._complete_frames(b, ends)
-        for i, seed in enumerate(seeds):
-            (ref_a, ref_b), ref_end = self._frames_oracle(seed, a[i], b[i])
-            for f, ref in ((fa[i], ref_a), (fb[i], ref_b)):
-                assert f.tobytes() == ref.tobytes()
-                assert np.allclose(f.conj().T @ f, np.eye(2))
-            assert ends[i] == ref_end
-
-    def test_complete_frames_continue_each_stream(self):
-        seeds = [11, 12, 13]
-        a = _unit_rows(_complex_normals([s + 100 for s in seeds], 3)[0])
-        b = _unit_rows(_complex_normals([s + 200 for s in seeds], 2)[0])
-        self._assert_matches_oracle(seeds, a, b)
-
-    def test_complete_frames_redraw_a_parallel_draw(self):
-        # a vector equal to its stream's next draw, normalized, forces a redraw
-        cases = ((21, ""), (22, "a"), (23, "b"), (24, "ab"))
-        seeds = [seed for seed, _ in cases]
-        a = _unit_rows(_complex_normals([s + 100 for s in seeds], 3)[0])
-        b = _unit_rows(_complex_normals([s + 200 for s in seeds], 3)[0])
-
-        def nearly_parallel(v, draw):
-            return float(np.linalg.norm(draw - v * (v.conj() @ draw))) <= 1e-8
-
-        for i, (seed, parallel) in enumerate(cases):
-            gen = self._after_starts(seed, 6)
-            draw = copy.copy(gen).complex_vector(3)  # peek at the next draw
-            if "a" in parallel:
-                a[i] = draw / np.linalg.norm(draw)
-            assert nearly_parallel(a[i], draw) == ("a" in parallel)
-            _complete_to_frame(gen, a[i])
-            draw = gen.complex_vector(3)
-            if "b" in parallel:
-                b[i] = draw / np.linalg.norm(draw)
-            assert nearly_parallel(b[i], draw) == ("b" in parallel)
-        self._assert_matches_oracle(seeds, a, b)

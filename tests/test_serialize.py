@@ -342,3 +342,31 @@ class TestStrictDocumentNumbers:
         doc["dimA"] = spoil(doc["dimA"])
         with pytest.raises(ValueError, match="dimA"):
             pure_state_from_document(doc)
+
+    @pytest.mark.parametrize("key", ["dimA", "dimB"])
+    @pytest.mark.parametrize("bad", [0, -0.0, -1])
+    def test_matrix_document_rejects_non_positive_dims(self, key, bad):
+        state = random_state(Dims(3, 3), 2, 7)
+        doc = matrix_document(state.mat, state.dims)
+        doc[key] = bad
+        with pytest.raises(ValueError, match=f"'{key}' must be a positive"):
+            matrix_from_document(doc)
+
+    def test_matrix_document_rejects_negative_dims_whose_product_fits(self):
+        # (-3) * (-3) == 9 matches rows and cols, so this once loaded as Dims(-3, -3)
+        state = random_state(Dims(3, 3), 2, 7)
+        doc = matrix_document(state.mat, state.dims)
+        doc["dimA"] = doc["dimB"] = -3
+        with pytest.raises(ValueError, match="'dimA' must be a positive"):
+            matrix_from_document(doc)
+
+    @pytest.mark.parametrize("key", ["dimA", "dimB"])
+    @pytest.mark.parametrize("bad", [0, -2])
+    def test_pure_state_document_rejects_non_positive_dims(self, key, bad):
+        doc = pure_state_document(PureState(np.ones(4) / 2, Dims(2, 2)))
+        doc[key] = bad
+        with pytest.raises(ValueError, match=f"'{key}' must be a positive"):
+            pure_state_from_document(doc)
+        doc["dimA"] = doc["dimB"] = -2  # (-2) * (-2) == 4 entries
+        with pytest.raises(ValueError, match="'dimA' must be a positive"):
+            pure_state_from_document(doc)

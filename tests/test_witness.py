@@ -30,6 +30,7 @@ from distill_lab.qcore import (
     schmidt_rank,
 )
 from distill_lab.rng import SplitMix64, derive_seed, random_unitary
+from distill_lab.serialize import state_from_json
 from distill_lab.witness import (
     ROUTE_KERNEL_PRODUCT,
     ROUTE_TWO_NONPOSITIVE,
@@ -141,17 +142,26 @@ class TestMinimizerMemo:
         return calls
 
     @pytest.fixture
-    def descents(self, monkeypatch):
+    def sweeps(self, monkeypatch):
         calls = []
-        descent = witness._rank2_descent
+        sweep = witness._als_sweep
 
-        def counted(*args):
-            calls.append(args[1])
-            return descent(*args)
+        def counted(m, dims, fa, fb):
+            calls.append(dims)
+            return sweep(m, dims, fa, fb)
 
         monkeypatch.setattr(witness, "_last_minimum", None)
-        monkeypatch.setattr(witness, "_rank2_descent", counted)
+        monkeypatch.setattr(witness, "_als_sweep", counted)
         return calls
+
+    @staticmethod
+    def _assert_one_minimization(sweeps, mat):
+        """``sweeps`` holds exactly the sweeps of one fresh minimization of ``mat``."""
+        seen = list(sweeps)
+        sweeps.clear()
+        witness._last_minimum = None
+        min_rank2_expectation(mat, D33)
+        assert seen == sweeps and set(seen) == {D33}
 
     def test_repeat_call_computes_once(self, eig_calls):
         pt = partial_transpose(_mes_state().mat, D33)
@@ -191,18 +201,19 @@ class TestMinimizerMemo:
                 min_rank2_expectation(m, D33)
         assert len(eig_calls) == 2
 
-    def test_rank5_check_minimizes_once(self, descents):
+    def test_rank5_check_minimizes_once(self, sweeps):
         bundle = build_edge_bundle(EdgeParams(1.0, math.pi / 6))
         assert certify_1_distillable(bundle.npt_state) is None
         assert undistillability_margin(bundle) > 0
-        assert descents == [D33]
+        self._assert_one_minimization(sweeps, partial_transpose(bundle.npt_state.mat, D33))
 
-    def test_cli_witness_minimizes_once(self, tmp_path, capsys, descents):
+    def test_cli_witness_minimizes_once(self, tmp_path, capsys, sweeps):
         path = tmp_path / "rho.json"
         assert main(["rho", "--b", "1.0", "--theta", str(math.pi / 6), "--out", str(path)]) == 0
         assert main(["witness", "--in", str(path)]) == 0
         assert "no witness found" in capsys.readouterr().out
-        assert descents == [D33]
+        state = state_from_json(path.read_text())
+        self._assert_one_minimization(sweeps, partial_transpose(state.mat, D33))
 
 
 class TestSubmatrixScan:
