@@ -178,16 +178,8 @@ _RANK2_STARTS = 5
 _RANK2_REL_STOP = 1e-6
 
 
-def _kron_rows(fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
-    """``np.kron(fa[r], fb[r])`` for every row ``r``."""
-    rows, ma, ka = fa.shape
-    mb, kb = fb.shape[1:]
-    return (fa[:, :, None, :, None] * fb[:, None, :, None, :]).reshape(rows, ma * mb, ka * kb)
-
-
-def _compressed_bottom(m: np.ndarray, w_op: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bottom eigenpair of each row's compression ``w_op^H m w_op``."""
-    comp = w_op.conj().transpose(0, 2, 1) @ m @ w_op
+def _bottom(comp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bottom eigenpair of each row's hermitized compression ``comp``."""
     w, v = np.linalg.eigh((comp + comp.conj().transpose(0, 2, 1)) / 2)
     return w[:, 0], v[:, :, 0]
 
@@ -198,27 +190,34 @@ def _als_sweep(
     """One block ALS sweep over psi = vec(A B^T) for each row's frame ``fb``.
 
     With B an isometry, psi = (I (x) B) vec(A) has the norm of A, so the
-    best A is the bottom eigenvector of the 2dA x 2dA compression onto
-    I (x) B; its QR factor is the new frame ``fa``, and B is updated the
-    same way against A (x) I.  The incoming ``fa`` is not read.  Returns
-    the value after the sweep, which never exceeds the value before it,
-    and the new frames.
+    best A is the bottom eigenvector of the 2dA x 2dA compression
+    (I (x) B)^H X (I (x) B); its QR factor is the new frame ``fa``, and B is
+    updated the same way against A (x) I.  Both compressions are contracted
+    from X read as a (dA, dB, dA, dB) tensor; no I (x) B or A (x) I is
+    formed.  The incoming ``fa`` is not read.  Returns the value after the
+    sweep, which never exceeds the value before it, and the new frames.
     """
     ma, mb = dims
     rows = len(fb)
-    eye_a = np.broadcast_to(np.eye(ma), (rows, ma, ma))
-    a = _compressed_bottom(m, _kron_rows(eye_a, fb))[1].reshape(rows, ma, 2)
-    fa = np.linalg.qr(a)[0]
-    eye_b = np.broadcast_to(np.eye(mb), (rows, mb, mb))
-    values, b = _compressed_bottom(m, _kron_rows(fa, eye_b))
+    # sum_jl conj(B[j,p]) X[ij,kl] B[l,q] at row ip, column kq: over j for each i, then l
+    t = fb.conj().transpose(0, 2, 1).reshape(-1, mb) @ m.reshape(ma, mb, -1)
+    comp = (t.reshape(ma, rows, 2 * ma, mb) @ fb).reshape(ma, rows, 2, 2 * ma)
+    a = _bottom(comp.transpose(1, 0, 2, 3).reshape(rows, 2 * ma, 2 * ma))[1]
+    fa = np.linalg.qr(a.reshape(rows, ma, 2))[0]
+    # sum_ik conj(A[i,p]) X[ij,kl] A[k,q] at row pj, column ql: over i, then over k
+    t = fa.conj().transpose(0, 2, 1).reshape(-1, ma) @ m.reshape(ma, -1)
+    t = t.reshape(rows, 2 * mb, ma, mb).transpose(0, 1, 3, 2).reshape(rows, -1, ma)
+    comp = (t @ fa).reshape(rows, 2 * mb, mb, 2)
+    values, b = _bottom(comp.transpose(0, 1, 3, 2).reshape(rows, 2 * mb, 2 * mb))
     fb = np.linalg.qr(b.reshape(rows, 2, mb).transpose(0, 2, 1))[0]
     return values, (fa, fb)
 
 
-# key and result of the last min_rank2_expectation call; a rank-5 check
-# minimizes one partial transpose twice (certify_1_distillable, then
-# undistillability_margin)
-_last_minimum: Optional[tuple[tuple, tuple[float, Rank2Ansatz]]] = None
+# (key, result) of the last min_rank2_expectation call, at most one entry; a
+# rank-5 check minimizes one partial transpose twice (certify_1_distillable,
+# then undistillability_margin).  Refilled in place, never rebound; a list,
+# not a dict, so that a call compares the matrix bytes instead of hashing them
+_last_minimum: list[tuple[tuple, tuple[float, Rank2Ansatz]]] = []
 
 
 def min_rank2_expectation(
@@ -229,7 +228,8 @@ def min_rank2_expectation(
     Block alternating least squares over psi = vec(A B^T), A of shape
     dA x 2 and B of shape dB x 2: with B an isometry the best A is the
     bottom eigenvector of a 2dA x 2dA compression of X, and B is updated
-    the same way, so no sweep raises the value.  Five starts run in
+    the same way, so no sweep raises the value.  Each compression is
+    contracted straight from X; no I (x) B is formed.  Five starts run in
     lockstep: B from the two leading Schmidt frames of the bottom
     eigenvector of X, and four Haar-random frames drawn from
     ``derive_seed(cfg.seed, r)``, r = 0..3.  A start stops once a sweep
@@ -245,11 +245,11 @@ def min_rank2_expectation(
     call's returns the same value and the same read-only ansatz without
     recomputing.  A call that raises is not remembered.
     """
-    global _last_minimum
     m = np.asarray(x, dtype=complex)
     key = (m.shape, m.tobytes(), tuple(dims), cfg)
-    if _last_minimum is not None and _last_minimum[0] == key:
-        return _last_minimum[1]
+    for last_key, last in _last_minimum:
+        if last_key == key:
+            return last
     ma, mb = dims
     if m.shape != (dims.total, dims.total):
         raise DimensionMismatchError(
@@ -279,7 +279,7 @@ def min_rank2_expectation(
     ansatz = Rank2Ansatz(fa[best], fb[best], v4[:, 0].reshape(2, 2))
     psi = ansatz.vector()
     value = float(np.real(psi.conj() @ m @ psi))
-    _last_minimum = (key, (value, ansatz))
+    _last_minimum[:] = [(key, (value, ansatz))]
     return value, ansatz
 
 

@@ -137,7 +137,7 @@ class TestMinimizerMemo:
             calls.append(np.shape(mat))
             return hermitian_eig(mat, cfg)
 
-        monkeypatch.setattr(witness, "_last_minimum", None)
+        witness._last_minimum.clear()
         monkeypatch.setattr(witness, "hermitian_eig", counted)
         return calls
 
@@ -150,7 +150,7 @@ class TestMinimizerMemo:
             calls.append(dims)
             return sweep(m, dims, fa, fb)
 
-        monkeypatch.setattr(witness, "_last_minimum", None)
+        witness._last_minimum.clear()
         monkeypatch.setattr(witness, "_als_sweep", counted)
         return calls
 
@@ -159,7 +159,7 @@ class TestMinimizerMemo:
         """``sweeps`` holds exactly the sweeps of one fresh minimization of ``mat``."""
         seen = list(sweeps)
         sweeps.clear()
-        witness._last_minimum = None
+        witness._last_minimum.clear()
         min_rank2_expectation(mat, D33)
         assert seen == sweeps and set(seen) == {D33}
 
