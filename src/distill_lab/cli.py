@@ -117,7 +117,6 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     doc = {
         "certified": False,
         "copies": args.copies,
-        "restarts": cfg.opt_restarts,
         "best_value": best,
         "seed": cfg.seed,
     }

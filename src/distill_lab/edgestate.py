@@ -251,19 +251,18 @@ def build_edge_bundle(
 def undistillability_margin(
     bundle: EdgeBundle, cfg: ToleranceConfig = DEFAULT_TOL
 ) -> float:
-    """Proven lower bound gap/3 - eps on the best rank-2 value of the PT.
+    """Proven lower bound ``bundle.margin`` = gap/3 - eps on the best rank-2 PT value.
 
     Also runs the numeric minimizer and demands it never undercut the
     bound; a violation would indicate a bookkeeping bug, not new physics.
     """
-    bound = bundle.p1 / 3 - bundle.eps
     pt = partial_transpose(bundle.npt_state.mat, bundle.npt_state.dims)
     value, _ = min_rank2_expectation(pt, bundle.npt_state.dims, cfg)
-    if value < bound - 1e-8:
+    if value < bundle.margin - 1e-8:
         raise InvariantViolationError(
-            f"rank-2 minimum {value} violates the proven bound {bound}"
+            f"rank-2 minimum {value} violates the proven bound {bundle.margin}"
         )
-    return bound
+    return bundle.margin
 
 
 def distillable_of_rank(

@@ -34,8 +34,8 @@ from .qcore import (
     PureState,
     ToleranceConfig,
     _check_copy_count,
+    _pt_power,
     min_pt_eigenvalue,
-    partial_transpose,
     regroup_tensor_power,
 )
 from .witness import min_rank2_expectation
@@ -88,17 +88,13 @@ def max_rank2_overlap_with_mes(cfg: ToleranceConfig = DEFAULT_TOL) -> float:
     return -value
 
 
-def _copy_dims(n: int) -> Dims:
-    return Dims(3**n, 3**n)
-
-
-def _product_zeros_ones(n: int) -> np.ndarray:
-    """|0...0> on the A factors tensor |1...1> on the B factors."""
-    dims = _copy_dims(n)
-    vec = np.zeros(dims.total, dtype=complex)
-    ones_index = sum(3**k for k in range(n))  # |1...1> in base 3
-    vec[0 * dims.dim_b + ones_index] = 1.0
-    return vec
+def _rank2_extremes(
+    mat: np.ndarray, dims: Dims, cfg: ToleranceConfig
+) -> tuple[float, PureState, float, PureState]:
+    """Rank-2 minimum and maximum (as -min(-X)) of ``mat``, each with its witness."""
+    lo, lo_at = min_rank2_expectation(mat, dims, cfg)
+    neg_hi, hi_at = min_rank2_expectation(-mat, dims, cfg)
+    return lo, PureState(lo_at.vector(), dims), -neg_hi, PureState(hi_at.vector(), dims)
 
 
 def extremal_rank2_tensor_power(
@@ -114,13 +110,10 @@ def extremal_rank2_tensor_power(
     _check_copy_count(n)
     rho_s = werner_projector(cfg)
     mat, dims = regroup_tensor_power(rho_s.mat, rho_s.dims, n)
-
-    min_value, min_ansatz = min_rank2_expectation(mat, dims, cfg)
-    neg_max, max_ansatz = min_rank2_expectation(-mat, dims, cfg)
-    max_value = -neg_max
-
-    product = _product_zeros_ones(n)
-    product_value = float(np.real(product.conj() @ mat @ product))
+    min_value, min_witness, max_value, max_witness = _rank2_extremes(mat, dims, cfg)
+    # the product |0..0>_A |1..1>_B is basis vector 0 * 3^n + (11..1 in base 3)
+    ones = (3**n - 1) // 2
+    product_value = float(mat[ones, ones].real)
 
     bound_lower = 1.0 / 24.0**n
     bound_upper = 1.0 / 8.0**n
@@ -137,9 +130,9 @@ def extremal_rank2_tensor_power(
         n=n,
         target="werner",
         max_value=max_value,
-        max_witness=PureState(max_ansatz.vector(), dims),
+        max_witness=max_witness,
         min_value=min_value,
-        min_witness=PureState(min_ansatz.vector(), dims),
+        min_witness=min_witness,
         bound_lower=bound_lower,
         conjecture_value=0.5 / 12.0**n,
         margin_estimate=min_value - bound_lower,
@@ -170,9 +163,10 @@ def _series_bound(gap: float, pt_norm: float, n: int, eps: float) -> float:
     return bound
 
 
-def eps_threshold_for_copies(
-    params: EdgeParams, n: int, bisection_steps: int = 60
-) -> float:
+_BISECTION_STEPS = 60  # halvings of [0, gap/3]: more than the 53 bits of a double
+
+
+def eps_threshold_for_copies(params: EdgeParams, n: int) -> float:
     """Largest dyadic noise (within the budget gap/3) keeping the bound positive.
 
     Monotone bisection over [0, gap/3]; nonincreasing in the copy count.
@@ -186,7 +180,7 @@ def eps_threshold_for_copies(
     if _series_bound(gap, pt_norm, n, hi) > 0.0:
         return hi
     lo = 0.0
-    for _ in range(bisection_steps):
+    for _ in range(_BISECTION_STEPS):
         mid = (lo + hi) / 2.0
         if _series_bound(gap, pt_norm, n, mid) > 0.0:
             lo = mid
@@ -215,10 +209,8 @@ def verify_n_undistillable(
         EdgeParams(params.b, params.theta, eps_used), cfg
     )
 
-    pt = partial_transpose(bundle.npt_state.mat, bundle.npt_state.dims)
-    mat, dims = regroup_tensor_power(pt, bundle.npt_state.dims, n)
-    min_value, min_ansatz = min_rank2_expectation(mat, dims, cfg)
-    neg_max, max_ansatz = min_rank2_expectation(-mat, dims, cfg)
+    pt, dims = _pt_power(bundle.npt_state.mat, bundle.npt_state.dims, n)
+    min_value, min_witness, max_value, max_witness = _rank2_extremes(pt, dims, cfg)
 
     bound = undistillability_bound(bundle.params, n, bundle.eps)
     if min_value <= 0.0 or min_value < bound - 1e-8:
@@ -229,10 +221,10 @@ def verify_n_undistillable(
     return MulticopyReport(
         n=n,
         target="rho",
-        max_value=-neg_max,
-        max_witness=PureState(max_ansatz.vector(), dims),
+        max_value=max_value,
+        max_witness=max_witness,
         min_value=min_value,
-        min_witness=PureState(min_ansatz.vector(), dims),
+        min_witness=min_witness,
         bound_lower=bound,
         conjecture_value=None,
         margin_estimate=min_value - bound,

@@ -5,7 +5,9 @@ dimension split ``Dims(dim_a, dim_b)``.  States are *not* assumed to be
 trace-normalized; rank decisions therefore use relative singular-value
 thresholds.  The partial transpose is implemented as an exact entry
 permutation (no floating-point arithmetic), so applying it twice returns
-the input bit-for-bit.
+the input bit-for-bit.  Every n-copy witness operator, n = 1 included, is
+built by ``_pt_power``: the partial transpose of the power regrouped to
+(A..A : B..B).
 """
 
 from __future__ import annotations
@@ -330,13 +332,27 @@ def regroup_tensor_power(mat: np.ndarray, dims: Dims, n: int) -> tuple[np.ndarra
     out = m
     for _ in range(n - 1):
         out = np.kron(out, m)
-    ma, mb = dims
-    axes_one_side = [ma, mb] * n
+    axes_one_side = list(dims) * n
     perm = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
     full_perm = perm + [p + 2 * n for p in perm]
     out = out.reshape(axes_one_side + axes_one_side).transpose(full_perm)
-    big = Dims(ma**n, mb**n)
+    big = _power_dims(dims, n)
     return out.reshape(big.total, big.total), big
+
+
+def _power_dims(dims: Dims, n: int) -> Dims:
+    """The (A..A : B..B) split of an n-copy operator on ``dims``."""
+    return Dims(dims.dim_a**n, dims.dim_b**n)
+
+
+def _pt_power(mat: np.ndarray, dims: Dims, n: int) -> tuple[np.ndarray, Dims]:
+    """Partial transpose of ``regroup_tensor_power(mat, dims, n)``, and its split.
+
+    The one builder of every n-copy witness operator, n = 1 included.  It
+    equals the regrouped power of the transpose bit for bit.
+    """
+    power, big = regroup_tensor_power(mat, dims, n)
+    return partial_transpose(power, big), big
 
 
 def tensor_power_bipartite(

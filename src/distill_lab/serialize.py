@@ -5,10 +5,11 @@ Matrix documents follow one fixed schema: ``{"dimA": M, "dimB": N,
 row-major order.  Floats render with 17 significant digits, which
 round-trips IEEE-754 doubles exactly and keeps serialized output
 byte-identical across runs; extra metadata travels in a ``meta`` block
-that loaders ignore.  Loaders take JSON numbers only where numbers
-belong: a bool or a string as an ``[re, im]`` entry, a fractional
-count or a dimension below one raises ``ValueError``, and so does a
-certificate route that is not one of the four route names.
+that loaders ignore.  Loaders take JSON objects where documents belong
+and JSON numbers only where numbers belong: a document that is not an
+object or lacks a key, a bool or a string as an ``[re, im]`` entry, a
+fractional count or a dimension below one raises ``ValueError``, and so
+does a certificate route that is not one of the four route names.
 """
 
 from __future__ import annotations
@@ -84,9 +85,18 @@ def _pairs_to_complex(pairs: Any, expected: int) -> np.ndarray:
     return np.array(flat, dtype=float).view(complex)
 
 
+def _field(doc: Any, key: str) -> Any:
+    """``doc[key]``; a document that is not an object, or lacks ``key``, is refused."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
+    if key not in doc:
+        raise ValueError(f"document is missing key {key!r}")
+    return doc[key]
+
+
 def _integer(doc: dict, key: str) -> int:
     """Field ``key`` as an int; a bool, a string or a fractional number is refused."""
-    x = doc[key]
+    x = _field(doc, key)
     if type(x) is int:
         return x
     if type(x) is float and x.is_integer():  # the decoder reads "-0" as -0.0
@@ -104,7 +114,7 @@ def _dimension(doc: dict, key: str) -> int:
 
 def _number(doc: dict, key: str) -> float:
     """Field ``key`` as a float; a bool or a string is refused."""
-    x = doc[key]
+    x = _field(doc, key)
     if type(x) is float or type(x) is int:
         return float(x)
     raise ValueError(f"{key!r} must be a number, got {x!r}")
@@ -132,16 +142,13 @@ def state_to_json(state: BipartiteState, meta: Optional[dict] = None) -> str:
 
 
 def matrix_from_document(doc: dict) -> tuple[np.ndarray, Dims]:
-    for key in ("dimA", "dimB", "rows", "cols", "data"):
-        if key not in doc:
-            raise ValueError(f"matrix document is missing key {key!r}")
     dims = Dims(_dimension(doc, "dimA"), _dimension(doc, "dimB"))
     rows, cols = _integer(doc, "rows"), _integer(doc, "cols")
     if rows != dims.total or cols != dims.total:
         raise ValueError(
             f"rows/cols {rows}x{cols} do not match dimA*dimB = {dims.total}"
         )
-    data = _pairs_to_complex(doc["data"], rows * cols)
+    data = _pairs_to_complex(_field(doc, "data"), rows * cols)
     return data.reshape(rows, cols), dims
 
 
@@ -160,7 +167,7 @@ def pure_state_document(psi: PureState) -> dict:
 
 def pure_state_from_document(doc: dict) -> PureState:
     dims = Dims(_dimension(doc, "dimA"), _dimension(doc, "dimB"))
-    vec = _pairs_to_complex(doc["data"], dims.total)
+    vec = _pairs_to_complex(_field(doc, "data"), dims.total)
     return PureState(vec, dims, unnormalized=True)
 
 
@@ -172,7 +179,6 @@ def certificate_document(cert: WitnessCertificate) -> dict:
         "psi": pure_state_document(cert.psi),
         "schmidt_rank": cert.schmidt_rank,
         "seed": cert.seed,
-        "restarts": cert.restarts,
     }
     if cert.delta is not None:
         doc["delta"] = cert.delta
@@ -184,17 +190,17 @@ def certificate_to_json(cert: WitnessCertificate) -> str:
 
 
 def certificate_from_json(text: str) -> WitnessCertificate:
+    """Certificate from its document; a ``restarts`` key, if present, is ignored."""
     doc = _DECODER.decode(text)
-    route = doc["route"]
+    route = _field(doc, "route")
     if route not in _ROUTES:
         raise ValueError(f"'route' must be one of {', '.join(_ROUTES)}, got {route!r}")
     return WitnessCertificate(
-        psi=pure_state_from_document(doc["psi"]),
+        psi=pure_state_from_document(_field(doc, "psi")),
         value=_number(doc, "value"),
         copies=_integer(doc, "copies"),
         route=route,
         schmidt_rank=_integer(doc, "schmidt_rank"),
         seed=_integer(doc, "seed"),
-        restarts=_integer(doc, "restarts"),
         delta=None if doc.get("delta") is None else _number(doc, "delta"),
     )

@@ -1,9 +1,10 @@
 """Construction and verification of 1-distillability certificates.
 
 A certificate is a Schmidt-rank-at-most-2 vector whose quadratic form
-against the partial transpose of a state (or of its n-fold tensor power)
-is strictly negative.  Three constructive routes are implemented besides
-the generic multistart minimizer:
+against the partial transpose of the n-fold tensor power of a state
+(built by ``qcore._pt_power`` alone, n = 1 included) is strictly negative.
+Three constructive routes (n = 1 only) are implemented besides the
+generic rank-2 minimizer:
 
 * ``submatrix2x2``   -- a principal 2x2 minor of the partial transpose
   with negative determinant pins an NPT 2xN cut; its bottom eigenvector
@@ -35,11 +36,12 @@ from .qcore import (
     PureState,
     ToleranceConfig,
     _numeric_rank,
+    _power_dims,
+    _pt_power,
     hermitian_eig,
     is_ppt,
     partial_transpose,
     rank_kernel_range,
-    regroup_tensor_power,
     schmidt_rank,
 )
 from .rng import SplitMix64, _complex_normals, _phase_fixed_qr, _unit_rows, derive_seed
@@ -99,7 +101,6 @@ class WitnessCertificate:
     route: str
     schmidt_rank: int
     seed: int
-    restarts: int
     delta: Optional[float] = None
 
 
@@ -117,11 +118,7 @@ def pt_quadratic_form(
     psi: np.ndarray, state: BipartiteState, copies: int = 1
 ) -> float:
     """Value of the witness form <psi| (state^(x n))^Gamma |psi>."""
-    if copies == 1:
-        mat, dims = state.mat, state.dims
-    else:
-        mat, dims = regroup_tensor_power(state.mat, state.dims, copies)
-    pt = partial_transpose(mat, dims)
+    pt, _ = _pt_power(state.mat, state.dims, copies)
     v = np.asarray(psi, dtype=complex).reshape(-1)
     if v.size != pt.shape[0]:
         raise DimensionMismatchError(
@@ -294,10 +291,7 @@ def _make_certificate(
     v = np.asarray(psi, dtype=complex).reshape(-1)
     v = v / np.linalg.norm(v)
     value = pt_quadratic_form(v, state, copies)
-    if copies == 1:
-        dims = state.dims
-    else:
-        dims = Dims(state.dims.dim_a**copies, state.dims.dim_b**copies)
+    dims = _power_dims(state.dims, copies)
     rank = schmidt_rank(v, dims, cfg)
     return WitnessCertificate(
         psi=PureState(v, dims),
@@ -306,7 +300,6 @@ def _make_certificate(
         route=route,
         schmidt_rank=rank,
         seed=cfg.seed,
-        restarts=cfg.opt_restarts,
         delta=delta,
     )
 
@@ -607,11 +600,7 @@ def best_rank2_witness(
     best value over many restarts is evidence, not proof, of
     undistillability).
     """
-    if copies == 1:
-        mat, dims = state.mat, state.dims
-    else:
-        mat, dims = regroup_tensor_power(state.mat, state.dims, copies)
-    pt = partial_transpose(mat, dims)
+    pt, dims = _pt_power(state.mat, state.dims, copies)
     value, ansatz = min_rank2_expectation(pt, dims, cfg)
     if value < -cfg.psd_tol:
         cert = _make_certificate(
@@ -636,9 +625,7 @@ def verify_certificate(
     """
     n = cert.copies if copies is None else copies
     psi = cert.psi.vec
-    dims = Dims(state.dims.dim_a**n, state.dims.dim_b**n)
-    if psi.size != dims.total:
-        raise DimensionMismatchError("certificate dimension does not match state/copies")
-    rank = schmidt_rank(psi, dims, cfg)
+    # a witness of the wrong length raises DimensionMismatchError here
+    rank = schmidt_rank(psi, _power_dims(state.dims, n), cfg)
     value = pt_quadratic_form(psi, state, n)
     return bool(rank <= 2 and value < -cfg.psd_tol and abs(value - cert.value) <= 1e-10)

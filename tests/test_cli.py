@@ -82,7 +82,7 @@ class TestWitness:
         doc = json.loads(out)
         assert doc["certified"] is False
         assert doc["best_value"] > 0
-        assert doc["restarts"] == 64
+        assert "restarts" not in doc
 
     def test_rejects_restart_budget_at_stream_offset(self, tmp_path, capsys):
         path = tmp_path / "rho.json"
@@ -268,3 +268,13 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["witness"])  # missing --in
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["witness", "certify-rank4"])
+    @pytest.mark.parametrize("text", ["5", "null", "[1]", '"state"'])
+    def test_state_file_that_is_not_an_object_exits_two(self, tmp_path, capsys, command, text):
+        path = tmp_path / "state.json"
+        path.write_text(text)
+        code, out, err = _run(capsys, command, "--in", str(path))
+        assert code == 2
+        assert out == ""
+        assert "invalid input" in err and "JSON object" in err

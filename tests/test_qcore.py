@@ -16,6 +16,7 @@ from distill_lab.qcore import (
     PureState,
     ToleranceConfig,
     _numeric_rank,
+    _pt_power,
     hermitian_eig,
     is_ppt,
     min_pt_eigenvalue,
@@ -28,7 +29,13 @@ from distill_lab.qcore import (
     tensor,
     tensor_power_bipartite,
 )
-from distill_lab.edgestate import EdgeParams, edge_state, maximally_entangled_qutrits
+from distill_lab.edgestate import (
+    DEFAULT_GRID,
+    EdgeParams,
+    build_edge_bundle,
+    edge_state,
+    maximally_entangled_qutrits,
+)
 from distill_lab.harness import EnsembleSpec, random_state, sample_ensemble
 from distill_lab.witness import (
     ROUTE_KERNEL_PRODUCT,
@@ -366,14 +373,27 @@ class TestTensorPower:
         assert dims == D33
 
     def test_commutes_with_partial_transpose(self):
-        gen = SplitMix64(59)
-        state = _random_psd_state(gen, D33, 5)
-        powered, big = regroup_tensor_power(state.mat, D33, 2)
-        pt_then_power, _ = regroup_tensor_power(
-            partial_transpose(state.mat, D33), D33, 2
-        )
-        power_then_pt = partial_transpose(powered, big)
-        assert float(np.abs(pt_then_power - power_then_pt).max()) <= 1e-14
+        # exactly: each entry of either side is the same product of the same factors
+        states = [_random_psd_state(SplitMix64(59), D33, 5)] + [
+            build_edge_bundle(EdgeParams(b, theta)).npt_state for b, theta in DEFAULT_GRID
+        ]
+        for state in states:
+            powered, big = regroup_tensor_power(state.mat, D33, 2)
+            pt_then_power, _ = regroup_tensor_power(
+                partial_transpose(state.mat, D33), D33, 2
+            )
+            power_then_pt = partial_transpose(powered, big)
+            assert np.array_equal(pt_then_power, power_then_pt)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_pt_power_transposes_the_regrouped_power(self, n):
+        state = _random_psd_state(SplitMix64(60), Dims(2, 3), 4)
+        pt, big = _pt_power(state.mat, state.dims, n)
+        powered, dims = regroup_tensor_power(state.mat, state.dims, n)
+        assert big == dims == Dims(2**n, 3**n)
+        assert np.array_equal(pt, partial_transpose(powered, dims))
+        if n == 1:
+            assert np.array_equal(pt, partial_transpose(state.mat, state.dims))
 
     def test_product_of_distinct_factors(self):
         # regrouped PT of rho1 (x) rho2 equals the product of the individual PTs

@@ -109,6 +109,23 @@ class TestMatrixRoundTrip:
         bad["rows"] = 5
         with pytest.raises(ValueError):
             matrix_from_document(bad)
+        # a document that is not an object, or an object without a key
+        for loader in (matrix_from_document, pure_state_from_document):
+            for bad in (5, None, [1], "dimA", {}):
+                with pytest.raises(ValueError):
+                    loader(bad)
+        for text in ("5", "null", "[1]", '"route"', '{"route": "optimizer", "psi": 5}'):
+            with pytest.raises(ValueError):
+                certificate_from_json(text)
+        spec = EnsembleSpec(rank=4, count=1, filter="NPT", seed=515)
+        cert_doc = certificate_document(certify_1_distillable(sample_ensemble(spec)[0][0]))
+        for key in ("route", "copies", "value", "psi", "schmidt_rank", "seed"):
+            bad = {k: v for k, v in cert_doc.items() if k != key}
+            with pytest.raises(ValueError, match=key):
+                certificate_from_json(dumps(bad))
+        bad = dict(cert_doc, psi={"dimA": 3, "dimB": 3})
+        with pytest.raises(ValueError, match="data"):
+            certificate_from_json(dumps(bad))
 
 
 class TestPureStateAndCertificate:
@@ -142,11 +159,10 @@ class TestPureStateAndCertificate:
         ),
         schmidt_rank=st.integers(1, 4),
         seed=st.integers(0, 2**64 - 1),
-        restarts=st.integers(1, 999_999),
         delta=st.none() | st.floats(allow_nan=False, allow_infinity=False),
     )
     def test_property_certificate_reserializes_byte_for_byte(
-        self, dims, data, value, copies, route, schmidt_rank, seed, restarts, delta
+        self, dims, data, value, copies, route, schmidt_rank, seed, delta
     ):
         dims = Dims(*dims)
         parts = st.floats(-1.0, 1.0)
@@ -163,7 +179,6 @@ class TestPureStateAndCertificate:
             route=route,
             schmidt_rank=schmidt_rank,
             seed=seed,
-            restarts=restarts,
             delta=delta,
         )
         text = certificate_to_json(cert)
@@ -282,7 +297,7 @@ class TestStrictDocumentNumbers:
         state = sample_ensemble(spec)[0][0]
         return json.loads(certificate_to_json(certify_1_distillable(state)))
 
-    @pytest.mark.parametrize("key", ["copies", "schmidt_rank", "seed", "restarts"])
+    @pytest.mark.parametrize("key", ["copies", "schmidt_rank", "seed"])
     @pytest.mark.parametrize("bad", [2.7, True, False, "2", None, [2]])
     def test_certificate_rejects_non_integer_fields(self, key, bad):
         doc = self._certificate_doc()
@@ -290,15 +305,29 @@ class TestStrictDocumentNumbers:
         with pytest.raises(ValueError, match=key):
             certificate_from_json(dumps(doc))
 
+    @pytest.mark.parametrize(
+        "restarts",
+        [64, 2.7, True, "2", None, [2], {"x": 1}],
+        ids=["int", "float", "bool", "str", "null", "list", "object"],
+    )
+    def test_certificate_ignores_restarts(self, restarts):
+        # certificates written before the field was dropped still load
+        doc = self._certificate_doc()
+        text = dumps(doc)
+        assert "restarts" not in doc
+        doc["restarts"] = restarts
+        assert certificate_to_json(certificate_from_json(dumps(doc))) == text
+
     def test_certificate_reads_integral_numbers(self):
         doc = self._certificate_doc()
         text = certificate_to_json(certificate_from_json(dumps(doc)))
+        rank = doc["schmidt_rank"]
         doc["copies"] = 1.0
-        doc["restarts"] = 64.0
+        doc["schmidt_rank"] = float(rank)
         doc["seed"] = -0.0  # written as "-0", read back as -0.0
         cert = certificate_from_json(dumps(doc))
-        assert (cert.copies, cert.restarts, cert.seed) == (1, 64, 0)
-        assert all(type(v) is int for v in (cert.copies, cert.restarts, cert.seed))
+        assert (cert.copies, cert.schmidt_rank, cert.seed) == (1, rank, 0)
+        assert all(type(v) is int for v in (cert.copies, cert.schmidt_rank, cert.seed))
         doc["seed"] = 2024
         assert certificate_to_json(certificate_from_json(dumps(doc))) == text
 

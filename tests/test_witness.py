@@ -424,6 +424,34 @@ class TestKernelProductWitness:
             assert verify_certificate(cert, state)
             assert cert.value == pytest.approx(rotated[0].value, rel=1e-9, abs=1e-14)
 
+    def test_natural_input_falls_back_to_two_nonpositive(self, monkeypatch):
+        # rho = sum_k |v_k><v_k|, four v_k on indices {1,2,4,5,7,8} and four on
+        # {3,4,5,6,7,8}: |00> is in ker rho, and <i0|rho|0j> = 0 for i, j = 1, 2,
+        # so |00> is in the kernel of the partial transpose as well
+        gen = SplitMix64(0)
+        mat = np.zeros((9, 9), dtype=complex)
+        for support in [[1, 2, 4, 5, 7, 8]] * 4 + [[3, 4, 5, 6, 7, 8]] * 4:
+            v = np.zeros(9, dtype=complex)
+            v[support] = gen.complex_vector(6)
+            mat += np.outer(v, v.conj())
+        state = BipartiteState(mat, D33)
+        assert not np.any(mat[0]) and not np.any(partial_transpose(mat, D33)[0])
+        # the PT spectrum does not see local unitaries: certify stops at the same route
+        assert certify_1_distillable(state).route == ROUTE_TWO_NONPOSITIVE
+
+        route, rotated = witness.two_nonpositive_witness, []
+
+        def spy(state, cfg=DEFAULT_TOL):
+            rotated.append(route(state, cfg))
+            return rotated[-1]
+
+        monkeypatch.setattr(witness, "two_nonpositive_witness", spy)
+        cert = kernel_product_witness(state)
+        assert len(rotated) == 1 and rotated[0] is not None
+        assert cert is not None and cert.route == ROUTE_KERNEL_PRODUCT
+        assert cert.value < -DEFAULT_TOL.psd_tol
+        assert verify_certificate(cert, state)
+
     def test_edge_perturbation_returns_empty(self):
         bundle = build_edge_bundle(EdgeParams(1.0, math.pi / 6))
         assert kernel_product_witness(bundle.npt_state) is None
@@ -493,6 +521,13 @@ class TestVerifyCertificate:
         fake = replace(cert, value=cert.value + 1e-6)
         assert not verify_certificate(fake, state)
 
+    def test_wrong_copy_count_raises(self):
+        # a 1-copy witness is checked against the 2-copy split, which it does not fit
+        state = _mes_state()
+        cert = two_nonpositive_witness(state)
+        with pytest.raises(DimensionMismatchError):
+            verify_certificate(cert, state, copies=2)
+
 
 class TestLemmaOneProperty:
     def test_product_vectors_cannot_witness(self):
@@ -531,3 +566,9 @@ class TestQuadraticFormHelper:
         mat, dims = regroup_tensor_power(state.mat, D33, 2)
         manual = float(np.real(psi.conj() @ partial_transpose(mat, dims) @ psi))
         assert pt_quadratic_form(psi, state, 2) == pytest.approx(manual, abs=1e-15)
+
+    def test_single_copy_value_is_the_plain_form_bit_for_bit(self):
+        state = random_state(D33, 5, 2224)
+        psi = SplitMix64(2225).unit_vector(9)
+        pt = partial_transpose(state.mat, D33)
+        assert pt_quadratic_form(psi, state) == float(np.real(psi.conj() @ pt @ psi))
