@@ -28,7 +28,6 @@ from .qcore import (
     _numeric_rank,
     is_ppt,
     min_pt_eigenvalue,
-    partial_transpose,
     rank_kernel_range,
 )
 from .rng import SplitMix64, derive_seed
@@ -69,7 +68,6 @@ class EdgeBundle:
 
     params: EdgeParams
     edge: BipartiteState
-    edge_pt: np.ndarray
     p1: float
     mes: PureState
     factor_a: np.ndarray
@@ -237,7 +235,6 @@ def build_edge_bundle(
     return EdgeBundle(
         params=params,
         edge=sigma,
-        edge_pt=edge_state_pt(params),
         p1=gap,
         mes=maximally_entangled_qutrits(),
         factor_a=f,
@@ -256,8 +253,7 @@ def undistillability_margin(
     Also runs the numeric minimizer and demands it never undercut the
     bound; a violation would indicate a bookkeeping bug, not new physics.
     """
-    pt = partial_transpose(bundle.npt_state.mat, bundle.npt_state.dims)
-    value, _ = min_rank2_expectation(pt, bundle.npt_state.dims, cfg)
+    value, _ = min_rank2_expectation(bundle.npt_state._pt, bundle.npt_state.dims, cfg)
     if value < bundle.margin - 1e-8:
         raise InvariantViolationError(
             f"rank-2 minimum {value} violates the proven bound {bundle.margin}"

@@ -48,7 +48,7 @@ from .qcore import (
     NumericalFailureError,
     ToleranceConfig,
     _numeric_rank,
-    partial_transpose,
+    _pt_power,
     rank_kernel_range,
     regroup_tensor_power,
 )
@@ -259,7 +259,7 @@ def _judge_edge_point(idx: int, point: tuple[float, float], cfg: ToleranceConfig
     params = EdgeParams(b, theta)
     sigma = edge_state(params, cfg)
     closed = edge_state_pt(params)
-    pt = partial_transpose(sigma.mat, sigma.dims)
+    pt = sigma._pt
     mes = maximally_entangled_qutrits().vec
 
     if abs(sigma.trace - 1.0) > 1e-12:
@@ -274,7 +274,7 @@ def _judge_edge_point(idx: int, point: tuple[float, float], cfg: ToleranceConfig
         problems.append("MES not in the PT kernel")
 
     gap = min_positive_pt_eigenvalue(params)
-    evals = np.linalg.eigvalsh(pt)
+    evals = sigma._pt_eigenvalues
     positive = evals[evals > cfg.rank_rel_tol * evals[-1]]
     if abs(gap - float(positive[0])) > 1e-10:
         problems.append("closed-form gap disagrees with eigendecomposition")
@@ -314,11 +314,10 @@ def _multicopy_checks(spec: EnsembleSpec, cfg: ToleranceConfig):
             raise AssertionError(f"n=1 min {report.min_value} misses 1/24")
 
     def check_operator_bound() -> None:
-        pt = edge_state_pt(params)
         gap = min_positive_pt_eigenvalue(params)
         ws = werner_projector(cfg)
         for n in (1, 2):
-            lhs, dims = regroup_tensor_power(pt, Dims(3, 3), n)
+            lhs, _ = _pt_power(edge_state(params, cfg), n)
             rhs, _ = regroup_tensor_power(ws.mat, Dims(3, 3), n)
             diff = lhs - (8 * gap) ** n * rhs
             if float(np.linalg.eigvalsh(diff)[0]) < -1e-9:

@@ -209,7 +209,7 @@ def verify_n_undistillable(
         EdgeParams(params.b, params.theta, eps_used), cfg
     )
 
-    pt, dims = _pt_power(bundle.npt_state.mat, bundle.npt_state.dims, n)
+    pt, dims = _pt_power(bundle.npt_state, n)
     min_value, min_witness, max_value, max_witness = _rank2_extremes(pt, dims, cfg)
 
     bound = undistillability_bound(bundle.params, n, bundle.eps)

@@ -5,9 +5,9 @@ dimension split ``Dims(dim_a, dim_b)``.  States are *not* assumed to be
 trace-normalized; rank decisions therefore use relative singular-value
 thresholds.  The partial transpose is implemented as an exact entry
 permutation (no floating-point arithmetic), so applying it twice returns
-the input bit-for-bit.  Every n-copy witness operator, n = 1 included, is
-built by ``_pt_power``: the partial transpose of the power regrouped to
-(A..A : B..B).
+the input bit-for-bit; a ``BipartiteState`` forms its own once and caches
+it.  ``_pt_power`` builds every n-copy witness operator, n = 1 included,
+by regrouping the n-th power of that cached transpose to (A..A : B..B).
 """
 
 from __future__ import annotations
@@ -104,9 +104,9 @@ class BipartiteState:
 
     Hermiticity, positivity and a positive trace are checked at
     construction; normalization is deliberately not required.  The matrix
-    is stored read-only, so the ascending spectrum of its partial
-    transpose is computed at most once per state, on first use, and shared
-    by ``min_pt_eigenvalue``, ``is_ppt`` and every NPT filter or check.
+    is stored read-only, so its partial transpose ``_pt`` and that
+    transpose's ascending spectrum are each formed at most once, on first
+    use, and shared by every route, check, NPT filter and n-copy build.
     """
 
     mat: np.ndarray
@@ -129,9 +129,15 @@ class BipartiteState:
         object.__setattr__(self, "mat", m)
 
     @cached_property
+    def _pt(self) -> np.ndarray:
+        pt = partial_transpose(self.mat, self.dims)
+        pt.setflags(write=False)  # shared by every caller, like ``mat``
+        return pt
+
+    @cached_property
     def _pt_eigenvalues(self) -> np.ndarray:
-        ev = np.linalg.eigvalsh(partial_transpose(self.mat, self.dims))
-        ev.setflags(write=False)  # shared by every caller, like ``mat``
+        ev = np.linalg.eigvalsh(self._pt)
+        ev.setflags(write=False)
         return ev
 
     @property
@@ -308,9 +314,10 @@ MAX_COPIES = 2
 _POWER_DIM_CAP = 6561
 
 
-def _check_copy_count(n: int) -> None:
+def _check_copy_count(n: int, name: str = "copy count") -> int:
     if not 1 <= n <= MAX_COPIES:
-        raise ValueError(f"copy count must lie in 1..{MAX_COPIES}, got {n}")
+        raise ValueError(f"{name} must lie in 1..{MAX_COPIES}, got {n}")
+    return n
 
 
 def regroup_tensor_power(mat: np.ndarray, dims: Dims, n: int) -> tuple[np.ndarray, Dims]:
@@ -345,14 +352,14 @@ def _power_dims(dims: Dims, n: int) -> Dims:
     return Dims(dims.dim_a**n, dims.dim_b**n)
 
 
-def _pt_power(mat: np.ndarray, dims: Dims, n: int) -> tuple[np.ndarray, Dims]:
-    """Partial transpose of ``regroup_tensor_power(mat, dims, n)``, and its split.
+def _pt_power(state: BipartiteState, n: int) -> tuple[np.ndarray, Dims]:
+    """Partial transpose of the state's regrouped n-th power, and its split.
 
-    The one builder of every n-copy witness operator, n = 1 included.  It
-    equals the regrouped power of the transpose bit for bit.
+    The one builder of every n-copy witness operator, n = 1 included: the
+    regrouped power of the state's cached ``_pt``, which equals the
+    transpose of the regrouped power bit for bit.
     """
-    power, big = regroup_tensor_power(mat, dims, n)
-    return partial_transpose(power, big), big
+    return regroup_tensor_power(state._pt, state.dims, n)
 
 
 def tensor_power_bipartite(

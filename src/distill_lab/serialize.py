@@ -8,8 +8,8 @@ byte-identical across runs; extra metadata travels in a ``meta`` block
 that loaders ignore.  Loaders take JSON objects where documents belong
 and JSON numbers only where numbers belong: a document that is not an
 object or lacks a key, a bool or a string as an ``[re, im]`` entry, a
-fractional count or a dimension below one raises ``ValueError``, and so
-does a certificate route that is not one of the four route names.
+fractional count, a dimension below one, a certificate route that is not
+one of the four route names or copies outside 1..MAX_COPIES raise ``ValueError``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from .qcore import BipartiteState, Dims, PureState, ToleranceConfig, DEFAULT_TOL
+from .qcore import BipartiteState, Dims, PureState, ToleranceConfig, DEFAULT_TOL, _check_copy_count
 from .witness import _ROUTES, WitnessCertificate
 
 
@@ -198,7 +198,7 @@ def certificate_from_json(text: str) -> WitnessCertificate:
     return WitnessCertificate(
         psi=pure_state_from_document(_field(doc, "psi")),
         value=_number(doc, "value"),
-        copies=_integer(doc, "copies"),
+        copies=_check_copy_count(_integer(doc, "copies"), "'copies'"),
         route=route,
         schmidt_rank=_integer(doc, "schmidt_rank"),
         seed=_integer(doc, "seed"),

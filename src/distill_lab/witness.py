@@ -1,8 +1,8 @@
 """Construction and verification of 1-distillability certificates.
 
 A certificate is a Schmidt-rank-at-most-2 vector whose quadratic form
-against the partial transpose of the n-fold tensor power of a state
-(built by ``qcore._pt_power`` alone, n = 1 included) is strictly negative.
+against the n-copy partial transpose of a state, n = 1 included, is strictly
+negative; ``qcore._pt_power`` builds it from the state's cached ``_pt``.
 Three constructive routes (n = 1 only) are implemented besides the
 generic rank-2 minimizer:
 
@@ -40,7 +40,6 @@ from .qcore import (
     _pt_power,
     hermitian_eig,
     is_ppt,
-    partial_transpose,
     rank_kernel_range,
     schmidt_rank,
 )
@@ -118,7 +117,7 @@ def pt_quadratic_form(
     psi: np.ndarray, state: BipartiteState, copies: int = 1
 ) -> float:
     """Value of the witness form <psi| (state^(x n))^Gamma |psi>."""
-    pt, _ = _pt_power(state.mat, state.dims, copies)
+    pt, _ = _pt_power(state, copies)
     v = np.asarray(psi, dtype=complex).reshape(-1)
     if v.size != pt.shape[0]:
         raise DimensionMismatchError(
@@ -316,7 +315,7 @@ def submatrix_2x2_scan(
     Returns ``None`` when no qualifying minor exists (e.g. PPT input).
     """
     ma, mb = state.dims
-    pt = partial_transpose(state.mat, state.dims)
+    pt = state._pt
     diag = pt.diagonal().real
     scale = max(float(np.abs(pt).max()), 1.0)
     best_det = -_DET_TOL * scale * scale
@@ -359,7 +358,7 @@ def two_nonpositive_witness(
     """
     if tuple(state.dims) != (3, 3):
         raise DimensionMismatchError("two-nonpositive route applies to 3x3 systems")
-    pt = partial_transpose(state.mat, state.dims)
+    pt = state._pt
     spec = hermitian_eig(pt, cfg)
     lam, mu = float(spec.eigenvalues[0]), float(spec.eigenvalues[1])
     if lam >= -cfg.psd_tol or mu > cfg.psd_tol:
@@ -573,8 +572,7 @@ def certify_1_distillable(
         return None
     ma, mb = state.dims
     if min(ma, mb) == 2:
-        pt = partial_transpose(state.mat, state.dims)
-        spec = hermitian_eig(pt, cfg)
+        spec = hermitian_eig(state._pt, cfg)
         return _make_certificate(spec.eigenvectors[:, 0], state, ROUTE_OPTIMIZER, cfg)
     hit = submatrix_2x2_scan(state, cfg)
     if hit is not None and _usable(hit.certificate, cfg):
@@ -600,7 +598,7 @@ def best_rank2_witness(
     best value over many restarts is evidence, not proof, of
     undistillability).
     """
-    pt, dims = _pt_power(state.mat, state.dims, copies)
+    pt, dims = _pt_power(state, copies)
     value, ansatz = min_rank2_expectation(pt, dims, cfg)
     if value < -cfg.psd_tol:
         cert = _make_certificate(

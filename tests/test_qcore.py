@@ -388,12 +388,12 @@ class TestTensorPower:
     @pytest.mark.parametrize("n", [1, 2])
     def test_pt_power_transposes_the_regrouped_power(self, n):
         state = _random_psd_state(SplitMix64(60), Dims(2, 3), 4)
-        pt, big = _pt_power(state.mat, state.dims, n)
+        pt, big = _pt_power(state, n)
         powered, dims = regroup_tensor_power(state.mat, state.dims, n)
         assert big == dims == Dims(2**n, 3**n)
-        assert np.array_equal(pt, partial_transpose(powered, dims))
+        assert pt.tobytes() == partial_transpose(powered, dims).tobytes()
         if n == 1:
-            assert np.array_equal(pt, partial_transpose(state.mat, state.dims))
+            assert pt.tobytes() == partial_transpose(state.mat, state.dims).tobytes()
 
     def test_product_of_distinct_factors(self):
         # regrouped PT of rho1 (x) rho2 equals the product of the individual PTs
@@ -468,6 +468,15 @@ class TestStateValidation:
         big[::2, ::2] = np.eye(9)
         st = BipartiteState(big[::2, ::2], D33)
         assert abs(st.trace - 9.0) < 1e-14
+
+    def test_cached_pt_is_the_permutation_pt(self):
+        gen = SplitMix64(68)
+        for dims in (D33, Dims(2, 3)):
+            st = _random_psd_state(gen, dims, 3)
+            assert st._pt.tobytes() == partial_transpose(st.mat, dims).tobytes()
+            assert st._pt is st._pt
+            with pytest.raises(ValueError):
+                st._pt[0, 0] = 0.0
 
     def test_cached_pt_spectrum_is_the_eigvalsh_spectrum(self):
         gen = SplitMix64(67)

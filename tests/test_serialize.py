@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from distill_lab.harness import random_state
-from distill_lab.qcore import BipartiteState, Dims, PureState
+from distill_lab.qcore import MAX_COPIES, BipartiteState, Dims, PureState
 from distill_lab.serialize import (
     _pairs_to_complex,
     certificate_document,
@@ -126,6 +126,10 @@ class TestMatrixRoundTrip:
         bad = dict(cert_doc, psi={"dimA": 3, "dimB": 3})
         with pytest.raises(ValueError, match="data"):
             certificate_from_json(dumps(bad))
+        # a copy count outside 1..MAX_COPIES used to load and fail later on its dims
+        for copies in (0, -1, MAX_COPIES + 1):
+            with pytest.raises(ValueError, match="'copies' must lie in 1.."):
+                certificate_from_json(dumps(dict(cert_doc, copies=copies)))
 
 
 class TestPureStateAndCertificate:

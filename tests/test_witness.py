@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import distill_lab.qcore as qcore
 import distill_lab.witness as witness
 from distill_lab.cli import main
 from distill_lab.edgestate import (
@@ -501,6 +502,38 @@ class TestCertify:
             assert cert is not None
             assert cert.value < -DEFAULT_TOL.psd_tol
             assert verify_certificate(cert, rotated)
+
+
+class TestOnePartialTranspose:
+    """A state forms its partial transpose once; routes, checks and builds read it."""
+
+    @pytest.fixture
+    def pt_calls(self, monkeypatch):
+        calls = []
+        real = qcore.partial_transpose
+
+        def counted(mat, dims):
+            calls.append(tuple(dims))
+            return real(mat, dims)
+
+        monkeypatch.setattr(qcore, "partial_transpose", counted)
+        return calls
+
+    def test_rank4_certify_and_verify(self, pt_calls):
+        spec = EnsembleSpec(rank=4, count=1, filter="NPT", seed=515)
+        sampled = sample_ensemble(spec)[0][0]
+        state = BipartiteState(sampled.mat, sampled.dims)  # nothing cached yet
+        pt_calls.clear()
+        cert = certify_1_distillable(state)
+        assert cert is not None and verify_certificate(cert, state)
+        assert pt_calls == [D33]
+
+    def test_rank5_certify_and_margin(self, pt_calls):
+        # counted from the build on, which forms the NPT state's PT for its NPT check
+        bundle = build_edge_bundle(EdgeParams(1.0, math.pi / 6))
+        assert certify_1_distillable(bundle.npt_state) is None
+        assert undistillability_margin(bundle) > 0
+        assert pt_calls == [D33]
 
 
 class TestVerifyCertificate:
