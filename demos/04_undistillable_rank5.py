@@ -32,8 +32,9 @@ evals = np.linalg.eigvalsh(rho.mat)
 pt_evals = np.linalg.eigvalsh(dl.partial_transpose(rho.mat, D33))
 print(f"\n  min eigenvalue            = {evals[0]:+.2e}   (PSD)")
 print(f"  rank                      = {dl.rank_kernel_range(rho.mat)[0]}")
-print(f"  PT spectrum signature     = {int(np.sum(pt_evals < -1e-9))} negative, "
-      f"{int(np.sum(pt_evals > 1e-9))} positive  (NPT)")
+tol = dl.DEFAULT_TOL.psd_tol
+print(f"  PT spectrum signature     = {int(np.sum(pt_evals < -tol))} negative, "
+      f"{int(np.sum(pt_evals > tol))} positive  (NPT)")
 
 print("\n" + "=" * 70)
 print("No single-copy witness exists")

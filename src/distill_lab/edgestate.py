@@ -27,7 +27,6 @@ from .qcore import (
     ToleranceConfig,
     _numeric_rank,
     is_ppt,
-    min_pt_eigenvalue,
     rank_kernel_range,
 )
 from .rng import SplitMix64, derive_seed
@@ -118,7 +117,9 @@ def edge_state_pt(params: EdgeParams) -> np.ndarray:
     """Closed form of the edge state's partial transpose.
 
     Entrywise identical (exactly, both being assembled from the same
-    scalars) to ``partial_transpose(edge_state(params))``.
+    scalars) to ``partial_transpose(edge_state(params))``.  The library
+    reads the state's cached ``_pt``; this is the reference that the
+    edge-family suite and the tests check it against.
     """
     b, th = params.b, params.theta
     c = math.cos(th)
@@ -229,7 +230,7 @@ def build_edge_bundle(
     rank = _numeric_rank(npt_state.mat, cfg)
     if rank != 5:
         raise InvariantViolationError(f"perturbed edge state has rank {rank}, not 5")
-    if min_pt_eigenvalue(npt_state) >= -cfg.psd_tol:
+    if is_ppt(npt_state, cfg):
         raise InvariantViolationError("perturbed edge state is not NPT")
 
     return EdgeBundle(

@@ -49,6 +49,8 @@ from .qcore import (
     ToleranceConfig,
     _numeric_rank,
     _pt_power,
+    _two_nonpositive_pt,
+    is_ppt,
     rank_kernel_range,
     regroup_tensor_power,
 )
@@ -147,13 +149,12 @@ def random_state(
 def _passes_filter(state: BipartiteState, name: str, cfg: ToleranceConfig) -> bool:
     if name == "any":
         return True
-    evals = state._pt_eigenvalues
     if name == "NPT":
-        return bool(evals[0] < -cfg.psd_tol)
+        return not is_ppt(state, cfg)
     if name == "PPT":
-        return bool(evals[0] >= -cfg.psd_tol)
+        return is_ppt(state, cfg)
     if name == "twoNonpositivePT":
-        return bool(evals[0] < -cfg.psd_tol and evals[1] <= cfg.psd_tol)
+        return _two_nonpositive_pt(state, cfg)
     if name == "kernelHasProduct":
         kernel = rank_kernel_range(state.mat, cfg)[1]
         if kernel.shape[1] == 0:
@@ -316,11 +317,12 @@ def _multicopy_checks(spec: EnsembleSpec, cfg: ToleranceConfig):
     def check_operator_bound() -> None:
         gap = min_positive_pt_eigenvalue(params)
         ws = werner_projector(cfg)
+        sigma = edge_state(params, cfg)
         for n in (1, 2):
-            lhs, _ = _pt_power(edge_state(params, cfg), n)
+            lhs, _ = _pt_power(sigma, n)
             rhs, _ = regroup_tensor_power(ws.mat, Dims(3, 3), n)
             diff = lhs - (8 * gap) ** n * rhs
-            if float(np.linalg.eigvalsh(diff)[0]) < -1e-9:
+            if float(np.linalg.eigvalsh(diff)[0]) < -cfg.psd_tol:
                 raise AssertionError(f"operator bound fails at n={n}")
 
     def check_undistillable(n: int) -> None:

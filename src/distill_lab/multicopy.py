@@ -22,7 +22,7 @@ from .edgestate import (
     EdgeBundle,
     EdgeParams,
     build_edge_bundle,
-    edge_state_pt,
+    edge_state,
     maximally_entangled_qutrits,
     min_positive_pt_eigenvalue,
 )
@@ -153,7 +153,7 @@ def undistillability_bound(params: EdgeParams, n: int, eps: float) -> float:
 def _gap_and_pt_norm(params: EdgeParams) -> tuple[float, float]:
     """The bound's two constants: the PT gap and the PT operator norm."""
     gap = min_positive_pt_eigenvalue(params)
-    return gap, float(np.linalg.eigvalsh(edge_state_pt(params))[-1])
+    return gap, float(edge_state(params)._pt_eigenvalues[-1])
 
 
 def _series_bound(gap: float, pt_norm: float, n: int, eps: float) -> float:

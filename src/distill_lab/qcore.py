@@ -34,7 +34,11 @@ class Dims(NamedTuple):
 class ToleranceConfig:
     """Numerical thresholds and optimizer budget shared across the library.
 
-    ``herm_tol``/``psd_tol`` gate state validation, ``spec_tol`` gates
+    ``herm_tol`` gates Hermiticity.  ``psd_tol`` gates the sign
+    decisions: the PSD check of ``BipartiteState``, the NPT rule
+    ``is_ppt``, the two-nonpositive rule ``_two_nonpositive_pt``, the
+    witness values that routes and ``verify_certificate`` accept (below
+    ``-psd_tol``), and the suites' spectrum checks.  ``spec_tol`` gates
     eigendecomposition quality, and ``rank_rel_tol`` is the relative
     singular-value cutoff for rank decisions.  ``opt_restarts`` budgets
     the product-vector search, the nudges of the two-nonpositive route and
@@ -376,5 +380,19 @@ def min_pt_eigenvalue(state: BipartiteState) -> float:
 
 
 def is_ppt(state: BipartiteState, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """True when the partial transpose has no eigenvalue below ``-psd_tol``."""
+    """True when the partial transpose has no eigenvalue below ``-psd_tol``.
+
+    The one NPT rule: every filter, route and build that asks whether a
+    state is NPT asks this, on the state's cached spectrum.
+    """
     return min_pt_eigenvalue(state) >= -cfg.psd_tol
+
+
+def _two_nonpositive_pt(state: BipartiteState, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
+    """The two-qutrit theorem's hypothesis, on the state's cached PT spectrum.
+
+    The smallest eigenvalue lies below ``-psd_tol`` (the state is NPT, as
+    ``is_ppt`` decides) and the second smallest is at most ``psd_tol``.
+    """
+    ev = state._pt_eigenvalues
+    return bool(ev[0] < -cfg.psd_tol and ev[1] <= cfg.psd_tol)

@@ -38,6 +38,7 @@ from .qcore import (
     _numeric_rank,
     _power_dims,
     _pt_power,
+    _two_nonpositive_pt,
     hermitian_eig,
     is_ppt,
     rank_kernel_range,
@@ -349,27 +350,28 @@ def two_nonpositive_witness(
     """Witness from two nonpositive eigenvalues of a two-qutrit partial transpose.
 
     Requires the smallest eigenvalue below ``-psd_tol`` and the second
-    smallest at most ``psd_tol``; returns ``None`` otherwise.  If the
-    bottom eigenvector has a singular 3x3 matricization it is itself a
-    witness; otherwise a combination ``alpha + t*beta`` with singular
-    matricization is built from a nonzero eigenvalue of ``A^-1 B``.  When
-    that matrix is nilpotent, the bottom eigenvector is perturbed with
-    shrinking magnitudes until the construction goes through.
+    smallest at most ``psd_tol``, as ``_two_nonpositive_pt`` decides from
+    the state's cached spectrum; returns ``None`` otherwise, before any
+    eigenvectors are computed.  If the bottom eigenvector has a singular
+    3x3 matricization it is itself a witness; otherwise a combination
+    ``alpha + t*beta`` with singular matricization is built from a nonzero
+    eigenvalue of ``A^-1 B``.  When that matrix is nilpotent, the bottom
+    eigenvector is perturbed with shrinking magnitudes until the
+    construction goes through.
     """
     if tuple(state.dims) != (3, 3):
         raise DimensionMismatchError("two-nonpositive route applies to 3x3 systems")
+    if not _two_nonpositive_pt(state, cfg):
+        return None
     pt = state._pt
     spec = hermitian_eig(pt, cfg)
-    lam, mu = float(spec.eigenvalues[0]), float(spec.eigenvalues[1])
-    if lam >= -cfg.psd_tol or mu > cfg.psd_tol:
-        return None
     alpha = spec.eigenvectors[:, 0]
     beta = spec.eigenvectors[:, 1]
     mat_a = alpha.reshape(3, 3)
     mat_b = beta.reshape(3, 3)
     if _numeric_rank(mat_a, cfg) <= 2:
         return _make_certificate(alpha, state, ROUTE_TWO_NONPOSITIVE, cfg)
-    if mu < -cfg.psd_tol and _numeric_rank(mat_b, cfg) <= 2:
+    if state._pt_eigenvalues[1] < -cfg.psd_tol and _numeric_rank(mat_b, cfg) <= 2:
         return _make_certificate(beta, state, ROUTE_TWO_NONPOSITIVE, cfg)
 
     def combine(vec: np.ndarray, mat_v: np.ndarray) -> Optional[tuple[float, np.ndarray]]:

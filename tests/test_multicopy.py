@@ -10,6 +10,7 @@ import distill_lab.multicopy as multicopy
 from distill_lab.edgestate import (
     DEFAULT_GRID,
     EdgeParams,
+    edge_state,
     edge_state_pt,
     maximally_entangled_qutrits,
     min_positive_pt_eigenvalue,
@@ -210,13 +211,15 @@ class TestEpsThreshold:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_closed_form_pt_built_once_per_threshold(self, monkeypatch, n):
+        # the PT norm is read from the edge state's cached spectrum, so the
+        # state is built once per threshold, not once per bisection step
         calls = []
 
-        def counted(params):
+        def counted(params, cfg=DEFAULT_TOL):
             calls.append(params)
-            return edge_state_pt(params)
+            return edge_state(params, cfg)
 
-        monkeypatch.setattr(multicopy, "edge_state_pt", counted)
+        monkeypatch.setattr(multicopy, "edge_state", counted)
         eps_threshold_for_copies(PARAMS, n)
         assert len(calls) == 1
 

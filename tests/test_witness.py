@@ -11,6 +11,7 @@ import distill_lab.qcore as qcore
 import distill_lab.witness as witness
 from distill_lab.cli import main
 from distill_lab.edgestate import (
+    DEFAULT_GRID,
     EdgeParams,
     build_edge_bundle,
     edge_state,
@@ -18,7 +19,7 @@ from distill_lab.edgestate import (
     range_product_vector,
     undistillability_margin,
 )
-from distill_lab.harness import EnsembleSpec, random_state, sample_ensemble
+from distill_lab.harness import EnsembleSpec, _passes_filter, random_state, sample_ensemble
 from distill_lab.multicopy import werner_projector
 from distill_lab.qcore import (
     DEFAULT_TOL,
@@ -274,6 +275,29 @@ class TestTwoNonpositive:
             cert = two_nonpositive_witness(state)
             assert cert is not None
             assert verify_certificate(cert, state)
+
+    def test_declines_exactly_where_the_filter_rejects(self):
+        admitted = rejected = 0
+        for rank in (4, 5, 6, 7):
+            for i in range(30):
+                state = random_state(D33, rank, derive_seed(4747, 100 * rank + i))
+                passes = _passes_filter(state, "twoNonpositivePT", DEFAULT_TOL)
+                assert (two_nonpositive_witness(state) is None) == (not passes)
+                admitted += passes
+                rejected += not passes
+        assert admitted > 0 and rejected > 0
+
+    def test_rank5_decline_computes_no_eigenvectors(self, monkeypatch):
+        bundle = build_edge_bundle(EdgeParams(*DEFAULT_GRID[0]))
+        calls = []
+
+        def counted(mat, cfg=DEFAULT_TOL):
+            calls.append(np.shape(mat))
+            return hermitian_eig(mat, cfg)
+
+        monkeypatch.setattr(witness, "hermitian_eig", counted)
+        assert two_nonpositive_witness(bundle.npt_state) is None
+        assert calls == []
 
     def test_nudge_certifies_when_the_combination_is_nilpotent(self, monkeypatch):
         # forced: the first A^-1 B reports only zero eigenvalues, as a
