@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 import distill_lab as dl
+from distill_lab.qcore import PSD_TOL
 
 D33 = dl.Dims(3, 3)
 
@@ -32,9 +33,8 @@ evals = np.linalg.eigvalsh(rho.mat)
 pt_evals = np.linalg.eigvalsh(dl.partial_transpose(rho.mat, D33))
 print(f"\n  min eigenvalue            = {evals[0]:+.2e}   (PSD)")
 print(f"  rank                      = {dl.rank_kernel_range(rho.mat)[0]}")
-tol = dl.DEFAULT_TOL.psd_tol
-print(f"  PT spectrum signature     = {int(np.sum(pt_evals < -tol))} negative, "
-      f"{int(np.sum(pt_evals > tol))} positive  (NPT)")
+print(f"  PT spectrum signature     = {int(np.sum(pt_evals < -PSD_TOL))} negative, "
+      f"{int(np.sum(pt_evals > PSD_TOL))} positive  (NPT)")
 
 print("\n" + "=" * 70)
 print("No single-copy witness exists")

@@ -54,9 +54,9 @@ def _write_output(text: str, out: Optional[str]) -> None:
             fh.write(text + "\n")
 
 
-def _load_state(path: str, cfg=DEFAULT_TOL):
+def _load_state(path: str):
     with open(path, encoding="utf-8") as fh:
-        return state_from_json(fh.read(), cfg)
+        return state_from_json(fh.read())
 
 
 def _cmd_sigma(args: argparse.Namespace) -> int:
@@ -97,7 +97,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
         cfg = replace(cfg, opt_restarts=args.restarts)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    state = _load_state(args.infile, cfg)
+    state = _load_state(args.infile)
 
     cert = certify_1_distillable(state, cfg) if args.copies == 1 else None
     if cert is None:

@@ -19,6 +19,7 @@ import numpy as np
 
 from .qcore import (
     DEFAULT_TOL,
+    PSD_TOL,
     BipartiteState,
     Dims,
     InvariantViolationError,
@@ -83,7 +84,7 @@ def maximally_entangled_qutrits() -> PureState:
     return PureState(v, QUTRIT_PAIR)
 
 
-def edge_state(params: EdgeParams, cfg: ToleranceConfig = DEFAULT_TOL) -> BipartiteState:
+def edge_state(params: EdgeParams) -> BipartiteState:
     """The 9x9 edge-family density matrix; Hermitian, PSD, trace 1, rank 5."""
     b, th = params.b, params.theta
     c = math.cos(th)
@@ -110,7 +111,7 @@ def edge_state(params: EdgeParams, cfg: ToleranceConfig = DEFAULT_TOL) -> Bipart
     s[8, 0] = s[8, 4] = -c
     s[8, 8] = 2 * c
     s /= 3 * (2 * c + b + 1 / b)
-    return BipartiteState(s, QUTRIT_PAIR, cfg)
+    return BipartiteState(s, QUTRIT_PAIR)
 
 
 def edge_state_pt(params: EdgeParams) -> np.ndarray:
@@ -164,9 +165,7 @@ def min_positive_pt_eigenvalue(params: EdgeParams) -> float:
     return min(first, second) / (6 * c + 3 * b + 3 / b)
 
 
-def range_product_vector(
-    params: EdgeParams, cfg: ToleranceConfig = DEFAULT_TOL
-) -> tuple[np.ndarray, np.ndarray]:
+def range_product_vector(params: EdgeParams) -> tuple[np.ndarray, np.ndarray]:
     """The product vector in the edge state's range, phase convention fixed.
 
     Returns local factors ``(f, g)`` with the joint normalization
@@ -183,8 +182,8 @@ def range_product_vector(
     g = np.array([1.0, -phase.conjugate() / rb, 0.0], dtype=complex)
 
     fg = np.kron(f, g)
-    sigma = edge_state(params, cfg)
-    _, kernel, _ = rank_kernel_range(sigma.mat, cfg)
+    sigma = edge_state(params)
+    _, kernel, _ = rank_kernel_range(sigma.mat)
     residual = float(np.linalg.norm(kernel.conj().T @ fg))
     if residual > 1e-10:
         raise NumericalFailureError(
@@ -200,9 +199,7 @@ def range_product_vector(
     return f, g
 
 
-def build_edge_bundle(
-    params: EdgeParams, cfg: ToleranceConfig = DEFAULT_TOL
-) -> EdgeBundle:
+def build_edge_bundle(params: EdgeParams) -> EdgeBundle:
     """Assemble the edge state, its NPT rank-5 perturbation, and the margin.
 
     ``eps`` defaults to 0.9 * gap/3 when the parameters carry none.  If the
@@ -210,27 +207,27 @@ def build_edge_bundle(
     noise is halved until it passes (the actually used value is recorded);
     shrinking below 1e-12 raises a numerical failure.
     """
-    sigma = edge_state(params, cfg)
+    sigma = edge_state(params)
     gap = min_positive_pt_eigenvalue(params)
     eps = params.eps if params.eps > 0 else 0.9 * gap / 3
     if eps > gap / 3 + 1e-15:
         raise ValueError(f"eps={eps} exceeds the undistillability budget {gap / 3}")
-    f, g = range_product_vector(params, cfg)
+    f, g = range_product_vector(params)
     proj = np.outer(np.kron(f, g), np.kron(f, g).conj())
 
     while True:
         candidate = sigma.mat - eps * proj
-        if float(np.linalg.eigvalsh(candidate)[0]) >= -cfg.psd_tol:
+        if float(np.linalg.eigvalsh(candidate)[0]) >= -PSD_TOL:
             break
         eps /= 2
         if eps < 1e-12:
             raise NumericalFailureError("eps shrank below 1e-12 without reaching PSD")
-    npt_state = BipartiteState(candidate, QUTRIT_PAIR, cfg)
+    npt_state = BipartiteState(candidate, QUTRIT_PAIR)
 
-    rank = _numeric_rank(npt_state.mat, cfg)
+    rank = _numeric_rank(npt_state.mat)
     if rank != 5:
         raise InvariantViolationError(f"perturbed edge state has rank {rank}, not 5")
-    if is_ppt(npt_state, cfg):
+    if is_ppt(npt_state):
         raise InvariantViolationError("perturbed edge state is not NPT")
 
     return EdgeBundle(
@@ -280,10 +277,10 @@ def distillable_of_rank(
         raise ValueError("target rank must lie in 5..9")
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    base_rank, _, range_basis = rank_kernel_range(base.mat, cfg)
+    base_rank, _, range_basis = rank_kernel_range(base.mat)
     if base_rank != 4:
         raise ValueError(f"base state must have rank 4, got {base_rank}")
-    if is_ppt(base, cfg):
+    if is_ppt(base):
         raise ValueError("base state must be NPT")
     if eps == 0:
         return base
@@ -293,7 +290,7 @@ def distillable_of_rank(
         gen = SplitMix64(derive_seed(cfg.seed, 3_000_000 + attempt))
         cand = [np.kron(gen.unit_vector(3), gen.unit_vector(3)) for _ in range(5)]
         stacked = np.column_stack([range_basis] + cand)
-        if _numeric_rank(stacked, cfg) == 9:
+        if _numeric_rank(stacked) == 9:
             products = cand
             break
     if products is None:
@@ -302,13 +299,13 @@ def distillable_of_rank(
     extra = rank_target - 4
     bump = sum(np.outer(p, p.conj()) for p in products[:extra])
     for _ in range(60):
-        candidate = BipartiteState(base.mat + eps * bump, base.dims, cfg)
-        ok_rank = _numeric_rank(candidate.mat, cfg) == rank_target
+        candidate = BipartiteState(base.mat + eps * bump, base.dims)
+        ok_rank = _numeric_rank(candidate.mat) == rank_target
         if not ok_rank:
             raise NumericalFailureError(
                 f"eps={eps} too small to realize rank {rank_target} numerically"
             )
-        if not is_ppt(candidate, cfg) and certify_1_distillable(candidate, cfg) is not None:
+        if not is_ppt(candidate) and certify_1_distillable(candidate, cfg) is not None:
             return candidate
         eps /= 2
     raise NumericalFailureError("noise halving exhausted without an NPT distillable state")

@@ -32,7 +32,6 @@ from .edgestate import (
     edge_state_pt,
     maximally_entangled_qutrits,
     min_positive_pt_eigenvalue,
-    range_product_vector,
 )
 from .multicopy import (
     extremal_rank2_tensor_power,
@@ -41,6 +40,8 @@ from .multicopy import (
 )
 from .qcore import (
     DEFAULT_TOL,
+    PSD_TOL,
+    RANK_REL_TOL,
     BipartiteState,
     DimensionMismatchError,
     Dims,
@@ -127,9 +128,7 @@ class SuiteReport:
         return doc
 
 
-def random_state(
-    dims: Dims, rank: int, seed: int, cfg: ToleranceConfig = DEFAULT_TOL
-) -> BipartiteState:
+def random_state(dims: Dims, rank: int, seed: int) -> BipartiteState:
     """Trace-normalized ``G G*`` with G a (dims.total x rank) complex Gaussian."""
     if not 1 <= rank <= dims.total:
         raise ValueError(f"rank must lie in 1..{dims.total}, got {rank}")
@@ -137,8 +136,8 @@ def random_state(
     g = _complex_normals([seed], dims.total * rank)[0].reshape(dims.total, rank)
     mat = g @ g.conj().T
     mat /= np.trace(mat).real
-    state = BipartiteState(mat, dims, cfg)
-    got = _numeric_rank(mat, cfg)
+    state = BipartiteState(mat, dims)
+    got = _numeric_rank(mat)
     if got != rank:
         raise NumericalFailureError(
             f"sampled state has numeric rank {got}, expected {rank}"
@@ -150,13 +149,13 @@ def _passes_filter(state: BipartiteState, name: str, cfg: ToleranceConfig) -> bo
     if name == "any":
         return True
     if name == "NPT":
-        return not is_ppt(state, cfg)
+        return not is_ppt(state)
     if name == "PPT":
-        return is_ppt(state, cfg)
+        return is_ppt(state)
     if name == "twoNonpositivePT":
-        return _two_nonpositive_pt(state, cfg)
+        return _two_nonpositive_pt(state)
     if name == "kernelHasProduct":
-        kernel = rank_kernel_range(state.mat, cfg)[1]
+        kernel = rank_kernel_range(state.mat)[1]
         if kernel.shape[1] == 0:
             return False
         return product_vector_in_subspace(kernel, state.dims, cfg) is not None
@@ -175,7 +174,7 @@ def sample_ensemble(
     attempt = 0
     consecutive = 0
     while len(states) < spec.count:
-        state = random_state(spec.dims, spec.rank, derive_seed(spec.seed, attempt), cfg)
+        state = random_state(spec.dims, spec.rank, derive_seed(spec.seed, attempt))
         attempt += 1
         if _passes_filter(state, spec.filter, cfg):
             states.append(state)
@@ -200,7 +199,7 @@ def _counterexample(trial: int, state: BipartiteState, reason: str, **extra) -> 
 
 
 def _sampled(spec: EnsembleSpec, cfg: ToleranceConfig):
-    """Trials of an ensemble suite: the sampled states; the config echoes spec and cfg."""
+    """Trials of an ensemble suite: sampled states; the config echoes spec, cfg and tolerances."""
     states, rate = sample_ensemble(spec, cfg)
     config = {
         "dims": [spec.dims.dim_a, spec.dims.dim_b],
@@ -208,8 +207,8 @@ def _sampled(spec: EnsembleSpec, cfg: ToleranceConfig):
         "count": spec.count,
         "filter": spec.filter,
         "seed": spec.seed,
-        "psd_tol": cfg.psd_tol,
-        "rank_rel_tol": cfg.rank_rel_tol,
+        "psd_tol": PSD_TOL,
+        "rank_rel_tol": RANK_REL_TOL,
         "opt_restarts": cfg.opt_restarts,
     }
     return states, config, rate
@@ -229,7 +228,7 @@ def _judge_route(
         return _counterexample(idx, state, str(exc))
     if cert is None:
         return _counterexample(idx, state, empty_reason)
-    if not verify_certificate(cert, state, cfg=cfg):
+    if not verify_certificate(cert, state):
         return _counterexample(idx, state, "certificate failed verification", value=cert.value)
     return None
 
@@ -239,7 +238,7 @@ def _judge_2x2(idx: int, state: BipartiteState, cfg: ToleranceConfig):
     hit = submatrix_2x2_scan(state, cfg)
     if hit is None:
         return _SKIP
-    if verify_certificate(hit.certificate, state, cfg=cfg):
+    if verify_certificate(hit.certificate, state):
         return None
     return _counterexample(
         idx,
@@ -258,16 +257,16 @@ def _judge_edge_point(idx: int, point: tuple[float, float], cfg: ToleranceConfig
     b, theta = point
     problems: list[str] = []
     params = EdgeParams(b, theta)
-    sigma = edge_state(params, cfg)
+    sigma = edge_state(params)
     closed = edge_state_pt(params)
     pt = sigma._pt
     mes = maximally_entangled_qutrits().vec
 
     if abs(sigma.trace - 1.0) > 1e-12:
         problems.append(f"trace {sigma.trace} != 1")
-    if _numeric_rank(sigma.mat, cfg) != 5:
+    if _numeric_rank(sigma.mat) != 5:
         problems.append("edge state rank != 5")
-    if _numeric_rank(pt, cfg) != 8:
+    if _numeric_rank(pt) != 8:
         problems.append("edge-state PT rank != 8")
     if float(np.abs(pt - closed).max()) > 1e-15:
         problems.append("closed-form PT disagrees with the permutation PT")
@@ -276,26 +275,22 @@ def _judge_edge_point(idx: int, point: tuple[float, float], cfg: ToleranceConfig
 
     gap = min_positive_pt_eigenvalue(params)
     evals = sigma._pt_eigenvalues
-    positive = evals[evals > cfg.rank_rel_tol * evals[-1]]
+    positive = evals[evals > RANK_REL_TOL * evals[-1]]
     if abs(gap - float(positive[0])) > 1e-10:
         problems.append("closed-form gap disagrees with eigendecomposition")
     bound_op = pt - gap * (np.eye(9) - np.outer(mes, mes.conj()))
-    if float(np.linalg.eigvalsh(bound_op)[0]) < -cfg.psd_tol:
+    if float(np.linalg.eigvalsh(bound_op)[0]) < -PSD_TOL:
         problems.append("operator lower bound violated at n=1")
 
+    # the bundle finds the range product vector with its membership checks
     try:
-        f, g = range_product_vector(params, cfg)
-        if abs(np.linalg.norm(np.kron(f, g)) - 1.0) > 1e-12:
+        bundle = build_edge_bundle(params)
+        if abs(np.linalg.norm(np.kron(bundle.factor_a, bundle.factor_b)) - 1.0) > 1e-12:
             problems.append("range product vector is not normalized")
-    except NumericalFailureError as exc:
-        problems.append(f"range product vector failed: {exc}")
-
-    try:
-        bundle = build_edge_bundle(params, cfg)
         pt_evals = bundle.npt_state._pt_eigenvalues
-        if int(np.sum(pt_evals < -cfg.psd_tol)) != 1:
+        if int(np.sum(pt_evals < -PSD_TOL)) != 1:
             problems.append("perturbed state does not have exactly one negative PT eigenvalue")
-        if int(np.sum(pt_evals > cfg.psd_tol)) != 8:
+        if int(np.sum(pt_evals > PSD_TOL)) != 8:
             problems.append("perturbed state does not have eight positive PT eigenvalues")
         if not bundle.margin > 0:
             problems.append("margin is not positive at the default noise")
@@ -316,13 +311,13 @@ def _multicopy_checks(spec: EnsembleSpec, cfg: ToleranceConfig):
 
     def check_operator_bound() -> None:
         gap = min_positive_pt_eigenvalue(params)
-        ws = werner_projector(cfg)
-        sigma = edge_state(params, cfg)
+        ws = werner_projector()
+        sigma = edge_state(params)
         for n in (1, 2):
             lhs, _ = _pt_power(sigma, n)
             rhs, _ = regroup_tensor_power(ws.mat, Dims(3, 3), n)
             diff = lhs - (8 * gap) ** n * rhs
-            if float(np.linalg.eigvalsh(diff)[0]) < -cfg.psd_tol:
+            if float(np.linalg.eigvalsh(diff)[0]) < -PSD_TOL:
                 raise AssertionError(f"operator bound fails at n={n}")
 
     def check_undistillable(n: int) -> None:

@@ -70,11 +70,11 @@ class MulticopyReport:
     engineering_bound: bool = False
 
 
-def werner_projector(cfg: ToleranceConfig = DEFAULT_TOL) -> BipartiteState:
+def werner_projector() -> BipartiteState:
     """(identity - MES projector) / 8: separable, trace one, rank eight, PPT."""
     mes = maximally_entangled_qutrits().vec
     mat = (np.eye(9, dtype=complex) - np.outer(mes, mes.conj())) / 8
-    return BipartiteState(mat, QUTRIT_PAIR, cfg)
+    return BipartiteState(mat, QUTRIT_PAIR)
 
 
 def max_rank2_overlap_with_mes(cfg: ToleranceConfig = DEFAULT_TOL) -> float:
@@ -108,7 +108,7 @@ def extremal_rank2_tensor_power(
     minimum to the conjectured (1/2) * 12^-n.
     """
     _check_copy_count(n)
-    rho_s = werner_projector(cfg)
+    rho_s = werner_projector()
     mat, dims = regroup_tensor_power(rho_s.mat, rho_s.dims, n)
     min_value, min_witness, max_value, max_witness = _rank2_extremes(mat, dims, cfg)
     # the product |0..0>_A |1..1>_B is basis vector 0 * 3^n + (11..1 in base 3)
@@ -175,7 +175,11 @@ def eps_threshold_for_copies(params: EdgeParams, n: int) -> float:
     """
     if n < 1:
         raise ValueError("copy count must be positive")
-    gap, pt_norm = _gap_and_pt_norm(params)
+    return _eps_threshold(*_gap_and_pt_norm(params), n)
+
+
+def _eps_threshold(gap: float, pt_norm: float, n: int) -> float:
+    """The bisection of ``eps_threshold_for_copies``, on the bound's two constants."""
     hi = gap / 3.0
     if _series_bound(gap, pt_norm, n, hi) > 0.0:
         return hi
@@ -197,22 +201,21 @@ def verify_n_undistillable(
     Builds the NPT rank-5 state at noise ``min(requested-or-default,
     eps_threshold/2)``, minimizes the rank-2 form of the n-copy partial
     transpose, and checks the numeric minimum stays positive and above the
-    analytic bound.  A violation raises; it would mean a bug, not a
-    distillation protocol.
+    analytic bound.  The bound's two constants are computed once and serve
+    the threshold and the bound.  A violation raises; it would mean a bug,
+    not a distillation protocol.
     """
     _check_copy_count(n)
-    gap = min_positive_pt_eigenvalue(params)
-    threshold = eps_threshold_for_copies(params, n)
+    gap, pt_norm = _gap_and_pt_norm(params)
+    threshold = _eps_threshold(gap, pt_norm, n)
     requested = params.eps if params.eps > 0 else 0.9 * gap / 3
     eps_used = min(requested, threshold / 2)
-    bundle: EdgeBundle = build_edge_bundle(
-        EdgeParams(params.b, params.theta, eps_used), cfg
-    )
+    bundle: EdgeBundle = build_edge_bundle(EdgeParams(params.b, params.theta, eps_used))
 
     pt, dims = _pt_power(bundle.npt_state, n)
     min_value, min_witness, max_value, max_witness = _rank2_extremes(pt, dims, cfg)
 
-    bound = undistillability_bound(bundle.params, n, bundle.eps)
+    bound = _series_bound(gap, pt_norm, n, bundle.eps)
     if min_value <= 0.0 or min_value < bound - 1e-8:
         raise InvariantViolationError(
             f"n={n} rank-2 minimum {min_value} fell below the analytic bound {bound}"

@@ -3,16 +3,19 @@
 Everything here is a pure function of numpy arrays plus an explicit
 dimension split ``Dims(dim_a, dim_b)``.  States are *not* assumed to be
 trace-normalized; rank decisions therefore use relative singular-value
-thresholds.  The partial transpose is implemented as an exact entry
-permutation (no floating-point arithmetic), so applying it twice returns
-the input bit-for-bit; a ``BipartiteState`` forms its own once and caches
-it.  ``_pt_power`` builds every n-copy witness operator, n = 1 included,
-by regrouping the n-th power of that cached transpose to (A..A : B..B).
+thresholds.  Each threshold is one module constant: ``PSD_TOL`` for sign
+decisions and ``RANK_REL_TOL`` for ranks, which the other modules share,
+and the private Hermiticity and reconstruction gates.  The partial
+transpose is implemented as an exact entry permutation (no floating-point
+arithmetic), so applying it twice returns the input bit-for-bit; a
+``BipartiteState`` forms its own once and caches it.  ``_pt_power``
+builds every n-copy witness operator, n = 1 included, by regrouping the
+n-th power of that cached transpose to (A..A : B..B).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -30,40 +33,36 @@ class Dims(NamedTuple):
         return self.dim_a * self.dim_b
 
 
+# sign decisions: the PSD check of ``BipartiteState``, the NPT rule ``is_ppt``,
+# the two-nonpositive rule ``_two_nonpositive_pt``, the witness values that
+# routes and ``verify_certificate`` accept (below ``-PSD_TOL``), and the
+# suites' spectrum checks
+PSD_TOL = 1e-9
+# relative singular-value cutoff of every rank decision (``_rank_cut``)
+RANK_REL_TOL = 1e-8
+# Hermiticity gate of ``BipartiteState`` and ``hermitian_eig``
+_HERM_TOL = 1e-10
+# reconstruction gate of ``hermitian_eig``
+_SPEC_TOL = 1e-10
+
+
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Numerical thresholds and optimizer budget shared across the library.
+    """The seed and restart budget of the library's randomized routines.
 
-    ``herm_tol`` gates Hermiticity.  ``psd_tol`` gates the sign
-    decisions: the PSD check of ``BipartiteState``, the NPT rule
-    ``is_ppt``, the two-nonpositive rule ``_two_nonpositive_pt``, the
-    witness values that routes and ``verify_certificate`` accept (below
-    ``-psd_tol``), and the suites' spectrum checks.  ``spec_tol`` gates
-    eigendecomposition quality, and ``rank_rel_tol`` is the relative
-    singular-value cutoff for rank decisions.  ``opt_restarts`` budgets
-    the product-vector search, the nudges of the two-nonpositive route and
-    the draws of the rank-raising construction; ``opt_step_tol`` is the
-    product-vector search's stop rule, and ``opt_max_iters`` caps its
-    iterations and the sweeps of the rank-2 minimizer, whose five starts
-    and relative stop are fixed.  ``seed`` makes every randomized routine
-    reproducible.
+    ``opt_restarts`` budgets the product-vector search, the nudges of the
+    two-nonpositive route and the draws of the rank-raising construction.
+    ``seed`` makes every randomized routine reproducible.  The numerical
+    thresholds are module constants: ``PSD_TOL``, ``RANK_REL_TOL`` and the
+    Hermiticity and reconstruction gates here, and the iteration cap and
+    product-search stop rule in ``witness``.
     """
 
-    herm_tol: float = 1e-10
-    psd_tol: float = 1e-9
-    spec_tol: float = 1e-10
-    rank_rel_tol: float = 1e-8
     opt_restarts: int = 64
-    opt_max_iters: int = 500
-    opt_step_tol: float = 1e-12
     seed: int = 2024
 
     def __post_init__(self) -> None:
-        for name in ("herm_tol", "psd_tol", "spec_tol", "rank_rel_tol", "opt_step_tol"):
-            v = getattr(self, name)
-            if not 0.0 <= v < 1.0:
-                raise ValueError(f"{name} must lie in [0, 1), got {v}")
-        if self.opt_restarts < 1 or self.opt_max_iters < 1:
+        if self.opt_restarts < 1:
             raise ValueError("optimizer budget must be positive")
         # restart r of each route seeds from derive_seed(seed, k * 1_000_000 + r),
         # k = 0..3, so a larger budget would make the routes share streams
@@ -111,21 +110,21 @@ class BipartiteState:
     is stored read-only, so its partial transpose ``_pt`` and that
     transpose's ascending spectrum are each formed at most once, on first
     use, and shared by every route, check, NPT filter and n-copy build.
+    The checks use the module's ``_HERM_TOL`` and ``PSD_TOL``.
     """
 
     mat: np.ndarray
     dims: Dims
-    tol: ToleranceConfig = field(default=DEFAULT_TOL, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         m = _check_dims(self.mat, self.dims).copy()
         if not np.isfinite(m).all():
             raise ValueError("state entries must be finite")
         herm_err = float(np.abs(m - m.conj().T).max())
-        if herm_err > self.tol.herm_tol:
+        if herm_err > _HERM_TOL:
             raise ValueError(f"state is not Hermitian: max deviation {herm_err:.3e}")
         evals = np.linalg.eigvalsh(m)
-        if evals[0] < -self.tol.psd_tol:
+        if evals[0] < -PSD_TOL:
             raise ValueError(f"state is not PSD: min eigenvalue {evals[0]:.3e}")
         if float(np.trace(m).real) <= 0.0:
             raise ValueError("state must have positive trace")
@@ -149,7 +148,7 @@ class BipartiteState:
         return float(np.trace(self.mat).real)
 
     def normalized(self) -> "BipartiteState":
-        return BipartiteState(self.mat / self.trace, self.dims, self.tol)
+        return BipartiteState(self.mat / self.trace, self.dims)
 
 
 @dataclass(frozen=True)
@@ -218,24 +217,25 @@ def partial_trace(mat: np.ndarray, dims: Dims, keep: str = "A") -> np.ndarray:
     raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
-def hermitian_eig(mat: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL) -> SpectralData:
+def hermitian_eig(mat: np.ndarray) -> SpectralData:
     """Eigendecomposition of a Hermitian matrix with quality checks.
 
     Raises ``DimensionMismatchError``/``ValueError`` for invalid input and
     ``NumericalFailureError`` if the solver does not converge or the
-    reconstruction drifts beyond ``spec_tol``.
+    reconstruction drifts beyond ``_SPEC_TOL``, both gates scaled by
+    ``max(max|m|, 1)``.
     """
     m = _as_square(mat)
     herm_err = float(np.abs(m - m.conj().T).max())
-    scale = max(float(np.abs(m).max()), 1e-300)
-    if herm_err > cfg.herm_tol * max(scale, 1.0):
+    scale = max(float(np.abs(m).max()), 1.0)
+    if herm_err > _HERM_TOL * scale:
         raise ValueError(f"matrix is not Hermitian: max deviation {herm_err:.3e}")
     try:
         evals, evecs = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"eigensolver did not converge: {exc}") from exc
     recon = (evecs * evals) @ evecs.conj().T
-    if float(np.abs(recon - m).max()) > cfg.spec_tol * max(scale, 1.0):
+    if float(np.abs(recon - m).max()) > _SPEC_TOL * scale:
         raise NumericalFailureError("eigendecomposition reconstruction off tolerance")
     return SpectralData(eigenvalues=evals, eigenvectors=evecs)
 
@@ -264,21 +264,21 @@ def schmidt_decompose(vec: np.ndarray, dims: Dims) -> tuple[np.ndarray, np.ndarr
     return s, u, vh.T
 
 
-def _rank_cut(s: np.ndarray, cfg: ToleranceConfig) -> int:
-    """The one rank rule: descending singular values above ``rank_rel_tol``
+def _rank_cut(s: np.ndarray) -> int:
+    """The one rank rule: descending singular values above ``RANK_REL_TOL``
     times the largest; 0 for a zero or empty matrix."""
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.count_nonzero(s > cfg.rank_rel_tol * s[0]))
+    return int(np.count_nonzero(s > RANK_REL_TOL * s[0]))
 
 
-def _numeric_rank(mat: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL) -> int:
+def _numeric_rank(mat: np.ndarray) -> int:
     """Rank of a matrix by ``_rank_cut``, from its singular values alone."""
-    return _rank_cut(np.linalg.svd(np.asarray(mat, dtype=complex), compute_uv=False), cfg)
+    return _rank_cut(np.linalg.svd(np.asarray(mat, dtype=complex), compute_uv=False))
 
 
-def schmidt_rank(vec: np.ndarray, dims: Dims, cfg: ToleranceConfig = DEFAULT_TOL) -> int:
-    """Number of Schmidt coefficients above ``rank_rel_tol`` times the largest.
+def schmidt_rank(vec: np.ndarray, dims: Dims) -> int:
+    """Number of Schmidt coefficients above ``RANK_REL_TOL`` times the largest.
 
     The Schmidt coefficients are the singular values of the ``dim_a x
     dim_b`` matricization, so this is the rank rule of
@@ -286,15 +286,13 @@ def schmidt_rank(vec: np.ndarray, dims: Dims, cfg: ToleranceConfig = DEFAULT_TOL
     local Schmidt vectors.  Raises like ``schmidt_decompose`` on a vector
     of the wrong length or the zero vector.
     """
-    return _numeric_rank(_matricize(vec, dims), cfg)
+    return _numeric_rank(_matricize(vec, dims))
 
 
-def rank_kernel_range(
-    mat: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL
-) -> tuple[int, np.ndarray, np.ndarray]:
+def rank_kernel_range(mat: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
     """Numeric rank plus orthonormal kernel and range bases (as columns).
 
-    Rank counts singular values above ``rank_rel_tol * sigma_max`` (0 for a
+    Rank counts singular values above ``RANK_REL_TOL * sigma_max`` (0 for a
     zero matrix), the same rule ``schmidt_rank`` applies; a caller that
     needs the rank alone gets it from the singular values without the
     vectors.  The kernel has ``cols - rank`` columns so the rank-nullity
@@ -304,7 +302,7 @@ def rank_kernel_range(
     if m.ndim != 2:
         raise DimensionMismatchError(f"expected a matrix, got shape {m.shape}")
     u, s, vh = np.linalg.svd(m)
-    rank = _rank_cut(s, cfg)
+    rank = _rank_cut(s)
     kernel = vh[rank:, :].conj().T
     range_basis = u[:, :rank]
     return rank, kernel, range_basis
@@ -366,12 +364,10 @@ def _pt_power(state: BipartiteState, n: int) -> tuple[np.ndarray, Dims]:
     return regroup_tensor_power(state._pt, state.dims, n)
 
 
-def tensor_power_bipartite(
-    state: BipartiteState, n: int, cfg: ToleranceConfig = DEFAULT_TOL
-) -> BipartiteState:
+def tensor_power_bipartite(state: BipartiteState, n: int) -> BipartiteState:
     """``state^(x n)`` as a bipartite state with parties grouped A..A : B..B."""
     mat, big = regroup_tensor_power(state.mat, state.dims, n)
-    return BipartiteState(mat, big, cfg)
+    return BipartiteState(mat, big)
 
 
 def min_pt_eigenvalue(state: BipartiteState) -> float:
@@ -379,20 +375,20 @@ def min_pt_eigenvalue(state: BipartiteState) -> float:
     return float(state._pt_eigenvalues[0])
 
 
-def is_ppt(state: BipartiteState, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """True when the partial transpose has no eigenvalue below ``-psd_tol``.
+def is_ppt(state: BipartiteState) -> bool:
+    """True when the partial transpose has no eigenvalue below ``-PSD_TOL``.
 
     The one NPT rule: every filter, route and build that asks whether a
     state is NPT asks this, on the state's cached spectrum.
     """
-    return min_pt_eigenvalue(state) >= -cfg.psd_tol
+    return min_pt_eigenvalue(state) >= -PSD_TOL
 
 
-def _two_nonpositive_pt(state: BipartiteState, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
+def _two_nonpositive_pt(state: BipartiteState) -> bool:
     """The two-qutrit theorem's hypothesis, on the state's cached PT spectrum.
 
-    The smallest eigenvalue lies below ``-psd_tol`` (the state is NPT, as
-    ``is_ppt`` decides) and the second smallest is at most ``psd_tol``.
+    The smallest eigenvalue lies below ``-PSD_TOL`` (the state is NPT, as
+    ``is_ppt`` decides) and the second smallest is at most ``PSD_TOL``.
     """
     ev = state._pt_eigenvalues
-    return bool(ev[0] < -cfg.psd_tol and ev[1] <= cfg.psd_tol)
+    return bool(ev[0] < -PSD_TOL and ev[1] <= PSD_TOL)

@@ -20,7 +20,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from .qcore import BipartiteState, Dims, PureState, ToleranceConfig, DEFAULT_TOL, _check_copy_count
+from .qcore import BipartiteState, Dims, PureState, _check_copy_count
 from .witness import _ROUTES, WitnessCertificate
 
 
@@ -152,9 +152,9 @@ def matrix_from_document(doc: dict) -> tuple[np.ndarray, Dims]:
     return data.reshape(rows, cols), dims
 
 
-def state_from_json(text: str, cfg: ToleranceConfig = DEFAULT_TOL) -> BipartiteState:
+def state_from_json(text: str) -> BipartiteState:
     mat, dims = matrix_from_document(_DECODER.decode(text))
-    return BipartiteState(mat, dims, cfg)
+    return BipartiteState(mat, dims)
 
 
 def pure_state_document(psi: PureState) -> dict:

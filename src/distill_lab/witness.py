@@ -29,6 +29,8 @@ import numpy as np
 
 from .qcore import (
     DEFAULT_TOL,
+    PSD_TOL,
+    RANK_REL_TOL,
     BipartiteState,
     DimensionMismatchError,
     Dims,
@@ -173,6 +175,10 @@ _RANK2_STARTS = 5
 # a rank-2 row stops once a sweep gains at most this fraction of max|eig X|;
 # relative, so that minimizing c*X takes the same sweeps as minimizing X
 _RANK2_REL_STOP = 1e-6
+# most sweeps of a rank-2 start, and most steps of a product-search restart
+_OPT_MAX_ITERS = 500
+# a product-search restart stops once a step gains at most this much
+_PRODUCT_STEP_TOL = 1e-12
 
 
 def _bottom(comp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -230,12 +236,11 @@ def min_rank2_expectation(
     lockstep: B from the two leading Schmidt frames of the bottom
     eigenvector of X, and four Haar-random frames drawn from
     ``derive_seed(cfg.seed, r)``, r = 0..3.  A start stops once a sweep
-    gains at most 1e-6 * max|eig X|, or after ``cfg.opt_max_iters``
-    sweeps; ``opt_restarts`` and ``opt_step_tol`` do not apply here.  The
-    value is recomputed from the 4x4 compression onto the best start's
-    frames, the earliest start winning ties.  The result never undercuts
-    the true minimum over all unit vectors, and no global-optimality claim
-    is made.
+    gains at most 1e-6 * max|eig X|, or after ``_OPT_MAX_ITERS`` sweeps;
+    ``cfg.opt_restarts`` does not apply here.  The value is recomputed
+    from the 4x4 compression onto the best start's frames, the earliest
+    start winning ties.  The result never undercuts the true minimum over
+    all unit vectors, and no global-optimality claim is made.
 
     The last call is remembered: a call whose matrix (shape and bytes after
     conversion to complex), ``dims`` and ``cfg`` all equal the previous
@@ -254,7 +259,7 @@ def min_rank2_expectation(
         )
     if min(ma, mb) < 2:
         raise DimensionMismatchError("rank-2 ansatz needs both local dimensions >= 2")
-    spec = hermitian_eig(m, cfg)
+    spec = hermitian_eig(m)
     scale = float(np.abs(spec.eigenvalues).max())
 
     fb = np.empty((_RANK2_STARTS, mb, 2), dtype=complex)
@@ -266,7 +271,7 @@ def min_rank2_expectation(
     fa = np.zeros((_RANK2_STARTS, ma, 2), dtype=complex)
     vals, fa, fb = _lockstep(
         lambda fa, fb: _als_sweep(m, dims, fa, fb),
-        (fa, fb), cfg.opt_max_iters, _RANK2_REL_STOP * scale,
+        (fa, fb), _OPT_MAX_ITERS, _RANK2_REL_STOP * scale,
     )
     best = int(np.argmin(vals))
     w_op = np.kron(fa[best], fb[best])
@@ -292,7 +297,7 @@ def _make_certificate(
     v = v / np.linalg.norm(v)
     value = pt_quadratic_form(v, state, copies)
     dims = _power_dims(state.dims, copies)
-    rank = schmidt_rank(v, dims, cfg)
+    rank = schmidt_rank(v, dims)
     return WitnessCertificate(
         psi=PureState(v, dims),
         value=value,
@@ -349,8 +354,8 @@ def two_nonpositive_witness(
 ) -> Optional[WitnessCertificate]:
     """Witness from two nonpositive eigenvalues of a two-qutrit partial transpose.
 
-    Requires the smallest eigenvalue below ``-psd_tol`` and the second
-    smallest at most ``psd_tol``, as ``_two_nonpositive_pt`` decides from
+    Requires the smallest eigenvalue below ``-PSD_TOL`` and the second
+    smallest at most ``PSD_TOL``, as ``_two_nonpositive_pt`` decides from
     the state's cached spectrum; returns ``None`` otherwise, before any
     eigenvectors are computed.  If the bottom eigenvector has a singular
     3x3 matricization it is itself a witness; otherwise a combination
@@ -361,17 +366,17 @@ def two_nonpositive_witness(
     """
     if tuple(state.dims) != (3, 3):
         raise DimensionMismatchError("two-nonpositive route applies to 3x3 systems")
-    if not _two_nonpositive_pt(state, cfg):
+    if not _two_nonpositive_pt(state):
         return None
     pt = state._pt
-    spec = hermitian_eig(pt, cfg)
+    spec = hermitian_eig(pt)
     alpha = spec.eigenvectors[:, 0]
     beta = spec.eigenvectors[:, 1]
     mat_a = alpha.reshape(3, 3)
     mat_b = beta.reshape(3, 3)
-    if _numeric_rank(mat_a, cfg) <= 2:
+    if _numeric_rank(mat_a) <= 2:
         return _make_certificate(alpha, state, ROUTE_TWO_NONPOSITIVE, cfg)
-    if state._pt_eigenvalues[1] < -cfg.psd_tol and _numeric_rank(mat_b, cfg) <= 2:
+    if state._pt_eigenvalues[1] < -PSD_TOL and _numeric_rank(mat_b) <= 2:
         return _make_certificate(beta, state, ROUTE_TWO_NONPOSITIVE, cfg)
 
     def combine(vec: np.ndarray, mat_v: np.ndarray) -> Optional[tuple[float, np.ndarray]]:
@@ -379,14 +384,14 @@ def two_nonpositive_witness(
         n_mat = np.linalg.solve(mat_v, mat_b)
         eigs = np.linalg.eigvals(n_mat)
         n_norm = float(np.linalg.norm(n_mat, 2))
-        usable = [s for s in eigs if abs(s) > cfg.rank_rel_tol * max(n_norm, 1e-300)]
+        usable = [s for s in eigs if abs(s) > RANK_REL_TOL * max(n_norm, 1e-300)]
         best: Optional[tuple[float, np.ndarray]] = None
         for s in sorted(usable, key=abs, reverse=True):
             t = -1.0 / s
             phi = vec + t * beta
             phi = phi / np.linalg.norm(phi)
             val = float(np.real(phi.conj() @ pt @ phi))
-            if val >= -cfg.psd_tol or schmidt_rank(phi, state.dims, cfg) > 2:
+            if val >= -PSD_TOL or schmidt_rank(phi, state.dims) > 2:
                 continue
             if best is None or val < best[0]:
                 best = (val, phi)
@@ -403,10 +408,10 @@ def two_nonpositive_witness(
         eta = gen.unit_vector(9)
         alpha_p = alpha + delta * eta
         alpha_p = alpha_p / np.linalg.norm(alpha_p)
-        if float(np.real(alpha_p.conj() @ pt @ alpha_p)) >= -cfg.psd_tol:
+        if float(np.real(alpha_p.conj() @ pt @ alpha_p)) >= -PSD_TOL:
             continue
         mat_ap = alpha_p.reshape(3, 3)
-        if _numeric_rank(mat_ap, cfg) <= 2:
+        if _numeric_rank(mat_ap) <= 2:
             return _make_certificate(
                 alpha_p, state, ROUTE_TWO_NONPOSITIVE, cfg, delta=delta
             )
@@ -421,12 +426,12 @@ def two_nonpositive_witness(
 
 
 def _product_search_descent(
-    ck: np.ndarray, a: np.ndarray, b: np.ndarray, cfg: ToleranceConfig
+    ck: np.ndarray, a: np.ndarray, b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Alternating smallest-singular-vector steps, one start per row of ``a``, ``b``.
 
     A row stops once the smallest singular value drops below 1e-9 or
-    improves by at most ``opt_step_tol``; returns the final rows.
+    improves by at most ``_PRODUCT_STEP_TOL``; returns the final rows.
     """
 
     def step(a, b):
@@ -434,7 +439,7 @@ def _product_search_descent(
         _, s, vh = np.linalg.svd(np.einsum("dmn,rn->rdm", ck, b))
         return s[:, -1], (vh[:, -1, :].conj(), b)
 
-    return _lockstep(step, (a, b), cfg.opt_max_iters, cfg.opt_step_tol, floor=1e-9)[1:]
+    return _lockstep(step, (a, b), _OPT_MAX_ITERS, _PRODUCT_STEP_TOL, floor=1e-9)[1:]
 
 
 def product_vector_in_subspace(
@@ -481,7 +486,7 @@ def product_vector_in_subspace(
             break
         seeds = [derive_seed(cfg.seed, 2_000_000 + r) for r in restarts]
         g = _complex_normals(seeds, ma + mb)[0]
-        a, b = _product_search_descent(ck, _unit_rows(g[:, :ma]), _unit_rows(g[:, ma:]), cfg)
+        a, b = _product_search_descent(ck, _unit_rows(g[:, :ma]), _unit_rows(g[:, ma:]))
         c_of_a = np.einsum("dmn,rm->rdn", ck, a)
         smallest = np.linalg.svd(c_of_a, compute_uv=False)[:, -1]
         for j in np.flatnonzero(smallest < 1e-8):
@@ -527,9 +532,9 @@ def kernel_product_witness(
     """
     if tuple(state.dims) != (3, 3):
         raise DimensionMismatchError("kernel-product route applies to 3x3 systems")
-    if is_ppt(state, cfg):
+    if is_ppt(state):
         return None
-    rank, kernel, _ = rank_kernel_range(state.mat, cfg)
+    rank, kernel, _ = rank_kernel_range(state.mat)
     if kernel.shape[1] == 0:
         return None
     found = product_vector_in_subspace(kernel, state.dims, cfg)
@@ -539,12 +544,12 @@ def kernel_product_witness(
     u = _rotate_to_first(a)
     v = _rotate_to_first(b)
     uv = np.kron(u, v)
-    rotated = BipartiteState(uv @ state.mat @ uv.conj().T, state.dims, cfg)
+    rotated = BipartiteState(uv @ state.mat @ uv.conj().T, state.dims)
     pullback = np.kron(u.T, v.conj().T)
 
     hit = submatrix_2x2_scan(rotated, cfg)
     cert_rotated: Optional[WitnessCertificate] = None
-    if hit is not None and _usable(hit.certificate, cfg):
+    if hit is not None and _usable(hit.certificate):
         cert_rotated = hit.certificate
     if cert_rotated is None:
         cert_rotated = two_nonpositive_witness(rotated, cfg)
@@ -552,13 +557,13 @@ def kernel_product_witness(
         return None
     psi = pullback @ cert_rotated.psi.vec
     cert = _make_certificate(psi, state, ROUTE_KERNEL_PRODUCT, cfg)
-    if not _usable(cert, cfg):
+    if not _usable(cert):
         return None
     return cert
 
 
-def _usable(cert: Optional[WitnessCertificate], cfg: ToleranceConfig) -> bool:
-    return cert is not None and cert.schmidt_rank <= 2 and cert.value < -cfg.psd_tol
+def _usable(cert: Optional[WitnessCertificate]) -> bool:
+    return cert is not None and cert.schmidt_rank <= 2 and cert.value < -PSD_TOL
 
 
 def certify_1_distillable(
@@ -567,24 +572,24 @@ def certify_1_distillable(
     """Try every constructive route, then the generic minimizer.
 
     Returns the first verifiable certificate, or ``None`` when no witness
-    with value below ``-psd_tol`` was found.  ``None`` on its own is not a
+    with value below ``-PSD_TOL`` was found.  ``None`` on its own is not a
     proof of undistillability.
     """
-    if is_ppt(state, cfg):
+    if is_ppt(state):
         return None
     ma, mb = state.dims
     if min(ma, mb) == 2:
-        spec = hermitian_eig(state._pt, cfg)
+        spec = hermitian_eig(state._pt)
         return _make_certificate(spec.eigenvectors[:, 0], state, ROUTE_OPTIMIZER, cfg)
     hit = submatrix_2x2_scan(state, cfg)
-    if hit is not None and _usable(hit.certificate, cfg):
+    if hit is not None and _usable(hit.certificate):
         return hit.certificate
     if (ma, mb) == (3, 3):
         cert = two_nonpositive_witness(state, cfg)
-        if _usable(cert, cfg):
+        if _usable(cert):
             return cert
         cert = kernel_product_witness(state, cfg)
-        if _usable(cert, cfg):
+        if _usable(cert):
             return cert
     _, cert = best_rank2_witness(state, 1, cfg)
     return cert
@@ -596,17 +601,17 @@ def best_rank2_witness(
     """Best rank-2 value of the n-copy partial transpose, plus a certificate.
 
     The certificate is present exactly when the best value found drops
-    below ``-psd_tol``; the value itself is always reported (a positive
+    below ``-PSD_TOL``; the value itself is always reported (a positive
     best value over many restarts is evidence, not proof, of
     undistillability).
     """
     pt, dims = _pt_power(state, copies)
     value, ansatz = min_rank2_expectation(pt, dims, cfg)
-    if value < -cfg.psd_tol:
+    if value < -PSD_TOL:
         cert = _make_certificate(
             ansatz.vector(), state, ROUTE_OPTIMIZER, cfg, copies=copies
         )
-        if _usable(cert, cfg):
+        if _usable(cert):
             return value, cert
     return value, None
 
@@ -615,17 +620,16 @@ def verify_certificate(
     cert: WitnessCertificate,
     state: BipartiteState,
     copies: Optional[int] = None,
-    cfg: ToleranceConfig = DEFAULT_TOL,
 ) -> bool:
     """Recompute a certificate from raw data and check it end to end.
 
     True iff the witness has Schmidt rank at most 2 across the n-copy
-    bipartition, its recomputed value is below ``-psd_tol``, and the
+    bipartition, its recomputed value is below ``-PSD_TOL``, and the
     stored value matches the recomputation to 1e-10.
     """
     n = cert.copies if copies is None else copies
     psi = cert.psi.vec
     # a witness of the wrong length raises DimensionMismatchError here
-    rank = schmidt_rank(psi, _power_dims(state.dims, n), cfg)
+    rank = schmidt_rank(psi, _power_dims(state.dims, n))
     value = pt_quadratic_form(psi, state, n)
-    return bool(rank <= 2 and value < -cfg.psd_tol and abs(value - cert.value) <= 1e-10)
+    return bool(rank <= 2 and value < -PSD_TOL and abs(value - cert.value) <= 1e-10)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import distill_lab as dl
-from distill_lab.qcore import Dims, partial_transpose, rank_kernel_range
+from distill_lab.qcore import PSD_TOL, Dims, partial_transpose, rank_kernel_range
 from distill_lab.rng import SplitMix64, derive_seed, random_unitary
 
 D33 = Dims(3, 3)
@@ -99,11 +99,11 @@ def test_criterion_5_rank5_state_admits_no_witness():
     assert bundle.eps == pytest.approx(0.9 * bundle.p1 / 3, abs=1e-18)
 
     evals = np.linalg.eigvalsh(bundle.npt_state.mat)
-    assert evals[0] >= -dl.DEFAULT_TOL.psd_tol
+    assert evals[0] >= -PSD_TOL
     assert rank_kernel_range(bundle.npt_state.mat)[0] == 5
     pt_evals = np.linalg.eigvalsh(partial_transpose(bundle.npt_state.mat, D33))
-    assert int(np.sum(pt_evals < -dl.DEFAULT_TOL.psd_tol)) == 1
-    assert int(np.sum(pt_evals > dl.DEFAULT_TOL.psd_tol)) == 8
+    assert int(np.sum(pt_evals < -PSD_TOL)) == 1
+    assert int(np.sum(pt_evals > PSD_TOL)) == 8
 
     assert dl.DEFAULT_TOL.opt_restarts >= 64
     assert dl.certify_1_distillable(bundle.npt_state) is None
@@ -187,7 +187,7 @@ def test_criterion_10_core_invariants():
         for _ in range(40):
             fg = np.kron(gen.unit_vector(3), gen.unit_vector(3))
             val = float(np.real(fg.conj() @ pt @ fg))
-            assert val >= -dl.DEFAULT_TOL.psd_tol
+            assert val >= -PSD_TOL
 
     # Schmidt coefficients are invariant under local unitaries
     v = gen.unit_vector(9)

@@ -19,7 +19,8 @@ from distill_lab.edgestate import (
 )
 from distill_lab.harness import EnsembleSpec, sample_ensemble
 from distill_lab.qcore import (
-    DEFAULT_TOL,
+    PSD_TOL,
+    RANK_REL_TOL,
     Dims,
     partial_transpose,
     rank_kernel_range,
@@ -141,7 +142,7 @@ class TestRandomParameterSweep:
             smallest_positive = float(evals[evals > 1e-13][0])
             gap = min_positive_pt_eigenvalue(params)
             assert abs(gap - smallest_positive) <= 1e-10
-            if gap > 10 * DEFAULT_TOL.rank_rel_tol * float(evals[-1]):
+            if gap > 10 * RANK_REL_TOL * float(evals[-1]):
                 assert rank_kernel_range(sigma.mat)[0] == 5
                 assert rank_kernel_range(pt)[0] == 8
 
@@ -206,8 +207,8 @@ class TestBundle:
         evals = np.linalg.eigvalsh(
             partial_transpose(bundle.npt_state.mat, D33)
         )
-        assert int(np.sum(evals < -DEFAULT_TOL.psd_tol)) == 1
-        assert int(np.sum(evals > DEFAULT_TOL.psd_tol)) == 8
+        assert int(np.sum(evals < -PSD_TOL)) == 1
+        assert int(np.sum(evals > PSD_TOL)) == 8
 
     def test_kernel_is_completely_entangled(self):
         bundle = build_edge_bundle(EdgeParams(1.0, math.pi / 6))

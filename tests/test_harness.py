@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import distill_lab.edgestate as edgestate
 import distill_lab.harness as harness
 from distill_lab.edgestate import DEFAULT_GRID
 from distill_lab.harness import (
@@ -15,6 +16,7 @@ from distill_lab.harness import (
     sample_ensemble,
 )
 from distill_lab.qcore import (
+    DEFAULT_TOL,
     DimensionMismatchError,
     Dims,
     InvariantViolationError,
@@ -175,6 +177,20 @@ class TestSuites:
         report = run_suite("edge-family")
         assert report.trials == 12
         assert report.passes == 12
+
+    def test_edge_point_builds_the_edge_state_three_times(self, monkeypatch):
+        # the trial's own state, then the bundle's state and its range-membership check
+        calls = []
+        real = edgestate.edge_state
+
+        def counted(params, *rest):
+            calls.append(params)
+            return real(params, *rest)
+
+        monkeypatch.setattr(harness, "edge_state", counted)
+        monkeypatch.setattr(edgestate, "edge_state", counted)
+        assert harness._judge_edge_point(0, DEFAULT_GRID[0], DEFAULT_TOL) is None
+        assert len(calls) == 3
 
     def test_multicopy_counts_library_errors(self, monkeypatch):
         def fail(*args, **kwargs):

@@ -209,19 +209,29 @@ class TestEpsThreshold:
         params = EdgeParams(*DEFAULT_GRID[point])
         assert eps_threshold_for_copies(params, n) == float.fromhex(expected)
 
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_closed_form_pt_built_once_per_threshold(self, monkeypatch, n):
-        # the PT norm is read from the edge state's cached spectrum, so the
-        # state is built once per threshold, not once per bisection step
+    @pytest.fixture
+    def edge_builds(self, monkeypatch):
         calls = []
 
-        def counted(params, cfg=DEFAULT_TOL):
+        def counted(params):
             calls.append(params)
-            return edge_state(params, cfg)
+            return edge_state(params)
 
         monkeypatch.setattr(multicopy, "edge_state", counted)
+        return calls
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_closed_form_pt_built_once_per_threshold(self, edge_builds, n):
+        # the PT norm is read from the edge state's cached spectrum, so the
+        # state is built once per threshold, not once per bisection step
         eps_threshold_for_copies(PARAMS, n)
-        assert len(calls) == 1
+        assert len(edge_builds) == 1
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_report_reads_bound_constants_once(self, edge_builds, n):
+        # one PT-norm read serves both the threshold and the analytic bound
+        verify_n_undistillable(PARAMS, n)
+        assert len(edge_builds) == 1
 
     def test_single_copy_bound_is_linear(self):
         gap = min_positive_pt_eigenvalue(PARAMS)

@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from distill_lab.qcore import (
-    DEFAULT_TOL,
+    RANK_REL_TOL,
     BipartiteState,
     DimensionMismatchError,
     Dims,
     PureState,
     ToleranceConfig,
+    _SPEC_TOL,
     _numeric_rank,
     _pt_power,
     hermitian_eig,
@@ -218,8 +219,8 @@ class TestHermitianEig:
             v = spec.eigenvectors
             scale = max(float(np.abs(h).max()), 1.0)
             recon = (v * spec.eigenvalues) @ v.conj().T
-            assert float(np.abs(recon - h).max()) <= DEFAULT_TOL.spec_tol * scale
-            assert float(np.abs(v.conj().T @ v - np.eye(dim)).max()) <= DEFAULT_TOL.spec_tol
+            assert float(np.abs(recon - h).max()) <= _SPEC_TOL * scale
+            assert float(np.abs(v.conj().T @ v - np.eye(dim)).max()) <= _SPEC_TOL
 
 
 class TestSchmidt:
@@ -297,12 +298,12 @@ def _decomposition_rank(m: np.ndarray) -> int:
     s = np.linalg.svd(np.asarray(m, dtype=complex))[1]
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.sum(s > DEFAULT_TOL.rank_rel_tol * s[0]))
+    return int(np.sum(s > RANK_REL_TOL * s[0]))
 
 
 def _decomposition_schmidt_rank(vec: np.ndarray, dims: Dims) -> int:
     s, _, _ = schmidt_decompose(vec, dims)
-    return int(np.sum(s > DEFAULT_TOL.rank_rel_tol * s[0]))
+    return int(np.sum(s > RANK_REL_TOL * s[0]))
 
 
 class TestSingularValueRank:
@@ -506,3 +507,8 @@ class TestToleranceConfig:
     def test_rejects_empty_budget(self):
         with pytest.raises(ValueError):
             ToleranceConfig(opt_restarts=0)
+
+    def test_thresholds_are_not_fields(self):
+        # the thresholds are module constants; only the seed and the budget are settable
+        with pytest.raises(TypeError):
+            ToleranceConfig(psd_tol=1e-7)

@@ -23,6 +23,7 @@ from distill_lab.harness import EnsembleSpec, _passes_filter, random_state, samp
 from distill_lab.multicopy import werner_projector
 from distill_lab.qcore import (
     DEFAULT_TOL,
+    PSD_TOL,
     BipartiteState,
     DimensionMismatchError,
     Dims,
@@ -135,9 +136,9 @@ class TestMinimizerMemo:
     def eig_calls(self, monkeypatch):
         calls = []
 
-        def counted(mat, cfg=DEFAULT_TOL):
+        def counted(mat):
             calls.append(np.shape(mat))
-            return hermitian_eig(mat, cfg)
+            return hermitian_eig(mat)
 
         witness._last_minimum.clear()
         monkeypatch.setattr(witness, "hermitian_eig", counted)
@@ -291,9 +292,9 @@ class TestTwoNonpositive:
         bundle = build_edge_bundle(EdgeParams(*DEFAULT_GRID[0]))
         calls = []
 
-        def counted(mat, cfg=DEFAULT_TOL):
+        def counted(mat):
             calls.append(np.shape(mat))
-            return hermitian_eig(mat, cfg)
+            return hermitian_eig(mat)
 
         monkeypatch.setattr(witness, "hermitian_eig", counted)
         assert two_nonpositive_witness(bundle.npt_state) is None
@@ -327,7 +328,7 @@ class TestTwoNonpositive:
             state = random_state(D33, 5, derive_seed(313, i))
             pt = partial_transpose(state.mat, D33)
             evals, evecs = np.linalg.eigh(pt)
-            if not (evals[0] < -1e-6 and evals[1] <= DEFAULT_TOL.psd_tol):
+            if not (evals[0] < -1e-6 and evals[1] <= PSD_TOL):
                 continue
             mat_a = evecs[:, 0].reshape(3, 3)
             mat_b = evecs[:, 1].reshape(3, 3)
@@ -384,9 +385,9 @@ class TestProductVectorSearch:
         blocks = []
         descent = witness._product_search_descent
 
-        def counted(ck, a, b, cfg):
+        def counted(ck, a, b):
             blocks.append(a.shape[0])
-            return descent(ck, a, b, cfg)
+            return descent(ck, a, b)
 
         monkeypatch.setattr(witness, "_product_search_descent", counted)
         _, kernel, _ = rank_kernel_range(edge_state(EdgeParams(1.0, math.pi / 6)).mat)
@@ -474,7 +475,7 @@ class TestKernelProductWitness:
         cert = kernel_product_witness(state)
         assert len(rotated) == 1 and rotated[0] is not None
         assert cert is not None and cert.route == ROUTE_KERNEL_PRODUCT
-        assert cert.value < -DEFAULT_TOL.psd_tol
+        assert cert.value < -PSD_TOL
         assert verify_certificate(cert, state)
 
     def test_edge_perturbation_returns_empty(self):
@@ -524,7 +525,7 @@ class TestCertify:
             rotated = BipartiteState(uv @ state.mat @ uv.conj().T, D33)
             cert = certify_1_distillable(rotated)
             assert cert is not None
-            assert cert.value < -DEFAULT_TOL.psd_tol
+            assert cert.value < -PSD_TOL
             assert verify_certificate(cert, rotated)
 
 
@@ -601,7 +602,7 @@ class TestLemmaOneProperty:
                 fsg = np.kron(f.conj(), g)
                 rhs = float(np.real(fsg.conj() @ state.mat @ fsg))
                 assert abs(lhs - rhs) < 1e-12
-                assert lhs >= -DEFAULT_TOL.psd_tol
+                assert lhs >= -PSD_TOL
 
     def test_certified_witnesses_have_rank_exactly_two(self):
         spec = EnsembleSpec(dims=D33, rank=4, count=10, filter="NPT", seed=140)

@@ -3,8 +3,9 @@
 The reference function below is the sequential implementation of
 ``product_vector_in_subspace``, kept verbatim as an oracle, except that
 it zero-pads its constraint matrix to at least dB rows, as the library
-does.  The stacked version must reproduce it byte for byte: returned
-vectors and found versus ``None``.
+does, and reads the library's iteration cap and stop rule at call time.
+The stacked version must reproduce it byte for byte: returned vectors
+and found versus ``None``.
 """
 
 import math
@@ -14,6 +15,7 @@ from typing import Optional
 
 import numpy as np
 
+import distill_lab.witness as witness
 from distill_lab.edgestate import EdgeParams, build_edge_bundle
 from distill_lab.harness import random_state
 from distill_lab.qcore import DEFAULT_TOL, Dims, ToleranceConfig, rank_kernel_range
@@ -43,7 +45,7 @@ def reference_product_vector_in_subspace(
         a = gen.unit_vector(ma)
         b = gen.unit_vector(mb)
         smin_prev = np.inf
-        for _ in range(cfg.opt_max_iters):
+        for _ in range(witness._OPT_MAX_ITERS):
             c_of_a = np.einsum("dmn,m->dn", ck, a)
             _, s, vh = np.linalg.svd(c_of_a)
             b = vh[-1, :].conj()
@@ -51,7 +53,7 @@ def reference_product_vector_in_subspace(
             _, s, vh = np.linalg.svd(d_of_b)
             a = vh[-1, :].conj()
             smin = float(s[-1])
-            if smin < 1e-9 or smin_prev - smin <= cfg.opt_step_tol:
+            if smin < 1e-9 or smin_prev - smin <= witness._PRODUCT_STEP_TOL:
                 break
             smin_prev = smin
         c_of_a = np.einsum("dmn,m->dn", ck, a)
@@ -81,8 +83,8 @@ def assert_same_search(basis: np.ndarray, dims: Dims, cfg: ToleranceConfig) -> b
     return want is not None
 
 
-def _cfg(restarts: int, seed: int, **kw) -> ToleranceConfig:
-    return replace(DEFAULT_TOL, opt_restarts=restarts, seed=seed, **kw)
+def _cfg(restarts: int, seed: int) -> ToleranceConfig:
+    return replace(DEFAULT_TOL, opt_restarts=restarts, seed=seed)
 
 
 # ---- product-vector search --------------------------------------------------
@@ -111,14 +113,15 @@ def test_search_rank5_kernels_exhaust_restarts():
         assert not assert_same_search(kernel, D33, DEFAULT_TOL)
 
 
-def test_search_success_after_first_restart():
+def test_search_success_after_first_restart(monkeypatch):
     """A short iteration budget makes early restarts fail and later ones succeed."""
+    monkeypatch.setattr(witness, "_OPT_MAX_ITERS", 10)
     late = 0
     for dims in (D33, D24):
         for i in range(12):
             state = random_state(dims, 4, derive_seed(9500, i))
             _, kernel, _ = rank_kernel_range(state.mat)
-            cfg = _cfg(13, seed=i, opt_max_iters=10)
+            cfg = _cfg(13, seed=i)
             found = assert_same_search(kernel, dims, cfg)
             first_only = replace(cfg, opt_restarts=1)
             first = reference_product_vector_in_subspace(kernel, dims, first_only)
