@@ -31,7 +31,7 @@ from .qcore import (
     rank_kernel_range,
 )
 from .rng import SplitMix64, derive_seed
-from .witness import certify_1_distillable, min_rank2_expectation
+from .witness import best_rank2_witness, certify_1_distillable
 
 QUTRIT_PAIR = Dims(3, 3)
 
@@ -175,6 +175,13 @@ def range_product_vector(params: EdgeParams) -> tuple[np.ndarray, np.ndarray]:
     up to that prefactor.  Verifies membership in the range and that the
     conjugated version leaves the range of the partial transpose.
     """
+    return _range_product_vector(params, edge_state(params))
+
+
+def _range_product_vector(
+    params: EdgeParams, sigma: BipartiteState
+) -> tuple[np.ndarray, np.ndarray]:
+    """``range_product_vector`` checked against an already built ``edge_state(params)``."""
     b, th = params.b, params.theta
     rb = math.sqrt(b)
     phase = complex(math.cos(th / 2), math.sin(th / 2))
@@ -182,7 +189,6 @@ def range_product_vector(params: EdgeParams) -> tuple[np.ndarray, np.ndarray]:
     g = np.array([1.0, -phase.conjugate() / rb, 0.0], dtype=complex)
 
     fg = np.kron(f, g)
-    sigma = edge_state(params)
     _, kernel, _ = rank_kernel_range(sigma.mat)
     residual = float(np.linalg.norm(kernel.conj().T @ fg))
     if residual > 1e-10:
@@ -212,7 +218,7 @@ def build_edge_bundle(params: EdgeParams) -> EdgeBundle:
     eps = params.eps if params.eps > 0 else 0.9 * gap / 3
     if eps > gap / 3 + 1e-15:
         raise ValueError(f"eps={eps} exceeds the undistillability budget {gap / 3}")
-    f, g = range_product_vector(params)
+    f, g = _range_product_vector(params, sigma)
     proj = np.outer(np.kron(f, g), np.kron(f, g).conj())
 
     while True:
@@ -250,8 +256,9 @@ def undistillability_margin(
 
     Also runs the numeric minimizer and demands it never undercut the
     bound; a violation would indicate a bookkeeping bug, not new physics.
+    The minimum is the one ``best_rank2_witness`` keeps on the state.
     """
-    value, _ = min_rank2_expectation(bundle.npt_state._pt, bundle.npt_state.dims, cfg)
+    value, _ = best_rank2_witness(bundle.npt_state, 1, cfg)
     if value < bundle.margin - 1e-8:
         raise InvariantViolationError(
             f"rank-2 minimum {value} violates the proven bound {bundle.margin}"

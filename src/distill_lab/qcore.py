@@ -110,6 +110,8 @@ class BipartiteState:
     is stored read-only, so its partial transpose ``_pt`` and that
     transpose's ascending spectrum are each formed at most once, on first
     use, and shared by every route, check, NPT filter and n-copy build.
+    Likewise ``_rank2_minima`` keeps the rank-2 minima that
+    ``witness.best_rank2_witness`` finds, one per copy count and config.
     The checks use the module's ``_HERM_TOL`` and ``PSD_TOL``.
     """
 
@@ -142,6 +144,10 @@ class BipartiteState:
         ev = np.linalg.eigvalsh(self._pt)
         ev.setflags(write=False)
         return ev
+
+    @cached_property
+    def _rank2_minima(self) -> dict:  # (copies, cfg) -> (value, read-only ansatz)
+        return {}
 
     @property
     def trace(self) -> float:

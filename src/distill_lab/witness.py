@@ -216,13 +216,6 @@ def _als_sweep(
     return values, (fa, fb)
 
 
-# (key, result) of the last min_rank2_expectation call, at most one entry; a
-# rank-5 check minimizes one partial transpose twice (certify_1_distillable,
-# then undistillability_margin).  Refilled in place, never rebound; a list,
-# not a dict, so that a call compares the matrix bytes instead of hashing them
-_last_minimum: list[tuple[tuple, tuple[float, Rank2Ansatz]]] = []
-
-
 def min_rank2_expectation(
     x: np.ndarray, dims: Dims, cfg: ToleranceConfig = DEFAULT_TOL
 ) -> tuple[float, Rank2Ansatz]:
@@ -242,16 +235,9 @@ def min_rank2_expectation(
     start winning ties.  The result never undercuts the true minimum over
     all unit vectors, and no global-optimality claim is made.
 
-    The last call is remembered: a call whose matrix (shape and bytes after
-    conversion to complex), ``dims`` and ``cfg`` all equal the previous
-    call's returns the same value and the same read-only ansatz without
-    recomputing.  A call that raises is not remembered.
+    Every call computes; ``best_rank2_witness`` keeps a state's minima.
     """
     m = np.asarray(x, dtype=complex)
-    key = (m.shape, m.tobytes(), tuple(dims), cfg)
-    for last_key, last in _last_minimum:
-        if last_key == key:
-            return last
     ma, mb = dims
     if m.shape != (dims.total, dims.total):
         raise DimensionMismatchError(
@@ -281,8 +267,16 @@ def min_rank2_expectation(
     ansatz = Rank2Ansatz(fa[best], fb[best], v4[:, 0].reshape(2, 2))
     psi = ansatz.vector()
     value = float(np.real(psi.conj() @ m @ psi))
-    _last_minimum[:] = [(key, (value, ansatz))]
     return value, ansatz
+
+
+def _accepts(value: float, rank: int) -> bool:
+    """The one witness rule: Schmidt rank at most 2 and a form below ``-PSD_TOL``."""
+    return bool(rank <= 2 and value < -PSD_TOL)
+
+
+def _usable(cert: Optional[WitnessCertificate]) -> bool:
+    return cert is not None and _accepts(cert.value, cert.schmidt_rank)
 
 
 def _make_certificate(
@@ -357,30 +351,32 @@ def two_nonpositive_witness(
     Requires the smallest eigenvalue below ``-PSD_TOL`` and the second
     smallest at most ``PSD_TOL``, as ``_two_nonpositive_pt`` decides from
     the state's cached spectrum; returns ``None`` otherwise, before any
-    eigenvectors are computed.  If the bottom eigenvector has a singular
-    3x3 matricization it is itself a witness; otherwise a combination
-    ``alpha + t*beta`` with singular matricization is built from a nonzero
-    eigenvalue of ``A^-1 B``.  When that matrix is nilpotent, the bottom
-    eigenvector is perturbed with shrinking magnitudes until the
-    construction goes through.
+    eigenvectors are computed.  With alpha, beta the bottom two
+    eigenvectors and A, B their 3x3 matricizations, one construction runs
+    on alpha: alpha if A is singular, else beta, else the best ``alpha +
+    t*beta`` with det(A + tB) = 0 from a nonzero eigenvalue of ``A^-1 B``;
+    each candidate must pass ``_accepts``.  It fails when ``A^-1 B`` has no
+    usable eigenvalue, as when nilpotent; then det B = 0, so beta failed
+    only because lambda_1 lies within ``PSD_TOL`` of 0.  Full-rank states
+    do that (the tests pin one), so the construction then reruns on alpha
+    nudged by seeded vectors of shrinking size ``delta``.
     """
     if tuple(state.dims) != (3, 3):
         raise DimensionMismatchError("two-nonpositive route applies to 3x3 systems")
     if not _two_nonpositive_pt(state):
         return None
     pt = state._pt
-    spec = hermitian_eig(pt)
-    alpha = spec.eigenvectors[:, 0]
-    beta = spec.eigenvectors[:, 1]
-    mat_a = alpha.reshape(3, 3)
+    alpha, beta = hermitian_eig(pt).eigenvectors[:, :2].T
     mat_b = beta.reshape(3, 3)
-    if _numeric_rank(mat_a) <= 2:
-        return _make_certificate(alpha, state, ROUTE_TWO_NONPOSITIVE, cfg)
-    if state._pt_eigenvalues[1] < -PSD_TOL and _numeric_rank(mat_b) <= 2:
-        return _make_certificate(beta, state, ROUTE_TWO_NONPOSITIVE, cfg)
 
-    def combine(vec: np.ndarray, mat_v: np.ndarray) -> Optional[tuple[float, np.ndarray]]:
-        """Best usable witness alpha' + t*beta with det(A' + tB) = 0, if any."""
+    def construct(vec: np.ndarray) -> Optional[np.ndarray]:
+        """The witness built from ``vec`` (alpha or a nudge of it) and beta, if any."""
+        mat_v = vec.reshape(3, 3)
+        rank = _numeric_rank(mat_v)
+        if rank <= 2:
+            return vec if _accepts(float(np.real(vec.conj() @ pt @ vec)), rank) else None
+        if _accepts(state._pt_eigenvalues[1], _numeric_rank(mat_b)):
+            return beta
         n_mat = np.linalg.solve(mat_v, mat_b)
         eigs = np.linalg.eigvals(n_mat)
         n_norm = float(np.linalg.norm(n_mat, 2))
@@ -391,38 +387,23 @@ def two_nonpositive_witness(
             phi = vec + t * beta
             phi = phi / np.linalg.norm(phi)
             val = float(np.real(phi.conj() @ pt @ phi))
-            if val >= -PSD_TOL or schmidt_rank(phi, state.dims) > 2:
+            if not _accepts(val, schmidt_rank(phi, state.dims)):
                 continue
             if best is None or val < best[0]:
                 best = (val, phi)
-        return best
+        return None if best is None else best[1]
 
-    cand = combine(alpha, mat_a)
-    if cand is not None:
-        return _make_certificate(cand[1], state, ROUTE_TWO_NONPOSITIVE, cfg)
-
-    # nilpotent (or numerically unusable) A^-1 B: nudge the bottom eigenvector
+    found = construct(alpha)
+    if found is not None:
+        return _make_certificate(found, state, ROUTE_TWO_NONPOSITIVE, cfg)
     for attempt in range(cfg.opt_restarts):
         delta = 10.0 ** (-2 - (attempt % 5))
-        gen = SplitMix64(derive_seed(cfg.seed, 1_000_000 + attempt))
-        eta = gen.unit_vector(9)
-        alpha_p = alpha + delta * eta
-        alpha_p = alpha_p / np.linalg.norm(alpha_p)
-        if float(np.real(alpha_p.conj() @ pt @ alpha_p)) >= -PSD_TOL:
-            continue
-        mat_ap = alpha_p.reshape(3, 3)
-        if _numeric_rank(mat_ap) <= 2:
-            return _make_certificate(
-                alpha_p, state, ROUTE_TWO_NONPOSITIVE, cfg, delta=delta
-            )
-        cand = combine(alpha_p, mat_ap)
-        if cand is not None:
-            return _make_certificate(
-                cand[1], state, ROUTE_TWO_NONPOSITIVE, cfg, delta=delta
-            )
-    raise NumericalFailureError(
-        "perturbation schedule exhausted without breaking nilpotency"
-    )
+        eta = SplitMix64(derive_seed(cfg.seed, 1_000_000 + attempt)).unit_vector(9)
+        nudged = alpha + delta * eta
+        found = construct(nudged / np.linalg.norm(nudged))
+        if found is not None:
+            return _make_certificate(found, state, ROUTE_TWO_NONPOSITIVE, cfg, delta=delta)
+    raise NumericalFailureError("perturbation schedule exhausted without breaking nilpotency")
 
 
 def _product_search_descent(
@@ -547,23 +528,24 @@ def kernel_product_witness(
     rotated = BipartiteState(uv @ state.mat @ uv.conj().T, state.dims)
     pullback = np.kron(u.T, v.conj().T)
 
-    hit = submatrix_2x2_scan(rotated, cfg)
-    cert_rotated: Optional[WitnessCertificate] = None
-    if hit is not None and _usable(hit.certificate):
-        cert_rotated = hit.certificate
-    if cert_rotated is None:
-        cert_rotated = two_nonpositive_witness(rotated, cfg)
+    cert_rotated = _spectral_routes(rotated, cfg)
     if cert_rotated is None:
         return None
     psi = pullback @ cert_rotated.psi.vec
     cert = _make_certificate(psi, state, ROUTE_KERNEL_PRODUCT, cfg)
-    if not _usable(cert):
-        return None
-    return cert
+    return cert if _usable(cert) else None
 
 
-def _usable(cert: Optional[WitnessCertificate]) -> bool:
-    return cert is not None and cert.schmidt_rank <= 2 and cert.value < -PSD_TOL
+def _spectral_routes(state: BipartiteState, cfg: ToleranceConfig) -> Optional[WitnessCertificate]:
+    """The 2x2 scan's witness, else (3x3 only) the two-nonpositive route's, if usable."""
+    hit = submatrix_2x2_scan(state, cfg)
+    if hit is not None and _usable(hit.certificate):
+        return hit.certificate
+    if tuple(state.dims) == (3, 3):
+        cert = two_nonpositive_witness(state, cfg)
+        if _usable(cert):
+            return cert
+    return None
 
 
 def certify_1_distillable(
@@ -581,17 +563,11 @@ def certify_1_distillable(
     if min(ma, mb) == 2:
         spec = hermitian_eig(state._pt)
         return _make_certificate(spec.eigenvectors[:, 0], state, ROUTE_OPTIMIZER, cfg)
-    hit = submatrix_2x2_scan(state, cfg)
-    if hit is not None and _usable(hit.certificate):
-        return hit.certificate
-    if (ma, mb) == (3, 3):
-        cert = two_nonpositive_witness(state, cfg)
-        if _usable(cert):
-            return cert
+    cert = _spectral_routes(state, cfg)
+    if cert is None and (ma, mb) == (3, 3):
         cert = kernel_product_witness(state, cfg)
-        if _usable(cert):
-            return cert
-    _, cert = best_rank2_witness(state, 1, cfg)
+    if cert is None:
+        _, cert = best_rank2_witness(state, 1, cfg)
     return cert
 
 
@@ -600,20 +576,23 @@ def best_rank2_witness(
 ) -> tuple[float, Optional[WitnessCertificate]]:
     """Best rank-2 value of the n-copy partial transpose, plus a certificate.
 
-    The certificate is present exactly when the best value found drops
-    below ``-PSD_TOL``; the value itself is always reported (a positive
-    best value over many restarts is evidence, not proof, of
-    undistillability).
+    The certificate is present exactly when the minimizer's vector passes
+    ``_accepts``; the value itself is always reported (a positive best
+    value over many restarts is evidence, not proof, of undistillability).
+    The minimum is kept on the state per copy count and ``cfg``, so a
+    rank-5 check, which asks for it in ``certify_1_distillable`` and again
+    in ``undistillability_margin``, minimizes once.
     """
-    pt, dims = _pt_power(state, copies)
-    value, ansatz = min_rank2_expectation(pt, dims, cfg)
-    if value < -PSD_TOL:
-        cert = _make_certificate(
-            ansatz.vector(), state, ROUTE_OPTIMIZER, cfg, copies=copies
-        )
-        if _usable(cert):
-            return value, cert
-    return value, None
+    minima = state._rank2_minima
+    if (copies, cfg) not in minima:
+        pt, dims = _pt_power(state, copies)
+        minima[copies, cfg] = min_rank2_expectation(pt, dims, cfg)
+    value, ansatz = minima[copies, cfg]
+    # an ansatz has Schmidt rank at most 2, so only its value can fail the rule
+    if not _accepts(value, 2):
+        return value, None
+    cert = _make_certificate(ansatz.vector(), state, ROUTE_OPTIMIZER, cfg, copies=copies)
+    return value, cert if _usable(cert) else None
 
 
 def verify_certificate(
@@ -623,13 +602,13 @@ def verify_certificate(
 ) -> bool:
     """Recompute a certificate from raw data and check it end to end.
 
-    True iff the witness has Schmidt rank at most 2 across the n-copy
-    bipartition, its recomputed value is below ``-PSD_TOL``, and the
-    stored value matches the recomputation to 1e-10.
+    True iff the witness passes ``_accepts`` on its Schmidt rank across the
+    n-copy bipartition and its recomputed value, and the stored value
+    matches the recomputation to 1e-10.
     """
     n = cert.copies if copies is None else copies
     psi = cert.psi.vec
     # a witness of the wrong length raises DimensionMismatchError here
     rank = schmidt_rank(psi, _power_dims(state.dims, n))
     value = pt_quadratic_form(psi, state, n)
-    return bool(rank <= 2 and value < -PSD_TOL and abs(value - cert.value) <= 1e-10)
+    return _accepts(value, rank) and abs(value - cert.value) <= 1e-10

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import distill_lab.edgestate as edgestate
 from distill_lab.edgestate import (
     DEFAULT_GRID,
     EdgeParams,
@@ -209,6 +210,20 @@ class TestBundle:
         )
         assert int(np.sum(evals < -PSD_TOL)) == 1
         assert int(np.sum(evals > PSD_TOL)) == 8
+
+    def test_bundle_builds_the_edge_state_once(self, monkeypatch):
+        # the range-membership check reuses the bundle's own edge state
+        calls = []
+        real = edgestate.edge_state
+
+        def counted(params):
+            calls.append(params)
+            return real(params)
+
+        monkeypatch.setattr(edgestate, "edge_state", counted)
+        params = EdgeParams(1.0, math.pi / 6)
+        build_edge_bundle(params)
+        assert calls == [params]
 
     def test_kernel_is_completely_entangled(self):
         bundle = build_edge_bundle(EdgeParams(1.0, math.pi / 6))

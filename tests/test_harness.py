@@ -178,8 +178,8 @@ class TestSuites:
         assert report.trials == 12
         assert report.passes == 12
 
-    def test_edge_point_builds_the_edge_state_three_times(self, monkeypatch):
-        # the trial's own state, then the bundle's state and its range-membership check
+    def test_edge_point_builds_the_edge_state_twice(self, monkeypatch):
+        # the trial's own state, then the bundle's, which its range-membership check reuses
         calls = []
         real = edgestate.edge_state
 
@@ -190,7 +190,7 @@ class TestSuites:
         monkeypatch.setattr(harness, "edge_state", counted)
         monkeypatch.setattr(edgestate, "edge_state", counted)
         assert harness._judge_edge_point(0, DEFAULT_GRID[0], DEFAULT_TOL) is None
-        assert len(calls) == 3
+        assert len(calls) == 2
 
     def test_multicopy_counts_library_errors(self, monkeypatch):
         def fail(*args, **kwargs):

@@ -27,6 +27,7 @@ from distill_lab.qcore import (
     BipartiteState,
     DimensionMismatchError,
     Dims,
+    NumericalFailureError,
     hermitian_eig,
     partial_transpose,
     rank_kernel_range,
@@ -38,6 +39,7 @@ from distill_lab.witness import (
     ROUTE_KERNEL_PRODUCT,
     ROUTE_TWO_NONPOSITIVE,
     Rank2Ansatz,
+    best_rank2_witness,
     certify_1_distillable,
     kernel_product_witness,
     min_rank2_expectation,
@@ -102,8 +104,6 @@ class TestMinRank2Expectation:
     def test_deterministic_for_fixed_seed(self):
         pt = partial_transpose(_mes_state().mat, D33)
         v1, a1 = min_rank2_expectation(pt, D33)
-        # a different matrix in between, so that the second call recomputes
-        min_rank2_expectation(werner_projector().mat, D33)
         v2, a2 = min_rank2_expectation(pt, D33)
         assert v1 == v2
         assert np.array_equal(a1.vector(), a2.vector())
@@ -130,7 +130,7 @@ class TestMinRank2Expectation:
 
 
 class TestMinimizerMemo:
-    """``min_rank2_expectation`` remembers its last call, and only that."""
+    """A state keeps the minima ``best_rank2_witness`` finds; the minimizer keeps nothing."""
 
     @pytest.fixture
     def eig_calls(self, monkeypatch):
@@ -140,8 +140,19 @@ class TestMinimizerMemo:
             calls.append(np.shape(mat))
             return hermitian_eig(mat)
 
-        witness._last_minimum.clear()
         monkeypatch.setattr(witness, "hermitian_eig", counted)
+        return calls
+
+    @pytest.fixture
+    def minimizations(self, monkeypatch):
+        calls = []
+        real = witness.min_rank2_expectation
+
+        def counted(x, dims, cfg=DEFAULT_TOL):
+            calls.append((tuple(dims), cfg.seed))
+            return real(x, dims, cfg)
+
+        monkeypatch.setattr(witness, "min_rank2_expectation", counted)
         return calls
 
     @pytest.fixture
@@ -153,7 +164,6 @@ class TestMinimizerMemo:
             calls.append(dims)
             return sweep(m, dims, fa, fb)
 
-        witness._last_minimum.clear()
         monkeypatch.setattr(witness, "_als_sweep", counted)
         return calls
 
@@ -162,47 +172,60 @@ class TestMinimizerMemo:
         """``sweeps`` holds exactly the sweeps of one fresh minimization of ``mat``."""
         seen = list(sweeps)
         sweeps.clear()
-        witness._last_minimum.clear()
         min_rank2_expectation(mat, D33)
         assert seen == sweeps and set(seen) == {D33}
 
-    def test_repeat_call_computes_once(self, eig_calls):
+    def test_same_state_and_cfg_compute_once(self, minimizations):
+        state = _mes_state()
+        v1, c1 = best_rank2_witness(state)
+        v2, c2 = best_rank2_witness(state, 1, DEFAULT_TOL)
+        assert minimizations == [(D33, DEFAULT_TOL.seed)]
+        assert v1 == v2 and v1 == pytest.approx(-1 / 3, abs=1e-8)
+        assert np.array_equal(c1.psi.vec, c2.psi.vec)
+
+    def test_other_seed_or_copy_count_recomputes(self, minimizations):
+        state = _mes_state()
+        seven = replace(DEFAULT_TOL, seed=7)
+        for _ in range(2):  # the second round finds all three on the state
+            best_rank2_witness(state)
+            best_rank2_witness(state, 1, seven)
+            best_rank2_witness(state, 2)
+        assert minimizations == [(D33, DEFAULT_TOL.seed), (D33, 7), ((9, 9), DEFAULT_TOL.seed)]
+
+    def test_other_state_with_equal_bytes_recomputes(self, minimizations):
+        state = _mes_state()
+        twin = BipartiteState(state.mat, state.dims)
+        assert twin.mat.tobytes() == state.mat.tobytes()
+        v1, _ = best_rank2_witness(state)
+        v2, _ = best_rank2_witness(twin)
+        assert len(minimizations) == 2
+        assert v1 == v2
+
+    def test_raising_call_caches_nothing(self, monkeypatch):
+        state = _mes_state()
+        with pytest.raises(ValueError):
+            best_rank2_witness(state, qcore.MAX_COPIES + 1)
+        real = witness.min_rank2_expectation
+
+        def fail(x, dims, cfg=DEFAULT_TOL):
+            raise NumericalFailureError("solver gave up")
+
+        monkeypatch.setattr(witness, "min_rank2_expectation", fail)
+        with pytest.raises(NumericalFailureError):
+            best_rank2_witness(state)
+        assert state._rank2_minima == {}
+        monkeypatch.setattr(witness, "min_rank2_expectation", real)
+        _, cert = best_rank2_witness(state)
+        assert cert is not None
+        assert list(state._rank2_minima) == [(1, DEFAULT_TOL)]
+
+    def test_minimizer_computes_every_call(self, eig_calls):
         pt = partial_transpose(_mes_state().mat, D33)
         v1, a1 = min_rank2_expectation(pt, D33)
-        v2, a2 = min_rank2_expectation(pt.copy(), D33)
-        assert len(eig_calls) == 1
+        v2, a2 = min_rank2_expectation(pt, D33)
+        assert len(eig_calls) == 2
         assert v1 == v2
         assert np.array_equal(a1.vector(), a2.vector())
-
-    def test_other_seed_recomputes(self, eig_calls):
-        pt = partial_transpose(_mes_state().mat, D33)
-        v1, a1 = min_rank2_expectation(pt, D33)
-        v2, a2 = min_rank2_expectation(pt, D33, replace(DEFAULT_TOL, seed=7))
-        assert len(eig_calls) == 2
-        assert abs(v1 - v2) < 1e-8
-
-    def test_other_dims_recompute(self, eig_calls):
-        state = random_state(Dims(2, 4), 3, 4321)
-        v24, a24 = min_rank2_expectation(state.mat, Dims(2, 4))
-        v42, a42 = min_rank2_expectation(state.mat, Dims(4, 2))
-        assert len(eig_calls) == 2
-        assert a24.frame_a.shape == (2, 2) and a42.frame_a.shape == (4, 2)
-
-    def test_input_changed_in_place_recomputes(self, eig_calls):
-        h = partial_transpose(_mes_state().mat, D33)
-        v1, _ = min_rank2_expectation(h, D33)
-        h += np.eye(9)
-        v2, _ = min_rank2_expectation(h, D33)
-        assert len(eig_calls) == 2
-        assert v2 == pytest.approx(v1 + 1.0, abs=1e-8)
-
-    def test_raising_call_is_not_remembered(self, eig_calls):
-        m = np.zeros((9, 9), dtype=complex)
-        m[0, 3] = 1.0
-        for _ in range(2):
-            with pytest.raises(ValueError):
-                min_rank2_expectation(m, D33)
-        assert len(eig_calls) == 2
 
     def test_rank5_check_minimizes_once(self, sweeps):
         bundle = build_edge_bundle(EdgeParams(1.0, math.pi / 6))
@@ -316,6 +339,25 @@ class TestTwoNonpositive:
             calls.clear()
             cert = two_nonpositive_witness(state)
             assert len(calls) == 2  # the nudged vector went through the combination
+            assert cert is not None and cert.route == ROUTE_TWO_NONPOSITIVE
+            assert cert.delta == 0.01
+            assert verify_certificate(cert, state)
+
+    @pytest.mark.parametrize("mu", [1e-4, 1e-2])
+    def test_natural_input_reaches_the_nudge(self, mu):
+        # rho^Gamma = (I - P_MES - P_beta)/9 - mu*P_MES with beta = (|01> + |12>)/sqrt(2):
+        # A ~ I and B ~ a shift, so A^-1 B is nilpotent, and beta's eigenvalue is 0
+        mes = maximally_entangled_qutrits().vec
+        beta = np.zeros(9, dtype=complex)
+        beta[1] = beta[5] = 1 / math.sqrt(2)
+        p_mes, p_beta = np.outer(mes, mes.conj()), np.outer(beta, beta.conj())
+        pt = (np.eye(9) - p_mes - p_beta) / 9 - mu * p_mes
+        state = BipartiteState(partial_transpose(pt, D33), D33)
+        assert rank_kernel_range(state.mat)[0] == 9
+        assert np.allclose(state._pt_eigenvalues, [-mu, 0.0] + [1 / 9] * 7, rtol=0, atol=1e-15)
+        assert submatrix_2x2_scan(state) is None
+        for seed in range(6):
+            cert = certify_1_distillable(state, replace(DEFAULT_TOL, seed=seed))
             assert cert is not None and cert.route == ROUTE_TWO_NONPOSITIVE
             assert cert.delta == 0.01
             assert verify_certificate(cert, state)
