@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import replace
 from typing import Optional
 
 from . import __version__
@@ -28,6 +27,7 @@ from .qcore import (
     MAX_COPIES,
     Dims,
     NumericalFailureError,
+    ToleranceConfig,
     _numeric_rank,
 )
 from .serialize import (
@@ -92,11 +92,7 @@ def _cmd_rho(args: argparse.Namespace) -> int:
 
 
 def _cmd_witness(args: argparse.Namespace) -> int:
-    cfg = DEFAULT_TOL
-    if args.restarts is not None:
-        cfg = replace(cfg, opt_restarts=args.restarts)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
+    cfg = ToleranceConfig(seed=args.seed)
     state = _load_state(args.infile)
 
     cert = certify_1_distillable(state, cfg) if args.copies == 1 else None
@@ -257,8 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("witness", help="search a state file for a distillation witness")
     p.add_argument("--in", dest="infile", required=True, metavar="FILE")
     p.add_argument("--copies", type=int, choices=_COPY_CHOICES, default=1)
-    p.add_argument("--restarts", type=int, default=None, metavar="N")
-    p.add_argument("--seed", type=int, default=None, metavar="S")
+    p.add_argument("--seed", type=int, default=DEFAULT_TOL.seed, metavar="S")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_witness)
 

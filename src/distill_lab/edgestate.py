@@ -26,6 +26,7 @@ from .qcore import (
     NumericalFailureError,
     PureState,
     ToleranceConfig,
+    _RESTARTS,
     _numeric_rank,
     is_ppt,
     rank_kernel_range,
@@ -69,7 +70,6 @@ class EdgeBundle:
     params: EdgeParams
     edge: BipartiteState
     p1: float
-    mes: PureState
     factor_a: np.ndarray
     factor_b: np.ndarray
     eps: float
@@ -240,7 +240,6 @@ def build_edge_bundle(params: EdgeParams) -> EdgeBundle:
         params=params,
         edge=sigma,
         p1=gap,
-        mes=maximally_entangled_qutrits(),
         factor_a=f,
         factor_b=g,
         eps=eps,
@@ -275,8 +274,9 @@ def distillable_of_rank(
     """Raise a rank-4 NPT two-qutrit state to a 1-distillable state of rank 5..9.
 
     Adds ``eps`` times projectors onto randomly drawn product vectors that
-    extend the base range to the full space; the noise is halved until the
-    result stays NPT and certifiably 1-distillable.
+    extend the base range to the full space, trying at most ``_RESTARTS``
+    seeded draws of five of them; the noise is halved until the result
+    stays NPT and certifiably 1-distillable.
     """
     if tuple(base.dims) != (3, 3):
         raise ValueError("rank-raising construction is defined for 3x3 states")
@@ -293,7 +293,7 @@ def distillable_of_rank(
         return base
 
     products: Optional[list[np.ndarray]] = None
-    for attempt in range(cfg.opt_restarts):
+    for attempt in range(_RESTARTS):
         gen = SplitMix64(derive_seed(cfg.seed, 3_000_000 + attempt))
         cand = [np.kron(gen.unit_vector(3), gen.unit_vector(3)) for _ in range(5)]
         stacked = np.column_stack([range_basis] + cand)

@@ -48,6 +48,7 @@ from .qcore import (
     InvariantViolationError,
     NumericalFailureError,
     ToleranceConfig,
+    _RESTARTS,
     _numeric_rank,
     _pt_power,
     _two_nonpositive_pt,
@@ -199,7 +200,7 @@ def _counterexample(trial: int, state: BipartiteState, reason: str, **extra) -> 
 
 
 def _sampled(spec: EnsembleSpec, cfg: ToleranceConfig):
-    """Trials of an ensemble suite: sampled states; the config echoes spec, cfg and tolerances."""
+    """Trials of an ensemble suite: sampled states; the config echoes spec and the constants."""
     states, rate = sample_ensemble(spec, cfg)
     config = {
         "dims": [spec.dims.dim_a, spec.dims.dim_b],
@@ -209,7 +210,7 @@ def _sampled(spec: EnsembleSpec, cfg: ToleranceConfig):
         "seed": spec.seed,
         "psd_tol": PSD_TOL,
         "rank_rel_tol": RANK_REL_TOL,
-        "opt_restarts": cfg.opt_restarts,
+        "opt_restarts": _RESTARTS,
     }
     return states, config, rate
 
@@ -294,7 +295,7 @@ def _judge_edge_point(idx: int, point: tuple[float, float], cfg: ToleranceConfig
             problems.append("perturbed state does not have eight positive PT eigenvalues")
         if not bundle.margin > 0:
             problems.append("margin is not positive at the default noise")
-    except (NumericalFailureError, ValueError) as exc:
+    except _TRIAL_ERRORS as exc:
         problems.append(f"bundle construction failed: {exc}")
     return {"b": b, "theta": theta, "problems": problems} if problems else None
 

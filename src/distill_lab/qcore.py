@@ -46,28 +46,25 @@ _HERM_TOL = 1e-10
 _SPEC_TOL = 1e-10
 
 
+# restarts of the product-vector search, nudges of the two-nonpositive route and
+# draws of the rank-raising construction.  Restart r of a seeded routine draws
+# from derive_seed(seed, k * 1_000_000 + r): k = 0 for the rank-2 minimizer's
+# starts, 1 for the nudges, 2 for the product search and 3 for the rank raising,
+# so no two routines share a stream while this stays below 1_000_000
+_RESTARTS = 64
+
+
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """The seed and restart budget of the library's randomized routines.
+    """The seed of the library's randomized routines.
 
-    ``opt_restarts`` budgets the product-vector search, the nudges of the
-    two-nonpositive route and the draws of the rank-raising construction.
-    ``seed`` makes every randomized routine reproducible.  The numerical
-    thresholds are module constants: ``PSD_TOL``, ``RANK_REL_TOL`` and the
-    Hermiticity and reconstruction gates here, and the iteration cap and
-    product-search stop rule in ``witness``.
+    ``seed`` makes every randomized routine reproducible.  Everything else
+    is a module constant: the restart budget ``_RESTARTS``, ``PSD_TOL``,
+    ``RANK_REL_TOL`` and the Hermiticity and reconstruction gates here, and
+    the iteration cap and product-search stop rule in ``witness``.
     """
 
-    opt_restarts: int = 64
     seed: int = 2024
-
-    def __post_init__(self) -> None:
-        if self.opt_restarts < 1:
-            raise ValueError("optimizer budget must be positive")
-        # restart r of each route seeds from derive_seed(seed, k * 1_000_000 + r),
-        # k = 0..3, so a larger budget would make the routes share streams
-        if self.opt_restarts >= 1_000_000:
-            raise ValueError(f"opt_restarts must be below 1000000, got {self.opt_restarts}")
 
 
 DEFAULT_TOL = ToleranceConfig()
@@ -159,11 +156,10 @@ class BipartiteState:
 
 @dataclass(frozen=True)
 class PureState:
-    """A vector on a bipartite product space, unit norm unless flagged."""
+    """A unit vector on a bipartite product space (norm within 1e-10 of 1)."""
 
     vec: np.ndarray
     dims: Dims
-    unnormalized: bool = False
 
     def __post_init__(self) -> None:
         v = np.asarray(self.vec, dtype=complex).reshape(-1)
@@ -174,10 +170,8 @@ class PureState:
         if not np.isfinite(v).all():
             raise ValueError("state entries must be finite")
         n = float(np.linalg.norm(v))
-        if n == 0.0:
-            raise ValueError("zero vector is not a state")
-        if not self.unnormalized and abs(n - 1.0) > 1e-10:
-            raise ValueError(f"vector norm {n} differs from 1; flag unnormalized=True")
+        if abs(n - 1.0) > 1e-10:
+            raise ValueError(f"vector norm {n} differs from 1")
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "vec", v)

@@ -166,9 +166,10 @@ def pure_state_document(psi: PureState) -> dict:
 
 
 def pure_state_from_document(doc: dict) -> PureState:
+    """Unit vector from its document; ``PureState`` refuses any other norm."""
     dims = Dims(_dimension(doc, "dimA"), _dimension(doc, "dimB"))
     vec = _pairs_to_complex(_field(doc, "data"), dims.total)
-    return PureState(vec, dims, unnormalized=True)
+    return PureState(vec, dims)
 
 
 def certificate_document(cert: WitnessCertificate) -> dict:

@@ -34,9 +34,9 @@ from .qcore import (
     BipartiteState,
     DimensionMismatchError,
     Dims,
-    NumericalFailureError,
     PureState,
     ToleranceConfig,
+    _RESTARTS,
     _numeric_rank,
     _power_dims,
     _pt_power,
@@ -230,10 +230,10 @@ def min_rank2_expectation(
     eigenvector of X, and four Haar-random frames drawn from
     ``derive_seed(cfg.seed, r)``, r = 0..3.  A start stops once a sweep
     gains at most 1e-6 * max|eig X|, or after ``_OPT_MAX_ITERS`` sweeps;
-    ``cfg.opt_restarts`` does not apply here.  The value is recomputed
-    from the 4x4 compression onto the best start's frames, the earliest
-    start winning ties.  The result never undercuts the true minimum over
-    all unit vectors, and no global-optimality claim is made.
+    the restart budget ``_RESTARTS`` does not apply here.  The value is
+    recomputed from the 4x4 compression onto the best start's frames, the
+    earliest start winning ties.  The result never undercuts the true
+    minimum over all unit vectors, and no global-optimality claim is made.
 
     Every call computes; ``best_rank2_witness`` keeps a state's minima.
     """
@@ -359,7 +359,10 @@ def two_nonpositive_witness(
     usable eigenvalue, as when nilpotent; then det B = 0, so beta failed
     only because lambda_1 lies within ``PSD_TOL`` of 0.  Full-rank states
     do that (the tests pin one), so the construction then reruns on alpha
-    nudged by seeded vectors of shrinking size ``delta``.
+    nudged by ``_RESTARTS`` seeded vectors of shrinking size ``delta``.
+    If no nudge yields a witness, as when the negative eigenvalue is too
+    small for any nudged value to pass the rule, the route declines with
+    ``None`` like any other route.
     """
     if tuple(state.dims) != (3, 3):
         raise DimensionMismatchError("two-nonpositive route applies to 3x3 systems")
@@ -396,14 +399,14 @@ def two_nonpositive_witness(
     found = construct(alpha)
     if found is not None:
         return _make_certificate(found, state, ROUTE_TWO_NONPOSITIVE, cfg)
-    for attempt in range(cfg.opt_restarts):
+    for attempt in range(_RESTARTS):
         delta = 10.0 ** (-2 - (attempt % 5))
         eta = SplitMix64(derive_seed(cfg.seed, 1_000_000 + attempt)).unit_vector(9)
         nudged = alpha + delta * eta
         found = construct(nudged / np.linalg.norm(nudged))
         if found is not None:
             return _make_certificate(found, state, ROUTE_TWO_NONPOSITIVE, cfg, delta=delta)
-    raise NumericalFailureError("perturbation schedule exhausted without breaking nilpotency")
+    return None
 
 
 def _product_search_descent(
@@ -431,13 +434,14 @@ def product_vector_in_subspace(
     Minimizes the violation of the orthogonal-complement constraints over
     local unit vectors by alternating closed-form singular-vector steps;
     a solution must drive the smallest singular value of the constraint
-    matrix below 1e-8.  Restart 0 runs alone, then the rest run as one
-    block whose members advance together, each with its own stop rule; the
-    first success in restart order is returned, exactly as if the restarts
-    ran one after another.  ``None`` after restart exhaustion is a legitimate
-    "no product vector found" outcome, except for subspaces of dimension
-    at least 5 in a 3x3 system, where a product vector provably exists
-    and emptiness is flagged as an optimizer failure.
+    matrix below 1e-8.  Restart 0 runs alone, then the other
+    ``_RESTARTS - 1`` run as one block whose members advance together,
+    each with its own stop rule; the first success in restart order is
+    returned, exactly as if the restarts ran one after another.  ``None``
+    after restart exhaustion is a legitimate "no product vector found"
+    outcome, except for subspaces of dimension at least 5 in a 3x3
+    system, where a product vector provably exists and emptiness is
+    flagged as an optimizer failure.
     """
     ma, mb = dims
     if max(ma, mb) > 4:
@@ -462,9 +466,7 @@ def product_vector_in_subspace(
     ck = comp.conj().T.reshape(comp.shape[1], ma, mb)
 
     # a search that succeeds almost always does so at restart 0
-    for restarts in (range(1), range(1, cfg.opt_restarts)):
-        if not restarts:
-            break
+    for restarts in (range(1), range(1, _RESTARTS)):
         seeds = [derive_seed(cfg.seed, 2_000_000 + r) for r in restarts]
         g = _complex_normals(seeds, ma + mb)[0]
         a, b = _product_search_descent(ck, _unit_rows(g[:, :ma]), _unit_rows(g[:, ma:]))
@@ -595,20 +597,23 @@ def best_rank2_witness(
     return value, cert if _usable(cert) else None
 
 
-def verify_certificate(
-    cert: WitnessCertificate,
-    state: BipartiteState,
-    copies: Optional[int] = None,
-) -> bool:
+def verify_certificate(cert: WitnessCertificate, state: BipartiteState) -> bool:
     """Recompute a certificate from raw data and check it end to end.
 
-    True iff the witness passes ``_accepts`` on its Schmidt rank across the
-    n-copy bipartition and its recomputed value, and the stored value
-    matches the recomputation to 1e-10.
+    The witness is checked at the copy count the certificate states.  True
+    iff its stored split is the n-copy bipartition, its stored Schmidt rank
+    is the recomputed one, the witness passes ``_accepts`` on that rank and
+    its recomputed value, and the stored value matches the recomputation to
+    1e-10.
     """
-    n = cert.copies if copies is None else copies
+    dims = _power_dims(state.dims, cert.copies)
     psi = cert.psi.vec
     # a witness of the wrong length raises DimensionMismatchError here
-    rank = schmidt_rank(psi, _power_dims(state.dims, n))
-    value = pt_quadratic_form(psi, state, n)
-    return _accepts(value, rank) and abs(value - cert.value) <= 1e-10
+    rank = schmidt_rank(psi, dims)
+    value = pt_quadratic_form(psi, state, cert.copies)
+    return (
+        cert.psi.dims == dims
+        and cert.schmidt_rank == rank
+        and _accepts(value, rank)
+        and abs(value - cert.value) <= 1e-10
+    )

@@ -84,13 +84,16 @@ class TestWitness:
         assert doc["best_value"] > 0
         assert "restarts" not in doc
 
-    def test_rejects_restart_budget_at_stream_offset(self, tmp_path, capsys):
+    def test_rejects_restarts_flag(self, tmp_path, capsys):
+        # the restart budget is a library constant, not a flag
         path = tmp_path / "rho.json"
         _run(capsys, "rho", "--b", "1.0", "--theta", str(math.pi / 6), "--out", str(path))
-        code, out, err = _run(capsys, "witness", "--in", str(path), "--restarts", "1000000")
-        assert code == 2
-        assert out == ""
-        assert "opt_restarts" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["witness", "--in", str(path), "--restarts", "2"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--restarts" in captured.err
 
     def test_two_copies_on_mes(self, tmp_path, capsys):
         # the maximally entangled projector is distillable at any copy count

@@ -202,6 +202,40 @@ class TestSuites:
         assert report.passes == 3
         assert [f["reason"] for f in report.failures] == ["solver gave up"] * 2
 
+    @pytest.mark.parametrize(
+        "error",
+        [NumericalFailureError, InvariantViolationError, DimensionMismatchError, AssertionError],
+    )
+    def test_edge_family_counts_library_errors(self, monkeypatch, error):
+        real, calls = harness.build_edge_bundle, []
+
+        def fails_on_point_1(params):
+            calls.append(params)
+            if len(calls) == 2:
+                raise error("bundle gave up")
+            return real(params)
+
+        monkeypatch.setattr(harness, "build_edge_bundle", fails_on_point_1)
+        report = run_suite("edge-family")
+        assert len(calls) == 12
+        assert report.trials == 12
+        assert report.passes == 11
+        assert report.failures == [
+            {
+                "b": DEFAULT_GRID[1][0],
+                "theta": DEFAULT_GRID[1][1],
+                "problems": ["bundle construction failed: bundle gave up"],
+            }
+        ]
+
+    def test_edge_family_propagates_programming_errors(self, monkeypatch):
+        def broken(params):
+            raise TypeError("shape bug")
+
+        monkeypatch.setattr(harness, "build_edge_bundle", broken)
+        with pytest.raises(TypeError, match="shape bug"):
+            run_suite("edge-family")
+
     def test_multicopy_propagates_programming_errors(self, monkeypatch):
         def broken(*args, **kwargs):
             raise TypeError("shape bug")

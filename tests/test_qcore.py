@@ -1,5 +1,6 @@
 """Core linear-algebra contracts: exactness, oracles, and invariants."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from distill_lab.qcore import (
     Dims,
     PureState,
     ToleranceConfig,
+    _RESTARTS,
     _SPEC_TOL,
     _numeric_rank,
     _pt_power,
@@ -449,10 +451,13 @@ class TestStateValidation:
         assert abs(st.normalized().trace - 1.0) < 1e-14
 
     def test_pure_state_norm_flag(self):
-        with pytest.raises(ValueError):
-            PureState(np.ones(9), D33)
-        ps = PureState(np.ones(9), D33, unnormalized=True)
-        assert ps.vec.shape == (9,)
+        # unit norm is the only rule: no flag lets another norm through
+        for scale in (0.0, 3.0, 1 + 2e-10):
+            with pytest.raises(ValueError, match="norm"):
+                PureState(scale * np.ones(9) / 3, D33)
+        with pytest.raises(TypeError):
+            PureState(np.ones(9), D33, unnormalized=True)
+        assert PureState((1 + 5e-11) * np.ones(9) / 3, D33).vec.shape == (9,)
 
     def test_rejects_non_finite_entries(self):
         bad = np.eye(9, dtype=complex)
@@ -497,18 +502,18 @@ class TestStateValidation:
 
 
 class TestToleranceConfig:
-    def test_restart_budget_below_stream_offset(self):
-        assert ToleranceConfig(opt_restarts=999_999).opt_restarts == 999_999
-        # 1e6 restarts would reach the sub-streams of the next route
-        for bad in (1_000_000, 2_500_000):
-            with pytest.raises(ValueError, match="opt_restarts"):
-                ToleranceConfig(opt_restarts=bad)
+    def test_restart_budget_is_not_a_field(self):
+        # the budget is the constant qcore._RESTARTS; no config can set it
+        for budget in (1, 64, 1_000_000):
+            with pytest.raises(TypeError):
+                ToleranceConfig(opt_restarts=budget)
 
-    def test_rejects_empty_budget(self):
-        with pytest.raises(ValueError):
-            ToleranceConfig(opt_restarts=0)
+    def test_seed_is_the_only_field(self):
+        assert [f.name for f in dataclasses.fields(ToleranceConfig)] == ["seed"]
+        assert ToleranceConfig(seed=9).seed == 9
+        assert _RESTARTS == 64
 
     def test_thresholds_are_not_fields(self):
-        # the thresholds are module constants; only the seed and the budget are settable
+        # the thresholds are module constants; only the seed is settable
         with pytest.raises(TypeError):
             ToleranceConfig(psd_tol=1e-7)

@@ -31,6 +31,7 @@ from distill_lab.witness import (
     ROUTE_TWO_NONPOSITIVE,
     WitnessCertificate,
     certify_1_distillable,
+    verify_certificate,
 )
 from distill_lab.harness import EnsembleSpec, sample_ensemble
 
@@ -151,6 +152,29 @@ class TestPureStateAndCertificate:
         assert back.copies == cert.copies
         assert back.schmidt_rank == cert.schmidt_rank
         assert np.array_equal(back.psi.vec, cert.psi.vec)
+
+    def test_pure_state_loader_refuses_other_norms(self):
+        doc = pure_state_document(PureState(np.ones(4) / 2, Dims(2, 2)))
+        for scale in (2.0, 0.5, 0.0):
+            bad = dict(doc, data=[[scale * re, scale * im] for re, im in doc["data"]])
+            with pytest.raises(ValueError, match="norm"):
+                pure_state_from_document(bad)
+
+    def test_tampered_certificates_fail_loading_or_verification(self):
+        state = random_state(D33, 4, 7)
+        cert = certify_1_distillable(state)
+        doc = certificate_document(cert)
+        assert verify_certificate(certificate_from_json(dumps(doc)), state)
+        # a stored Schmidt rank or split that the witness does not have
+        for bad in (
+            dict(doc, schmidt_rank=3),
+            dict(doc, psi=dict(doc["psi"], dimA=1, dimB=9)),
+        ):
+            assert not verify_certificate(certificate_from_json(dumps(bad)), state)
+        # psi doubled and the value scaled to match: not a unit vector
+        psi = dict(doc["psi"], data=[[2 * re, 2 * im] for re, im in doc["psi"]["data"]])
+        with pytest.raises(ValueError, match="norm"):
+            certificate_from_json(dumps(dict(doc, psi=psi, value=4 * cert.value)))
 
     @settings(max_examples=80, deadline=None)
     @given(

@@ -1,5 +1,6 @@
 """Witness routes: minimizer contracts, constructive routes, soundness."""
 
+import inspect
 import math
 import warnings
 from dataclasses import replace
@@ -28,13 +29,19 @@ from distill_lab.qcore import (
     DimensionMismatchError,
     Dims,
     NumericalFailureError,
+    PureState,
     hermitian_eig,
     partial_transpose,
     rank_kernel_range,
     schmidt_rank,
 )
 from distill_lab.rng import SplitMix64, derive_seed, random_unitary
-from distill_lab.serialize import state_from_json
+from distill_lab.serialize import (
+    certificate_document,
+    certificate_from_json,
+    dumps,
+    state_from_json,
+)
 from distill_lab.witness import (
     ROUTE_KERNEL_PRODUCT,
     ROUTE_TWO_NONPOSITIVE,
@@ -275,6 +282,20 @@ class TestSubmatrixScan:
         assert count > 10
 
 
+def _natural_nudge_input(mu: float) -> BipartiteState:
+    """The full-rank state with rho^Gamma = (I - P_MES - P_beta)/9 - mu*P_MES.
+
+    beta = (|01> + |12>)/sqrt(2).  A ~ I and B ~ a shift, so A^-1 B is
+    nilpotent, and beta's eigenvalue is 0.
+    """
+    mes = maximally_entangled_qutrits().vec
+    beta = np.zeros(9, dtype=complex)
+    beta[1] = beta[5] = 1 / math.sqrt(2)
+    p_mes, p_beta = np.outer(mes, mes.conj()), np.outer(beta, beta.conj())
+    pt = (np.eye(9) - p_mes - p_beta) / 9 - mu * p_mes
+    return BipartiteState(partial_transpose(pt, D33), D33)
+
+
 class TestTwoNonpositive:
     def test_mes_direct_antisymmetric_witness(self):
         cert = two_nonpositive_witness(_mes_state())
@@ -345,14 +366,7 @@ class TestTwoNonpositive:
 
     @pytest.mark.parametrize("mu", [1e-4, 1e-2])
     def test_natural_input_reaches_the_nudge(self, mu):
-        # rho^Gamma = (I - P_MES - P_beta)/9 - mu*P_MES with beta = (|01> + |12>)/sqrt(2):
-        # A ~ I and B ~ a shift, so A^-1 B is nilpotent, and beta's eigenvalue is 0
-        mes = maximally_entangled_qutrits().vec
-        beta = np.zeros(9, dtype=complex)
-        beta[1] = beta[5] = 1 / math.sqrt(2)
-        p_mes, p_beta = np.outer(mes, mes.conj()), np.outer(beta, beta.conj())
-        pt = (np.eye(9) - p_mes - p_beta) / 9 - mu * p_mes
-        state = BipartiteState(partial_transpose(pt, D33), D33)
+        state = _natural_nudge_input(mu)
         assert rank_kernel_range(state.mat)[0] == 9
         assert np.allclose(state._pt_eigenvalues, [-mu, 0.0] + [1 / 9] * 7, rtol=0, atol=1e-15)
         assert submatrix_2x2_scan(state) is None
@@ -361,6 +375,26 @@ class TestTwoNonpositive:
             assert cert is not None and cert.route == ROUTE_TWO_NONPOSITIVE
             assert cert.delta == 0.01
             assert verify_certificate(cert, state)
+
+    @pytest.mark.parametrize("mu", [1e-12, 1e-10, 1e-8, 1e-7, 3e-7, 1e-6, 1e-4, 1e-2])
+    def test_small_violation_declines_instead_of_raising(self, mu):
+        # the natural nudge input: at mu <= 3e-7 no nudged value passes the rule,
+        # and the route declines so that certify moves on to the other routes
+        state = _natural_nudge_input(mu)
+        for seed in range(4):
+            cfg = replace(DEFAULT_TOL, seed=seed)
+            route = two_nonpositive_witness(state, cfg)
+            cert = certify_1_distillable(state, cfg)
+            if mu <= 1e-10:  # PPT by the rule
+                assert qcore.is_ppt(state) and route is None and cert is None
+            elif mu <= 3e-7:
+                # the minimizer's value does not pass the rule either
+                assert route is None and cert is None
+                assert best_rank2_witness(state, 1, cfg)[0] >= -PSD_TOL
+            else:
+                assert route is not None and route.route == ROUTE_TWO_NONPOSITIVE
+                assert cert is not None and cert.route == ROUTE_TWO_NONPOSITIVE
+                assert verify_certificate(route, state) and verify_certificate(cert, state)
 
     def test_combination_obeys_spectral_chain(self):
         # for invertible bottom matricization, the witness comes from a root t
@@ -434,10 +468,11 @@ class TestProductVectorSearch:
         monkeypatch.setattr(witness, "_product_search_descent", counted)
         _, kernel, _ = rank_kernel_range(edge_state(EdgeParams(1.0, math.pi / 6)).mat)
         assert product_vector_in_subspace(kernel, D33) is None
-        assert blocks == [1, DEFAULT_TOL.opt_restarts - 1]
+        assert blocks == [1, witness._RESTARTS - 1]
         blocks.clear()
-        assert product_vector_in_subspace(kernel, D33, replace(DEFAULT_TOL, opt_restarts=1)) is None
-        assert blocks == [1]
+        monkeypatch.setattr(witness, "_RESTARTS", 3)
+        assert product_vector_in_subspace(kernel, D33) is None
+        assert blocks == [1, 2]
 
     def test_mes_line_has_none(self):
         basis = maximally_entangled_qutrits().vec.reshape(9, 1)
@@ -622,11 +657,41 @@ class TestVerifyCertificate:
         assert not verify_certificate(fake, state)
 
     def test_wrong_copy_count_raises(self):
-        # a 1-copy witness is checked against the 2-copy split, which it does not fit
+        # a 1-copy witness stated as 2-copy is checked against the 2-copy split,
+        # which it does not fit
         state = _mes_state()
         cert = two_nonpositive_witness(state)
         with pytest.raises(DimensionMismatchError):
-            verify_certificate(cert, state, copies=2)
+            verify_certificate(replace(cert, copies=2), state)
+
+    def test_checked_at_the_stated_copy_count(self):
+        # no override: a certificate is checked at the copy count it states
+        assert list(inspect.signature(verify_certificate).parameters) == ["cert", "state"]
+
+    def _rank4_certificate(self):
+        state = random_state(D33, 4, 7)
+        cert = certify_1_distillable(state)
+        assert cert.schmidt_rank == 2 and verify_certificate(cert, state)
+        return state, cert
+
+    def test_stored_rank_must_match(self):
+        state, cert = self._rank4_certificate()
+        for rank in (1, 3):
+            assert not verify_certificate(replace(cert, schmidt_rank=rank), state)
+
+    def test_stored_split_must_match(self):
+        state, cert = self._rank4_certificate()
+        relabelled = replace(cert, psi=PureState(cert.psi.vec, Dims(1, 9)))
+        assert not verify_certificate(relabelled, state)
+
+    def test_scaled_witness_fails_to_load(self):
+        # psi doubled and the value scaled to match: the form alone would pass
+        _, cert = self._rank4_certificate()
+        doc = certificate_document(cert)
+        doc["psi"]["data"] = [[2 * re, 2 * im] for re, im in doc["psi"]["data"]]
+        doc["value"] = 4 * cert.value
+        with pytest.raises(ValueError, match="norm"):
+            certificate_from_json(dumps(doc))
 
 
 class TestLemmaOneProperty:

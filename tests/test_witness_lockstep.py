@@ -3,14 +3,14 @@
 The reference function below is the sequential implementation of
 ``product_vector_in_subspace``, kept verbatim as an oracle, except that
 it zero-pads its constraint matrix to at least dB rows, as the library
-does, and reads the library's iteration cap and stop rule at call time.
+does, and reads the library's restart budget, iteration cap and stop
+rule at call time.  Tests set the budget by patching ``witness._RESTARTS``.
 The stacked version must reproduce it byte for byte: returned vectors
 and found versus ``None``.
 """
 
 import math
 import warnings
-from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -40,7 +40,7 @@ def reference_product_vector_in_subspace(
     # constraint tensor: <k_i | a (x) b> = a^T conj(K_i) b
     ck = comp.conj().T.reshape(comp.shape[1], ma, mb)
 
-    for r in range(cfg.opt_restarts):
+    for r in range(witness._RESTARTS):
         gen = SplitMix64(derive_seed(cfg.seed, 2_000_000 + r))
         a = gen.unit_vector(ma)
         b = gen.unit_vector(mb)
@@ -83,29 +83,33 @@ def assert_same_search(basis: np.ndarray, dims: Dims, cfg: ToleranceConfig) -> b
     return want is not None
 
 
-def _cfg(restarts: int, seed: int) -> ToleranceConfig:
-    return replace(DEFAULT_TOL, opt_restarts=restarts, seed=seed)
+def _cfg(monkeypatch, restarts: int, seed: int) -> ToleranceConfig:
+    """The config of one search; the budget is the patched constant."""
+    monkeypatch.setattr(witness, "_RESTARTS", restarts)
+    return ToleranceConfig(seed=seed)
 
 
 # ---- product-vector search --------------------------------------------------
 
 
-def test_search_rank4_kernels_found_at_first_restart():
+def test_search_rank4_kernels_found_at_first_restart(monkeypatch):
     for i in range(40):
         state = random_state(D33, 4, derive_seed(9300, i))
         _, kernel, _ = rank_kernel_range(state.mat)
         assert kernel.shape[1] == 5
-        assert assert_same_search(kernel, D33, _cfg(64, seed=i))
+        assert assert_same_search(kernel, D33, _cfg(monkeypatch, 64, seed=i))
         # the first restart alone already succeeds
-        assert reference_product_vector_in_subspace(kernel, D33, _cfg(1, seed=i)) is not None
+        first_only = _cfg(monkeypatch, 1, seed=i)
+        assert reference_product_vector_in_subspace(kernel, D33, first_only) is not None
 
 
-def test_search_rank5_kernels_exhaust_restarts():
+def test_search_rank5_kernels_exhaust_restarts(monkeypatch):
     for i in range(14):
         state = random_state(D33, 5, derive_seed(9400, i))
         _, kernel, _ = rank_kernel_range(state.mat)
         assert kernel.shape[1] == 4
-        assert not assert_same_search(kernel, D33, _cfg(i + 1, seed=i))
+        assert not assert_same_search(kernel, D33, _cfg(monkeypatch, i + 1, seed=i))
+    monkeypatch.undo()
     for b, theta in ((1.0, math.pi / 6), (0.7, -math.pi / 5), (1.6, math.pi / 9)):
         bundle = build_edge_bundle(EdgeParams(b, theta))
         _, kernel, _ = rank_kernel_range(bundle.npt_state.mat)
@@ -121,17 +125,16 @@ def test_search_success_after_first_restart(monkeypatch):
         for i in range(12):
             state = random_state(dims, 4, derive_seed(9500, i))
             _, kernel, _ = rank_kernel_range(state.mat)
-            cfg = _cfg(13, seed=i)
-            found = assert_same_search(kernel, dims, cfg)
-            first_only = replace(cfg, opt_restarts=1)
+            found = assert_same_search(kernel, dims, _cfg(monkeypatch, 13, seed=i))
+            first_only = _cfg(monkeypatch, 1, seed=i)
             first = reference_product_vector_in_subspace(kernel, dims, first_only)
             late += found and first is None
     assert late >= 4
 
 
-def test_search_2x4_kernels():
+def test_search_2x4_kernels(monkeypatch):
     for rank in range(1, 8):
         for seed in range(3):
             state = random_state(D24, rank, derive_seed(9600 + rank, seed))
             _, kernel, _ = rank_kernel_range(state.mat)
-            assert_same_search(kernel, D24, _cfg(9, seed=seed))
+            assert_same_search(kernel, D24, _cfg(monkeypatch, 9, seed=seed))
