@@ -211,8 +211,7 @@ def _cmd_random(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    spec = EnsembleSpec(count=args.trials, seed=args.seed)
-    report = run_suite(args.suite, spec)
+    report = run_suite(args.suite, args.trials, args.seed)
     if args.json:
         print(dumps(report.to_document()))
     else:

@@ -59,7 +59,7 @@ class EdgeParams:
             raise ValueError(
                 f"theta must satisfy 0 < |theta| < pi/3, got {self.theta}"
             )
-        if self.eps < 0:
+        if not self.eps >= 0:
             raise ValueError(f"eps must be nonnegative, got {self.eps}")
 
 

@@ -4,6 +4,10 @@ States are Ginibre-style ``G G*`` draws with ``G`` filled from the
 portable SplitMix64/Box-Muller stream, so a (seed, trial) pair pins every
 sample bit-for-bit.
 
+A suite runs from its name, a trial count and a seed, which pick only the
+sampled states: the routes and checks inside every suite run at the
+library seed 2024.
+
 Every suite is a list of trials and a judge, which returns ``None`` for a
 pass, ``_SKIP`` for a trial outside the claim, or the trial's failure
 document; one tally builds every suite's report.  Suites never abort on a
@@ -39,7 +43,6 @@ from .multicopy import (
     werner_projector,
 )
 from .qcore import (
-    DEFAULT_TOL,
     PSD_TOL,
     RANK_REL_TOL,
     BipartiteState,
@@ -47,13 +50,11 @@ from .qcore import (
     Dims,
     InvariantViolationError,
     NumericalFailureError,
-    ToleranceConfig,
     _RESTARTS,
     _numeric_rank,
     _pt_power,
     _two_nonpositive_pt,
     is_ppt,
-    rank_kernel_range,
     regroup_tensor_power,
 )
 from .rng import _complex_normals, derive_seed
@@ -61,13 +62,12 @@ from .serialize import matrix_document
 from .witness import (
     WitnessCertificate,
     certify_1_distillable,
-    product_vector_in_subspace,
     submatrix_2x2_scan,
     two_nonpositive_witness,
     verify_certificate,
 )
 
-FILTERS = ("any", "NPT", "PPT", "kernelHasProduct", "twoNonpositivePT")
+FILTERS = ("any", "NPT", "twoNonpositivePT")
 
 _MAX_CONSECUTIVE_REJECTS = 10_000
 
@@ -146,28 +146,21 @@ def random_state(dims: Dims, rank: int, seed: int) -> BipartiteState:
     return state
 
 
-def _passes_filter(state: BipartiteState, name: str, cfg: ToleranceConfig) -> bool:
+def _passes_filter(state: BipartiteState, name: str) -> bool:
     if name == "any":
         return True
     if name == "NPT":
         return not is_ppt(state)
-    if name == "PPT":
-        return is_ppt(state)
     if name == "twoNonpositivePT":
         return _two_nonpositive_pt(state)
-    if name == "kernelHasProduct":
-        kernel = rank_kernel_range(state.mat)[1]
-        if kernel.shape[1] == 0:
-            return False
-        return product_vector_in_subspace(kernel, state.dims, cfg) is not None
     raise ValueError(f"unknown filter {name!r}")
 
 
-def sample_ensemble(
-    spec: EnsembleSpec, cfg: ToleranceConfig = DEFAULT_TOL
-) -> tuple[list[BipartiteState], float]:
-    """Rejection-sample the ensemble; returns (states, acceptance rate).
+def sample_ensemble(spec: EnsembleSpec) -> tuple[list[BipartiteState], float]:
+    """Rejection-sample the ensemble ``spec``; returns (states, acceptance rate).
 
+    Attempt ``i`` draws ``random_state(spec.dims, spec.rank,
+    derive_seed(spec.seed, i))``, so the spec alone pins every state.
     Aborts with a numerical-failure signal after 10000 consecutive
     rejections, which indicates an unsatisfiable filter.
     """
@@ -177,7 +170,7 @@ def sample_ensemble(
     while len(states) < spec.count:
         state = random_state(spec.dims, spec.rank, derive_seed(spec.seed, attempt))
         attempt += 1
-        if _passes_filter(state, spec.filter, cfg):
+        if _passes_filter(state, spec.filter):
             states.append(state)
             consecutive = 0
         else:
@@ -199,9 +192,9 @@ def _counterexample(trial: int, state: BipartiteState, reason: str, **extra) -> 
     return doc
 
 
-def _sampled(spec: EnsembleSpec, cfg: ToleranceConfig):
+def _sampled(spec: EnsembleSpec):
     """Trials of an ensemble suite: sampled states; the config echoes spec and the constants."""
-    states, rate = sample_ensemble(spec, cfg)
+    states, rate = sample_ensemble(spec)
     config = {
         "dims": [spec.dims.dim_a, spec.dims.dim_b],
         "rank": spec.rank,
@@ -218,13 +211,12 @@ def _sampled(spec: EnsembleSpec, cfg: ToleranceConfig):
 def _judge_route(
     idx: int,
     state: BipartiteState,
-    cfg: ToleranceConfig,
-    route: Callable[[BipartiteState, ToleranceConfig], Optional[WitnessCertificate]],
+    route: Callable[[BipartiteState], Optional[WitnessCertificate]],
     empty_reason: str,
 ) -> Optional[dict]:
     """Certify the state through ``route`` and re-check the certificate."""
     try:
-        cert = route(state, cfg)
+        cert = route(state)
     except _TRIAL_ERRORS as exc:
         return _counterexample(idx, state, str(exc))
     if cert is None:
@@ -234,9 +226,9 @@ def _judge_route(
     return None
 
 
-def _judge_2x2(idx: int, state: BipartiteState, cfg: ToleranceConfig):
+def _judge_2x2(idx: int, state: BipartiteState):
     """Skip a state with no qualifying minor; otherwise re-check its certificate."""
-    hit = submatrix_2x2_scan(state, cfg)
+    hit = submatrix_2x2_scan(state)
     if hit is None:
         return _SKIP
     if verify_certificate(hit.certificate, state):
@@ -250,11 +242,11 @@ def _judge_2x2(idx: int, state: BipartiteState, cfg: ToleranceConfig):
     )
 
 
-def _edge_points(spec: EnsembleSpec, cfg: ToleranceConfig):
+def _edge_points(spec: EnsembleSpec):
     return DEFAULT_GRID, {"grid": [[b, th] for b, th in DEFAULT_GRID], "seed": spec.seed}, None
 
 
-def _judge_edge_point(idx: int, point: tuple[float, float], cfg: ToleranceConfig):
+def _judge_edge_point(idx: int, point: tuple[float, float]):
     b, theta = point
     problems: list[str] = []
     params = EdgeParams(b, theta)
@@ -300,11 +292,11 @@ def _judge_edge_point(idx: int, point: tuple[float, float], cfg: ToleranceConfig
     return {"b": b, "theta": theta, "problems": problems} if problems else None
 
 
-def _multicopy_checks(spec: EnsembleSpec, cfg: ToleranceConfig):
+def _multicopy_checks(spec: EnsembleSpec):
     params = EdgeParams(1.0, math.pi / 6)
 
     def check_extremal(n: int) -> None:
-        report = extremal_rank2_tensor_power(n, cfg)
+        report = extremal_rank2_tensor_power(n)
         if abs(report.max_value - 1.0 / 8.0**n) > 1e-6:
             raise AssertionError(f"n={n} max {report.max_value} misses 1/8^n")
         if n == 1 and abs(report.min_value - 1.0 / 24.0) > 1e-6:
@@ -322,7 +314,7 @@ def _multicopy_checks(spec: EnsembleSpec, cfg: ToleranceConfig):
                 raise AssertionError(f"operator bound fails at n={n}")
 
     def check_undistillable(n: int) -> None:
-        report = verify_n_undistillable(params, n, cfg)
+        report = verify_n_undistillable(params, n)
         if not report.min_value > 0:
             raise AssertionError(f"n={n} minimum is not positive")
 
@@ -336,7 +328,7 @@ def _multicopy_checks(spec: EnsembleSpec, cfg: ToleranceConfig):
     return checks, {"b": params.b, "theta": params.theta, "seed": spec.seed}, None
 
 
-def _judge_check(idx: int, trial: tuple[str, Callable[[], None]], cfg: ToleranceConfig):
+def _judge_check(idx: int, trial: tuple[str, Callable[[], None]]):
     name, check = trial
     try:
         check()
@@ -346,18 +338,20 @@ def _judge_check(idx: int, trial: tuple[str, Callable[[], None]], cfg: Tolerance
 
 
 # suite name -> (trials, judge, default ensemble), in the order "all" runs and reports
-# them; ``trials(spec, cfg)`` gives (trials, config, acceptance rate).  The routes are
-# looked up by name at call time, so a patched module global takes effect.
+# them; ``trials(spec)`` gives (trials, config, acceptance rate) and ``judge(idx, trial)``
+# a verdict.  Only ``_sampled`` reads the spec's ensemble; ``_edge_points`` and
+# ``_multicopy_checks`` read only its seed, for the config.  The routes are looked up
+# by name at call time, so a patched module global takes effect.
 _SUITES = {
     "theorem-rank4": (
         _sampled,
-        lambda i, s, c: _judge_route(i, s, c, certify_1_distillable, "no certificate found"),
+        lambda i, s: _judge_route(i, s, certify_1_distillable, "no certificate found"),
         EnsembleSpec(rank=4, filter="NPT"),
     ),
     "theorem-two-eigs": (
         _sampled,
-        lambda i, s, c: _judge_route(
-            i, s, c, two_nonpositive_witness, "two-nonpositive route returned empty"
+        lambda i, s: _judge_route(
+            i, s, two_nonpositive_witness, "two-nonpositive route returned empty"
         ),
         EnsembleSpec(rank=5, filter="twoNonpositivePT"),
     ),
@@ -369,11 +363,11 @@ _SUITES = {
 SUITE_NAMES = tuple(_SUITES)
 
 
-def _tally(name: str, spec: EnsembleSpec, cfg: ToleranceConfig) -> SuiteReport:
+def _tally(name: str, spec: EnsembleSpec) -> SuiteReport:
     """Judge every trial of suite ``name``: the one place a suite's report is built."""
     trials_of, judge, _ = _SUITES[name]
-    trials, config, rate = trials_of(spec, cfg)
-    verdicts = [judge(idx, trial, cfg) for idx, trial in enumerate(trials)]
+    trials, config, rate = trials_of(spec)
+    verdicts = [judge(idx, trial) for idx, trial in enumerate(trials)]
     failures = [v for v in verdicts if v is not None and v is not _SKIP]
     skipped = verdicts.count(_SKIP)
     judged = len(verdicts) - skipped
@@ -388,15 +382,18 @@ def _tally(name: str, spec: EnsembleSpec, cfg: ToleranceConfig) -> SuiteReport:
     )
 
 
-def run_suite(
-    name: str,
-    spec: Optional[EnsembleSpec] = None,
-    cfg: ToleranceConfig = DEFAULT_TOL,
-) -> SuiteReport:
-    """Run one named verification suite (or ``"all"``) and report."""
+def run_suite(name: str, count: int = 100, seed: int = 2024) -> SuiteReport:
+    """Run one named verification suite (or ``"all"``) and report.
+
+    ``count`` and ``seed`` replace those of the suite's default ensemble,
+    whose dimensions, rank and filter are fixed.  They choose the sampled
+    states of ``theorem-rank4``, ``theorem-two-eigs`` and ``lemma-2x2``;
+    ``edge-family`` and ``multicopy`` run the same trials at any count and
+    seed.  The routes and checks run at the library seed.
+    """
     if name == "all":
         start = time.perf_counter()
-        subs = [run_suite(s, spec, cfg) for s in SUITE_NAMES]
+        subs = [run_suite(s, count, seed) for s in SUITE_NAMES]
         report = SuiteReport(
             suite="all",
             trials=sum(r.trials for r in subs),
@@ -411,9 +408,7 @@ def run_suite(
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES + ('all',)}")
     _, _, base = _SUITES[name]
-    if spec is not None:
-        base = replace(base, count=spec.count, seed=spec.seed)
     start = time.perf_counter()
-    report = _tally(name, base, cfg)
+    report = _tally(name, replace(base, count=count, seed=seed))
     report.wall_time_s = time.perf_counter() - start
     return report

@@ -261,10 +261,8 @@ def min_rank2_expectation(
     )
     best = int(np.argmin(vals))
     w_op = np.kron(fa[best], fb[best])
-    comp = w_op.conj().T @ m @ w_op
-    comp = (comp + comp.conj().T) / 2
-    w4, v4 = np.linalg.eigh(comp)
-    ansatz = Rank2Ansatz(fa[best], fb[best], v4[:, 0].reshape(2, 2))
+    v4 = _bottom((w_op.conj().T @ m @ w_op)[None])[1][0]
+    ansatz = Rank2Ansatz(fa[best], fb[best], v4.reshape(2, 2))
     psi = ansatz.vector()
     value = float(np.real(psi.conj() @ m @ psi))
     return value, ansatz
@@ -334,11 +332,8 @@ def submatrix_2x2_scan(
     r, s = best
     k, l = r // mb, s // mb
     rows = list(range(k * mb, (k + 1) * mb)) + list(range(l * mb, (l + 1) * mb))
-    block = pt[np.ix_(rows, rows)]
-    block = (block + block.conj().T) / 2
-    w, v = np.linalg.eigh(block)
     psi = np.zeros(state.dims.total, dtype=complex)
-    psi[rows] = v[:, 0]
+    psi[rows] = _bottom(pt[np.ix_(rows, rows)][None])[1][0]
     cert = _make_certificate(psi, state, ROUTE_SUBMATRIX, cfg)
     return ScanHit(blocks=(k, l), indices=(r, s), determinant=float(best_det), certificate=cert)
 

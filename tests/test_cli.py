@@ -57,6 +57,12 @@ class TestSigmaRho:
         assert code == 0
         assert json.loads(out)["meta"]["eps"] == pytest.approx(1e-4, abs=1e-18)
 
+    def test_rho_rejects_nan_eps(self, capsys):
+        code, out, err = _run(capsys, "rho", "--b", "1", "--theta", "0.5", "--eps", "nan")
+        assert code == 2
+        assert out == ""
+        assert "eps must be nonnegative" in err
+
 
 class TestWitness:
     def test_certifies_random_npt_file(self, tmp_path, capsys):
@@ -187,6 +193,14 @@ class TestMulticopyCommand:
         assert doc["eps_threshold"] > 0
         assert doc["engineering_bound"] is True
 
+    def test_rho_target_rejects_nan_eps(self, capsys):
+        code, out, err = _run(
+            capsys, "multicopy", "--n", "1", "--target", "rho", "--eps", "nan", "--json"
+        )
+        assert code == 2
+        assert out == ""
+        assert "eps must be nonnegative" in err
+
     def test_human_readable(self, capsys):
         code, out, _ = _run(capsys, "multicopy", "--n", "1")
         assert code == 0
@@ -255,6 +269,20 @@ class TestVerifyCommand:
     def test_unknown_suite(self, capsys):
         code, _, err = _run(capsys, "verify", "--suite", "made-up")
         assert code == 2
+
+    @pytest.mark.parametrize("suite", ["edge-family", "multicopy"])
+    def test_seed_and_trials_only_echo_in_suites_that_sample_nothing(self, capsys, suite):
+        docs = []
+        for trials, seed in (("3", "1"), ("50", "2")):
+            code, out, _ = _run(
+                capsys, "verify", "--suite", suite, "--trials", trials, "--seed", seed, "--json"
+            )
+            assert code == 0
+            doc = json.loads(out)
+            assert doc["config"].pop("seed") == int(seed)
+            del doc["wall_time_s"]
+            docs.append(doc)
+        assert docs[0] == docs[1]
 
 
 class TestExitCodes:

@@ -51,6 +51,11 @@ class TestParams:
         with pytest.raises(ValueError):
             EdgeParams(1.0, math.pi / 6, eps=-0.1)
 
+    def test_rejects_nan_noise(self):
+        # nan < 0 is false, so the check must be written as "not eps >= 0"
+        with pytest.raises(ValueError, match="eps"):
+            EdgeParams(1.0, 0.5, math.nan)
+
     def test_boundary_interior_accepted(self):
         EdgeParams(1.0, math.pi / 3 - 1e-9)
         EdgeParams(0.01, -1e-9)

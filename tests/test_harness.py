@@ -16,7 +16,6 @@ from distill_lab.harness import (
     sample_ensemble,
 )
 from distill_lab.qcore import (
-    DEFAULT_TOL,
     DimensionMismatchError,
     Dims,
     InvariantViolationError,
@@ -106,10 +105,10 @@ class TestEnsemble:
         assert len(states) == 5
         assert 0 < rate <= 1.0
 
-    def test_kernel_product_filter_accepts_rank4(self):
-        spec = EnsembleSpec(rank=4, count=2, filter="kernelHasProduct", seed=6)
-        states, _ = sample_ensemble(spec)
-        assert len(states) == 2
+    @pytest.mark.parametrize("name", ["PPT", "kernelHasProduct"])
+    def test_removed_filters_are_unknown(self, name):
+        with pytest.raises(ValueError, match="unknown filter"):
+            EnsembleSpec(filter=name)
 
     def test_pt_spectrum_computed_once_per_state(self, monkeypatch):
         seen = []
@@ -130,9 +129,9 @@ class TestEnsemble:
             assert sum(np.array_equal(a, pt) for a in seen) == 1
 
     def test_rejection_abort(self, monkeypatch):
-        # random rank-4 two-qutrit states are NPT almost surely; a PPT filter stalls
+        # every 1xN state is PPT, so an NPT filter on them stalls
         monkeypatch.setattr(harness, "_MAX_CONSECUTIVE_REJECTS", 40)
-        spec = EnsembleSpec(rank=4, count=1, filter="PPT", seed=8)
+        spec = EnsembleSpec(dims=Dims(1, 3), rank=2, count=1, filter="NPT", seed=8)
         with pytest.raises(NumericalFailureError):
             sample_ensemble(spec)
 
@@ -147,7 +146,7 @@ def _strip_wall_time(doc: dict) -> dict:
 
 class TestSuites:
     def test_rank4_suite_passes(self):
-        report = run_suite("theorem-rank4", EnsembleSpec(count=25, seed=1234))
+        report = run_suite("theorem-rank4", 25, 1234)
         assert report.trials == 25
         assert report.passes == 25
         assert report.failures == []
@@ -159,16 +158,16 @@ class TestSuites:
         [("theorem-rank4", 1.0), ("theorem-two-eigs", 100 / 101)],
     )
     def test_report_carries_the_acceptance_rate(self, suite, rate):
-        doc = run_suite(suite, EnsembleSpec(count=100, seed=2024)).to_document()
+        doc = run_suite(suite, 100, 2024).to_document()
         assert doc["acceptance_rate"] == rate
         assert "rejection_rate" not in doc
 
     def test_two_eigs_suite_passes(self):
-        report = run_suite("theorem-two-eigs", EnsembleSpec(count=25, seed=1234))
+        report = run_suite("theorem-two-eigs", 25, 1234)
         assert report.passes == 25
 
     def test_lemma_2x2_suite(self):
-        report = run_suite("lemma-2x2", EnsembleSpec(count=30, seed=99))
+        report = run_suite("lemma-2x2", 30, 99)
         assert report.trials + report.skipped == 30
         assert report.passes == report.trials
         assert report.failures == []
@@ -189,7 +188,7 @@ class TestSuites:
 
         monkeypatch.setattr(harness, "edge_state", counted)
         monkeypatch.setattr(edgestate, "edge_state", counted)
-        assert harness._judge_edge_point(0, DEFAULT_GRID[0], DEFAULT_TOL) is None
+        assert harness._judge_edge_point(0, DEFAULT_GRID[0]) is None
         assert len(calls) == 2
 
     def test_multicopy_counts_library_errors(self, monkeypatch):
@@ -248,10 +247,20 @@ class TestSuites:
         with pytest.raises(ValueError):
             run_suite("nope")
 
+    def test_count_and_seed_replace_those_of_the_default_ensemble(self):
+        config = run_suite("theorem-two-eigs", 3, 7).config
+        assert config["rank"] == 5
+        assert config["filter"] == "twoNonpositivePT"
+        assert (config["count"], config["seed"]) == (3, 7)
+
+    def test_an_ensemble_is_not_a_trial_count(self):
+        # the suite's dims, rank and filter are fixed; an ensemble cannot pose as a count
+        with pytest.raises(TypeError):
+            run_suite("theorem-rank4", EnsembleSpec(rank=5))
+
     def test_reports_deterministic_modulo_wall_time(self):
-        spec = EnsembleSpec(count=8, seed=31)
-        a = run_suite("theorem-rank4", spec).to_document()
-        b = run_suite("theorem-rank4", spec).to_document()
+        a = run_suite("theorem-rank4", 8, 31).to_document()
+        b = run_suite("theorem-rank4", 8, 31).to_document()
         assert dumps(_strip_wall_time(a)) == dumps(_strip_wall_time(b))
 
     def test_counterexamples_round_trip(self):
@@ -279,12 +288,12 @@ class TestTheoremSuiteFailures:
         real = getattr(harness, route)
         calls = []
 
-        def every_other_empty(state, cfg):
+        def every_other_empty(state):
             calls.append(state)
-            return None if len(calls) % 2 == 0 else real(state, cfg)
+            return None if len(calls) % 2 == 0 else real(state)
 
         monkeypatch.setattr(harness, route, every_other_empty)
-        report = run_suite(suite, EnsembleSpec(count=4, seed=5))
+        report = run_suite(suite, 4, 5)
         assert len(calls) == 4
         assert report.trials == 4
         assert report.passes == 2
@@ -297,14 +306,14 @@ class TestTheoremSuiteFailures:
         real = getattr(harness, route)
         stored = []
 
-        def value_off(state, cfg):
-            cert = real(state, cfg)
+        def value_off(state):
+            cert = real(state)
             cert = replace(cert, value=cert.value + 1e-6)
             stored.append(cert.value)
             return cert
 
         monkeypatch.setattr(harness, route, value_off)
-        report = run_suite(suite, EnsembleSpec(count=3, seed=5))
+        report = run_suite(suite, 3, 5)
         assert report.trials == 3
         assert report.passes == 0
         assert [f["trial"] for f in report.failures] == [0, 1, 2]
@@ -322,14 +331,14 @@ class TestTheoremSuiteFailures:
         real = getattr(harness, route)
         calls = []
 
-        def fails_on_trial_1(state, cfg):
+        def fails_on_trial_1(state):
             calls.append(state)
             if len(calls) == 2:
                 raise error("route gave up")
-            return real(state, cfg)
+            return real(state)
 
         monkeypatch.setattr(harness, route, fails_on_trial_1)
-        report = run_suite(suite, EnsembleSpec(count=4, seed=5))
+        report = run_suite(suite, 4, 5)
         assert len(calls) == 4
         assert report.trials == 4
         assert report.passes == 3
@@ -338,12 +347,12 @@ class TestTheoremSuiteFailures:
 
     @pytest.mark.parametrize("suite, route, reason", THEOREM_ROUTES)
     def test_programming_error_propagates(self, monkeypatch, suite, route, reason):
-        def broken(state, cfg):
+        def broken(state):
             raise TypeError("shape bug")
 
         monkeypatch.setattr(harness, route, broken)
         with pytest.raises(TypeError, match="shape bug"):
-            run_suite(suite, EnsembleSpec(count=4, seed=5))
+            run_suite(suite, 4, 5)
 
 
 class TestFailureDocuments:
@@ -355,7 +364,7 @@ class TestFailureDocuments:
         assert 0 < len(qualifying) < len(states)
 
         monkeypatch.setattr(harness, "verify_certificate", lambda *args, **kwargs: False)
-        report = run_suite("lemma-2x2", spec)
+        report = run_suite("lemma-2x2", spec.count, spec.seed)
         assert report.trials + report.skipped == spec.count
         assert report.trials == len(qualifying)
         assert report.passes == 0

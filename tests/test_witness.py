@@ -326,7 +326,7 @@ class TestTwoNonpositive:
         for rank in (4, 5, 6, 7):
             for i in range(30):
                 state = random_state(D33, rank, derive_seed(4747, 100 * rank + i))
-                passes = _passes_filter(state, "twoNonpositivePT", DEFAULT_TOL)
+                passes = _passes_filter(state, "twoNonpositivePT")
                 assert (two_nonpositive_witness(state) is None) == (not passes)
                 admitted += passes
                 rejected += not passes
