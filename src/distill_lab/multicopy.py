@@ -146,7 +146,12 @@ def undistillability_bound(params: EdgeParams, n: int, eps: float) -> float:
 
     The leading term is (gap/3)^n; every cross term with k noise factors
     is controlled by operator norms, C(n,k) eps^k ||edge_pt||^(n-k).
+    Raises ``ValueError`` unless ``n >= 1`` and ``eps >= 0`` (so NaN fails).
     """
+    if n < 1:
+        raise ValueError("copy count must be positive")
+    if not eps >= 0:
+        raise ValueError(f"noise eps must be nonnegative, got {eps}")
     return _series_bound(*_gap_and_pt_norm(params), n, eps)
 
 

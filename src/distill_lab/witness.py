@@ -404,21 +404,43 @@ def two_nonpositive_witness(
     return None
 
 
+def _product_step(
+    ck: np.ndarray, a: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """One alternating step of the product search for each row of ``a``.
+
+    The best b for a is the bottom eigenvector of the dB x dB Gram matrix
+    C(a)^H C(a), which is the bottom right singular vector of C(a); then a
+    is updated the same way against C(b).  The value is the residual
+    |C(b) a|, not the square root of the bottom eigenvalue: that eigenvalue
+    carries an absolute error near eps * sigma_1^2, so its root is noise
+    near 1e-8, while the residual reaches zero with the constraints.  The
+    incoming ``b`` is not read.  (Golub & Van Loan, *Matrix Computations*,
+    4th ed., section 8.6.)
+    """
+    d, ma, mb = ck.shape
+    # C(a)[r, i, n] = sum_m a[r, m] ck[i, m, n], as one 1 x dA product per row:
+    # a single (rows x dA) product would round a row by its place in the stack
+    c = (a[:, None, :] @ ck.transpose(1, 0, 2).reshape(ma, -1)).reshape(-1, d, mb)
+    # eigh reads one triangle of each Gram matrix, so none is hermitized
+    b = np.linalg.eigh(c.conj().transpose(0, 2, 1) @ c)[1][:, :, 0]
+    c = (b[:, None, :] @ ck.transpose(2, 0, 1).reshape(mb, -1)).reshape(-1, d, ma)
+    a = np.linalg.eigh(c.conj().transpose(0, 2, 1) @ c)[1][:, :, 0]
+    return np.linalg.norm((c @ a[:, :, None])[:, :, 0], axis=1), (a, b)
+
+
 def _product_search_descent(
     ck: np.ndarray, a: np.ndarray, b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Alternating smallest-singular-vector steps, one start per row of ``a``, ``b``.
+    """Alternating ``_product_step`` steps, one start per row of ``a``, ``b``.
 
-    A row stops once the smallest singular value drops below 1e-9 or
-    improves by at most ``_PRODUCT_STEP_TOL``; returns the final rows.
+    A row stops once its residual |C(b) a| drops below 1e-9 or improves
+    by at most ``_PRODUCT_STEP_TOL``; returns the final rows.
     """
-
-    def step(a, b):
-        b = np.linalg.svd(np.einsum("dmn,rm->rdn", ck, a))[2][:, -1, :].conj()
-        _, s, vh = np.linalg.svd(np.einsum("dmn,rn->rdm", ck, b))
-        return s[:, -1], (vh[:, -1, :].conj(), b)
-
-    return _lockstep(step, (a, b), _OPT_MAX_ITERS, _PRODUCT_STEP_TOL, floor=1e-9)[1:]
+    return _lockstep(
+        lambda a, b: _product_step(ck, a, b),
+        (a, b), _OPT_MAX_ITERS, _PRODUCT_STEP_TOL, floor=1e-9,
+    )[1:]
 
 
 def product_vector_in_subspace(
@@ -427,12 +449,15 @@ def product_vector_in_subspace(
     """Search a subspace (orthonormal basis columns) for a product vector.
 
     Minimizes the violation of the orthogonal-complement constraints over
-    local unit vectors by alternating closed-form singular-vector steps;
-    a solution must drive the smallest singular value of the constraint
-    matrix below 1e-8.  Restart 0 runs alone, then the other
-    ``_RESTARTS - 1`` run as one block whose members advance together,
-    each with its own stop rule; the first success in restart order is
-    returned, exactly as if the restarts ran one after another.  ``None``
+    local unit vectors by alternating closed-form steps, each taking one
+    factor from the bottom eigenvector of a small Gram matrix C^H C (see
+    ``_product_step``); a restart stops once its residual |C(b) a| falls
+    below 1e-9 or stalls.  A solution must pass an SVD check: the smallest
+    singular value of C(a) below 1e-8 and the residual below 1e-7.
+    Restart 0 runs alone, then the other ``_RESTARTS - 1`` run as one
+    block whose members advance together, each with its own stop rule;
+    the first success in restart order is returned, exactly as if the
+    restarts ran one after another.  ``None``
     after restart exhaustion is a legitimate "no product vector found"
     outcome, except for subspaces of dimension at least 5 in a 3x3
     system, where a product vector provably exists and emptiness is

@@ -240,6 +240,16 @@ class TestEpsThreshold:
                 gap / 3 - eps, abs=1e-18
             )
 
+    @pytest.mark.parametrize("eps", [math.nan, -1.0])
+    def test_bound_rejects_noise_outside_its_domain(self, eps):
+        # NaN gave NaN, and -1.0 gave a "lower bound" above the eps = 0 value
+        with pytest.raises(ValueError, match="eps"):
+            undistillability_bound(PARAMS, 1, eps)
+
+    def test_bound_rejects_zero_copies(self):
+        with pytest.raises(ValueError, match="copy count"):
+            undistillability_bound(PARAMS, 0, 0.0)
+
 
 class TestVerifyUndistillable:
     def test_single_copy(self):

@@ -4,7 +4,12 @@ The reference function below is the sequential implementation of
 ``product_vector_in_subspace``, kept verbatim as an oracle, except that
 it zero-pads its constraint matrix to at least dB rows, as the library
 does, and reads the library's restart budget, iteration cap and stop
-rule at call time.  Tests set the budget by patching ``witness._RESTARTS``.
+rule at call time.  Its step follows the library's: each half-step forms
+C as a 1 x dA (or 1 x dB) product and takes the bottom eigenvector of the
+Gram matrix C^H C, and the step's value is the row-wise residual norm
+|C(b) a|; the SVD step it replaced is kept in
+``tests/test_product_step_reference.py``.  Tests set the budget by
+patching ``witness._RESTARTS``.
 The stacked version must reproduce it byte for byte: returned vectors
 and found versus ``None``.
 """
@@ -29,6 +34,11 @@ D24 = Dims(2, 4)
 # ---- reference oracle: the sequential loop, verbatim ------------------------
 
 
+def _gram_bottom(c: np.ndarray) -> np.ndarray:
+    """Bottom eigenvector of the Gram matrix C^H C."""
+    return np.linalg.eigh(c.conj().T @ c)[1][:, 0]
+
+
 def reference_product_vector_in_subspace(
     basis: np.ndarray, dims: Dims, cfg: ToleranceConfig = DEFAULT_TOL
 ) -> Optional[tuple[np.ndarray, np.ndarray]]:
@@ -46,13 +56,12 @@ def reference_product_vector_in_subspace(
         b = gen.unit_vector(mb)
         smin_prev = np.inf
         for _ in range(witness._OPT_MAX_ITERS):
-            c_of_a = np.einsum("dmn,m->dn", ck, a)
-            _, s, vh = np.linalg.svd(c_of_a)
-            b = vh[-1, :].conj()
-            d_of_b = np.einsum("dmn,n->dm", ck, b)
-            _, s, vh = np.linalg.svd(d_of_b)
-            a = vh[-1, :].conj()
-            smin = float(s[-1])
+            c_of_a = (a[None] @ ck.transpose(1, 0, 2).reshape(ma, -1)).reshape(-1, mb)
+            b = _gram_bottom(c_of_a)
+            d_of_b = (b[None] @ ck.transpose(2, 0, 1).reshape(mb, -1)).reshape(-1, ma)
+            a = _gram_bottom(d_of_b)
+            # the residual norm as the library takes it, row-wise
+            smin = float(np.linalg.norm((d_of_b @ a)[None], axis=1)[0])
             if smin < 1e-9 or smin_prev - smin <= witness._PRODUCT_STEP_TOL:
                 break
             smin_prev = smin
