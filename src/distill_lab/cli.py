@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 = ran to completion (results, including "not certified",
-are payload), 2 = invalid input or flags, 3 = numerical failure.  Copy
-counts (``witness --copies``, ``multicopy --n``) run from 1 to
-``qcore.MAX_COPIES``.
+are payload), 2 = invalid input or flags, 3 = numerical failure, such as a
+tolerance decision the input defeats.  Copy counts (``witness --copies``,
+``multicopy --n``) run from 1 to ``qcore.MAX_COPIES``.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ def _cmd_sigma(args: argparse.Namespace) -> int:
 
 def _cmd_rho(args: argparse.Namespace) -> int:
     eps = 0.0 if args.eps == "auto" else float(args.eps)
-    bundle = build_edge_bundle(EdgeParams(args.b, args.theta, eps))
+    bundle = build_edge_bundle(EdgeParams(args.b, args.theta), eps)
     meta = {
         "b": args.b,
         "theta": args.theta,
@@ -154,10 +154,14 @@ def _cmd_certify_rank4(args: argparse.Namespace) -> int:
 
 def _cmd_multicopy(args: argparse.Namespace) -> int:
     if args.target == "werner":
+        if (args.b, args.theta, args.eps) != (None, None, None):
+            raise ValueError("--b, --theta and --eps apply to --target rho only")
         report = extremal_rank2_tensor_power(args.n)
     else:
-        params = EdgeParams(args.b, args.theta, args.eps)
-        report = verify_n_undistillable(params, args.n)
+        b = 1.0 if args.b is None else args.b
+        theta = math.pi / 6 if args.theta is None else args.theta
+        eps = 0.0 if args.eps is None else args.eps
+        report = verify_n_undistillable(EdgeParams(b, theta), args.n, eps=eps)
     doc = {
         "n": report.n,
         "target": report.target,
@@ -263,9 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("multicopy", help="n-copy extremal values and thresholds")
     p.add_argument("--n", type=int, choices=_COPY_CHOICES, required=True)
-    p.add_argument("--b", type=float, default=1.0)
-    p.add_argument("--theta", type=float, default=math.pi / 6)
-    p.add_argument("--eps", type=float, default=0.0)
+    p.add_argument("--b", type=float, help="--target rho only (default 1.0)")
+    p.add_argument("--theta", type=float, help="--target rho only (default pi/6)")
+    p.add_argument("--eps", type=float, help="--target rho only (default 0: 0.9 * gap/3)")
     p.add_argument("--target", choices=("werner", "rho"), default="werner")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_multicopy)

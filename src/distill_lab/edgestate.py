@@ -1,12 +1,12 @@
 """The two-parameter family of two-qutrit PPT edge states and its NPT offspring.
 
-``edge_state(b, theta)`` is entangled, PPT, trace one, of rank 5, and its
-partial transpose has rank 8 with kernel spanned by the maximally
-entangled state.  Subtracting a small multiple of the product vector
-sitting in its range produces an NPT state of rank 5 that provably admits
-no 1-copy witness: the best rank-2 value of its partial transpose is at
-least ``gap/3 - eps``, where ``gap`` is the smallest positive eigenvalue
-of the edge state's partial transpose.
+``edge_state(EdgeParams(b, theta))`` is entangled, PPT, trace one, of rank 5,
+and its partial transpose has rank 8, with kernel spanned by the maximally
+entangled state (MES).  Subtracting ``eps`` times the projector onto the
+product vector in its range gives an NPT rank-5 state with no 1-copy
+witness: its best rank-2 PT value is at least ``gap/3 - eps``, where ``gap``
+is the edge state's smallest positive PT eigenvalue.  The noise ``eps`` is
+an argument of the builders that read it, not a field of ``EdgeParams``.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .qcore import (
     _RESTARTS,
     _numeric_rank,
     is_ppt,
+    min_pt_eigenvalue,
     rank_kernel_range,
 )
 from .rng import SplitMix64, derive_seed
@@ -46,11 +47,10 @@ DEFAULT_GRID: tuple[tuple[float, float], ...] = tuple(
 
 @dataclass(frozen=True)
 class EdgeParams:
-    """Family parameters: scale ``b > 0``, phase ``0 < |theta| < pi/3``, noise ``eps``."""
+    """A point of the family: scale ``b > 0`` and phase ``0 < |theta| < pi/3``."""
 
     b: float
     theta: float
-    eps: float = 0.0
 
     def __post_init__(self) -> None:
         if not self.b > 0:
@@ -59,8 +59,6 @@ class EdgeParams:
             raise ValueError(
                 f"theta must satisfy 0 < |theta| < pi/3, got {self.theta}"
             )
-        if not self.eps >= 0:
-            raise ValueError(f"eps must be nonnegative, got {self.eps}")
 
 
 @dataclass(frozen=True)
@@ -205,36 +203,39 @@ def _range_product_vector(
     return f, g
 
 
-def build_edge_bundle(params: EdgeParams) -> EdgeBundle:
-    """Assemble the edge state, its NPT rank-5 perturbation, and the margin.
+def _noise(eps: float, gap: float) -> float:
+    """The noise rule: ``eps`` must be nonnegative (so NaN fails), and 0 means 0.9 * gap/3."""
+    if not eps >= 0:
+        raise ValueError(f"eps must be nonnegative, got {eps}")
+    return eps if eps > 0 else 0.9 * gap / 3
 
-    ``eps`` defaults to 0.9 * gap/3 when the parameters carry none.  If the
-    perturbed matrix fails the PSD check at the requested ``eps``, the
-    noise is halved until it passes (the actually used value is recorded);
-    shrinking below 1e-12 raises a numerical failure.
+
+def build_edge_bundle(params: EdgeParams, eps: float = 0.0) -> EdgeBundle:
+    """Assemble the edge state, its NPT rank-5 perturbation at noise ``eps``, and the margin.
+
+    ``eps = 0`` asks for 0.9 * gap/3; a negative, NaN or above-budget (> gap/3)
+    noise raises ``ValueError``.  Every admitted noise keeps the perturbation
+    PSD: the edge state's smallest positive eigenvalue, min(3c, b + 1/b) /
+    (3 (2c + b + 1/b)) with c = cos(theta), is at least gap, and the product
+    vector is a unit vector in its range.  The rank-5 NPT check is a tolerance
+    decision and raises ``NumericalFailureError``, as when the PT's negative
+    eigenvalue, about -eps |<MES|conj(f) g>|^2, lies above ``-PSD_TOL``.
     """
-    sigma = edge_state(params)
     gap = min_positive_pt_eigenvalue(params)
-    eps = params.eps if params.eps > 0 else 0.9 * gap / 3
+    eps = _noise(eps, gap)
     if eps > gap / 3 + 1e-15:
         raise ValueError(f"eps={eps} exceeds the undistillability budget {gap / 3}")
+    sigma = edge_state(params)
     f, g = _range_product_vector(params, sigma)
-    proj = np.outer(np.kron(f, g), np.kron(f, g).conj())
-
-    while True:
-        candidate = sigma.mat - eps * proj
-        if float(np.linalg.eigvalsh(candidate)[0]) >= -PSD_TOL:
-            break
-        eps /= 2
-        if eps < 1e-12:
-            raise NumericalFailureError("eps shrank below 1e-12 without reaching PSD")
-    npt_state = BipartiteState(candidate, QUTRIT_PAIR)
+    fg = np.kron(f, g)
+    npt_state = BipartiteState(sigma.mat - eps * np.outer(fg, fg.conj()), QUTRIT_PAIR)
 
     rank = _numeric_rank(npt_state.mat)
-    if rank != 5:
-        raise InvariantViolationError(f"perturbed edge state has rank {rank}, not 5")
-    if is_ppt(npt_state):
-        raise InvariantViolationError("perturbed edge state is not NPT")
+    if rank != 5 or is_ppt(npt_state):
+        raise NumericalFailureError(
+            f"perturbed edge state fails its rank-5 NPT check: rank {rank}, smallest PT"
+            f" eigenvalue {min_pt_eigenvalue(npt_state):.3e} (NPT needs < -PSD_TOL = {-PSD_TOL:g})"
+        )
 
     return EdgeBundle(
         params=params,

@@ -19,8 +19,9 @@ from typing import Optional
 import numpy as np
 
 from .edgestate import (
-    EdgeBundle,
+    QUTRIT_PAIR,
     EdgeParams,
+    _noise,
     build_edge_bundle,
     edge_state,
     maximally_entangled_qutrits,
@@ -39,8 +40,6 @@ from .qcore import (
     regroup_tensor_power,
 )
 from .witness import min_rank2_expectation
-
-QUTRIT_PAIR = Dims(3, 3)
 
 
 @dataclass(frozen=True)
@@ -185,10 +184,7 @@ def eps_threshold_for_copies(params: EdgeParams, n: int) -> float:
 
 def _eps_threshold(gap: float, pt_norm: float, n: int) -> float:
     """The bisection of ``eps_threshold_for_copies``, on the bound's two constants."""
-    hi = gap / 3.0
-    if _series_bound(gap, pt_norm, n, hi) > 0.0:
-        return hi
-    lo = 0.0
+    lo, hi = 0.0, gap / 3.0
     for _ in range(_BISECTION_STEPS):
         mid = (lo + hi) / 2.0
         if _series_bound(gap, pt_norm, n, mid) > 0.0:
@@ -199,23 +195,21 @@ def _eps_threshold(gap: float, pt_norm: float, n: int) -> float:
 
 
 def verify_n_undistillable(
-    params: EdgeParams, n: int, cfg: ToleranceConfig = DEFAULT_TOL
+    params: EdgeParams, n: int, cfg: ToleranceConfig = DEFAULT_TOL, eps: float = 0.0
 ) -> MulticopyReport:
     """Numerically confirm n-copy undistillability of the edge perturbation.
 
-    Builds the NPT rank-5 state at noise ``min(requested-or-default,
-    eps_threshold/2)``, minimizes the rank-2 form of the n-copy partial
-    transpose, and checks the numeric minimum stays positive and above the
-    analytic bound.  The bound's two constants are computed once and serve
-    the threshold and the bound.  A violation raises; it would mean a bug,
-    not a distillation protocol.
+    Builds the NPT rank-5 state at noise ``min(eps, eps_threshold/2)``, with
+    ``eps`` read as ``build_edge_bundle`` reads it (0 asks for 0.9 * gap/3),
+    minimizes the rank-2 form of the n-copy partial transpose, and checks the
+    numeric minimum stays positive and above the analytic bound.  The bound's
+    two constants are computed once and serve the threshold and the bound.  A
+    violation raises; it would mean a bug, not a distillation protocol.
     """
     _check_copy_count(n)
     gap, pt_norm = _gap_and_pt_norm(params)
     threshold = _eps_threshold(gap, pt_norm, n)
-    requested = params.eps if params.eps > 0 else 0.9 * gap / 3
-    eps_used = min(requested, threshold / 2)
-    bundle: EdgeBundle = build_edge_bundle(EdgeParams(params.b, params.theta, eps_used))
+    bundle = build_edge_bundle(params, min(_noise(eps, gap), threshold / 2))
 
     pt, dims = _pt_power(bundle.npt_state, n)
     min_value, min_witness, max_value, max_witness = _rank2_extremes(pt, dims, cfg)

@@ -201,6 +201,27 @@ class TestMulticopyCommand:
         assert out == ""
         assert "eps must be nonnegative" in err
 
+    @pytest.mark.parametrize(
+        "flag", [("--b", "-3"), ("--theta", "7"), ("--eps", "nan"), ("--b", "1.0"), ("--eps", "0")]
+    )
+    def test_werner_target_refuses_edge_flags(self, capsys, flag):
+        # once silently ignored, so "--b -3 --theta 7 --eps nan" exited 0
+        code, out, err = _run(capsys, "multicopy", "--n", "1", "--target", "werner", *flag)
+        assert code == 2
+        assert out == ""
+        assert "--target rho only" in err
+
+    def test_rho_target_edge_flag_defaults(self, capsys):
+        base = ("multicopy", "--n", "1", "--target", "rho", "--json")
+        _, implicit, _ = _run(capsys, *base)
+        _, explicit, _ = _run(
+            capsys, *base, "--b", "1.0", "--theta", str(math.pi / 6), "--eps", "0"
+        )
+        assert implicit == explicit
+        code, out, _ = _run(capsys, *base, "--b", "2.0", "--theta", "-0.5", "--eps", "1e-4")
+        assert code == 0
+        assert json.loads(out)["eps_used"] == pytest.approx(1e-4, abs=1e-18)
+
     def test_human_readable(self, capsys):
         code, out, _ = _run(capsys, "multicopy", "--n", "1")
         assert code == 0
@@ -294,6 +315,23 @@ class TestExitCodes:
         code, _, err = _run(capsys, "rho", "--b", "1.0", "--theta", "0.5")
         assert code == 3
         assert "numerical failure" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("rho", "--b", "0.005", "--theta", "0.5"),
+            ("rho", "--b", "1", "--theta", "0.5", "--eps", "1e-8"),
+            ("multicopy", "--n", "2", "--target", "rho", "--b", "0.01", "--theta", "0.5"),
+        ],
+    )
+    def test_unresolvable_npt_exits_three(self, capsys, argv):
+        # NPT in exact arithmetic, but the negative PT eigenvalue lies above
+        # -PSD_TOL; once an uncaught InvariantViolationError (exit 1)
+        code, out, err = _run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("numerical failure: perturbed edge state fails its rank-5 NPT")
+        assert "rank 5, smallest PT eigenvalue" in err and "PSD_TOL" in err
 
     def test_bad_flags_exit_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import distill_lab.edgestate as edgestate
 from distill_lab.edgestate import (
@@ -23,6 +25,7 @@ from distill_lab.qcore import (
     PSD_TOL,
     RANK_REL_TOL,
     Dims,
+    NumericalFailureError,
     partial_transpose,
     rank_kernel_range,
     schmidt_rank,
@@ -49,12 +52,17 @@ class TestParams:
         with pytest.raises(ValueError):
             EdgeParams(1.0, -math.pi / 3)
         with pytest.raises(ValueError):
-            EdgeParams(1.0, math.pi / 6, eps=-0.1)
+            build_edge_bundle(EdgeParams(1.0, math.pi / 6), -0.1)
 
     def test_rejects_nan_noise(self):
         # nan < 0 is false, so the check must be written as "not eps >= 0"
         with pytest.raises(ValueError, match="eps"):
-            EdgeParams(1.0, 0.5, math.nan)
+            build_edge_bundle(EdgeParams(1.0, 0.5), math.nan)
+
+    def test_params_carry_no_noise(self):
+        # the noise is an argument of the builders that read it, not a field
+        with pytest.raises(TypeError):
+            EdgeParams(1.0, 0.5, 1e-3)
 
     def test_boundary_interior_accepted(self):
         EdgeParams(1.0, math.pi / 3 - 1e-9)
@@ -190,9 +198,10 @@ class TestRangeProductVector:
 
 
 class TestBundle:
-    def test_boundary_eps_allowed(self):
-        gap = min_positive_pt_eigenvalue(EdgeParams(1.0, math.pi / 6))
-        bundle = build_edge_bundle(EdgeParams(1.0, math.pi / 6, eps=gap / 3))
+    @pytest.mark.parametrize("b,theta", DEFAULT_GRID)
+    def test_boundary_eps_allowed(self, b, theta):
+        gap = min_positive_pt_eigenvalue(EdgeParams(b, theta))
+        bundle = build_edge_bundle(EdgeParams(b, theta), gap / 3)
         assert bundle.margin == pytest.approx(0.0, abs=1e-15)
         assert rank_kernel_range(bundle.npt_state.mat)[0] == 5
 
@@ -202,10 +211,37 @@ class TestBundle:
         assert bundle.margin == pytest.approx(0.1 * bundle.p1 / 3, abs=1e-12)
         assert bundle.margin == pytest.approx(3.988709429138377e-4, abs=1e-12)
 
+    @pytest.mark.parametrize("b,theta,eps", [(0.005, 0.5, 0.0), (1.0, 0.5, 1e-8)])
+    def test_unresolvable_npt_is_a_numerical_failure(self, b, theta, eps):
+        # NPT in exact arithmetic, but the PT's negative eigenvalue,
+        # about -eps |<MES|conj(f) x g>|^2, lies above -PSD_TOL
+        with pytest.raises(NumericalFailureError, match="smallest PT eigenvalue .*PSD_TOL"):
+            build_edge_bundle(EdgeParams(b, theta), eps)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        log_b=st.floats(-3.0, 3.0),
+        theta=st.floats(-math.pi / 3, math.pi / 3, exclude_min=True, exclude_max=True).filter(
+            lambda t: t != 0.0
+        ),
+    )
+    def test_noise_budget_leaves_the_perturbation_psd(self, log_b, theta):
+        # sigma's positive eigenvalues are 3c (twice) and b + 1/b (three times)
+        # over 3 (2c + b + 1/b), c = cos(theta); the smallest is at least gap, so
+        # subtracting at most gap/3 of a unit range projector keeps rho PSD
+        params = EdgeParams(10.0**log_b, theta)
+        b, c = params.b, math.cos(theta)
+        evals = np.linalg.eigvalsh(edge_state(params).mat)
+        closed = min(3 * c, b + 1 / b) / (3 * (2 * c + b + 1 / b))
+        # a backward-stable 9x9 eigensolver on once-rounded entries: n^2 u ||sigma||
+        bound = 81 * np.finfo(float).eps * float(evals[-1])
+        assert abs(float(evals[4]) - closed) <= bound
+        assert float(evals[4]) >= min_positive_pt_eigenvalue(params)
+
     def test_eps_above_budget_rejected(self):
         gap = min_positive_pt_eigenvalue(EdgeParams(1.0, math.pi / 6))
         with pytest.raises(ValueError):
-            build_edge_bundle(EdgeParams(1.0, math.pi / 6, eps=1.5 * gap))
+            build_edge_bundle(EdgeParams(1.0, math.pi / 6), 1.5 * gap)
 
     @pytest.mark.parametrize("b,theta", DEFAULT_GRID)
     def test_pt_signature_one_negative_eight_positive(self, b, theta):

@@ -204,6 +204,15 @@ class TestEpsThreshold:
         (7, 2, "0x1.2390f7a4fd590p-13"),
     ]
 
+    @pytest.mark.parametrize("b,theta", DEFAULT_GRID)
+    def test_bound_at_the_budget_is_not_positive(self, b, theta):
+        # the k = n noise term alone is (gap/3)^n, so the bisection's upper end
+        # never satisfies the bound and needs no test of its own
+        params = EdgeParams(b, theta)
+        gap = min_positive_pt_eigenvalue(params)
+        for n in (1, 2, 3):
+            assert undistillability_bound(params, n, gap / 3) <= 0.0
+
     @pytest.mark.parametrize("point, n, expected", PINNED)
     def test_pinned_thresholds(self, point, n, expected):
         params = EdgeParams(*DEFAULT_GRID[point])
@@ -265,6 +274,18 @@ class TestVerifyUndistillable:
         assert report.min_value >= report.bound_lower - 1e-8
         assert report.eps_threshold > 0
         assert report.eps_used <= report.eps_threshold / 2
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_noise_is_an_argument_capped_at_half_the_threshold(self, n):
+        gap = min_positive_pt_eigenvalue(PARAMS)
+        half = eps_threshold_for_copies(PARAMS, n) / 2
+        for eps, used in ((1e-6, min(1e-6, half)), (0.0, min(0.9 * gap / 3, half))):
+            assert verify_n_undistillable(PARAMS, n, eps=eps).eps_used == used
+
+    @pytest.mark.parametrize("eps", [math.nan, -1e-4])
+    def test_rejects_noise_outside_its_domain(self, eps):
+        with pytest.raises(ValueError, match="eps must be nonnegative"):
+            verify_n_undistillable(PARAMS, 1, eps=eps)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_two_copy_minimum_at_every_seed(self, seed):
