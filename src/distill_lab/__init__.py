@@ -7,7 +7,6 @@ the separable Werner projector.
 """
 
 from .qcore import (
-    DEFAULT_TOL,
     BipartiteState,
     DimensionMismatchError,
     Dims,
@@ -15,7 +14,6 @@ from .qcore import (
     NumericalFailureError,
     PureState,
     SpectralData,
-    ToleranceConfig,
     hermitian_eig,
     is_ppt,
     min_pt_eigenvalue,
@@ -26,7 +24,6 @@ from .qcore import (
     schmidt_decompose,
     schmidt_rank,
     tensor,
-    tensor_power_bipartite,
 )
 from .edgestate import (
     DEFAULT_GRID,
@@ -68,10 +65,15 @@ from .harness import EnsembleSpec, SuiteReport, random_state, run_suite, sample_
 
 __version__ = "0.1.0"
 
+
+def ToleranceConfig(seed: int = 2024) -> int:
+    """Deprecated, outside ``__all__``: seeded routines take ``seed`` itself, so this returns it."""
+    return seed
+
+
 __all__ = [
     "BipartiteState",
     "DEFAULT_GRID",
-    "DEFAULT_TOL",
     "DimensionMismatchError",
     "Dims",
     "EdgeBundle",
@@ -85,7 +87,6 @@ __all__ = [
     "ScanHit",
     "SpectralData",
     "SuiteReport",
-    "ToleranceConfig",
     "WitnessCertificate",
     "best_rank2_witness",
     "build_edge_bundle",
@@ -117,7 +118,6 @@ __all__ = [
     "schmidt_rank",
     "submatrix_2x2_scan",
     "tensor",
-    "tensor_power_bipartite",
     "two_nonpositive_witness",
     "undistillability_bound",
     "undistillability_margin",

@@ -23,11 +23,9 @@ from .edgestate import (
 from .harness import EnsembleSpec, random_state, run_suite, sample_ensemble
 from .multicopy import extremal_rank2_tensor_power, verify_n_undistillable
 from .qcore import (
-    DEFAULT_TOL,
     MAX_COPIES,
     Dims,
     NumericalFailureError,
-    ToleranceConfig,
     _numeric_rank,
 )
 from .serialize import (
@@ -92,12 +90,11 @@ def _cmd_rho(args: argparse.Namespace) -> int:
 
 
 def _cmd_witness(args: argparse.Namespace) -> int:
-    cfg = ToleranceConfig(seed=args.seed)
     state = _load_state(args.infile)
 
-    cert = certify_1_distillable(state, cfg) if args.copies == 1 else None
+    cert = certify_1_distillable(state, args.seed) if args.copies == 1 else None
     if cert is None:
-        best, cert = best_rank2_witness(state, args.copies, cfg)
+        best, cert = best_rank2_witness(state, args.copies, args.seed)
 
     if cert is not None:
         doc = {"certified": True, "certificate": certificate_document(cert)}
@@ -114,7 +111,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
         "certified": False,
         "copies": args.copies,
         "best_value": best,
-        "seed": cfg.seed,
+        "seed": args.seed,
     }
     if args.json:
         print(dumps(doc))
@@ -175,7 +172,7 @@ def _cmd_multicopy(args: argparse.Namespace) -> int:
         "product_maximizer_value": report.product_maximizer_value,
         "npt_min_pt_eigenvalue": report.npt_min_pt_eigenvalue,
         "engineering_bound": report.engineering_bound,
-        "seed": DEFAULT_TOL.seed,
+        "seed": 2024,
         "max_witness": pure_state_document(report.max_witness),
         "min_witness": pure_state_document(report.min_witness),
     }
@@ -256,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("witness", help="search a state file for a distillation witness")
     p.add_argument("--in", dest="infile", required=True, metavar="FILE")
     p.add_argument("--copies", type=int, choices=_COPY_CHOICES, default=1)
-    p.add_argument("--seed", type=int, default=DEFAULT_TOL.seed, metavar="S")
+    p.add_argument("--seed", type=int, default=2024, metavar="S")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_witness)
 
@@ -286,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", required=True)
     p.add_argument("--trials", type=int, default=100, metavar="T")
-    p.add_argument("--seed", type=int, default=DEFAULT_TOL.seed, metavar="S")
+    p.add_argument("--seed", type=int, default=2024, metavar="S")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
 

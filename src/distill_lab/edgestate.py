@@ -18,14 +18,12 @@ from typing import Optional
 import numpy as np
 
 from .qcore import (
-    DEFAULT_TOL,
     PSD_TOL,
     BipartiteState,
     Dims,
     InvariantViolationError,
     NumericalFailureError,
     PureState,
-    ToleranceConfig,
     _RESTARTS,
     _numeric_rank,
     is_ppt,
@@ -249,16 +247,14 @@ def build_edge_bundle(params: EdgeParams, eps: float = 0.0) -> EdgeBundle:
     )
 
 
-def undistillability_margin(
-    bundle: EdgeBundle, cfg: ToleranceConfig = DEFAULT_TOL
-) -> float:
+def undistillability_margin(bundle: EdgeBundle, seed: int = 2024) -> float:
     """Proven lower bound ``bundle.margin`` = gap/3 - eps on the best rank-2 PT value.
 
     Also runs the numeric minimizer and demands it never undercut the
     bound; a violation would indicate a bookkeeping bug, not new physics.
     The minimum is the one ``best_rank2_witness`` keeps on the state.
     """
-    value, _ = best_rank2_witness(bundle.npt_state, 1, cfg)
+    value, _ = best_rank2_witness(bundle.npt_state, 1, seed)
     if value < bundle.margin - 1e-8:
         raise InvariantViolationError(
             f"rank-2 minimum {value} violates the proven bound {bundle.margin}"
@@ -267,10 +263,7 @@ def undistillability_margin(
 
 
 def distillable_of_rank(
-    base: BipartiteState,
-    rank_target: int,
-    eps: float,
-    cfg: ToleranceConfig = DEFAULT_TOL,
+    base: BipartiteState, rank_target: int, eps: float, seed: int = 2024
 ) -> BipartiteState:
     """Raise a rank-4 NPT two-qutrit state to a 1-distillable state of rank 5..9.
 
@@ -283,8 +276,8 @@ def distillable_of_rank(
         raise ValueError("rank-raising construction is defined for 3x3 states")
     if not 5 <= rank_target <= 9:
         raise ValueError("target rank must lie in 5..9")
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
+    if not eps >= 0:
+        raise ValueError(f"eps must be nonnegative, got {eps}")
     base_rank, _, range_basis = rank_kernel_range(base.mat)
     if base_rank != 4:
         raise ValueError(f"base state must have rank 4, got {base_rank}")
@@ -295,7 +288,7 @@ def distillable_of_rank(
 
     products: Optional[list[np.ndarray]] = None
     for attempt in range(_RESTARTS):
-        gen = SplitMix64(derive_seed(cfg.seed, 3_000_000 + attempt))
+        gen = SplitMix64(derive_seed(seed, 3_000_000 + attempt))
         cand = [np.kron(gen.unit_vector(3), gen.unit_vector(3)) for _ in range(5)]
         stacked = np.column_stack([range_basis] + cand)
         if _numeric_rank(stacked) == 9:
@@ -313,7 +306,7 @@ def distillable_of_rank(
             raise NumericalFailureError(
                 f"eps={eps} too small to realize rank {rank_target} numerically"
             )
-        if not is_ppt(candidate) and certify_1_distillable(candidate, cfg) is not None:
+        if not is_ppt(candidate) and certify_1_distillable(candidate, seed) is not None:
             return candidate
         eps /= 2
     raise NumericalFailureError("noise halving exhausted without an NPT distillable state")

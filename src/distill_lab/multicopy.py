@@ -28,12 +28,10 @@ from .edgestate import (
     min_positive_pt_eigenvalue,
 )
 from .qcore import (
-    DEFAULT_TOL,
     BipartiteState,
     Dims,
     InvariantViolationError,
     PureState,
-    ToleranceConfig,
     _check_copy_count,
     _pt_power,
     min_pt_eigenvalue,
@@ -76,29 +74,27 @@ def werner_projector() -> BipartiteState:
     return BipartiteState(mat, QUTRIT_PAIR)
 
 
-def max_rank2_overlap_with_mes(cfg: ToleranceConfig = DEFAULT_TOL) -> float:
+def max_rank2_overlap_with_mes(seed: int = 2024) -> float:
     """Largest squared overlap of a Schmidt-rank-<=2 unit vector with the MES.
 
     Computed by minimizing the expectation of minus the MES projector;
     the exact answer is 2/3.
     """
     mes = maximally_entangled_qutrits().vec
-    value, _ = min_rank2_expectation(-np.outer(mes, mes.conj()), QUTRIT_PAIR, cfg)
+    value, _ = min_rank2_expectation(-np.outer(mes, mes.conj()), QUTRIT_PAIR, seed)
     return -value
 
 
 def _rank2_extremes(
-    mat: np.ndarray, dims: Dims, cfg: ToleranceConfig
+    mat: np.ndarray, dims: Dims, seed: int
 ) -> tuple[float, PureState, float, PureState]:
     """Rank-2 minimum and maximum (as -min(-X)) of ``mat``, each with its witness."""
-    lo, lo_at = min_rank2_expectation(mat, dims, cfg)
-    neg_hi, hi_at = min_rank2_expectation(-mat, dims, cfg)
+    lo, lo_at = min_rank2_expectation(mat, dims, seed)
+    neg_hi, hi_at = min_rank2_expectation(-mat, dims, seed)
     return lo, PureState(lo_at.vector(), dims), -neg_hi, PureState(hi_at.vector(), dims)
 
 
-def extremal_rank2_tensor_power(
-    n: int, cfg: ToleranceConfig = DEFAULT_TOL
-) -> MulticopyReport:
+def extremal_rank2_tensor_power(n: int, seed: int = 2024) -> MulticopyReport:
     """Extremal rank-2 expectations of the n-fold Werner-projector power.
 
     The bipartition groups all A factors against all B factors, exactly
@@ -109,7 +105,7 @@ def extremal_rank2_tensor_power(
     _check_copy_count(n)
     rho_s = werner_projector()
     mat, dims = regroup_tensor_power(rho_s.mat, rho_s.dims, n)
-    min_value, min_witness, max_value, max_witness = _rank2_extremes(mat, dims, cfg)
+    min_value, min_witness, max_value, max_witness = _rank2_extremes(mat, dims, seed)
     # the product |0..0>_A |1..1>_B is basis vector 0 * 3^n + (11..1 in base 3)
     ones = (3**n - 1) // 2
     product_value = float(mat[ones, ones].real)
@@ -195,7 +191,7 @@ def _eps_threshold(gap: float, pt_norm: float, n: int) -> float:
 
 
 def verify_n_undistillable(
-    params: EdgeParams, n: int, cfg: ToleranceConfig = DEFAULT_TOL, eps: float = 0.0
+    params: EdgeParams, n: int, seed: int = 2024, eps: float = 0.0
 ) -> MulticopyReport:
     """Numerically confirm n-copy undistillability of the edge perturbation.
 
@@ -212,7 +208,7 @@ def verify_n_undistillable(
     bundle = build_edge_bundle(params, min(_noise(eps, gap), threshold / 2))
 
     pt, dims = _pt_power(bundle.npt_state, n)
-    min_value, min_witness, max_value, max_witness = _rank2_extremes(pt, dims, cfg)
+    min_value, min_witness, max_value, max_witness = _rank2_extremes(pt, dims, seed)
 
     bound = _series_bound(gap, pt_norm, n, bundle.eps)
     if min_value <= 0.0 or min_value < bound - 1e-8:

@@ -10,7 +10,8 @@ transpose is implemented as an exact entry permutation (no floating-point
 arithmetic), so applying it twice returns the input bit-for-bit; a
 ``BipartiteState`` forms its own once and caches it.  ``_pt_power``
 builds every n-copy witness operator, n = 1 included, by regrouping the
-n-th power of that cached transpose to (A..A : B..B).
+n-th power of that cached transpose to (A..A : B..B).  The library's one
+setting is the ``seed`` argument (default 2024) of its randomized routines.
 """
 
 from __future__ import annotations
@@ -47,27 +48,11 @@ _SPEC_TOL = 1e-10
 
 
 # restarts of the product-vector search, nudges of the two-nonpositive route and
-# draws of the rank-raising construction.  Restart r of a seeded routine draws
-# from derive_seed(seed, k * 1_000_000 + r): k = 0 for the rank-2 minimizer's
-# starts, 1 for the nudges, 2 for the product search and 3 for the rank raising,
-# so no two routines share a stream while this stays below 1_000_000
+# draws of the rank-raising construction.  Restart r of a routine called with
+# ``seed`` draws from derive_seed(seed, k * 1_000_000 + r): k = 0 for the rank-2
+# minimizer's starts, 1 for the nudges, 2 for the product search and 3 for the
+# rank raising, so no two routines share a stream while this stays below 1_000_000
 _RESTARTS = 64
-
-
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """The seed of the library's randomized routines.
-
-    ``seed`` makes every randomized routine reproducible.  Everything else
-    is a module constant: the restart budget ``_RESTARTS``, ``PSD_TOL``,
-    ``RANK_REL_TOL`` and the Hermiticity and reconstruction gates here, and
-    the iteration cap and product-search stop rule in ``witness``.
-    """
-
-    seed: int = 2024
-
-
-DEFAULT_TOL = ToleranceConfig()
 
 
 class DimensionMismatchError(ValueError):
@@ -108,7 +93,7 @@ class BipartiteState:
     transpose's ascending spectrum are each formed at most once, on first
     use, and shared by every route, check, NPT filter and n-copy build.
     Likewise ``_rank2_minima`` keeps the rank-2 minima that
-    ``witness.best_rank2_witness`` finds, one per copy count and config.
+    ``witness.best_rank2_witness`` finds, one per copy count and seed.
     The checks use the module's ``_HERM_TOL`` and ``PSD_TOL``.
     """
 
@@ -143,7 +128,7 @@ class BipartiteState:
         return ev
 
     @cached_property
-    def _rank2_minima(self) -> dict:  # (copies, cfg) -> (value, read-only ansatz)
+    def _rank2_minima(self) -> dict:  # (copies, seed) -> (value, read-only ansatz)
         return {}
 
     @property
@@ -362,12 +347,6 @@ def _pt_power(state: BipartiteState, n: int) -> tuple[np.ndarray, Dims]:
     transpose of the regrouped power bit for bit.
     """
     return regroup_tensor_power(state._pt, state.dims, n)
-
-
-def tensor_power_bipartite(state: BipartiteState, n: int) -> BipartiteState:
-    """``state^(x n)`` as a bipartite state with parties grouped A..A : B..B."""
-    mat, big = regroup_tensor_power(state.mat, state.dims, n)
-    return BipartiteState(mat, big)
 
 
 def min_pt_eigenvalue(state: BipartiteState) -> float:

@@ -28,14 +28,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from .qcore import (
-    DEFAULT_TOL,
     PSD_TOL,
     RANK_REL_TOL,
     BipartiteState,
     DimensionMismatchError,
     Dims,
     PureState,
-    ToleranceConfig,
     _RESTARTS,
     _numeric_rank,
     _power_dims,
@@ -216,9 +214,7 @@ def _als_sweep(
     return values, (fa, fb)
 
 
-def min_rank2_expectation(
-    x: np.ndarray, dims: Dims, cfg: ToleranceConfig = DEFAULT_TOL
-) -> tuple[float, Rank2Ansatz]:
+def min_rank2_expectation(x: np.ndarray, dims: Dims, seed: int = 2024) -> tuple[float, Rank2Ansatz]:
     """Minimize <psi|X|psi> over unit vectors of Schmidt rank at most two.
 
     Block alternating least squares over psi = vec(A B^T), A of shape
@@ -228,7 +224,7 @@ def min_rank2_expectation(
     contracted straight from X; no I (x) B is formed.  Five starts run in
     lockstep: B from the two leading Schmidt frames of the bottom
     eigenvector of X, and four Haar-random frames drawn from
-    ``derive_seed(cfg.seed, r)``, r = 0..3.  A start stops once a sweep
+    ``derive_seed(seed, r)``, r = 0..3.  A start stops once a sweep
     gains at most 1e-6 * max|eig X|, or after ``_OPT_MAX_ITERS`` sweeps;
     the restart budget ``_RESTARTS`` does not apply here.  The value is
     recomputed from the 4x4 compression onto the best start's frames, the
@@ -251,7 +247,7 @@ def min_rank2_expectation(
     fb = np.empty((_RANK2_STARTS, mb, 2), dtype=complex)
     # the bottom eigenvector's two leading right Schmidt vectors: rows of vh, unconjugated
     fb[0] = np.linalg.svd(spec.eigenvectors[:, 0].reshape(ma, mb))[2][:2].T
-    seeds = [derive_seed(cfg.seed, r) for r in range(_RANK2_STARTS - 1)]
+    seeds = [derive_seed(seed, r) for r in range(_RANK2_STARTS - 1)]
     fb[1:] = _phase_fixed_qr(_complex_normals(seeds, 2 * mb)[0].reshape(-1, mb, 2))
     # the first sweep computes fa from fb alone
     fa = np.zeros((_RANK2_STARTS, ma, 2), dtype=complex)
@@ -281,7 +277,7 @@ def _make_certificate(
     psi: np.ndarray,
     state: BipartiteState,
     route: str,
-    cfg: ToleranceConfig,
+    seed: int,
     copies: int = 1,
     delta: Optional[float] = None,
 ) -> WitnessCertificate:
@@ -296,14 +292,12 @@ def _make_certificate(
         copies=copies,
         route=route,
         schmidt_rank=rank,
-        seed=cfg.seed,
+        seed=seed,
         delta=delta,
     )
 
 
-def submatrix_2x2_scan(
-    state: BipartiteState, cfg: ToleranceConfig = DEFAULT_TOL
-) -> Optional[ScanHit]:
+def submatrix_2x2_scan(state: BipartiteState, seed: int = 2024) -> Optional[ScanHit]:
     """Scan the partial transpose for a negative-determinant 2x2 principal minor.
 
     Only minors whose diagonal entries sit in different A-blocks can be
@@ -334,12 +328,12 @@ def submatrix_2x2_scan(
     rows = list(range(k * mb, (k + 1) * mb)) + list(range(l * mb, (l + 1) * mb))
     psi = np.zeros(state.dims.total, dtype=complex)
     psi[rows] = _bottom(pt[np.ix_(rows, rows)][None])[1][0]
-    cert = _make_certificate(psi, state, ROUTE_SUBMATRIX, cfg)
+    cert = _make_certificate(psi, state, ROUTE_SUBMATRIX, seed)
     return ScanHit(blocks=(k, l), indices=(r, s), determinant=float(best_det), certificate=cert)
 
 
 def two_nonpositive_witness(
-    state: BipartiteState, cfg: ToleranceConfig = DEFAULT_TOL
+    state: BipartiteState, seed: int = 2024
 ) -> Optional[WitnessCertificate]:
     """Witness from two nonpositive eigenvalues of a two-qutrit partial transpose.
 
@@ -393,14 +387,14 @@ def two_nonpositive_witness(
 
     found = construct(alpha)
     if found is not None:
-        return _make_certificate(found, state, ROUTE_TWO_NONPOSITIVE, cfg)
+        return _make_certificate(found, state, ROUTE_TWO_NONPOSITIVE, seed)
     for attempt in range(_RESTARTS):
         delta = 10.0 ** (-2 - (attempt % 5))
-        eta = SplitMix64(derive_seed(cfg.seed, 1_000_000 + attempt)).unit_vector(9)
+        eta = SplitMix64(derive_seed(seed, 1_000_000 + attempt)).unit_vector(9)
         nudged = alpha + delta * eta
         found = construct(nudged / np.linalg.norm(nudged))
         if found is not None:
-            return _make_certificate(found, state, ROUTE_TWO_NONPOSITIVE, cfg, delta=delta)
+            return _make_certificate(found, state, ROUTE_TWO_NONPOSITIVE, seed, delta=delta)
     return None
 
 
@@ -444,7 +438,7 @@ def _product_search_descent(
 
 
 def product_vector_in_subspace(
-    basis: np.ndarray, dims: Dims, cfg: ToleranceConfig = DEFAULT_TOL
+    basis: np.ndarray, dims: Dims, seed: int = 2024
 ) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """Search a subspace (orthonormal basis columns) for a product vector.
 
@@ -487,7 +481,7 @@ def product_vector_in_subspace(
 
     # a search that succeeds almost always does so at restart 0
     for restarts in (range(1), range(1, _RESTARTS)):
-        seeds = [derive_seed(cfg.seed, 2_000_000 + r) for r in restarts]
+        seeds = [derive_seed(seed, 2_000_000 + r) for r in restarts]
         g = _complex_normals(seeds, ma + mb)[0]
         a, b = _product_search_descent(ck, _unit_rows(g[:, :ma]), _unit_rows(g[:, ma:]))
         c_of_a = np.einsum("dmn,rm->rdn", ck, a)
@@ -523,9 +517,7 @@ def _rotate_to_first(vec: np.ndarray) -> np.ndarray:
     return q.conj().T
 
 
-def kernel_product_witness(
-    state: BipartiteState, cfg: ToleranceConfig = DEFAULT_TOL
-) -> Optional[WitnessCertificate]:
+def kernel_product_witness(state: BipartiteState, seed: int = 2024) -> Optional[WitnessCertificate]:
     """Witness for a two-qutrit NPT state whose kernel contains a product vector.
 
     Local unitaries move the product vector to |0,0>, after which either
@@ -540,7 +532,7 @@ def kernel_product_witness(
     rank, kernel, _ = rank_kernel_range(state.mat)
     if kernel.shape[1] == 0:
         return None
-    found = product_vector_in_subspace(kernel, state.dims, cfg)
+    found = product_vector_in_subspace(kernel, state.dims, seed)
     if found is None:
         return None
     a, b = found
@@ -550,29 +542,27 @@ def kernel_product_witness(
     rotated = BipartiteState(uv @ state.mat @ uv.conj().T, state.dims)
     pullback = np.kron(u.T, v.conj().T)
 
-    cert_rotated = _spectral_routes(rotated, cfg)
+    cert_rotated = _spectral_routes(rotated, seed)
     if cert_rotated is None:
         return None
     psi = pullback @ cert_rotated.psi.vec
-    cert = _make_certificate(psi, state, ROUTE_KERNEL_PRODUCT, cfg)
+    cert = _make_certificate(psi, state, ROUTE_KERNEL_PRODUCT, seed)
     return cert if _usable(cert) else None
 
 
-def _spectral_routes(state: BipartiteState, cfg: ToleranceConfig) -> Optional[WitnessCertificate]:
+def _spectral_routes(state: BipartiteState, seed: int) -> Optional[WitnessCertificate]:
     """The 2x2 scan's witness, else (3x3 only) the two-nonpositive route's, if usable."""
-    hit = submatrix_2x2_scan(state, cfg)
+    hit = submatrix_2x2_scan(state, seed)
     if hit is not None and _usable(hit.certificate):
         return hit.certificate
     if tuple(state.dims) == (3, 3):
-        cert = two_nonpositive_witness(state, cfg)
+        cert = two_nonpositive_witness(state, seed)
         if _usable(cert):
             return cert
     return None
 
 
-def certify_1_distillable(
-    state: BipartiteState, cfg: ToleranceConfig = DEFAULT_TOL
-) -> Optional[WitnessCertificate]:
+def certify_1_distillable(state: BipartiteState, seed: int = 2024) -> Optional[WitnessCertificate]:
     """Try every constructive route, then the generic minimizer.
 
     Returns the first verifiable certificate, or ``None`` when no witness
@@ -584,36 +574,36 @@ def certify_1_distillable(
     ma, mb = state.dims
     if min(ma, mb) == 2:
         spec = hermitian_eig(state._pt)
-        return _make_certificate(spec.eigenvectors[:, 0], state, ROUTE_OPTIMIZER, cfg)
-    cert = _spectral_routes(state, cfg)
+        return _make_certificate(spec.eigenvectors[:, 0], state, ROUTE_OPTIMIZER, seed)
+    cert = _spectral_routes(state, seed)
     if cert is None and (ma, mb) == (3, 3):
-        cert = kernel_product_witness(state, cfg)
+        cert = kernel_product_witness(state, seed)
     if cert is None:
-        _, cert = best_rank2_witness(state, 1, cfg)
+        _, cert = best_rank2_witness(state, 1, seed)
     return cert
 
 
 def best_rank2_witness(
-    state: BipartiteState, copies: int = 1, cfg: ToleranceConfig = DEFAULT_TOL
+    state: BipartiteState, copies: int = 1, seed: int = 2024
 ) -> tuple[float, Optional[WitnessCertificate]]:
     """Best rank-2 value of the n-copy partial transpose, plus a certificate.
 
     The certificate is present exactly when the minimizer's vector passes
     ``_accepts``; the value itself is always reported (a positive best
     value over many restarts is evidence, not proof, of undistillability).
-    The minimum is kept on the state per copy count and ``cfg``, so a
+    The minimum is kept on the state per copy count and ``seed``, so a
     rank-5 check, which asks for it in ``certify_1_distillable`` and again
     in ``undistillability_margin``, minimizes once.
     """
     minima = state._rank2_minima
-    if (copies, cfg) not in minima:
+    if (copies, seed) not in minima:
         pt, dims = _pt_power(state, copies)
-        minima[copies, cfg] = min_rank2_expectation(pt, dims, cfg)
-    value, ansatz = minima[copies, cfg]
+        minima[copies, seed] = min_rank2_expectation(pt, dims, seed)
+    value, ansatz = minima[copies, seed]
     # an ansatz has Schmidt rank at most 2, so only its value can fail the rule
     if not _accepts(value, 2):
         return value, None
-    cert = _make_certificate(ansatz.vector(), state, ROUTE_OPTIMIZER, cfg, copies=copies)
+    cert = _make_certificate(ansatz.vector(), state, ROUTE_OPTIMIZER, seed, copies=copies)
     return value, cert if _usable(cert) else None
 
 

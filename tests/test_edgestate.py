@@ -304,6 +304,12 @@ class TestDistillableOfRank:
     def test_zero_noise_returns_base(self, base4):
         assert distillable_of_rank(base4, 5, 0.0) is base4
 
+    @pytest.mark.parametrize("eps", [float("nan"), -1.0])
+    def test_rejects_nan_and_negative_noise(self, base4, eps):
+        # NaN fails the noise check itself, not the state's finiteness check later
+        with pytest.raises(ValueError, match=f"eps must be nonnegative, got {eps}"):
+            distillable_of_rank(base4, 5, eps)
+
     def test_rejects_wrong_base_rank(self):
         spec = EnsembleSpec(dims=D33, rank=5, count=1, filter="NPT", seed=7)
         state = sample_ensemble(spec)[0][0]

@@ -1,7 +1,6 @@
 """Many-copy bounds for the Werner projector and the edge perturbation."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,14 +24,12 @@ from distill_lab.multicopy import (
     werner_projector,
 )
 from distill_lab.qcore import (
-    DEFAULT_TOL,
     MAX_COPIES,
     Dims,
     is_ppt,
     partial_transpose,
     regroup_tensor_power,
     schmidt_rank,
-    tensor_power_bipartite,
 )
 from distill_lab.rng import SplitMix64
 from distill_lab.witness import best_rank2_witness, min_rank2_expectation, pt_quadratic_form
@@ -110,7 +107,7 @@ class TestExtremalTensorPower:
     @pytest.mark.parametrize("seed", range(12))
     def test_two_copy_minimum_agrees_with_the_conjecture(self, seed):
         # numerical agreement with (1/2) 12^-2 at every seed, not a proof
-        report = extremal_rank2_tensor_power(2, replace(DEFAULT_TOL, seed=seed))
+        report = extremal_rank2_tensor_power(2, seed)
         assert report.min_value == pytest.approx(1 / 288, rel=1e-9)
 
     def test_copy_cap(self):
@@ -139,7 +136,6 @@ class TestCopyCap:
         psi = np.ones(ws.dims.total, dtype=complex) / 3
         calls = [
             lambda: regroup_tensor_power(ws.mat, ws.dims, n),
-            lambda: tensor_power_bipartite(ws, n),
             lambda: pt_quadratic_form(psi, ws, n),
             lambda: best_rank2_witness(ws, n),
             lambda: extremal_rank2_tensor_power(n),
@@ -289,7 +285,7 @@ class TestVerifyUndistillable:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_two_copy_minimum_at_every_seed(self, seed):
-        report = verify_n_undistillable(PARAMS, 2, replace(DEFAULT_TOL, seed=seed))
+        report = verify_n_undistillable(PARAMS, 2, seed)
         assert report.bound_lower < report.min_value <= 3.2e-5
 
     def test_rank4_control_state_fails_the_same_check(self):

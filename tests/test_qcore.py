@@ -1,6 +1,6 @@
 """Core linear-algebra contracts: exactness, oracles, and invariants."""
 
-import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -9,13 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import distill_lab
+import distill_lab.qcore as qcore
 from distill_lab.qcore import (
     RANK_REL_TOL,
     BipartiteState,
     DimensionMismatchError,
     Dims,
     PureState,
-    ToleranceConfig,
     _RESTARTS,
     _SPEC_TOL,
     _numeric_rank,
@@ -30,7 +31,6 @@ from distill_lab.qcore import (
     schmidt_decompose,
     schmidt_rank,
     tensor,
-    tensor_power_bipartite,
 )
 from distill_lab.edgestate import (
     DEFAULT_GRID,
@@ -44,6 +44,7 @@ from distill_lab.witness import (
     ROUTE_KERNEL_PRODUCT,
     ROUTE_SUBMATRIX,
     ROUTE_TWO_NONPOSITIVE,
+    certify_1_distillable,
     kernel_product_witness,
     submatrix_2x2_scan,
     two_nonpositive_witness,
@@ -415,7 +416,7 @@ class TestTensorPower:
     def test_copy_cap(self):
         state = _random_psd_state(SplitMix64(67), D33, 2)
         with pytest.raises(ValueError):
-            tensor_power_bipartite(state, 3)
+            regroup_tensor_power(state.mat, state.dims, 3)
 
     def test_dimension_cap(self):
         gen = SplitMix64(71)
@@ -501,19 +502,34 @@ class TestStateValidation:
         assert is_ppt(BipartiteState(np.eye(9) / 9, D33))
 
 
-class TestToleranceConfig:
-    def test_restart_budget_is_not_a_field(self):
-        # the budget is the constant qcore._RESTARTS; no config can set it
-        for budget in (1, 64, 1_000_000):
-            with pytest.raises(TypeError):
-                ToleranceConfig(opt_restarts=budget)
+class TestSeedArgument:
+    """The seed is a plain argument; the one-field config class that carried it is gone."""
 
-    def test_seed_is_the_only_field(self):
-        assert [f.name for f in dataclasses.fields(ToleranceConfig)] == ["seed"]
-        assert ToleranceConfig(seed=9).seed == 9
+    def test_config_names_are_gone(self):
+        assert not hasattr(qcore, "ToleranceConfig") and not hasattr(qcore, "DEFAULT_TOL")
+        assert "ToleranceConfig" not in distill_lab.__all__
+        assert "DEFAULT_TOL" not in distill_lab.__all__
+        # the deprecated name returns the seed it is given
+        assert distill_lab.ToleranceConfig(seed=7) == 7
+        # the restart budget is the constant qcore._RESTARTS, not an argument
         assert _RESTARTS == 64
 
-    def test_thresholds_are_not_fields(self):
-        # the thresholds are module constants; only the seed is settable
+    def test_config_keyword_is_refused(self):
+        state = BipartiteState(maximally_entangled_qutrits().projector(), D33)
         with pytest.raises(TypeError):
-            ToleranceConfig(psd_tol=1e-7)
+            certify_1_distillable(state, cfg=2024)
+
+    def test_public_signatures(self):
+        # no public callable takes ``cfg``, and every defaulted ``seed`` defaults to 2024
+        seeded = []
+        for name in distill_lab.__all__:
+            obj = getattr(distill_lab, name)
+            if not callable(obj) or isinstance(obj, type) and issubclass(obj, Exception):
+                continue
+            params = inspect.signature(obj).parameters
+            assert "cfg" not in params, name
+            seed = params.get("seed")
+            if seed is not None and seed.default is not inspect.Parameter.empty:
+                assert seed.default == 2024, name
+                seeded.append(name)
+        assert "certify_1_distillable" in seeded and "verify_n_undistillable" in seeded

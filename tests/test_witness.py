@@ -23,7 +23,6 @@ from distill_lab.edgestate import (
 from distill_lab.harness import EnsembleSpec, _passes_filter, random_state, sample_ensemble
 from distill_lab.multicopy import werner_projector
 from distill_lab.qcore import (
-    DEFAULT_TOL,
     PSD_TOL,
     BipartiteState,
     DimensionMismatchError,
@@ -155,9 +154,9 @@ class TestMinimizerMemo:
         calls = []
         real = witness.min_rank2_expectation
 
-        def counted(x, dims, cfg=DEFAULT_TOL):
-            calls.append((tuple(dims), cfg.seed))
-            return real(x, dims, cfg)
+        def counted(x, dims, seed=2024):
+            calls.append((tuple(dims), seed))
+            return real(x, dims, seed)
 
         monkeypatch.setattr(witness, "min_rank2_expectation", counted)
         return calls
@@ -182,22 +181,21 @@ class TestMinimizerMemo:
         min_rank2_expectation(mat, D33)
         assert seen == sweeps and set(seen) == {D33}
 
-    def test_same_state_and_cfg_compute_once(self, minimizations):
+    def test_same_state_and_seed_compute_once(self, minimizations):
         state = _mes_state()
         v1, c1 = best_rank2_witness(state)
-        v2, c2 = best_rank2_witness(state, 1, DEFAULT_TOL)
-        assert minimizations == [(D33, DEFAULT_TOL.seed)]
+        v2, c2 = best_rank2_witness(state, 1, 2024)
+        assert minimizations == [(D33, 2024)]
         assert v1 == v2 and v1 == pytest.approx(-1 / 3, abs=1e-8)
         assert np.array_equal(c1.psi.vec, c2.psi.vec)
 
     def test_other_seed_or_copy_count_recomputes(self, minimizations):
         state = _mes_state()
-        seven = replace(DEFAULT_TOL, seed=7)
         for _ in range(2):  # the second round finds all three on the state
             best_rank2_witness(state)
-            best_rank2_witness(state, 1, seven)
+            best_rank2_witness(state, 1, 7)
             best_rank2_witness(state, 2)
-        assert minimizations == [(D33, DEFAULT_TOL.seed), (D33, 7), ((9, 9), DEFAULT_TOL.seed)]
+        assert minimizations == [(D33, 2024), (D33, 7), ((9, 9), 2024)]
 
     def test_other_state_with_equal_bytes_recomputes(self, minimizations):
         state = _mes_state()
@@ -214,7 +212,7 @@ class TestMinimizerMemo:
             best_rank2_witness(state, qcore.MAX_COPIES + 1)
         real = witness.min_rank2_expectation
 
-        def fail(x, dims, cfg=DEFAULT_TOL):
+        def fail(x, dims, seed=2024):
             raise NumericalFailureError("solver gave up")
 
         monkeypatch.setattr(witness, "min_rank2_expectation", fail)
@@ -224,7 +222,7 @@ class TestMinimizerMemo:
         monkeypatch.setattr(witness, "min_rank2_expectation", real)
         _, cert = best_rank2_witness(state)
         assert cert is not None
-        assert list(state._rank2_minima) == [(1, DEFAULT_TOL)]
+        assert list(state._rank2_minima) == [(1, 2024)]
 
     def test_minimizer_computes_every_call(self, eig_calls):
         pt = partial_transpose(_mes_state().mat, D33)
@@ -371,7 +369,7 @@ class TestTwoNonpositive:
         assert np.allclose(state._pt_eigenvalues, [-mu, 0.0] + [1 / 9] * 7, rtol=0, atol=1e-15)
         assert submatrix_2x2_scan(state) is None
         for seed in range(6):
-            cert = certify_1_distillable(state, replace(DEFAULT_TOL, seed=seed))
+            cert = certify_1_distillable(state, seed)
             assert cert is not None and cert.route == ROUTE_TWO_NONPOSITIVE
             assert cert.delta == 0.01
             assert verify_certificate(cert, state)
@@ -382,15 +380,14 @@ class TestTwoNonpositive:
         # and the route declines so that certify moves on to the other routes
         state = _natural_nudge_input(mu)
         for seed in range(4):
-            cfg = replace(DEFAULT_TOL, seed=seed)
-            route = two_nonpositive_witness(state, cfg)
-            cert = certify_1_distillable(state, cfg)
+            route = two_nonpositive_witness(state, seed)
+            cert = certify_1_distillable(state, seed)
             if mu <= 1e-10:  # PPT by the rule
                 assert qcore.is_ppt(state) and route is None and cert is None
             elif mu <= 3e-7:
                 # the minimizer's value does not pass the rule either
                 assert route is None and cert is None
-                assert best_rank2_witness(state, 1, cfg)[0] >= -PSD_TOL
+                assert best_rank2_witness(state, 1, seed)[0] >= -PSD_TOL
             else:
                 assert route is not None and route.route == ROUTE_TWO_NONPOSITIVE
                 assert cert is not None and cert.route == ROUTE_TWO_NONPOSITIVE
@@ -513,11 +510,11 @@ class TestKernelProductWitness:
         states, _ = sample_ensemble(spec)
         route, rotated = witness.two_nonpositive_witness, []
 
-        def spy(state, cfg=DEFAULT_TOL):
-            rotated.append(route(state, cfg))
+        def spy(state, seed=2024):
+            rotated.append(route(state, seed))
             return rotated[-1]
 
-        monkeypatch.setattr(witness, "submatrix_2x2_scan", lambda state, cfg=DEFAULT_TOL: None)
+        monkeypatch.setattr(witness, "submatrix_2x2_scan", lambda state, seed=2024: None)
         monkeypatch.setattr(witness, "two_nonpositive_witness", spy)
         for state in states:
             rotated.clear()
@@ -544,8 +541,8 @@ class TestKernelProductWitness:
 
         route, rotated = witness.two_nonpositive_witness, []
 
-        def spy(state, cfg=DEFAULT_TOL):
-            rotated.append(route(state, cfg))
+        def spy(state, seed=2024):
+            rotated.append(route(state, seed))
             return rotated[-1]
 
         monkeypatch.setattr(witness, "two_nonpositive_witness", spy)
