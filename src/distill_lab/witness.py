@@ -13,7 +13,9 @@ generic rank-2 minimizer:
   transpose of a two-qutrit state combine into a witness with a singular
   3x3 matricization.
 * ``kernelProduct``  -- a product vector in the kernel reduces, after a
-  local rotation, to one of the two routes above.
+  local rotation, to one of the two routes above.  ``certify_1_distillable``
+  tries it only on two-qutrit states of rank at most 4, whose kernel has
+  dimension at least 5 and so provably holds a product vector.
 
 Failure to find a witness is data, never an error: all routes return
 ``None`` when their hypothesis is not met.
@@ -437,6 +439,19 @@ def _product_search_descent(
     )[1:]
 
 
+def _holds_product_vector(dims: Dims, k: int) -> bool:
+    """Whether every k-dimensional subspace of a 3x3 system holds a product vector.
+
+    The product vectors of a dA x dB system form the Segre variety, of
+    dimension dA + dB - 2 in the projective space of dimension dA*dB - 1,
+    so every subspace of dimension at least (dA - 1)(dB - 1) + 1 meets it;
+    below that, a subspace meets it only on a set of measure zero.  Only
+    3x3 relies on the count, where it reads k >= 5.
+    """
+    ma, mb = dims
+    return (ma, mb) == (3, 3) and k >= (ma - 1) * (mb - 1) + 1
+
+
 def product_vector_in_subspace(
     basis: np.ndarray, dims: Dims, seed: int = 2024
 ) -> Optional[tuple[np.ndarray, np.ndarray]]:
@@ -489,7 +504,7 @@ def product_vector_in_subspace(
         for j in np.flatnonzero(smallest < 1e-8):
             if float(np.linalg.norm(c_of_a[j] @ b[j])) < 1e-7:
                 return a[j], b[j]
-    if (ma, mb) == (3, 3) and k >= (ma - 1) * (mb - 1) + 1:
+    if _holds_product_vector(dims, k):
         warnings.warn(
             "no product vector found in a subspace where one provably exists; "
             "optimizer failure",
@@ -529,7 +544,7 @@ def kernel_product_witness(state: BipartiteState, seed: int = 2024) -> Optional[
         raise DimensionMismatchError("kernel-product route applies to 3x3 systems")
     if is_ppt(state):
         return None
-    rank, kernel, _ = rank_kernel_range(state.mat)
+    _, kernel, _ = rank_kernel_range(state.mat)
     if kernel.shape[1] == 0:
         return None
     found = product_vector_in_subspace(kernel, state.dims, seed)
@@ -563,7 +578,16 @@ def _spectral_routes(state: BipartiteState, seed: int) -> Optional[WitnessCertif
 
 
 def certify_1_distillable(state: BipartiteState, seed: int = 2024) -> Optional[WitnessCertificate]:
-    """Try every constructive route, then the generic minimizer.
+    """Try the constructive routes, then the generic minimizer.
+
+    A 2xN state is certified by the bottom eigenvector of its partial
+    transpose.  Otherwise the 2x2 scan runs, then (3x3 only) the
+    two-nonpositive route, then the kernel route, then the rank-2
+    minimizer.  The kernel route runs only on 3x3 states of numeric rank at
+    most 4: their kernel has dimension at least (3 - 1)(3 - 1) + 1 = 5, so it
+    provably holds a product vector (``_holds_product_vector``).  A smaller
+    kernel holds one only on a set of measure zero, and searching it would
+    spend every restart of the product search for nothing.
 
     Returns the first verifiable certificate, or ``None`` when no witness
     with value below ``-PSD_TOL`` was found.  ``None`` on its own is not a
@@ -576,8 +600,10 @@ def certify_1_distillable(state: BipartiteState, seed: int = 2024) -> Optional[W
         spec = hermitian_eig(state._pt)
         return _make_certificate(spec.eigenvectors[:, 0], state, ROUTE_OPTIMIZER, seed)
     cert = _spectral_routes(state, seed)
-    if cert is None and (ma, mb) == (3, 3):
-        cert = kernel_product_witness(state, seed)
+    if cert is None:
+        kernel_dim = state.dims.total - _numeric_rank(state.mat)
+        if _holds_product_vector(state.dims, kernel_dim):
+            cert = kernel_product_witness(state, seed)
     if cert is None:
         _, cert = best_rank2_witness(state, 1, seed)
     return cert

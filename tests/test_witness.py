@@ -43,6 +43,7 @@ from distill_lab.serialize import (
 )
 from distill_lab.witness import (
     ROUTE_KERNEL_PRODUCT,
+    ROUTE_OPTIMIZER,
     ROUTE_TWO_NONPOSITIVE,
     Rank2Ansatz,
     best_rank2_witness,
@@ -61,6 +62,20 @@ D33 = Dims(3, 3)
 
 def _mes_state() -> BipartiteState:
     return BipartiteState(maximally_entangled_qutrits().projector(), D33)
+
+
+@pytest.fixture
+def minimizations(monkeypatch):
+    """(dims, seed) of each ``min_rank2_expectation`` call the witness module makes."""
+    calls = []
+    real = witness.min_rank2_expectation
+
+    def counted(x, dims, seed=2024):
+        calls.append((tuple(dims), seed))
+        return real(x, dims, seed)
+
+    monkeypatch.setattr(witness, "min_rank2_expectation", counted)
+    return calls
 
 
 class TestMinRank2Expectation:
@@ -147,18 +162,6 @@ class TestMinimizerMemo:
             return hermitian_eig(mat)
 
         monkeypatch.setattr(witness, "hermitian_eig", counted)
-        return calls
-
-    @pytest.fixture
-    def minimizations(self, monkeypatch):
-        calls = []
-        real = witness.min_rank2_expectation
-
-        def counted(x, dims, seed=2024):
-            calls.append((tuple(dims), seed))
-            return real(x, dims, seed)
-
-        monkeypatch.setattr(witness, "min_rank2_expectation", counted)
         return calls
 
     @pytest.fixture
@@ -563,6 +566,58 @@ class TestKernelProductWitness:
 
 
 class TestCertify:
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        calls = []
+        real = witness.product_vector_in_subspace
+
+        def counted(basis, dims, seed=2024):
+            calls.append(basis.shape[1])
+            return real(basis, dims, seed)
+
+        monkeypatch.setattr(witness, "product_vector_in_subspace", counted)
+        return calls
+
+    @staticmethod
+    def _npt_state(rank: int, seed: int) -> BipartiteState:
+        """The state of ``random --dimA 3 --dimB 3 --rank RANK --npt --seed SEED``."""
+        spec = EnsembleSpec(dims=D33, rank=rank, count=1, filter="NPT", seed=seed)
+        return sample_ensemble(spec)[0][0]
+
+    @pytest.mark.parametrize("b, theta", DEFAULT_GRID)
+    def test_rank5_edge_runs_no_product_search(self, b, theta, searches, minimizations):
+        # a 4-dimensional kernel holds a product vector only on a null set
+        bundle = build_edge_bundle(EdgeParams(b, theta))
+        assert certify_1_distillable(bundle.npt_state) is None
+        assert searches == []
+        assert minimizations == [(D33, 2024)]
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_rank_at_most_4_reaches_the_kernel_route(self, rank, searches, monkeypatch):
+        # the spectral routes decline on the input alone; the rotated state
+        # inside the kernel route still runs them
+        real = witness._spectral_routes
+        for i in range(3):
+            state = self._npt_state(rank, derive_seed(4400 + rank, i))
+            monkeypatch.setattr(
+                witness, "_spectral_routes", lambda s, seed: None if s is state else real(s, seed)
+            )
+            searches.clear()
+            cert = certify_1_distillable(state)
+            assert searches == [9 - rank]
+            assert cert is not None and cert.route == ROUTE_KERNEL_PRODUCT
+            assert verify_certificate(cert, state)
+
+    @pytest.mark.parametrize("rank, seed", [(6, 23), (7, 3), (8, 2)])
+    def test_rank_above_4_skips_the_kernel_route(self, rank, seed, searches):
+        # the spectral routes decline on these inputs, so certify reaches the gate
+        state = self._npt_state(rank, seed)
+        assert witness._spectral_routes(state, 2024) is None
+        cert = certify_1_distillable(state)
+        assert searches == []
+        assert cert is not None and cert.route == ROUTE_OPTIMIZER
+        assert verify_certificate(cert, state)
+
     def test_2x3_npt_state(self):
         for i in range(5):
             spec = EnsembleSpec(dims=Dims(2, 3), rank=3, count=1, filter="NPT", seed=derive_seed(77, i))
