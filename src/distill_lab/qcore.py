@@ -74,7 +74,14 @@ def _as_square(mat: np.ndarray) -> np.ndarray:
     return m
 
 
+def _check_sides(dims: Dims) -> None:
+    """Refuse a side below 1, which a product of the split alone lets through."""
+    if min(dims) < 1:
+        raise DimensionMismatchError(f"dims {tuple(dims)} must both be at least 1")
+
+
 def _check_dims(mat: np.ndarray, dims: Dims) -> np.ndarray:
+    _check_sides(dims)
     m = _as_square(mat)
     if m.shape[0] != dims.total:
         raise DimensionMismatchError(
@@ -147,6 +154,7 @@ class PureState:
     dims: Dims
 
     def __post_init__(self) -> None:
+        _check_sides(self.dims)
         v = np.asarray(self.vec, dtype=complex).reshape(-1)
         if v.size != self.dims.total:
             raise DimensionMismatchError(
@@ -205,12 +213,14 @@ def partial_trace(mat: np.ndarray, dims: Dims, keep: str = "A") -> np.ndarray:
 def hermitian_eig(mat: np.ndarray) -> SpectralData:
     """Eigendecomposition of a Hermitian matrix with quality checks.
 
-    Raises ``DimensionMismatchError``/``ValueError`` for invalid input and
-    ``NumericalFailureError`` if the solver does not converge or the
-    reconstruction drifts beyond ``_SPEC_TOL``, both gates scaled by
-    ``max(max|m|, 1)``.
+    Raises ``DimensionMismatchError``/``ValueError`` for invalid input,
+    non-finite entries included, and ``NumericalFailureError`` if the
+    solver does not converge or the reconstruction drifts beyond
+    ``_SPEC_TOL``, both gates scaled by ``max(max|m|, 1)``.
     """
     m = _as_square(mat)
+    if not np.isfinite(m).all():
+        raise ValueError("matrix entries must be finite")
     herm_err = float(np.abs(m - m.conj().T).max())
     scale = max(float(np.abs(m).max()), 1.0)
     if herm_err > _HERM_TOL * scale:
@@ -227,6 +237,7 @@ def hermitian_eig(mat: np.ndarray) -> SpectralData:
 
 def _matricize(vec: np.ndarray, dims: Dims) -> np.ndarray:
     """The ``dim_a x dim_b`` coefficient matrix of a nonzero bipartite vector."""
+    _check_sides(dims)
     v = np.asarray(vec, dtype=complex).reshape(-1)
     if v.size != dims.total:
         raise DimensionMismatchError(

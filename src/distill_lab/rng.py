@@ -133,11 +133,6 @@ def _complex_normals(states: Sequence[int], count: int) -> tuple[np.ndarray, lis
     return rows, ends
 
 
-def _unit_rows(v: np.ndarray) -> np.ndarray:
-    """Each row of ``v`` scaled to unit norm exactly as ``unit_vector`` scales one."""
-    return v / np.array([np.linalg.norm(row) for row in v]).reshape(-1, 1)
-
-
 def _phase_fixed_qr(g: np.ndarray) -> np.ndarray:
     """Q factor of each matrix in ``g`` with the R-diagonal phases moved into Q."""
     q, r = np.linalg.qr(g)

@@ -15,7 +15,9 @@ generic rank-2 minimizer:
 * ``kernelProduct``  -- a product vector in the kernel reduces, after a
   local rotation, to one of the two routes above.  ``certify_1_distillable``
   tries it only on two-qutrit states of rank at most 4, whose kernel has
-  dimension at least 5 and so provably holds a product vector.
+  dimension at least 5 and so provably holds a product vector.  The
+  product search (``product_vector_in_subspace``) runs its seeded restarts
+  one after another, each a plain loop of alternating SVD steps.
 
 Failure to find a witness is data, never an error: all routes return
 ``None`` when their hypothesis is not met.
@@ -46,7 +48,7 @@ from .qcore import (
     rank_kernel_range,
     schmidt_rank,
 )
-from .rng import SplitMix64, _complex_normals, _phase_fixed_qr, _unit_rows, derive_seed
+from .rng import SplitMix64, _complex_normals, _phase_fixed_qr, derive_seed
 
 ROUTE_SUBMATRIX = "submatrix2x2"
 ROUTE_TWO_NONPOSITIVE = "twoNonpositive"
@@ -130,19 +132,19 @@ def pt_quadratic_form(
 
 
 def _lockstep(
-    step: Callable, state: tuple[np.ndarray, ...], iters: int, tol: float, floor: float = -np.inf
+    step: Callable, state: tuple[np.ndarray, ...], iters: int, tol: float
 ) -> tuple[np.ndarray, ...]:
-    """Advance stacked restarts together, each row until its own stop rule fires.
+    """Advance the rank-2 minimizer's stacked starts together, each row on its own stop rule.
 
-    ``state`` holds arrays with one row per restart.  ``step(*state)``
+    ``state`` holds arrays with one row per start.  ``step(*state)``
     advances the active rows once and returns ``(values, state)``: one
     value per row and the arrays each row continues from.
 
-    A row stops at the first iteration where its value drops below
-    ``floor`` or improves on its previous value by at most ``tol``, or
-    when ``iters`` run out, and keeps the arrays of its last step.
-    Returns each row's final value followed by its final arrays, in the
-    original row order, equal to running the rows one after another.
+    A row stops at the first iteration where its value improves on its
+    previous value by at most ``tol``, or when ``iters`` run out, and
+    keeps the arrays of its last step.  Returns each row's final value
+    followed by its final arrays, in the original row order, equal to
+    running the rows one after another.
     """
     n = len(state[0])
     rows, prev = np.arange(n), [np.inf] * n
@@ -151,7 +153,7 @@ def _lockstep(
         values, state = step(*state)
         vals = values.tolist()
         # plain floats: on a handful of rows this beats numpy's per-call overhead
-        stop = [x < floor or p - x <= tol for p, x in zip(prev, vals)]
+        stop = [p - x <= tol for p, x in zip(prev, vals)]
         prev = vals
         if any(stop):
             stop = np.array(stop)
@@ -400,45 +402,6 @@ def two_nonpositive_witness(
     return None
 
 
-def _product_step(
-    ck: np.ndarray, a: np.ndarray, b: np.ndarray
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """One alternating step of the product search for each row of ``a``.
-
-    The best b for a is the bottom eigenvector of the dB x dB Gram matrix
-    C(a)^H C(a), which is the bottom right singular vector of C(a); then a
-    is updated the same way against C(b).  The value is the residual
-    |C(b) a|, not the square root of the bottom eigenvalue: that eigenvalue
-    carries an absolute error near eps * sigma_1^2, so its root is noise
-    near 1e-8, while the residual reaches zero with the constraints.  The
-    incoming ``b`` is not read.  (Golub & Van Loan, *Matrix Computations*,
-    4th ed., section 8.6.)
-    """
-    d, ma, mb = ck.shape
-    # C(a)[r, i, n] = sum_m a[r, m] ck[i, m, n], as one 1 x dA product per row:
-    # a single (rows x dA) product would round a row by its place in the stack
-    c = (a[:, None, :] @ ck.transpose(1, 0, 2).reshape(ma, -1)).reshape(-1, d, mb)
-    # eigh reads one triangle of each Gram matrix, so none is hermitized
-    b = np.linalg.eigh(c.conj().transpose(0, 2, 1) @ c)[1][:, :, 0]
-    c = (b[:, None, :] @ ck.transpose(2, 0, 1).reshape(mb, -1)).reshape(-1, d, ma)
-    a = np.linalg.eigh(c.conj().transpose(0, 2, 1) @ c)[1][:, :, 0]
-    return np.linalg.norm((c @ a[:, :, None])[:, :, 0], axis=1), (a, b)
-
-
-def _product_search_descent(
-    ck: np.ndarray, a: np.ndarray, b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Alternating ``_product_step`` steps, one start per row of ``a``, ``b``.
-
-    A row stops once its residual |C(b) a| drops below 1e-9 or improves
-    by at most ``_PRODUCT_STEP_TOL``; returns the final rows.
-    """
-    return _lockstep(
-        lambda a, b: _product_step(ck, a, b),
-        (a, b), _OPT_MAX_ITERS, _PRODUCT_STEP_TOL, floor=1e-9,
-    )[1:]
-
-
 def _holds_product_vector(dims: Dims, k: int) -> bool:
     """Whether every k-dimensional subspace of a 3x3 system holds a product vector.
 
@@ -458,19 +421,19 @@ def product_vector_in_subspace(
     """Search a subspace (orthonormal basis columns) for a product vector.
 
     Minimizes the violation of the orthogonal-complement constraints over
-    local unit vectors by alternating closed-form steps, each taking one
-    factor from the bottom eigenvector of a small Gram matrix C^H C (see
-    ``_product_step``); a restart stops once its residual |C(b) a| falls
-    below 1e-9 or stalls.  A solution must pass an SVD check: the smallest
-    singular value of C(a) below 1e-8 and the residual below 1e-7.
-    Restart 0 runs alone, then the other ``_RESTARTS - 1`` run as one
-    block whose members advance together, each with its own stop rule;
-    the first success in restart order is returned, exactly as if the
-    restarts ran one after another.  ``None``
-    after restart exhaustion is a legitimate "no product vector found"
-    outcome, except for subspaces of dimension at least 5 in a 3x3
-    system, where a product vector provably exists and emptiness is
-    flagged as an optimizer failure.
+    local unit vectors by alternating closed-form singular-vector steps:
+    b becomes the last right singular vector of C(a), then a that of C(b).
+    Restart r draws a, then b, as unit vectors from
+    ``SplitMix64(derive_seed(seed, 2_000_000 + r))`` and stops once the
+    smallest singular value of C(b) drops below 1e-9 or improves by at
+    most ``_PRODUCT_STEP_TOL``, or after ``_OPT_MAX_ITERS`` steps.  A
+    solution must pass an SVD check: the smallest singular value of C(a)
+    below 1e-8 and the residual |C(a) b| below 1e-7.  The restarts run one
+    after another, r = 0 .. ``_RESTARTS - 1``, and the first success is
+    returned.  ``None`` after restart exhaustion is a legitimate "no
+    product vector found" outcome, except for subspaces of dimension at
+    least 5 in a 3x3 system, where a product vector provably exists and
+    emptiness is flagged as an optimizer failure.
     """
     ma, mb = dims
     if max(ma, mb) > 4:
@@ -494,16 +457,25 @@ def product_vector_in_subspace(
     # constraint tensor: <k_i | a (x) b> = a^T conj(K_i) b
     ck = comp.conj().T.reshape(comp.shape[1], ma, mb)
 
-    # a search that succeeds almost always does so at restart 0
-    for restarts in (range(1), range(1, _RESTARTS)):
-        seeds = [derive_seed(seed, 2_000_000 + r) for r in restarts]
-        g = _complex_normals(seeds, ma + mb)[0]
-        a, b = _product_search_descent(ck, _unit_rows(g[:, :ma]), _unit_rows(g[:, ma:]))
-        c_of_a = np.einsum("dmn,rm->rdn", ck, a)
-        smallest = np.linalg.svd(c_of_a, compute_uv=False)[:, -1]
-        for j in np.flatnonzero(smallest < 1e-8):
-            if float(np.linalg.norm(c_of_a[j] @ b[j])) < 1e-7:
-                return a[j], b[j]
+    for r in range(_RESTARTS):
+        gen = SplitMix64(derive_seed(seed, 2_000_000 + r))
+        a = gen.unit_vector(ma)
+        b = gen.unit_vector(mb)
+        smin_prev = np.inf
+        for _ in range(_OPT_MAX_ITERS):
+            b = np.linalg.svd(np.einsum("dmn,m->dn", ck, a))[2][-1].conj()
+            _, s, vh = np.linalg.svd(np.einsum("dmn,n->dm", ck, b))
+            a = vh[-1].conj()
+            smin = float(s[-1])
+            if smin < 1e-9 or smin_prev - smin <= _PRODUCT_STEP_TOL:
+                break
+            smin_prev = smin
+        c_of_a = np.einsum("dmn,m->dn", ck, a)
+        if (
+            float(np.linalg.svd(c_of_a, compute_uv=False)[-1]) < 1e-8
+            and float(np.linalg.norm(c_of_a @ b)) < 1e-7
+        ):
+            return a, b
     if _holds_product_vector(dims, k):
         warnings.warn(
             "no product vector found in a subspace where one provably exists; "

@@ -253,6 +253,16 @@ class TestRandomCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("npt", [[], ["--npt"]])
+    def test_negative_sides_refused(self, capsys, npt):
+        # (-3) x (-3) multiplies out to 9, yet no state has a side below 1
+        code, out, err = _run(
+            capsys, "random", "--dimA", "-3", "--dimB", "-3", "--rank", "4", "--seed", "1", *npt
+        )
+        assert code == 2
+        assert out == ""
+        assert "dims (-3, -3) must both be at least 1" in err
+
 
 class TestVerifyCommand:
     def test_edge_family_suite(self, capsys):

@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -204,6 +205,18 @@ class TestHermitianEig:
         m[0, 1] = 1.0
         with pytest.raises(ValueError):
             hermitian_eig(m)
+
+    def test_rejects_nan_entries(self):
+        with pytest.raises(ValueError, match="finite"):
+            hermitian_eig(np.full((2, 2), np.nan))
+
+    def test_rejects_inf_entries_without_a_warning(self):
+        m = np.eye(3, dtype=complex)
+        m[1, 1] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="finite"):
+                hermitian_eig(m)
 
     def test_edge_pt_zero_eigenvector_is_the_mes(self):
         params = EdgeParams(1.0, math.pi / 6)
@@ -445,6 +458,20 @@ class TestStateValidation:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             BipartiteState(np.eye(8), D33)
+
+    @pytest.mark.parametrize("dims", [(-3, -3), (0, 0), (-1, -9), (9, 0)])
+    def test_rejects_sides_below_one(self, dims):
+        # the product of the split alone would let (-3) x (-3) pass as 9
+        size = abs(dims[0] * dims[1])
+        with pytest.raises(DimensionMismatchError, match="at least 1"):
+            BipartiteState(np.eye(size) / max(size, 1), Dims(*dims))
+        with pytest.raises(DimensionMismatchError, match="at least 1"):
+            partial_transpose(np.eye(size), Dims(*dims))
+        vec = np.ones(size) / math.sqrt(max(size, 1))
+        with pytest.raises(DimensionMismatchError, match="at least 1"):
+            PureState(vec, Dims(*dims))
+        with pytest.raises(DimensionMismatchError, match="at least 1"):
+            schmidt_rank(vec, Dims(*dims))
 
     def test_unnormalized_trace_allowed(self):
         st = BipartiteState(3.7 * np.eye(9), D33)

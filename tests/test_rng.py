@@ -17,7 +17,6 @@ from distill_lab.rng import (
     SplitMix64,
     _complex_normals,
     _phase_fixed_qr,
-    _unit_rows,
     derive_seed,
     random_isometry,
 )
@@ -120,12 +119,6 @@ class TestComplexNormals:
     )
     def test_property_equals_scalar_stream(self, states, count):
         _assert_matches_oracle(states, count)
-
-    def test_unit_rows_equal_unit_vector(self):
-        states = [derive_seed(77, i) for i in range(32)]
-        rows = _unit_rows(_complex_normals(states, 9)[0])
-        for i, s in enumerate(states):
-            assert rows[i].tobytes() == SplitMix64(s).unit_vector(9).tobytes()
 
 
 # ---- the draw sites' stacked steps --------------------------------------------

@@ -58,6 +58,18 @@ from distill_lab.witness import (
 )
 
 D33 = Dims(3, 3)
+D24 = Dims(2, 4)
+
+
+def _kernel(state: BipartiteState) -> np.ndarray:
+    return rank_kernel_range(state.mat)[1]
+
+
+def _assert_product_in(found: tuple[np.ndarray, np.ndarray], basis: np.ndarray) -> None:
+    """``found`` is a unit product vector a (x) b in the span of ``basis``."""
+    prod = np.kron(*found)
+    assert abs(np.linalg.norm(prod) - 1.0) < 1e-12
+    assert np.linalg.norm(prod - basis @ (basis.conj().T @ prod)) < 1e-7
 
 
 def _mes_state() -> BipartiteState:
@@ -456,23 +468,100 @@ class TestProductVectorSearch:
         fg = np.kron(f, g)
         assert np.linalg.norm(fg - rng_basis @ (rng_basis.conj().T @ fg)) < 1e-10
 
-    def test_restart_schedule(self, monkeypatch):
-        # restart 0 alone, then every other restart in one block
-        blocks = []
-        descent = witness._product_search_descent
+    # ten steps may leave every restart of a search short of a solution, and
+    # on a 3x3 kernel of dimension 5 that warns of an optimizer failure
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_first_success_in_restart_order(self, monkeypatch):
+        """With 10 steps per restart, restart 0 fails on some kernels and a later one succeeds.
 
-        def counted(ck, a, b):
-            blocks.append(a.shape[0])
-            return descent(ck, a, b)
+        The search must draw restarts 0..r in order, stop at the first
+        success r, and return what a budget of r + 1 restarts returns.
+        """
+        monkeypatch.setattr(witness, "_OPT_MAX_ITERS", 10)
+        drawn = []
 
-        monkeypatch.setattr(witness, "_product_search_descent", counted)
-        _, kernel, _ = rank_kernel_range(edge_state(EdgeParams(1.0, math.pi / 6)).mat)
-        assert product_vector_in_subspace(kernel, D33) is None
-        assert blocks == [1, witness._RESTARTS - 1]
-        blocks.clear()
-        monkeypatch.setattr(witness, "_RESTARTS", 3)
-        assert product_vector_in_subspace(kernel, D33) is None
-        assert blocks == [1, 2]
+        def recorded(seed, index):
+            drawn.append(index)
+            return derive_seed(seed, index)
+
+        monkeypatch.setattr(witness, "derive_seed", recorded)
+        late = 0
+        for dims in (D33, D24):
+            for i in range(12):
+                kernel = _kernel(random_state(dims, 4, derive_seed(9500, i)))
+                drawn.clear()
+                found = product_vector_in_subspace(kernel, dims, i)
+                first = drawn[-1] - 2_000_000
+                assert drawn == [2_000_000 + r for r in range(first + 1)]
+                if found is None:
+                    assert first == witness._RESTARTS - 1
+                    continue
+                _assert_product_in(found, kernel)
+                if first == 0:
+                    continue
+                late += 1
+                with pytest.MonkeyPatch.context() as budget:
+                    budget.setattr(witness, "_RESTARTS", first)
+                    assert product_vector_in_subspace(kernel, dims, i) is None
+                    budget.setattr(witness, "_RESTARTS", first + 1)
+                    again = product_vector_in_subspace(kernel, dims, i)
+                assert again[0].tobytes() == found[0].tobytes()
+                assert again[1].tobytes() == found[1].tobytes()
+        assert late >= 4
+
+    def test_rank4_kernels_found_at_first_restart(self, monkeypatch):
+        monkeypatch.setattr(witness, "_RESTARTS", 1)
+        for i in range(40):
+            kernel = _kernel(random_state(D33, 4, derive_seed(9300, i)))
+            assert kernel.shape[1] == 5
+            found = product_vector_in_subspace(kernel, D33, i)
+            assert found is not None
+            _assert_product_in(found, kernel)
+
+    def test_rank5_kernels_exhaust_every_restart(self, monkeypatch):
+        for i in range(14):
+            kernel = _kernel(random_state(D33, 5, derive_seed(9400, i)))
+            assert kernel.shape[1] == 4
+            monkeypatch.setattr(witness, "_RESTARTS", i + 1)
+            with warnings.catch_warnings():
+                # a 4-dimensional kernel need not hold a product vector: no warning
+                warnings.simplefilter("error", RuntimeWarning)
+                assert product_vector_in_subspace(kernel, D33, i) is None
+
+    def test_edge_kernels_exhaust_every_restart(self):
+        for b, theta in ((1.0, math.pi / 6), (0.7, -math.pi / 5), (1.6, math.pi / 9)):
+            kernel = _kernel(build_edge_bundle(EdgeParams(b, theta)).npt_state)
+            assert kernel.shape[1] == 4
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                assert product_vector_in_subspace(kernel, D33) is None
+
+    def test_planted_product_vector_in_4d_subspace(self):
+        # a generic 4-dimensional 3x3 subspace holds no product vector; one
+        # spanned by a product vector and three random vectors must yield it
+        for i in range(20):
+            g = SplitMix64(derive_seed(9995, i)).complex_vector(3 + 3 + 9 * 3)
+            planted = np.kron(g[:3], g[3:6])
+            basis = np.linalg.qr(np.column_stack([planted, g[6:].reshape(9, 3)]))[0]
+            found = product_vector_in_subspace(basis, D33, i)
+            assert found is not None
+            _assert_product_in(found, basis)
+            overlap = abs(np.vdot(np.kron(*found), planted)) / np.linalg.norm(planted)
+            assert overlap == pytest.approx(1.0, abs=1e-7)
+
+    def test_2x4_kernels(self, monkeypatch):
+        # a 2x4 subspace of dimension at least (2 - 1)(4 - 1) + 1 = 4 holds a
+        # product vector; these smaller kernels hold none the search can find
+        monkeypatch.setattr(witness, "_RESTARTS", 9)
+        for rank in range(1, 8):
+            for seed in range(3):
+                kernel = _kernel(random_state(D24, rank, derive_seed(9600 + rank, seed)))
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    found = product_vector_in_subspace(kernel, D24, seed)
+                assert (found is not None) == (kernel.shape[1] >= 4)
+                if found is not None:
+                    _assert_product_in(found, kernel)
 
     def test_mes_line_has_none(self):
         basis = maximally_entangled_qutrits().vec.reshape(9, 1)
@@ -505,6 +594,16 @@ class TestKernelProductWitness:
             assert cert is not None
             assert cert.route == ROUTE_KERNEL_PRODUCT
             assert verify_certificate(cert, state)
+
+    def test_seed_3404_certificate_value(self):
+        # `distill-lab random --rank 4 --npt --seed 3404`: both spectral routes
+        # decline, so certify takes the kernel route
+        spec = EnsembleSpec(dims=D33, rank=4, count=1, filter="NPT", seed=3404)
+        state = sample_ensemble(spec)[0][0]
+        cert = kernel_product_witness(state)
+        assert cert is not None and verify_certificate(cert, state)
+        assert abs(cert.value - -0.16288601691787674) <= 1e-12
+        assert certify_1_distillable(state).route == ROUTE_KERNEL_PRODUCT
 
     def test_falls_back_to_two_nonpositive_when_the_scan_declines(self, monkeypatch):
         # forced: the scan declines on the rotated state, so its witness comes
