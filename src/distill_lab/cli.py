@@ -24,9 +24,12 @@ from .harness import EnsembleSpec, random_state, run_suite, sample_ensemble
 from .multicopy import extremal_rank2_tensor_power, verify_n_undistillable
 from .qcore import (
     MAX_COPIES,
+    PSD_TOL,
     Dims,
     NumericalFailureError,
     _numeric_rank,
+    is_ppt,
+    min_pt_eigenvalue,
 )
 from .serialize import (
     certificate_document,
@@ -125,6 +128,13 @@ def _cmd_certify_rank4(args: argparse.Namespace) -> int:
     rank = _numeric_rank(state.mat)
     if rank != 4:
         print(f"input state has rank {rank}, expected 4", file=sys.stderr)
+        return EXIT_INVALID
+    if is_ppt(state):
+        print(
+            f"input state is PPT: smallest PT eigenvalue {min_pt_eigenvalue(state):.3e}"
+            f" (NPT needs < -PSD_TOL = {-PSD_TOL:g})",
+            file=sys.stderr,
+        )
         return EXIT_INVALID
     cert = certify_1_distillable(state)
     if cert is None:

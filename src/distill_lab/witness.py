@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -131,50 +131,11 @@ def pt_quadratic_form(
     return float(np.real(v.conj() @ pt @ v))
 
 
-def _lockstep(
-    step: Callable, state: tuple[np.ndarray, ...], iters: int, tol: float
-) -> tuple[np.ndarray, ...]:
-    """Advance the rank-2 minimizer's stacked starts together, each row on its own stop rule.
-
-    ``state`` holds arrays with one row per start.  ``step(*state)``
-    advances the active rows once and returns ``(values, state)``: one
-    value per row and the arrays each row continues from.
-
-    A row stops at the first iteration where its value improves on its
-    previous value by at most ``tol``, or when ``iters`` run out, and
-    keeps the arrays of its last step.  Returns each row's final value
-    followed by its final arrays, in the original row order, equal to
-    running the rows one after another.
-    """
-    n = len(state[0])
-    rows, prev = np.arange(n), [np.inf] * n
-    parts = []  # (rows, values, *arrays) of each group of rows that leaves
-    for _ in range(iters):
-        values, state = step(*state)
-        vals = values.tolist()
-        # plain floats: on a handful of rows this beats numpy's per-call overhead
-        stop = [p - x <= tol for p, x in zip(prev, vals)]
-        prev = vals
-        if any(stop):
-            stop = np.array(stop)
-            parts.append((rows[stop], values[stop], *(k[stop] for k in state)))
-            go_on = ~stop
-            rows, values = rows[go_on], values[go_on]
-            if not rows.size:
-                break
-            prev = values.tolist()
-            state = tuple(k[go_on] for k in state)
-    else:
-        parts.append((rows, values, *state))
-    order = np.argsort(np.concatenate([part[0] for part in parts]))
-    return tuple(np.concatenate(col)[order] for col in list(zip(*parts))[1:])
-
-
 # starts of the rank-2 minimizer: the bottom eigenvector's Schmidt frames and
 # four Haar frames; on the n = 2 reports 65 starts reach the same Werner
 # minimum and lower the rho minimum by under 0.2%, at 12 times the cost
 _RANK2_STARTS = 5
-# a rank-2 row stops once a sweep gains at most this fraction of max|eig X|;
+# a rank-2 start stops once a sweep gains at most this fraction of max|eig X|;
 # relative, so that minimizing c*X takes the same sweeps as minimizing X
 _RANK2_REL_STOP = 1e-6
 # most sweeps of a rank-2 start, and most steps of a product-search restart
@@ -225,15 +186,18 @@ def min_rank2_expectation(x: np.ndarray, dims: Dims, seed: int = 2024) -> tuple[
     dA x 2 and B of shape dB x 2: with B an isometry the best A is the
     bottom eigenvector of a 2dA x 2dA compression of X, and B is updated
     the same way, so no sweep raises the value.  Each compression is
-    contracted straight from X; no I (x) B is formed.  Five starts run in
-    lockstep: B from the two leading Schmidt frames of the bottom
-    eigenvector of X, and four Haar-random frames drawn from
-    ``derive_seed(seed, r)``, r = 0..3.  A start stops once a sweep
-    gains at most 1e-6 * max|eig X|, or after ``_OPT_MAX_ITERS`` sweeps;
-    the restart budget ``_RESTARTS`` does not apply here.  The value is
-    recomputed from the 4x4 compression onto the best start's frames, the
-    earliest start winning ties.  The result never undercuts the true
-    minimum over all unit vectors, and no global-optimality claim is made.
+    contracted straight from X; no I (x) B is formed.  Five starts run as
+    one stack, each sweep advancing every start still running: B from the
+    two leading Schmidt frames of the bottom eigenvector of X, and four
+    Haar-random frames drawn from ``derive_seed(seed, r)``, r = 0..3.  A
+    start leaves the stack, keeping its last frames, after its first sweep
+    that gains at most 1e-6 * max|eig X|, or after ``_OPT_MAX_ITERS``
+    sweeps; the restart budget ``_RESTARTS`` does not apply here.  The
+    stack gives the values of running the starts one after another, in
+    about half the time at 9x9.  The value is recomputed from the 4x4
+    compression onto the best start's frames, the earliest start winning
+    ties.  The result never undercuts the true minimum over all unit
+    vectors, and no global-optimality claim is made.
 
     Every call computes; ``best_rank2_witness`` keeps a state's minima.
     """
@@ -255,10 +219,21 @@ def min_rank2_expectation(x: np.ndarray, dims: Dims, seed: int = 2024) -> tuple[
     fb[1:] = _phase_fixed_qr(_complex_normals(seeds, 2 * mb)[0].reshape(-1, mb, 2))
     # the first sweep computes fa from fb alone
     fa = np.zeros((_RANK2_STARTS, ma, 2), dtype=complex)
-    vals, fa, fb = _lockstep(
-        lambda fa, fb: _als_sweep(m, dims, fa, fb),
-        (fa, fb), _OPT_MAX_ITERS, _RANK2_REL_STOP * scale,
-    )
+    vals = np.empty(_RANK2_STARTS)
+    rows, prev, tol = np.arange(_RANK2_STARTS), np.inf, _RANK2_REL_STOP * scale
+    a, b = fa, fb  # the running starts' frames, in start order
+    for sweep in range(_OPT_MAX_ITERS):
+        values, (a, b) = _als_sweep(m, dims, a, b)
+        # a NaN gain compares false, so that start keeps running
+        go_on = ~(prev - values <= tol)
+        # written back by start index only when a start leaves, or at the last
+        # sweep: indexing the full arrays on every sweep was a few percent slower
+        if not go_on.all() or sweep == _OPT_MAX_ITERS - 1:
+            vals[rows], fa[rows], fb[rows] = values, a, b
+            rows, values, a, b = rows[go_on], values[go_on], a[go_on], b[go_on]
+            if not rows.size:
+                break
+        prev = values
     best = int(np.argmin(vals))
     w_op = np.kron(fa[best], fb[best])
     v4 = _bottom((w_op.conj().T @ m @ w_op)[None])[1][0]

@@ -3,12 +3,13 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 import distill_lab.cli as cli
 from distill_lab.cli import main
-from distill_lab.qcore import NumericalFailureError
-from distill_lab.serialize import state_from_json
+from distill_lab.qcore import BipartiteState, Dims, NumericalFailureError
+from distill_lab.serialize import state_from_json, state_to_json
 
 
 def _run(capsys, *argv):
@@ -159,6 +160,17 @@ class TestCertifyRank4:
         code, _, err = _run(capsys, "certify-rank4", "--in", str(path))
         assert code == 2
         assert "rank 5" in err
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+    def test_rejects_ppt(self, tmp_path, capsys, flags):
+        # rank 4, and its partial transpose is diagonal and nonnegative
+        path = tmp_path / "state.json"
+        mat = np.diag([1.0, 0, 0, 0, 1, 0, 0, 1, 1]) / 4
+        path.write_text(state_to_json(BipartiteState(mat, Dims(3, 3))))
+        code, out, err = _run(capsys, "certify-rank4", "--in", str(path), *flags)
+        assert code == 2
+        assert out == ""
+        assert "input state is PPT: smallest PT eigenvalue 0.000e+00" in err
 
     def test_rejects_non_positive_dimensions(self, tmp_path, capsys):
         # (-3) * (-3) == 9 matches rows and cols; once reported as "rank 9"

@@ -262,6 +262,76 @@ class TestMinimizerMemo:
         self._assert_one_minimization(sweeps, partial_transpose(state.mat, D33))
 
 
+class TestRank2Stack:
+    """The minimizer's five starts run as one stack that a stopped start leaves."""
+
+    @staticmethod
+    def _spy(monkeypatch, report=None):
+        """Each sweep's (fa in, fb in, values, fa out, fb out); ``report`` replaces the values."""
+        calls = []
+        sweep = witness._als_sweep
+
+        def spied(m, dims, fa, fb):
+            values, (fa_out, fb_out) = sweep(m, dims, fa, fb)
+            if report is not None:
+                values = report(values)
+            calls.append((fa.copy(), fb.copy(), values, fa_out, fb_out))
+            return values, (fa_out, fb_out)
+
+        monkeypatch.setattr(witness, "_als_sweep", spied)
+        return calls
+
+    @staticmethod
+    def _rho_pt(n: int) -> tuple[np.ndarray, Dims]:
+        return qcore._pt_power(build_edge_bundle(EdgeParams(*DEFAULT_GRID[0])).npt_state, n)
+
+    @pytest.mark.parametrize("n,max_sweeps", [(1, None), (2, None), (1, 5)])
+    def test_sweeps_advance_the_running_starts(self, monkeypatch, n, max_sweeps):
+        mat, dims = self._rho_pt(n)
+        if max_sweeps is not None:  # some starts still running when the sweeps run out
+            monkeypatch.setattr(witness, "_OPT_MAX_ITERS", max_sweeps)
+        calls = self._spy(monkeypatch)
+        _, ansatz = min_rank2_expectation(mat, dims)
+        tol = witness._RANK2_REL_STOP * float(np.abs(hermitian_eig(mat).eigenvalues).max())
+
+        running = list(range(witness._RANK2_STARTS))
+        prev = [np.inf] * len(running)
+        last = {}  # start -> (value, fa, fb) of its last sweep
+        left_at = {}
+        for k, (fa_in, fb_in, values, fa_out, fb_out) in enumerate(calls):
+            # exactly the running starts, in start order, each from its own frames
+            if k == 0:
+                assert len(fb_in) == len(running) and not fa_in.any()
+            else:
+                assert np.array_equal(fa_in, np.stack([last[r][1] for r in running]))
+                assert np.array_equal(fb_in, np.stack([last[r][2] for r in running]))
+            for i, r in enumerate(list(running)):
+                last[r] = (values[i], fa_out[i], fb_out[i])
+                if prev[r] - values[i] <= tol or k == witness._OPT_MAX_ITERS - 1:
+                    running.remove(r)
+                    left_at[r] = k
+                prev[r] = values[i]
+        # every start left, and not all at the same sweep
+        assert not running and len(set(left_at.values())) > 1
+
+        best = min(last, key=lambda r: (last[r][0], r))
+        assert np.array_equal(ansatz.frame_a, last[best][1])
+        assert np.array_equal(ansatz.frame_b, last[best][2])
+
+    def test_gain_of_tol_stops_and_earliest_lowest_start_wins(self, monkeypatch):
+        mat, dims = self._rho_pt(1)
+        tol = witness._RANK2_REL_STOP * float(np.abs(hermitian_eig(mat).eigenvalues).max())
+        # reported values: every start gains exactly tol on sweep 2, and starts 1, 2, 4 tie
+        reports = iter([np.array([tol, 0, 0, tol, 0]), np.array([0, -tol, -tol, 0, -tol])])
+        calls = self._spy(monkeypatch, lambda values: next(reports))
+        _, ansatz = min_rank2_expectation(mat, dims)
+        assert [len(call[2]) for call in calls] == [5, 5]
+        _, _, _, fa_out, fb_out = calls[-1]
+        assert not np.array_equal(fb_out[1], fb_out[2])
+        assert np.array_equal(ansatz.frame_a, fa_out[1])
+        assert np.array_equal(ansatz.frame_b, fb_out[1])
+
+
 class TestSubmatrixScan:
     def test_mes_hit_depth(self):
         # the PT links zero diagonal entries via 1/3 off-diagonals
