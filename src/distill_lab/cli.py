@@ -276,7 +276,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, choices=_COPY_CHOICES, required=True)
     p.add_argument("--b", type=float, help="--target rho only (default 1.0)")
     p.add_argument("--theta", type=float, help="--target rho only (default pi/6)")
-    p.add_argument("--eps", type=float, help="--target rho only (default 0: 0.9 * gap/3)")
+    p.add_argument(
+        "--eps",
+        type=float,
+        help="--target rho only (default 0: 0.9 * gap/3); capped at eps(n)/2, so 1 or inf"
+        " runs at eps(n)/2; the noise used is printed as 'eps used' (--json: eps_used)",
+    )
     p.add_argument("--target", choices=("werner", "rho"), default="werner")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_multicopy)

@@ -37,11 +37,7 @@ from .edgestate import (
     maximally_entangled_qutrits,
     min_positive_pt_eigenvalue,
 )
-from .multicopy import (
-    extremal_rank2_tensor_power,
-    verify_n_undistillable,
-    werner_projector,
-)
+from .multicopy import _n_copy_claim, extremal_rank2_tensor_power, werner_projector
 from .qcore import (
     PSD_TOL,
     RANK_REL_TOL,
@@ -314,8 +310,8 @@ def _multicopy_checks(spec: EnsembleSpec):
                 raise AssertionError(f"operator bound fails at n={n}")
 
     def check_undistillable(n: int) -> None:
-        report = verify_n_undistillable(params, n)
-        if not report.min_value > 0:
+        min_value = _n_copy_claim(params, n)[0]
+        if not min_value > 0:
             raise AssertionError(f"n={n} minimum is not positive")
 
     checks = [

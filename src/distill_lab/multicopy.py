@@ -20,6 +20,7 @@ import numpy as np
 
 from .edgestate import (
     QUTRIT_PAIR,
+    EdgeBundle,
     EdgeParams,
     _noise,
     build_edge_bundle,
@@ -85,15 +86,6 @@ def max_rank2_overlap_with_mes(seed: int = 2024) -> float:
     return -value
 
 
-def _rank2_extremes(
-    mat: np.ndarray, dims: Dims, seed: int
-) -> tuple[float, PureState, float, PureState]:
-    """Rank-2 minimum and maximum (as -min(-X)) of ``mat``, each with its witness."""
-    lo, lo_at = min_rank2_expectation(mat, dims, seed)
-    neg_hi, hi_at = min_rank2_expectation(-mat, dims, seed)
-    return lo, PureState(lo_at.vector(), dims), -neg_hi, PureState(hi_at.vector(), dims)
-
-
 def extremal_rank2_tensor_power(n: int, seed: int = 2024) -> MulticopyReport:
     """Extremal rank-2 expectations of the n-fold Werner-projector power.
 
@@ -105,7 +97,9 @@ def extremal_rank2_tensor_power(n: int, seed: int = 2024) -> MulticopyReport:
     _check_copy_count(n)
     rho_s = werner_projector()
     mat, dims = regroup_tensor_power(rho_s.mat, rho_s.dims, n)
-    min_value, min_witness, max_value, max_witness = _rank2_extremes(mat, dims, seed)
+    min_value, min_at = min_rank2_expectation(mat, dims, seed)
+    neg_max, max_at = min_rank2_expectation(-mat, dims, seed)
+    max_value = -neg_max
     # the product |0..0>_A |1..1>_B is basis vector 0 * 3^n + (11..1 in base 3)
     ones = (3**n - 1) // 2
     product_value = float(mat[ones, ones].real)
@@ -125,9 +119,9 @@ def extremal_rank2_tensor_power(n: int, seed: int = 2024) -> MulticopyReport:
         n=n,
         target="werner",
         max_value=max_value,
-        max_witness=max_witness,
+        max_witness=PureState(max_at.vector(), dims),
         min_value=min_value,
-        min_witness=min_witness,
+        min_witness=PureState(min_at.vector(), dims),
         bound_lower=bound_lower,
         conjecture_value=0.5 / 12.0**n,
         margin_estimate=min_value - bound_lower,
@@ -190,17 +184,14 @@ def _eps_threshold(gap: float, pt_norm: float, n: int) -> float:
     return lo
 
 
-def verify_n_undistillable(
+def _n_copy_claim(
     params: EdgeParams, n: int, seed: int = 2024, eps: float = 0.0
-) -> MulticopyReport:
-    """Numerically confirm n-copy undistillability of the edge perturbation.
+) -> tuple[float, PureState, np.ndarray, Dims, EdgeBundle, float, float]:
+    """The checked claim of ``verify_n_undistillable``, without its report-only maximum.
 
-    Builds the NPT rank-5 state at noise ``min(eps, eps_threshold/2)``, with
-    ``eps`` read as ``build_edge_bundle`` reads it (0 asks for 0.9 * gap/3),
-    minimizes the rank-2 form of the n-copy partial transpose, and checks the
-    numeric minimum stays positive and above the analytic bound.  The bound's
-    two constants are computed once and serve the threshold and the bound.  A
-    violation raises; it would mean a bug, not a distillation protocol.
+    The bound's two constants are computed once and serve the threshold and
+    the bound.  Returns ``(min_value, min_witness, pt, dims, bundle, threshold,
+    bound)``.
     """
     _check_copy_count(n)
     gap, pt_norm = _gap_and_pt_norm(params)
@@ -208,19 +199,42 @@ def verify_n_undistillable(
     bundle = build_edge_bundle(params, min(_noise(eps, gap), threshold / 2))
 
     pt, dims = _pt_power(bundle.npt_state, n)
-    min_value, min_witness, max_value, max_witness = _rank2_extremes(pt, dims, seed)
+    min_value, min_at = min_rank2_expectation(pt, dims, seed)
+    min_witness = PureState(min_at.vector(), dims)
 
     bound = _series_bound(gap, pt_norm, n, bundle.eps)
     if min_value <= 0.0 or min_value < bound - 1e-8:
         raise InvariantViolationError(
             f"n={n} rank-2 minimum {min_value} fell below the analytic bound {bound}"
         )
+    return min_value, min_witness, pt, dims, bundle, threshold, bound
+
+
+def verify_n_undistillable(
+    params: EdgeParams, n: int, seed: int = 2024, eps: float = 0.0
+) -> MulticopyReport:
+    """Numerically confirm n-copy undistillability of the edge perturbation.
+
+    The claim comes first: the NPT rank-5 state is built at noise
+    ``min(eps, eps_threshold/2)``, with ``eps`` read as ``build_edge_bundle``
+    reads it (0 asks for 0.9 * gap/3, and any ``eps`` at or above the cap,
+    ``inf`` included, runs at the cap), and the rank-2 minimum of its n-copy
+    partial transpose must stay positive and above the analytic bound.  A
+    violation raises ``InvariantViolationError``; it would mean a bug, not a
+    distillation protocol.  Only then is the rank-2 maximum, -min(-PT), added
+    to the report; no check reads it, and the multicopy suite runs the claim
+    alone.
+    """
+    min_value, min_witness, pt, dims, bundle, threshold, bound = _n_copy_claim(
+        params, n, seed, eps
+    )
+    neg_max, max_at = min_rank2_expectation(-pt, dims, seed)
     npt_min = min_pt_eigenvalue(bundle.npt_state)
     return MulticopyReport(
         n=n,
         target="rho",
-        max_value=max_value,
-        max_witness=max_witness,
+        max_value=-neg_max,
+        max_witness=PureState(max_at.vector(), dims),
         min_value=min_value,
         min_witness=min_witness,
         bound_lower=bound,

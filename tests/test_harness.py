@@ -1,6 +1,9 @@
 """Ensembles, reproducibility, and the verification suites."""
 
 import json
+import math
+import sys
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +11,9 @@ import pytest
 
 import distill_lab.edgestate as edgestate
 import distill_lab.harness as harness
-from distill_lab.edgestate import DEFAULT_GRID
+import distill_lab.multicopy as multicopy
+import distill_lab.witness as witness
+from distill_lab.edgestate import DEFAULT_GRID, EdgeParams
 from distill_lab.harness import (
     EnsembleSpec,
     random_state,
@@ -195,11 +200,32 @@ class TestSuites:
         def fail(*args, **kwargs):
             raise NumericalFailureError("solver gave up")
 
-        monkeypatch.setattr(harness, "verify_n_undistillable", fail)
+        monkeypatch.setattr(harness, "_n_copy_claim", fail)
         report = run_suite("multicopy")
         assert report.trials == 5
         assert report.passes == 3
         assert [f["reason"] for f in report.failures] == ["solver gave up"] * 2
+
+    def test_multicopy_runs_no_rho_maximum(self, monkeypatch):
+        # the undistillability trials read only the n-copy minimum: the suite minimizes
+        # +-X of the Werner power and +PT of rho at n = 1, 2, and never -PT of rho
+        params = EdgeParams(1.0, math.pi / 6)
+        rho_pts = [multicopy._n_copy_claim(params, n)[2] for n in (1, 2)]
+        real, calls = witness.min_rank2_expectation, []
+
+        def spy(x, dims, seed=2024):
+            calls.append(np.array(x))
+            return real(x, dims, seed)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("distill_lab") and vars(module).get("min_rank2_expectation") is real:
+                monkeypatch.setattr(module, "min_rank2_expectation", spy)
+        report = run_suite("multicopy")
+        assert (report.trials, report.passes) == (5, 5)
+        assert Counter(len(x) for x in calls) == {9: 3, 81: 3}
+        for pt in rho_pts:
+            assert sum(np.array_equal(x, pt) for x in calls) == 1
+            assert not any(np.array_equal(x, -pt) for x in calls)
 
     @pytest.mark.parametrize(
         "error",

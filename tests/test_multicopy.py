@@ -283,6 +283,16 @@ class TestVerifyUndistillable:
         with pytest.raises(ValueError, match="eps must be nonnegative"):
             verify_n_undistillable(PARAMS, 1, eps=eps)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_report_adds_the_maximum_to_the_claim(self, n):
+        # the claim runs no maximum; the report's is -min(-PT), to the last bit
+        min_value, _, pt, dims, *_ = multicopy._n_copy_claim(PARAMS, n)
+        neg_max, max_at = min_rank2_expectation(-pt, dims, 2024)
+        report = verify_n_undistillable(PARAMS, n)
+        assert report.max_value == -neg_max
+        assert report.max_witness.vec.tobytes() == max_at.vector().astype(complex).tobytes()
+        assert report.min_value == min_value
+
     @pytest.mark.parametrize("seed", range(12))
     def test_two_copy_minimum_at_every_seed(self, seed):
         report = verify_n_undistillable(PARAMS, 2, seed)
