@@ -13,19 +13,18 @@ generic rank-2 minimizer:
   transpose of a two-qutrit state combine into a witness with a singular
   3x3 matricization.
 * ``kernelProduct``  -- a product vector in the kernel reduces, after a
-  local rotation, to one of the two routes above.  ``certify_1_distillable``
-  tries it only on two-qutrit states of rank at most 4, whose kernel has
-  dimension at least 5 and so provably holds a product vector.  The
-  product search (``product_vector_in_subspace``) runs its seeded restarts
-  one after another, each a plain loop of alternating SVD steps.
+  local rotation, to one of the two routes above; the product search
+  (``product_vector_in_subspace``) runs seeded restarts of alternating SVD
+  steps one after another.
 
-Failure to find a witness is data, never an error: all routes return
-``None`` when their hypothesis is not met.
+Every route returns ``None`` when its hypothesis is not met.  On a
+two-qutrit NPT state of rank at most 4, whose kernel provably holds a
+product vector, the three routes always yield a witness, so there
+``certify_1_distillable`` raises ``NumericalFailureError`` if all decline.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -37,6 +36,7 @@ from .qcore import (
     BipartiteState,
     DimensionMismatchError,
     Dims,
+    NumericalFailureError,
     PureState,
     _RESTARTS,
     _numeric_rank,
@@ -54,8 +54,10 @@ ROUTE_SUBMATRIX = "submatrix2x2"
 ROUTE_TWO_NONPOSITIVE = "twoNonpositive"
 ROUTE_KERNEL_PRODUCT = "kernelProduct"
 ROUTE_OPTIMIZER = "optimizer"
+ROUTE_BOTTOM_EIGENVECTOR = "bottomEigenvector"
 # every route a certificate can name
-_ROUTES = (ROUTE_SUBMATRIX, ROUTE_TWO_NONPOSITIVE, ROUTE_KERNEL_PRODUCT, ROUTE_OPTIMIZER)
+_ROUTES = (ROUTE_SUBMATRIX, ROUTE_TWO_NONPOSITIVE, ROUTE_KERNEL_PRODUCT, ROUTE_OPTIMIZER,
+           ROUTE_BOTTOM_EIGENVECTOR)
 
 # determinants more negative than this qualify in the 2x2 scan; far above
 # float noise on exactly-PSD inputs, far below any usable violation
@@ -151,7 +153,7 @@ def _bottom(comp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _als_sweep(
-    m: np.ndarray, dims: Dims, fa: np.ndarray, fb: np.ndarray
+    m: np.ndarray, dims: Dims, fb: np.ndarray
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """One block ALS sweep over psi = vec(A B^T) for each row's frame ``fb``.
 
@@ -160,8 +162,8 @@ def _als_sweep(
     (I (x) B)^H X (I (x) B); its QR factor is the new frame ``fa``, and B is
     updated the same way against A (x) I.  Both compressions are contracted
     from X read as a (dA, dB, dA, dB) tensor; no I (x) B or A (x) I is
-    formed.  The incoming ``fa`` is not read.  Returns the value after the
-    sweep, which never exceeds the value before it, and the new frames.
+    formed.  Returns the value after the sweep, which never exceeds the
+    value before it, and the new frames.
     """
     ma, mb = dims
     rows = len(fb)
@@ -217,20 +219,20 @@ def min_rank2_expectation(x: np.ndarray, dims: Dims, seed: int = 2024) -> tuple[
     fb[0] = np.linalg.svd(spec.eigenvectors[:, 0].reshape(ma, mb))[2][:2].T
     seeds = [derive_seed(seed, r) for r in range(_RANK2_STARTS - 1)]
     fb[1:] = _phase_fixed_qr(_complex_normals(seeds, 2 * mb)[0].reshape(-1, mb, 2))
-    # the first sweep computes fa from fb alone
-    fa = np.zeros((_RANK2_STARTS, ma, 2), dtype=complex)
+    # each sweep computes fa from fb alone; fa only keeps the frames of stopped starts
+    fa = np.empty((_RANK2_STARTS, ma, 2), dtype=complex)
     vals = np.empty(_RANK2_STARTS)
     rows, prev, tol = np.arange(_RANK2_STARTS), np.inf, _RANK2_REL_STOP * scale
-    a, b = fa, fb  # the running starts' frames, in start order
+    b = fb  # the running starts' frames, in start order
     for sweep in range(_OPT_MAX_ITERS):
-        values, (a, b) = _als_sweep(m, dims, a, b)
+        values, (a, b) = _als_sweep(m, dims, b)
         # a NaN gain compares false, so that start keeps running
         go_on = ~(prev - values <= tol)
         # written back by start index only when a start leaves, or at the last
         # sweep: indexing the full arrays on every sweep was a few percent slower
         if not go_on.all() or sweep == _OPT_MAX_ITERS - 1:
             vals[rows], fa[rows], fb[rows] = values, a, b
-            rows, values, a, b = rows[go_on], values[go_on], a[go_on], b[go_on]
+            rows, values, b = rows[go_on], values[go_on], b[go_on]
             if not rows.size:
                 break
         prev = values
@@ -405,10 +407,9 @@ def product_vector_in_subspace(
     solution must pass an SVD check: the smallest singular value of C(a)
     below 1e-8 and the residual |C(a) b| below 1e-7.  The restarts run one
     after another, r = 0 .. ``_RESTARTS - 1``, and the first success is
-    returned.  ``None`` after restart exhaustion is a legitimate "no
-    product vector found" outcome, except for subspaces of dimension at
-    least 5 in a 3x3 system, where a product vector provably exists and
-    emptiness is flagged as an optimizer failure.
+    returned, else ``None``.  Whether a miss is a failure is for the
+    caller to decide: ``certify_1_distillable`` searches only subspaces that
+    provably hold a product vector (``_holds_product_vector``).
     """
     ma, mb = dims
     if max(ma, mb) > 4:
@@ -451,13 +452,6 @@ def product_vector_in_subspace(
             and float(np.linalg.norm(c_of_a @ b)) < 1e-7
         ):
             return a, b
-    if _holds_product_vector(dims, k):
-        warnings.warn(
-            "no product vector found in a subspace where one provably exists; "
-            "optimizer failure",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     return None
 
 
@@ -525,16 +519,16 @@ def _spectral_routes(state: BipartiteState, seed: int) -> Optional[WitnessCertif
 
 
 def certify_1_distillable(state: BipartiteState, seed: int = 2024) -> Optional[WitnessCertificate]:
-    """Try the constructive routes, then the generic minimizer.
+    """Try the constructive routes, then, off the rank-4 theorem, the generic minimizer.
 
     A 2xN state is certified by the bottom eigenvector of its partial
-    transpose.  Otherwise the 2x2 scan runs, then (3x3 only) the
-    two-nonpositive route, then the kernel route, then the rank-2
-    minimizer.  The kernel route runs only on 3x3 states of numeric rank at
-    most 4: their kernel has dimension at least (3 - 1)(3 - 1) + 1 = 5, so it
-    provably holds a product vector (``_holds_product_vector``).  A smaller
-    kernel holds one only on a set of measure zero, and searching it would
-    spend every restart of the product search for nothing.
+    transpose (``bottomEigenvector``).  Otherwise the 2x2 scan runs, then
+    (3x3 only) the two-nonpositive route.  On a 3x3 state of numeric rank
+    at most 4 the kernel route ends the chain: its kernel, of dimension at
+    least 5, provably holds a product vector (``_holds_product_vector``),
+    so one of the three routes must fire, and ``NumericalFailureError``
+    naming the rank and kernel dimension is raised if none does.  Other
+    states go on to the rank-2 minimizer.
 
     Returns the first verifiable certificate, or ``None`` when no witness
     with value below ``-PSD_TOL`` was found.  ``None`` on its own is not a
@@ -542,17 +536,22 @@ def certify_1_distillable(state: BipartiteState, seed: int = 2024) -> Optional[W
     """
     if is_ppt(state):
         return None
-    ma, mb = state.dims
-    if min(ma, mb) == 2:
-        spec = hermitian_eig(state._pt)
-        return _make_certificate(spec.eigenvectors[:, 0], state, ROUTE_OPTIMIZER, seed)
+    if min(state.dims) == 2:
+        vec = hermitian_eig(state._pt).eigenvectors[:, 0]
+        cert = _make_certificate(vec, state, ROUTE_BOTTOM_EIGENVECTOR, seed)
+        return cert if _usable(cert) else None
     cert = _spectral_routes(state, seed)
+    if cert is not None:
+        return cert
+    rank = _numeric_rank(state.mat)
+    if not _holds_product_vector(state.dims, state.dims.total - rank):
+        return best_rank2_witness(state, 1, seed)[1]
+    cert = kernel_product_witness(state, seed)
     if cert is None:
-        kernel_dim = state.dims.total - _numeric_rank(state.mat)
-        if _holds_product_vector(state.dims, kernel_dim):
-            cert = kernel_product_witness(state, seed)
-    if cert is None:
-        _, cert = best_rank2_witness(state, 1, seed)
+        raise NumericalFailureError(
+            f"rank-4 construction failed: on a 3x3 NPT state of rank {rank} (kernel dimension "
+            f"{9 - rank}) the 2x2 scan, the two-nonpositive route and the kernel route declined"
+        )
     return cert
 
 

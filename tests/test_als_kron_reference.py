@@ -48,7 +48,7 @@ def _compressed_bottom(m: np.ndarray, w_op: np.ndarray) -> tuple[np.ndarray, np.
     return w[:, 0], v[:, :, 0]
 
 
-def reference_als_sweep(m, dims, fa, fb):
+def reference_als_sweep(m, dims, fb):
     ma, mb = dims
     rows = len(fb)
     eye_a = np.broadcast_to(np.eye(ma), (rows, ma, ma))
@@ -83,7 +83,7 @@ def test_compressions_match_kron(monkeypatch, ma, mb, rows):
         return bottom(comp)
 
     monkeypatch.setattr(witness, "_bottom", recorded)
-    _, (fa, _) = witness._als_sweep(m, Dims(ma, mb), np.zeros((rows, ma, 2), complex), fb)
+    _, (fa, _) = witness._als_sweep(m, Dims(ma, mb), fb)
 
     assert len(seen) == 2
     tol = _COMPRESSION_TOL * float(np.abs(m).max())

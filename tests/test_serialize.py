@@ -25,6 +25,7 @@ from distill_lab.serialize import (
     state_to_json,
 )
 from distill_lab.witness import (
+    ROUTE_BOTTOM_EIGENVECTOR,
     ROUTE_KERNEL_PRODUCT,
     ROUTE_OPTIMIZER,
     ROUTE_SUBMATRIX,
@@ -183,7 +184,8 @@ class TestPureStateAndCertificate:
         value=st.floats(allow_nan=False, allow_infinity=False),
         copies=st.integers(1, 2),
         route=st.sampled_from(
-            [ROUTE_SUBMATRIX, ROUTE_TWO_NONPOSITIVE, ROUTE_KERNEL_PRODUCT, ROUTE_OPTIMIZER]
+            [ROUTE_SUBMATRIX, ROUTE_TWO_NONPOSITIVE, ROUTE_KERNEL_PRODUCT, ROUTE_OPTIMIZER,
+             ROUTE_BOTTOM_EIGENVECTOR]
         ),
         schmidt_rank=st.integers(1, 4),
         seed=st.integers(0, 2**64 - 1),
@@ -377,7 +379,9 @@ class TestStrictDocumentNumbers:
             certificate_from_json(dumps(doc))
 
     @pytest.mark.parametrize(
-        "route", [ROUTE_SUBMATRIX, ROUTE_TWO_NONPOSITIVE, ROUTE_KERNEL_PRODUCT, ROUTE_OPTIMIZER]
+        "route",
+        [ROUTE_SUBMATRIX, ROUTE_TWO_NONPOSITIVE, ROUTE_KERNEL_PRODUCT, ROUTE_OPTIMIZER,
+         ROUTE_BOTTOM_EIGENVECTOR],
     )
     def test_certificate_reads_every_route_name(self, route):
         doc = self._certificate_doc()

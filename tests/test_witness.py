@@ -20,7 +20,13 @@ from distill_lab.edgestate import (
     range_product_vector,
     undistillability_margin,
 )
-from distill_lab.harness import EnsembleSpec, _passes_filter, random_state, sample_ensemble
+from distill_lab.harness import (
+    EnsembleSpec,
+    _passes_filter,
+    random_state,
+    run_suite,
+    sample_ensemble,
+)
 from distill_lab.multicopy import werner_projector
 from distill_lab.qcore import (
     PSD_TOL,
@@ -42,6 +48,7 @@ from distill_lab.serialize import (
     state_from_json,
 )
 from distill_lab.witness import (
+    ROUTE_BOTTOM_EIGENVECTOR,
     ROUTE_KERNEL_PRODUCT,
     ROUTE_OPTIMIZER,
     ROUTE_TWO_NONPOSITIVE,
@@ -181,9 +188,9 @@ class TestMinimizerMemo:
         calls = []
         sweep = witness._als_sweep
 
-        def counted(m, dims, fa, fb):
+        def counted(m, dims, fb):
             calls.append(dims)
-            return sweep(m, dims, fa, fb)
+            return sweep(m, dims, fb)
 
         monkeypatch.setattr(witness, "_als_sweep", counted)
         return calls
@@ -267,15 +274,15 @@ class TestRank2Stack:
 
     @staticmethod
     def _spy(monkeypatch, report=None):
-        """Each sweep's (fa in, fb in, values, fa out, fb out); ``report`` replaces the values."""
+        """Each sweep's (fb in, values, fa out, fb out); ``report`` replaces the values."""
         calls = []
         sweep = witness._als_sweep
 
-        def spied(m, dims, fa, fb):
-            values, (fa_out, fb_out) = sweep(m, dims, fa, fb)
+        def spied(m, dims, fb):
+            values, (fa_out, fb_out) = sweep(m, dims, fb)
             if report is not None:
                 values = report(values)
-            calls.append((fa.copy(), fb.copy(), values, fa_out, fb_out))
+            calls.append((fb.copy(), values, fa_out, fb_out))
             return values, (fa_out, fb_out)
 
         monkeypatch.setattr(witness, "_als_sweep", spied)
@@ -298,12 +305,11 @@ class TestRank2Stack:
         prev = [np.inf] * len(running)
         last = {}  # start -> (value, fa, fb) of its last sweep
         left_at = {}
-        for k, (fa_in, fb_in, values, fa_out, fb_out) in enumerate(calls):
+        for k, (fb_in, values, fa_out, fb_out) in enumerate(calls):
             # exactly the running starts, in start order, each from its own frames
             if k == 0:
-                assert len(fb_in) == len(running) and not fa_in.any()
+                assert len(fb_in) == len(running)
             else:
-                assert np.array_equal(fa_in, np.stack([last[r][1] for r in running]))
                 assert np.array_equal(fb_in, np.stack([last[r][2] for r in running]))
             for i, r in enumerate(list(running)):
                 last[r] = (values[i], fa_out[i], fb_out[i])
@@ -325,8 +331,8 @@ class TestRank2Stack:
         reports = iter([np.array([tol, 0, 0, tol, 0]), np.array([0, -tol, -tol, 0, -tol])])
         calls = self._spy(monkeypatch, lambda values: next(reports))
         _, ansatz = min_rank2_expectation(mat, dims)
-        assert [len(call[2]) for call in calls] == [5, 5]
-        _, _, _, fa_out, fb_out = calls[-1]
+        assert [len(call[1]) for call in calls] == [5, 5]
+        _, _, fa_out, fb_out = calls[-1]
         assert not np.array_equal(fb_out[1], fb_out[2])
         assert np.array_equal(ansatz.frame_a, fa_out[1])
         assert np.array_equal(ansatz.frame_b, fb_out[1])
@@ -538,9 +544,7 @@ class TestProductVectorSearch:
         fg = np.kron(f, g)
         assert np.linalg.norm(fg - rng_basis @ (rng_basis.conj().T @ fg)) < 1e-10
 
-    # ten steps may leave every restart of a search short of a solution, and
-    # on a 3x3 kernel of dimension 5 that warns of an optimizer failure
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # ten steps may leave every restart of a search short of a solution
     def test_first_success_in_restart_order(self, monkeypatch):
         """With 10 steps per restart, restart 0 fails on some kernels and a later one succeeds.
 
@@ -825,6 +829,87 @@ class TestCertify:
             assert cert is not None
             assert cert.value < -PSD_TOL
             assert verify_certificate(cert, rotated)
+
+
+class TestRank4Chain:
+    """On a 3x3 state of rank <= 4 certify runs the paper's three routes and nothing else."""
+
+    MISS = "rank-4 construction failed"
+
+    @pytest.fixture
+    def all_routes_decline(self, monkeypatch):
+        monkeypatch.setattr(witness, "_spectral_routes", lambda state, seed: None)
+        monkeypatch.setattr(
+            witness, "product_vector_in_subspace", lambda basis, dims, seed=2024: None
+        )
+
+    def test_a_miss_raises_and_never_minimizes(self, all_routes_decline, minimizations):
+        spec = EnsembleSpec(rank=4, count=3, filter="NPT", seed=515)
+        for state in sample_ensemble(spec)[0]:
+            with pytest.raises(NumericalFailureError, match=self.MISS) as info:
+                certify_1_distillable(state)
+            assert "rank 4 (kernel dimension 5)" in str(info.value)
+        assert minimizations == []
+
+    def test_a_miss_fails_the_rank4_suite(self, all_routes_decline):
+        report = run_suite("theorem-rank4", 3, 7)
+        assert report.trials == 3 and report.passes == 0
+        assert [f["trial"] for f in report.failures] == [0, 1, 2]
+        assert all(self.MISS in f["reason"] for f in report.failures)
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+    def test_a_miss_exits_3_from_certify_rank4(self, all_routes_decline, tmp_path, capsys, flags):
+        path = str(tmp_path / "s.json")
+        argv = ["random", "--dimA", "3", "--dimB", "3", "--rank", "4", "--npt", "--seed", "5"]
+        assert main(argv + ["--out", path]) == 0
+        capsys.readouterr()
+        assert main(["certify-rank4", "--in", path, *flags]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"numerical failure: {self.MISS}" in err
+
+    def test_other_dimensions_still_reach_the_minimizer(self, all_routes_decline, minimizations):
+        # no theorem guarantees a constructive witness at 3x4, so a miss there is no error
+        state = sample_ensemble(EnsembleSpec(dims=Dims(3, 4), rank=4, count=1, filter="NPT"))[0][0]
+        certify_1_distillable(state)
+        assert minimizations == [((3, 4), 2024)]
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_seeded_ensembles_never_minimize(self, rank, minimizations):
+        spec = EnsembleSpec(rank=rank, count=50, filter="NPT", seed=derive_seed(2600, rank))
+        for state in sample_ensemble(spec)[0]:
+            cert = certify_1_distillable(state)
+            assert cert is not None and verify_certificate(cert, state)
+        assert minimizations == []
+
+
+class TestBottomEigenvector:
+    """A 2xN state's certificate is its bottom PT eigenvector, under its own route name."""
+
+    @staticmethod
+    def _state(dims: Dims, i: int) -> BipartiteState:
+        spec = EnsembleSpec(dims=dims, rank=3, count=1, filter="NPT", seed=derive_seed(2601, i))
+        return sample_ensemble(spec)[0][0]
+
+    @pytest.mark.parametrize("dims", [Dims(2, 3), Dims(3, 2), D24])
+    def test_route_name_and_round_trip(self, dims, minimizations):
+        for i in range(3):
+            state = self._state(dims, i)
+            cert = certify_1_distillable(state)
+            assert cert.route == ROUTE_BOTTOM_EIGENVECTOR
+            assert verify_certificate(cert, state)
+            loaded = certificate_from_json(dumps(certificate_document(cert)))
+            assert (loaded.route, loaded.value) == (cert.route, cert.value)
+            assert loaded.psi.vec.tobytes() == cert.psi.vec.tobytes()
+        assert minimizations == []
+
+    def test_unusable_eigenvector_is_no_certificate(self, monkeypatch):
+        # the rule every certificate passes: a form not below -PSD_TOL is refused
+        real = witness._make_certificate
+        monkeypatch.setattr(
+            witness, "_make_certificate", lambda *args: replace(real(*args), value=0.0)
+        )
+        assert certify_1_distillable(self._state(Dims(2, 3), 0)) is None
 
 
 class TestOnePartialTranspose:
