@@ -2,11 +2,15 @@
 
 States are Ginibre-style ``G G*`` draws with ``G`` filled from the
 portable SplitMix64/Box-Muller stream, so a (seed, trial) pair pins every
-sample bit-for-bit.
+sample bit-for-bit.  An ensemble draws its attempts in blocks, each block
+as one stack of streams, products and singular values, which equal the
+one-at-a-time draws bit for bit; ``random_state`` is the one-seed case.
 
 A suite runs from its name, a trial count and a seed, which pick only the
 sampled states: the routes and checks inside every suite run at the
-library seed 2024.
+library seed 2024.  Within one ``run_suite("all")`` call the ensemble
+suites share the states they draw, so ``lemma-2x2`` judges the states
+``theorem-rank4`` drew; the store lives only as long as that call.
 
 Every suite is a list of trials and a judge, which returns ``None`` for a
 pass, ``_SKIP`` for a trial outside the claim, or the trial's failure
@@ -24,7 +28,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -49,6 +53,7 @@ from .qcore import (
     _RESTARTS,
     _numeric_rank,
     _pt_power,
+    _rank_cut,
     _two_nonpositive_pt,
     is_ppt,
     regroup_tensor_power,
@@ -66,6 +71,10 @@ from .witness import (
 FILTERS = ("any", "NPT", "twoNonpositivePT")
 
 _MAX_CONSECUTIVE_REJECTS = 10_000
+
+# most attempts ``sample_ensemble`` draws as one stack; it bounds the stack's
+# memory, and a block never reaches past the states still needed
+_BLOCK = 64
 
 # what the code under test raises when a trial fails; anything else is a bug
 _TRIAL_ERRORS = (
@@ -126,20 +135,47 @@ class SuiteReport:
 
 
 def random_state(dims: Dims, rank: int, seed: int) -> BipartiteState:
-    """Trace-normalized ``G G*`` with G a (dims.total x rank) complex Gaussian."""
+    """Trace-normalized ``G G*`` with G a (dims.total x rank) complex Gaussian.
+
+    G fills row-major from the stream ``seed``, as
+    ``SplitMix64(seed).complex_matrix(dims.total, rank)``.  The one-seed
+    case of ``sample_ensemble``'s stacked draw, and equal to it bit for bit.
+    Raises ``NumericalFailureError`` if the state's numeric rank is not
+    ``rank``.
+    """
     if not 1 <= rank <= dims.total:
         raise ValueError(f"rank must lie in 1..{dims.total}, got {rank}")
-    # one stream, filled row-major: SplitMix64(seed).complex_matrix(dims.total, rank)
-    g = _complex_normals([seed], dims.total * rank)[0].reshape(dims.total, rank)
-    mat = g @ g.conj().T
-    mat /= np.trace(mat).real
-    state = BipartiteState(mat, dims)
-    got = _numeric_rank(mat)
-    if got != rank:
-        raise NumericalFailureError(
-            f"sampled state has numeric rank {got}, expected {rank}"
-        )
-    return state
+    return next(_draws(dims, rank, [seed], {}))
+
+
+def _draws(dims: Dims, rank: int, seeds: list[int], drawn: dict) -> Iterator[BipartiteState]:
+    """The states ``random_state(dims, rank, s)`` for ``s`` in ``seeds``, in order.
+
+    Seeds whose state ``drawn`` holds, keyed by (dims, rank, seed), reuse
+    it; the others are drawn as one stack: one ``_complex_normals`` call,
+    one stacked ``G G*`` and one stacked singular-value solve, which give
+    the per-seed values bit for bit.  Each new state is stored in ``drawn``
+    once it is built and its rank checked.
+    """
+    new = [s for s in seeds if (dims, rank, s) not in drawn]
+    fresh = iter(())
+    if new:
+        g = _complex_normals(new, dims.total * rank)[0].reshape(len(new), dims.total, rank)
+        mats = g @ g.conj().transpose(0, 2, 1)
+        mats /= np.trace(mats, axis1=1, axis2=2).real[:, None, None]
+        fresh = zip(mats, np.linalg.svd(mats, compute_uv=False))
+    for s in seeds:
+        key = (dims, rank, s)
+        if key not in drawn:
+            mat, sv = next(fresh)
+            state = BipartiteState(mat, dims)
+            got = _rank_cut(sv)
+            if got != rank:
+                raise NumericalFailureError(
+                    f"sampled state has numeric rank {got}, expected {rank}"
+                )
+            drawn[key] = state
+        yield drawn[key]
 
 
 def _passes_filter(state: BipartiteState, name: str) -> bool:
@@ -156,25 +192,35 @@ def sample_ensemble(spec: EnsembleSpec) -> tuple[list[BipartiteState], float]:
     """Rejection-sample the ensemble ``spec``; returns (states, acceptance rate).
 
     Attempt ``i`` draws ``random_state(spec.dims, spec.rank,
-    derive_seed(spec.seed, i))``, so the spec alone pins every state.
+    derive_seed(spec.seed, i))``, so the spec alone pins every state.  The
+    attempts are drawn in blocks, each as one stack, and filtered in order;
+    a block holds as many attempts as states are still needed, at most
+    ``_BLOCK``, so no attempt past the last accepted state is drawn.
     Aborts with a numerical-failure signal after 10000 consecutive
     rejections, which indicates an unsatisfiable filter.
     """
+    return _sample(spec, None)
+
+
+def _sample(spec: EnsembleSpec, drawn: Optional[dict]) -> tuple[list[BipartiteState], float]:
+    """``sample_ensemble(spec)``, reusing and adding to the states in ``drawn``, if any."""
     states: list[BipartiteState] = []
     attempt = 0
     consecutive = 0
     while len(states) < spec.count:
-        state = random_state(spec.dims, spec.rank, derive_seed(spec.seed, attempt))
-        attempt += 1
-        if _passes_filter(state, spec.filter):
-            states.append(state)
-            consecutive = 0
-        else:
-            consecutive += 1
-            if consecutive >= _MAX_CONSECUTIVE_REJECTS:
-                raise NumericalFailureError(
-                    f"filter {spec.filter!r} rejected {consecutive} consecutive samples"
-                )
+        block = range(attempt, attempt + min(spec.count - len(states), _BLOCK))
+        seeds = [derive_seed(spec.seed, i) for i in block]
+        for state in _draws(spec.dims, spec.rank, seeds, {} if drawn is None else drawn):
+            attempt += 1
+            if _passes_filter(state, spec.filter):
+                states.append(state)
+                consecutive = 0
+            else:
+                consecutive += 1
+                if consecutive >= _MAX_CONSECUTIVE_REJECTS:
+                    raise NumericalFailureError(
+                        f"filter {spec.filter!r} rejected {consecutive} consecutive samples"
+                    )
     return states, len(states) / attempt
 
 
@@ -188,9 +234,9 @@ def _counterexample(trial: int, state: BipartiteState, reason: str, **extra) -> 
     return doc
 
 
-def _sampled(spec: EnsembleSpec):
+def _sampled(spec: EnsembleSpec, drawn: Optional[dict]):
     """Trials of an ensemble suite: sampled states; the config echoes spec and the constants."""
-    states, rate = sample_ensemble(spec)
+    states, rate = _sample(spec, drawn)
     config = {
         "dims": [spec.dims.dim_a, spec.dims.dim_b],
         "rank": spec.rank,
@@ -238,7 +284,7 @@ def _judge_2x2(idx: int, state: BipartiteState):
     )
 
 
-def _edge_points(spec: EnsembleSpec):
+def _edge_points(spec: EnsembleSpec, drawn: Optional[dict]):
     return DEFAULT_GRID, {"grid": [[b, th] for b, th in DEFAULT_GRID], "seed": spec.seed}, None
 
 
@@ -288,7 +334,7 @@ def _judge_edge_point(idx: int, point: tuple[float, float]):
     return {"b": b, "theta": theta, "problems": problems} if problems else None
 
 
-def _multicopy_checks(spec: EnsembleSpec):
+def _multicopy_checks(spec: EnsembleSpec, drawn: Optional[dict]):
     params = EdgeParams(1.0, math.pi / 6)
 
     def check_extremal(n: int) -> None:
@@ -334,9 +380,10 @@ def _judge_check(idx: int, trial: tuple[str, Callable[[], None]]):
 
 
 # suite name -> (trials, judge, default ensemble), in the order "all" runs and reports
-# them; ``trials(spec)`` gives (trials, config, acceptance rate) and ``judge(idx, trial)``
-# a verdict.  Only ``_sampled`` reads the spec's ensemble; ``_edge_points`` and
-# ``_multicopy_checks`` read only its seed, for the config.  The routes are looked up
+# them; ``trials(spec, drawn)`` gives (trials, config, acceptance rate) and
+# ``judge(idx, trial)`` a verdict.  Only ``_sampled`` reads the spec's ensemble and the
+# store ``drawn`` of states already drawn; ``_edge_points`` and ``_multicopy_checks``
+# read only the spec's seed, for the config.  The routes are looked up
 # by name at call time, so a patched module global takes effect.
 _SUITES = {
     "theorem-rank4": (
@@ -359,10 +406,15 @@ _SUITES = {
 SUITE_NAMES = tuple(_SUITES)
 
 
-def _tally(name: str, spec: EnsembleSpec) -> SuiteReport:
-    """Judge every trial of suite ``name``: the one place a suite's report is built."""
-    trials_of, judge, _ = _SUITES[name]
-    trials, config, rate = trials_of(spec)
+def _tally(name: str, count: int, seed: int, drawn: Optional[dict]) -> SuiteReport:
+    """Judge every trial of suite ``name``: the one place a suite's report is built.
+
+    ``count`` and ``seed`` replace those of the suite's default ensemble,
+    and sampled states come from, and go to, the store ``drawn`` if one is given.
+    """
+    start = time.perf_counter()
+    trials_of, judge, base = _SUITES[name]
+    trials, config, rate = trials_of(replace(base, count=count, seed=seed), drawn)
     verdicts = [judge(idx, trial) for idx, trial in enumerate(trials)]
     failures = [v for v in verdicts if v is not None and v is not _SKIP]
     skipped = verdicts.count(_SKIP)
@@ -373,6 +425,7 @@ def _tally(name: str, spec: EnsembleSpec) -> SuiteReport:
         passes=judged - len(failures),
         failures=failures,
         skipped=skipped,
+        wall_time_s=time.perf_counter() - start,
         config=config,
         acceptance_rate=rate,
     )
@@ -385,11 +438,15 @@ def run_suite(name: str, count: int = 100, seed: int = 2024) -> SuiteReport:
     whose dimensions, rank and filter are fixed.  They choose the sampled
     states of ``theorem-rank4``, ``theorem-two-eigs`` and ``lemma-2x2``;
     ``edge-family`` and ``multicopy`` run the same trials at any count and
-    seed.  The routes and checks run at the library seed.
+    seed.  The routes and checks run at the library seed.  Within ``"all"``
+    the ensemble suites share the states they draw, so ``lemma-2x2`` judges
+    the draws of ``theorem-rank4``; each suite's report equals the one it
+    gives alone, but for ``wall_time_s``.
     """
     if name == "all":
         start = time.perf_counter()
-        subs = [run_suite(s, count, seed) for s in SUITE_NAMES]
+        drawn: dict = {}  # (dims, rank, seed) -> state, for this call only
+        subs = [_tally(s, count, seed, drawn) for s in SUITE_NAMES]
         report = SuiteReport(
             suite="all",
             trials=sum(r.trials for r in subs),
@@ -403,8 +460,4 @@ def run_suite(name: str, count: int = 100, seed: int = 2024) -> SuiteReport:
         return report
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES + ('all',)}")
-    _, _, base = _SUITES[name]
-    start = time.perf_counter()
-    report = _tally(name, replace(base, count=count, seed=seed))
-    report.wall_time_s = time.perf_counter() - start
-    return report
+    return _tally(name, count, seed, None)

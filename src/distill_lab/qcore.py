@@ -9,9 +9,10 @@ and the private Hermiticity and reconstruction gates.  The partial
 transpose is implemented as an exact entry permutation (no floating-point
 arithmetic), so applying it twice returns the input bit-for-bit; a
 ``BipartiteState`` forms its own once and caches it.  ``_pt_power``
-builds every n-copy witness operator, n = 1 included, by regrouping the
-n-th power of that cached transpose to (A..A : B..B).  The library's one
-setting is the ``seed`` argument (default 2024) of its randomized routines.
+gives every n-copy witness operator, n = 1 included: that cached
+transpose, or its n-th power regrouped to (A..A : B..B), formed once per
+state and copy count.  The library's one setting is the ``seed``
+argument (default 2024) of its randomized routines.
 """
 
 from __future__ import annotations
@@ -99,8 +100,9 @@ class BipartiteState:
     is stored read-only, so its partial transpose ``_pt`` and that
     transpose's ascending spectrum are each formed at most once, on first
     use, and shared by every route, check, NPT filter and n-copy build.
-    Likewise ``_rank2_minima`` keeps the rank-2 minima that
-    ``witness.best_rank2_witness`` finds, one per copy count and seed.
+    Likewise ``_pt_powers`` keeps the read-only n-copy transposes that
+    ``_pt_power`` builds, n >= 2, and ``_rank2_minima`` the rank-2 minima
+    that ``witness.best_rank2_witness`` finds, one per copy count and seed.
     The checks use the module's ``_HERM_TOL`` and ``PSD_TOL``.
     """
 
@@ -133,6 +135,10 @@ class BipartiteState:
         ev = np.linalg.eigvalsh(self._pt)
         ev.setflags(write=False)
         return ev
+
+    @cached_property
+    def _pt_powers(self) -> dict:  # copies -> (read-only n-copy transpose, its split)
+        return {}
 
     @cached_property
     def _rank2_minima(self) -> dict:  # (copies, seed) -> (value, read-only ansatz)
@@ -353,11 +359,19 @@ def _power_dims(dims: Dims, n: int) -> Dims:
 def _pt_power(state: BipartiteState, n: int) -> tuple[np.ndarray, Dims]:
     """Partial transpose of the state's regrouped n-th power, and its split.
 
-    The one builder of every n-copy witness operator, n = 1 included: the
-    regrouped power of the state's cached ``_pt``, which equals the
-    transpose of the regrouped power bit for bit.
+    The one source of every n-copy witness operator, read-only and formed
+    at most once per state and copy count: at n = 1 the state's cached
+    ``_pt``, and at n >= 2 the regrouped power of ``_pt``, which equals the
+    transpose of the regrouped power bit for bit, kept in ``_pt_powers``.
     """
-    return regroup_tensor_power(state._pt, state.dims, n)
+    if n == 1:
+        return state._pt, state.dims
+    powers = state._pt_powers
+    if n not in powers:
+        pt, dims = regroup_tensor_power(state._pt, state.dims, n)
+        pt.setflags(write=False)
+        powers[n] = pt, dims
+    return powers[n]
 
 
 def min_pt_eigenvalue(state: BipartiteState) -> float:

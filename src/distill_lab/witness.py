@@ -286,19 +286,21 @@ def submatrix_2x2_scan(state: BipartiteState, seed: int = 2024) -> Optional[Scan
     the witness is the bottom eigenvector of the corresponding 2xN
     principal cut, which has Schmidt rank at most 2 by construction.
     Returns ``None`` when no qualifying minor exists (e.g. PPT input).
+    The determinants are taken in Python floats, which round as numpy's
+    float64 scalars do, so the scan gives their indices and bits.
     """
-    ma, mb = state.dims
+    n, mb = state.dims.total, state.dims.dim_b
     pt = state._pt
-    diag = pt.diagonal().real
+    rows_pt = pt.tolist()
+    diag = pt.diagonal().real.tolist()
     scale = max(float(np.abs(pt).max()), 1.0)
     best_det = -_DET_TOL * scale * scale
     best: Optional[tuple[int, int]] = None
-    for r in range(state.dims.total):
-        kr = r // mb
-        for s in range(r + 1, state.dims.total):
-            if s // mb == kr:
-                continue
-            det = diag[r] * diag[s] - abs(pt[r, s]) ** 2
+    for r in range(n):
+        d_r, row = diag[r], rows_pt[r]
+        # columns from the next A-block on: same-block minors cannot be negative
+        for s in range((r // mb + 1) * mb, n):
+            det = d_r * diag[s] - abs(row[s]) ** 2
             if det < best_det:
                 best_det = det
                 best = (r, s)
@@ -307,10 +309,10 @@ def submatrix_2x2_scan(state: BipartiteState, seed: int = 2024) -> Optional[Scan
     r, s = best
     k, l = r // mb, s // mb
     rows = list(range(k * mb, (k + 1) * mb)) + list(range(l * mb, (l + 1) * mb))
-    psi = np.zeros(state.dims.total, dtype=complex)
+    psi = np.zeros(n, dtype=complex)
     psi[rows] = _bottom(pt[np.ix_(rows, rows)][None])[1][0]
     cert = _make_certificate(psi, state, ROUTE_SUBMATRIX, seed)
-    return ScanHit(blocks=(k, l), indices=(r, s), determinant=float(best_det), certificate=cert)
+    return ScanHit(blocks=(k, l), indices=(r, s), determinant=best_det, certificate=cert)
 
 
 def two_nonpositive_witness(

@@ -21,14 +21,16 @@ from distill_lab.harness import (
     sample_ensemble,
 )
 from distill_lab.qcore import (
+    BipartiteState,
     DimensionMismatchError,
     Dims,
     InvariantViolationError,
     NumericalFailureError,
+    _numeric_rank,
     partial_transpose,
     rank_kernel_range,
 )
-from distill_lab.rng import SplitMix64, derive_seed
+from distill_lab.rng import SplitMix64, _complex_normals, derive_seed
 from distill_lab.serialize import dumps, state_from_json
 from distill_lab.witness import (
     certify_1_distillable,
@@ -95,6 +97,57 @@ class TestRandomState:
         assert not np.allclose(a.mat, b.mat)
 
 
+# ---- reference oracle: the one-state-at-a-time sampler, verbatim ---------------
+
+
+def _random_state_one(dims: Dims, rank: int, seed: int):
+    """``random_state`` as it stood before the stacked draw."""
+    if not 1 <= rank <= dims.total:
+        raise ValueError(f"rank must lie in 1..{dims.total}, got {rank}")
+    g = _complex_normals([seed], dims.total * rank)[0].reshape(dims.total, rank)
+    mat = g @ g.conj().T
+    mat /= np.trace(mat).real
+    state = BipartiteState(mat, dims)
+    got = _numeric_rank(mat)
+    if got != rank:
+        raise NumericalFailureError(f"sampled state has numeric rank {got}, expected {rank}")
+    return state
+
+
+def _sample_one_at_a_time(spec: EnsembleSpec, max_rejects: int):
+    """``sample_ensemble`` as it stood before the stacked draw; also returns the attempts."""
+    states = []
+    attempt = 0
+    consecutive = 0
+    while len(states) < spec.count:
+        state = _random_state_one(spec.dims, spec.rank, derive_seed(spec.seed, attempt))
+        attempt += 1
+        if harness._passes_filter(state, spec.filter):
+            states.append(state)
+            consecutive = 0
+        else:
+            consecutive += 1
+            if consecutive >= max_rejects:
+                raise NumericalFailureError(
+                    f"filter {spec.filter!r} rejected {consecutive} consecutive samples"
+                )
+    return states, len(states) / attempt, attempt
+
+
+@pytest.fixture
+def drawn_rows(monkeypatch):
+    """(count, seeds) of each ``_complex_normals`` call the sampler makes."""
+    calls = []
+    real = harness._complex_normals
+
+    def counted(states, count):
+        calls.append((count, list(states)))
+        return real(states, count)
+
+    monkeypatch.setattr(harness, "_complex_normals", counted)
+    return calls
+
+
 class TestEnsemble:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -133,12 +186,72 @@ class TestEnsemble:
             pt = partial_transpose(state.mat, state.dims)
             assert sum(np.array_equal(a, pt) for a in seen) == 1
 
-    def test_rejection_abort(self, monkeypatch):
+    def test_rejection_abort(self, monkeypatch, drawn_rows):
         # every 1xN state is PPT, so an NPT filter on them stalls
         monkeypatch.setattr(harness, "_MAX_CONSECUTIVE_REJECTS", 40)
         spec = EnsembleSpec(dims=Dims(1, 3), rank=2, count=1, filter="NPT", seed=8)
-        with pytest.raises(NumericalFailureError):
+        with pytest.raises(NumericalFailureError, match="rejected 40 consecutive"):
             sample_ensemble(spec)
+        # at the oracle's attempt: 40 draws, none past it
+        assert sum(len(seeds) for _, seeds in drawn_rows) == 40
+        with pytest.raises(NumericalFailureError, match="rejected 40 consecutive"):
+            _sample_one_at_a_time(spec, 40)
+
+
+class TestStackedSampling:
+    """The block sampler against the one-state-at-a-time oracle, byte for byte."""
+
+    @pytest.mark.parametrize("dims", [Dims(2, 4), D33, Dims(3, 4), Dims(4, 4)])
+    def test_matches_the_oracle(self, monkeypatch, drawn_rows, dims):
+        # blocks of at most 3 attempts, so that rejections straddle blocks
+        monkeypatch.setattr(harness, "_BLOCK", 3)
+        rejected = 0
+        for rank in range(1, dims.total + 1):
+            for filt in harness.FILTERS:
+                spec = EnsembleSpec(dims=dims, rank=rank, count=5, filter=filt, seed=rank)
+                drawn_rows.clear()
+                states, rate = sample_ensemble(spec)
+                ref, ref_rate, attempts = _sample_one_at_a_time(spec, 10_000)
+                assert rate == ref_rate
+                assert [len(seeds) for _, seeds in drawn_rows][0] == 3
+                # nothing drawn past the last accepted state
+                assert sum(len(seeds) for _, seeds in drawn_rows) == attempts
+                assert [s.mat.tobytes() for s in states] == [s.mat.tobytes() for s in ref]
+                rejected += attempts - spec.count
+        if dims.dim_a == 2 or dims == D33:
+            assert rejected > 0  # the two-nonpositive filter rejects above rank 4
+
+    def test_counts_above_the_block_cap(self, drawn_rows):
+        spec = EnsembleSpec(rank=5, count=harness._BLOCK + 40, filter="twoNonpositivePT", seed=8)
+        states, rate = sample_ensemble(spec)
+        ref, ref_rate, attempts = _sample_one_at_a_time(spec, harness._MAX_CONSECUTIVE_REJECTS)
+        assert rate == ref_rate < 1.0  # the filter rejects some draws
+        assert [s.mat.tobytes() for s in states] == [s.mat.tobytes() for s in ref]
+        sizes = [len(seeds) for _, seeds in drawn_rows]
+        assert sizes[0] == harness._BLOCK and max(sizes) == harness._BLOCK
+        assert sum(sizes) == attempts
+        assert [s for _, seeds in drawn_rows for s in seeds] == [
+            derive_seed(spec.seed, i) for i in range(attempts)
+        ]
+
+    def test_random_state_is_the_one_seed_draw(self, drawn_rows):
+        for dims, rank, seed in [(Dims(2, 4), 3, 1), (D33, 4, 5), (Dims(4, 4), 16, 9)]:
+            got = random_state(dims, rank, seed)
+            assert got.mat.tobytes() == _random_state_one(dims, rank, seed).mat.tobytes()
+        assert [len(seeds) for _, seeds in drawn_rows] == [1, 1, 1]
+
+    def test_bad_rank_is_refused_before_any_draw(self, drawn_rows):
+        for rank in (0, 10):
+            with pytest.raises(ValueError, match="rank must lie in 1..9"):
+                random_state(D33, rank, 1)
+        assert drawn_rows == []
+
+    def test_rank_miss_is_a_numerical_failure(self, monkeypatch):
+        monkeypatch.setattr(harness, "_rank_cut", lambda s: 3)
+        with pytest.raises(NumericalFailureError, match="numeric rank 3, expected 4"):
+            random_state(D33, 4, 1)
+        with pytest.raises(NumericalFailureError, match="numeric rank 3, expected 4"):
+            sample_ensemble(EnsembleSpec(count=3))
 
 
 def _strip_wall_time(doc: dict) -> dict:
@@ -299,6 +412,46 @@ class TestSuites:
         loaded = json.loads(text)
         state = state_from_json(dumps(loaded["state"]))
         assert np.array_equal(state.mat, states[0].mat)
+
+
+class TestSharedDraws:
+    """Within one ``run_suite("all")`` call the ensemble suites share their draws."""
+
+    def test_each_rank4_draw_is_made_once(self, drawn_rows):
+        for _ in range(2):  # and the next call draws afresh: nothing outlives a call
+            drawn_rows.clear()
+            report = run_suite("all", 30, 7)
+            rank4 = [s for count, seeds in drawn_rows if count == 9 * 4 for s in seeds]
+            assert [r.acceptance_rate for r in report.sub_reports[:3]] == [1.0, 1.0, 1.0]
+            assert rank4 == [derive_seed(7, i) for i in range(30)]
+
+    def test_lemma_judges_the_theorem_draws(self, monkeypatch):
+        certified, scanned = [], []
+        certify, scan = harness.certify_1_distillable, harness.submatrix_2x2_scan
+
+        def certify_spy(state):
+            certified.append(state)
+            return certify(state)
+
+        def scan_spy(state):
+            scanned.append(state)
+            return scan(state)
+
+        monkeypatch.setattr(harness, "certify_1_distillable", certify_spy)
+        monkeypatch.setattr(harness, "submatrix_2x2_scan", scan_spy)
+        run_suite("all", 12, 2024)
+        assert len(certified) == len(scanned) == 12
+        assert all(a is b for a, b in zip(certified, scanned))
+
+    @pytest.mark.parametrize("seed", [7, 2024])
+    def test_sub_reports_equal_the_single_suites(self, seed):
+        report = run_suite("all", 25, seed)
+        assert [r.suite for r in report.sub_reports] == list(harness.SUITE_NAMES)
+        for sub in report.sub_reports:
+            alone = run_suite(sub.suite, 25, seed)
+            assert dumps(_strip_wall_time(sub.to_document())) == dumps(
+                _strip_wall_time(alone.to_document())
+            )
 
 
 # each theorem suite, the route it checks, and the reason it gives when that route is empty

@@ -338,6 +338,26 @@ class TestRank2Stack:
         assert np.array_equal(ansatz.frame_b, fb_out[1])
 
 
+def _scan_numpy_scalars(state: BipartiteState):
+    """The scan's determinant loop as it stood in numpy scalars: (indices, determinant)."""
+    mb = state.dims.dim_b
+    pt = state._pt
+    diag = pt.diagonal().real
+    scale = max(float(np.abs(pt).max()), 1.0)
+    best_det = -witness._DET_TOL * scale * scale
+    best = None
+    for r in range(state.dims.total):
+        kr = r // mb
+        for s in range(r + 1, state.dims.total):
+            if s // mb == kr:
+                continue
+            det = diag[r] * diag[s] - abs(pt[r, s]) ** 2
+            if det < best_det:
+                best_det = det
+                best = (r, s)
+    return None if best is None else (best, float(best_det))
+
+
 class TestSubmatrixScan:
     def test_mes_hit_depth(self):
         # the PT links zero diagonal entries via 1/3 off-diagonals
@@ -358,6 +378,23 @@ class TestSubmatrixScan:
             mix += np.outer(v, v.conj())
         mix /= np.trace(mix).real
         assert submatrix_2x2_scan(BipartiteState(mix, D33)) is None
+
+    def test_python_floats_match_the_numpy_scalar_loop(self):
+        # 3150 seeded states, every rank of four splits; hits and misses both occur
+        seen = {True: 0, False: 0}
+        for dims in (D24, D33, Dims(3, 4), Dims(4, 4)):
+            for rank in range(1, dims.total + 1):
+                spec = EnsembleSpec(dims=dims, rank=rank, count=70, seed=rank)
+                for state in sample_ensemble(spec)[0]:
+                    hit = submatrix_2x2_scan(state)
+                    want = _scan_numpy_scalars(state)
+                    seen[hit is not None] += 1
+                    if want is None:
+                        assert hit is None
+                        continue
+                    assert hit.indices == want[0]
+                    assert float.hex(hit.determinant) == float.hex(want[1])
+        assert sum(seen.values()) == 3150 and min(seen.values()) > 100
 
     def test_certificates_verify_on_random_hits(self):
         count = 0
@@ -935,6 +972,54 @@ class TestOnePartialTranspose:
         cert = certify_1_distillable(state)
         assert cert is not None and verify_certificate(cert, state)
         assert pt_calls == [D33]
+
+    @pytest.fixture
+    def power_builds(self, monkeypatch):
+        """The copy count of each n-copy power that ``_pt_power`` builds."""
+        builds = []
+        real = qcore.regroup_tensor_power
+
+        def counted(mat, dims, n):
+            builds.append(n)
+            return real(mat, dims, n)
+
+        monkeypatch.setattr(qcore, "regroup_tensor_power", counted)
+        return builds
+
+    def test_n_copy_certify_and_verify(self, power_builds):
+        state = random_state(D33, 4, 5)
+        _, cert = best_rank2_witness(state, 2)
+        assert cert is not None and verify_certificate(cert, state)
+        assert power_builds == [2]
+        assert certify_1_distillable(state) is not None
+        assert power_builds == [2]  # the single-copy operator is the cached ``_pt``
+        assert qcore._pt_power(state, 1)[0] is state._pt
+        for n in (1, 2):
+            pt, dims = qcore._pt_power(state, n)
+            assert not pt.flags.writeable
+            assert dims == Dims(3**n, 3**n)
+
+    def test_cached_powers_leave_the_witness_report_unchanged(self, monkeypatch, capsys, tmp_path):
+        path = tmp_path / "state.json"
+        main(["random", "--dimA", "3", "--dimB", "3", "--rank", "4", "--seed", "5",
+              "--out", str(path)])
+        capsys.readouterr()
+
+        def report() -> str:
+            assert main(["witness", "--in", str(path), "--copies", "2", "--json"]) == 0
+            return capsys.readouterr().out
+
+        cached = report()
+        # the oracle: a fresh transpose and power at every call, as before the cache
+        monkeypatch.setattr(
+            witness,
+            "_pt_power",
+            lambda state, n: qcore.regroup_tensor_power(
+                partial_transpose(state.mat, state.dims), state.dims, n
+            ),
+        )
+        assert '"copies":2' in cached
+        assert cached == report()
 
     def test_rank5_certify_and_margin(self, pt_calls):
         # counted from the build on, which forms the NPT state's PT for its NPT check
