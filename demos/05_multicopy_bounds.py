@@ -41,8 +41,10 @@ for n in (1, 2):
     print(f"  conjectured min  = {rep.conjecture_value:.10f}   ((1/2) 12^-n)")
     print(f"  min - conjecture = {rep.min_value - rep.conjecture_value:+.2e}"
           "   (reported, never asserted: the true minimum is open)")
-print("\n  At n = 2 the minimum found agrees with 1/288 to rounding: numerical")
-print("  agreement with the conjecture, not a proof of it.")
+print("\n  At n = 2 an explicit lifted vector attains 1/288: psi (x) (x (x) y), with psi")
+print("  the one-copy minimizer (1/24) and x (x) y the best product vector (1/12).")
+print("  The conjecture asks whether any Schmidt-rank-2 vector beats that v*p; the")
+print("  minimizer finds none, which is numerical agreement, not a proof.")
 
 print("\n" + "=" * 70)
 print("Noise thresholds eps(n) for n-copy undistillability")

@@ -9,8 +9,9 @@ one-at-a-time draws bit for bit; ``random_state`` is the one-seed case.
 A suite runs from its name, a trial count and a seed, which pick only the
 sampled states: the routes and checks inside every suite run at the
 library seed 2024.  Within one ``run_suite("all")`` call the ensemble
-suites share the states they draw, so ``lemma-2x2`` judges the states
-``theorem-rank4`` drew; the store lives only as long as that call.
+suites that draw the same (dims, rank) share the states they draw, so
+``lemma-2x2`` judges the states ``theorem-rank4`` drew; the store lives
+only as long as that call.
 
 Every suite is a list of trials and a judge, which returns ``None`` for a
 pass, ``_SKIP`` for a trial outside the claim, or the trial's failure
@@ -439,14 +440,20 @@ def run_suite(name: str, count: int = 100, seed: int = 2024) -> SuiteReport:
     states of ``theorem-rank4``, ``theorem-two-eigs`` and ``lemma-2x2``;
     ``edge-family`` and ``multicopy`` run the same trials at any count and
     seed.  The routes and checks run at the library seed.  Within ``"all"``
-    the ensemble suites share the states they draw, so ``lemma-2x2`` judges
-    the draws of ``theorem-rank4``; each suite's report equals the one it
-    gives alone, but for ``wall_time_s``.
+    the ensemble suites that draw the same (dims, rank) share the states
+    they draw, so ``lemma-2x2`` judges the draws of ``theorem-rank4``, and
+    no store keeps the rank-5 draws of ``theorem-two-eigs``; each suite's
+    report equals the one it gives alone, but for ``wall_time_s``.
     """
     if name == "all":
         start = time.perf_counter()
-        drawn: dict = {}  # (dims, rank, seed) -> state, for this call only
-        subs = [_tally(s, count, seed, drawn) for s in SUITE_NAMES]
+        keys = [
+            (base.dims, base.rank) if trials_of is _sampled else None
+            for trials_of, _, base in _SUITES.values()
+        ]
+        # (dims, rank) of two or more suites -> {(dims, rank, seed): state}, for this call only
+        stores: dict = {k: {} for k in keys if k is not None and keys.count(k) > 1}
+        subs = [_tally(s, count, seed, stores.get(k)) for s, k in zip(SUITE_NAMES, keys)]
         report = SuiteReport(
             suite="all",
             trials=sum(r.trials for r in subs),

@@ -5,9 +5,11 @@ state (normalized to trace one) is separable, so its tensor powers admit
 no witness; the extremal rank-2 values of those powers are pinned to
 ``1/8^n`` from above and ``1/24^n`` from below.  The open question whether
 the true minimum equals ``(1/2) * 12^-n`` is probed numerically and
-reported, never asserted.  Combining the lower bound with an operator-norm
-expansion yields an explicit noise threshold ``eps(n)`` below which the
-rank-5 NPT edge perturbation stays n-undistillable.
+reported, never asserted: at n = 2 the lifted vector psi (x) (x (x) y)
+attains it, one-copy minimum 1/24 times product minimum 1/12, and the
+question is whether anything beats that.  Combining the lower bound with
+an operator-norm expansion yields an explicit noise threshold ``eps(n)``
+below which the rank-5 NPT edge perturbation stays n-undistillable.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .qcore import (
     min_pt_eigenvalue,
     regroup_tensor_power,
 )
-from .witness import min_rank2_expectation
+from .witness import Rank2Ansatz, _lifted_minimum, min_rank2_expectation
 
 
 @dataclass(frozen=True)
@@ -86,19 +88,34 @@ def max_rank2_overlap_with_mes(seed: int = 2024) -> float:
     return -value
 
 
+def _rank2_minimum(
+    x: np.ndarray, p: np.ndarray, sign: int, n: int, seed: int
+) -> tuple[float, Rank2Ansatz]:
+    """Rank-2 minimum of ``x``, the regrouped power sign * P^(x n) of the two-qutrit ``p``.
+
+    At n = 1 the five-start minimizer runs on ``x``.  At n = 2 it runs on
+    sign * P, and ``_lifted_minimum`` lifts that one-copy minimum to ``x``.
+    """
+    if n == 1:
+        return min_rank2_expectation(x, QUTRIT_PAIR, seed)
+    one_copy = min_rank2_expectation(p if sign > 0 else -p, QUTRIT_PAIR, seed)
+    return _lifted_minimum(x, p, QUTRIT_PAIR, one_copy, seed)
+
+
 def extremal_rank2_tensor_power(n: int, seed: int = 2024) -> MulticopyReport:
     """Extremal rank-2 expectations of the n-fold Werner-projector power.
 
     The bipartition groups all A factors against all B factors, exactly
     the cut across which witness Schmidt ranks are counted.  Enforces the
     proven bracket [1/24^n, 1/8^n]; reports the distance of the found
-    minimum to the conjectured (1/2) * 12^-n.
+    minimum to the conjectured (1/2) * 12^-n.  At n = 2 both extrema come
+    from the lifted starts (``_lifted_minimum``).
     """
     _check_copy_count(n)
     rho_s = werner_projector()
     mat, dims = regroup_tensor_power(rho_s.mat, rho_s.dims, n)
-    min_value, min_at = min_rank2_expectation(mat, dims, seed)
-    neg_max, max_at = min_rank2_expectation(-mat, dims, seed)
+    min_value, min_at = _rank2_minimum(mat, rho_s.mat, 1, n, seed)
+    neg_max, max_at = _rank2_minimum(-mat, rho_s.mat, -1, n, seed)
     max_value = -neg_max
     # the product |0..0>_A |1..1>_B is basis vector 0 * 3^n + (11..1 in base 3)
     ones = (3**n - 1) // 2
@@ -199,7 +216,7 @@ def _n_copy_claim(
     bundle = build_edge_bundle(params, min(_noise(eps, gap), threshold / 2))
 
     pt, dims = _pt_power(bundle.npt_state, n)
-    min_value, min_at = min_rank2_expectation(pt, dims, seed)
+    min_value, min_at = _rank2_minimum(pt, bundle.npt_state._pt, 1, n, seed)
     min_witness = PureState(min_at.vector(), dims)
 
     bound = _series_bound(gap, pt_norm, n, bundle.eps)
@@ -223,12 +240,13 @@ def verify_n_undistillable(
     violation raises ``InvariantViolationError``; it would mean a bug, not a
     distillation protocol.  Only then is the rank-2 maximum, -min(-PT), added
     to the report; no check reads it, and the multicopy suite runs the claim
-    alone.
+    alone.  At n = 2 both come from the lifted starts (``_lifted_minimum``):
+    the minimum from the one-copy minimum of PT, the maximum from that of -PT.
     """
     min_value, min_witness, pt, dims, bundle, threshold, bound = _n_copy_claim(
         params, n, seed, eps
     )
-    neg_max, max_at = min_rank2_expectation(-pt, dims, seed)
+    neg_max, max_at = _rank2_minimum(-pt, bundle.npt_state._pt, -1, n, seed)
     npt_min = min_pt_eigenvalue(bundle.npt_state)
     return MulticopyReport(
         n=n,

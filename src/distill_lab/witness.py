@@ -25,6 +25,7 @@ product vector, the three routes always yield a witness, so there
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -133,10 +134,12 @@ def pt_quadratic_form(
     return float(np.real(v.conj() @ pt @ v))
 
 
-# starts of the rank-2 minimizer: the bottom eigenvector's Schmidt frames and
-# four Haar frames; on the n = 2 reports 65 starts reach the same Werner
-# minimum and lower the rho minimum by under 0.2%, at 12 times the cost
+# starts of the rank-2 minimizer on a bare matrix: the bottom eigenvector's
+# Schmidt frames and four Haar frames; the n = 2 reports run three lifted
+# starts instead (``_lifted_minimum``)
 _RANK2_STARTS = 5
+# seeded starts of the width-1 product search behind the lifted starts
+_PRODUCT_STARTS = 8
 # a rank-2 start stops once a sweep gains at most this fraction of max|eig X|;
 # relative, so that minimizing c*X takes the same sweeps as minimizing X
 _RANK2_REL_STOP = 1e-6
@@ -157,28 +160,89 @@ def _als_sweep(
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """One block ALS sweep over psi = vec(A B^T) for each row's frame ``fb``.
 
-    With B an isometry, psi = (I (x) B) vec(A) has the norm of A, so the
-    best A is the bottom eigenvector of the 2dA x 2dA compression
-    (I (x) B)^H X (I (x) B); its QR factor is the new frame ``fa``, and B is
-    updated the same way against A (x) I.  Both compressions are contracted
-    from X read as a (dA, dB, dA, dB) tensor; no I (x) B or A (x) I is
-    formed.  Returns the value after the sweep, which never exceeds the
-    value before it, and the new frames.
+    The frames have width w = ``fb.shape[2]``: 2 for the rank-2 minimizer,
+    1 for the product search.  With B an isometry, psi = (I (x) B) vec(A)
+    has the norm of A, so the best A is the bottom eigenvector of the
+    w*dA x w*dA compression (I (x) B)^H X (I (x) B); its QR factor is the
+    new frame ``fa``, and B is updated the same way against A (x) I.  Both
+    compressions are contracted from X read as a (dA, dB, dA, dB) tensor;
+    no I (x) B or A (x) I is formed.  Returns the value after the sweep,
+    which never exceeds the value before it, and the new frames.
     """
     ma, mb = dims
-    rows = len(fb)
+    rows, w = len(fb), fb.shape[2]
     # sum_jl conj(B[j,p]) X[ij,kl] B[l,q] at row ip, column kq: over j for each i, then l
     t = fb.conj().transpose(0, 2, 1).reshape(-1, mb) @ m.reshape(ma, mb, -1)
-    comp = (t.reshape(ma, rows, 2 * ma, mb) @ fb).reshape(ma, rows, 2, 2 * ma)
-    a = _bottom(comp.transpose(1, 0, 2, 3).reshape(rows, 2 * ma, 2 * ma))[1]
-    fa = np.linalg.qr(a.reshape(rows, ma, 2))[0]
+    comp = (t.reshape(ma, rows, w * ma, mb) @ fb).reshape(ma, rows, w, w * ma)
+    a = _bottom(comp.transpose(1, 0, 2, 3).reshape(rows, w * ma, w * ma))[1]
+    fa = np.linalg.qr(a.reshape(rows, ma, w))[0]
     # sum_ik conj(A[i,p]) X[ij,kl] A[k,q] at row pj, column ql: over i, then over k
     t = fa.conj().transpose(0, 2, 1).reshape(-1, ma) @ m.reshape(ma, -1)
-    t = t.reshape(rows, 2 * mb, ma, mb).transpose(0, 1, 3, 2).reshape(rows, -1, ma)
-    comp = (t @ fa).reshape(rows, 2 * mb, mb, 2)
-    values, b = _bottom(comp.transpose(0, 1, 3, 2).reshape(rows, 2 * mb, 2 * mb))
-    fb = np.linalg.qr(b.reshape(rows, 2, mb).transpose(0, 2, 1))[0]
+    t = t.reshape(rows, w * mb, ma, mb).transpose(0, 1, 3, 2).reshape(rows, -1, ma)
+    comp = (t @ fa).reshape(rows, w * mb, mb, w)
+    values, b = _bottom(comp.transpose(0, 1, 3, 2).reshape(rows, w * mb, w * mb))
+    fb = np.linalg.qr(b.reshape(rows, w, mb).transpose(0, 2, 1))[0]
     return values, (fa, fb)
+
+
+def _descend(
+    m: np.ndarray, dims: Dims, fb: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run stacked ALS starts from the frames ``fb`` until each one stops.
+
+    Each sweep advances every start still running.  A start leaves the
+    stack, keeping its last frames, after its first sweep that gains at
+    most ``tol``, or after ``_OPT_MAX_ITERS`` sweeps.  The stack gives the
+    values of running the starts one after another.  Returns each start's
+    last value and its frames ``fa`` and ``fb``.
+    """
+    starts, ma, w = len(fb), dims.dim_a, fb.shape[2]
+    # each sweep computes fa from fb alone; fa only keeps the frames of stopped starts
+    fa = np.empty((starts, ma, w), dtype=complex)
+    fb = fb.copy()
+    vals = np.empty(starts)
+    rows, prev = np.arange(starts), np.inf
+    b = fb  # the running starts' frames, in start order
+    for sweep in range(_OPT_MAX_ITERS):
+        values, (a, b) = _als_sweep(m, dims, b)
+        # a NaN gain compares false, so that start keeps running
+        go_on = ~(prev - values <= tol)
+        # written back by start index only when a start leaves, or at the last
+        # sweep: indexing the full arrays on every sweep was a few percent slower
+        if not go_on.all() or sweep == _OPT_MAX_ITERS - 1:
+            vals[rows], fa[rows], fb[rows] = values, a, b
+            rows, values, b = rows[go_on], values[go_on], b[go_on]
+            if not rows.size:
+                break
+        prev = values
+    return vals, fa, fb
+
+
+def _eigenvector_start(m: np.ndarray, dims: Dims) -> tuple[float, np.ndarray]:
+    """max|eig X|, and the two leading right Schmidt vectors of X's bottom eigenvector."""
+    ma, mb = dims
+    spec = hermitian_eig(m)
+    # rows of vh, unconjugated
+    frame = np.linalg.svd(spec.eigenvectors[:, 0].reshape(ma, mb))[2][:2].T
+    return float(np.abs(spec.eigenvalues).max()), frame
+
+
+def _rank2_from_starts(
+    m: np.ndarray, dims: Dims, fb: np.ndarray, scale: float
+) -> tuple[float, Rank2Ansatz]:
+    """The best of the width-2 starts ``fb``, each stopped relative to ``scale``.
+
+    The value is recomputed from the 4x4 compression onto the best start's
+    frames, the earliest start winning ties.
+    """
+    vals, fa, fb = _descend(m, dims, fb, _RANK2_REL_STOP * scale)
+    best = int(np.argmin(vals))
+    w_op = np.kron(fa[best], fb[best])
+    v4 = _bottom((w_op.conj().T @ m @ w_op)[None])[1][0]
+    ansatz = Rank2Ansatz(fa[best], fb[best], v4.reshape(2, 2))
+    psi = ansatz.vector()
+    value = float(np.real(psi.conj() @ m @ psi))
+    return value, ansatz
 
 
 def min_rank2_expectation(x: np.ndarray, dims: Dims, seed: int = 2024) -> tuple[float, Rank2Ansatz]:
@@ -201,6 +265,11 @@ def min_rank2_expectation(x: np.ndarray, dims: Dims, seed: int = 2024) -> tuple[
     ties.  The result never undercuts the true minimum over all unit
     vectors, and no global-optimality claim is made.
 
+    These five starts serve any matrix.  The n = 2 reports and
+    ``best_rank2_witness(state, 2)`` know that X is a two-copy power, and
+    run ``_lifted_minimum`` instead: the same stacked loop from three
+    starts built from the one-copy minimum, with no Haar draw.
+
     Every call computes; ``best_rank2_witness`` keeps a state's minima.
     """
     m = np.asarray(x, dtype=complex)
@@ -211,38 +280,55 @@ def min_rank2_expectation(x: np.ndarray, dims: Dims, seed: int = 2024) -> tuple[
         )
     if min(ma, mb) < 2:
         raise DimensionMismatchError("rank-2 ansatz needs both local dimensions >= 2")
-    spec = hermitian_eig(m)
-    scale = float(np.abs(spec.eigenvalues).max())
-
+    scale, frame = _eigenvector_start(m, dims)
     fb = np.empty((_RANK2_STARTS, mb, 2), dtype=complex)
-    # the bottom eigenvector's two leading right Schmidt vectors: rows of vh, unconjugated
-    fb[0] = np.linalg.svd(spec.eigenvectors[:, 0].reshape(ma, mb))[2][:2].T
+    fb[0] = frame
     seeds = [derive_seed(seed, r) for r in range(_RANK2_STARTS - 1)]
     fb[1:] = _phase_fixed_qr(_complex_normals(seeds, 2 * mb)[0].reshape(-1, mb, 2))
-    # each sweep computes fa from fb alone; fa only keeps the frames of stopped starts
-    fa = np.empty((_RANK2_STARTS, ma, 2), dtype=complex)
-    vals = np.empty(_RANK2_STARTS)
-    rows, prev, tol = np.arange(_RANK2_STARTS), np.inf, _RANK2_REL_STOP * scale
-    b = fb  # the running starts' frames, in start order
-    for sweep in range(_OPT_MAX_ITERS):
-        values, (a, b) = _als_sweep(m, dims, b)
-        # a NaN gain compares false, so that start keeps running
-        go_on = ~(prev - values <= tol)
-        # written back by start index only when a start leaves, or at the last
-        # sweep: indexing the full arrays on every sweep was a few percent slower
-        if not go_on.all() or sweep == _OPT_MAX_ITERS - 1:
-            vals[rows], fa[rows], fb[rows] = values, a, b
-            rows, values, b = rows[go_on], values[go_on], b[go_on]
-            if not rows.size:
-                break
-        prev = values
+    return _rank2_from_starts(m, dims, fb, scale)
+
+
+def _product_minimum(
+    p: np.ndarray, dims: Dims, seed: int, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unit x and y whose product x (x) y has the smallest <xy|P|xy> found.
+
+    The ALS loop at frame width 1, from ``_PRODUCT_STARTS`` seeded starts:
+    start r draws y from ``derive_seed(seed, 4_000_000 + r)``, and stops
+    after a sweep that gains at most ``tol``.  The best start wins.
+    """
+    seeds = [derive_seed(seed, 4_000_000 + r) for r in range(_PRODUCT_STARTS)]
+    y0 = _phase_fixed_qr(_complex_normals(seeds, dims.dim_b)[0].reshape(-1, dims.dim_b, 1))
+    vals, fa, fb = _descend(p, dims, y0, tol)
     best = int(np.argmin(vals))
-    w_op = np.kron(fa[best], fb[best])
-    v4 = _bottom((w_op.conj().T @ m @ w_op)[None])[1][0]
-    ansatz = Rank2Ansatz(fa[best], fb[best], v4.reshape(2, 2))
-    psi = ansatz.vector()
-    value = float(np.real(psi.conj() @ m @ psi))
-    return value, ansatz
+    return fa[best, :, 0], fb[best, :, 0]
+
+
+def _lifted_minimum(
+    x: np.ndarray, p: np.ndarray, dims: Dims, one_copy: tuple[float, Rank2Ansatz], seed: int
+) -> tuple[float, Rank2Ansatz]:
+    """Rank-2 minimum of X = s * P^(x 2), regrouped, from the lifted one-copy minimum.
+
+    ``one_copy`` = (v, ansatz) is the rank-2 minimum of s * P, P on ``dims``
+    and s = +-1.  For the product x (x) y with p = <xy|P|xy>, the vector
+    psi (x) xy has the value v * p, so the product search
+    (``_product_minimum``) minimizes P when v >= 0 and -P when v < 0.  Three
+    starts run through the same stacked loop as ``min_rank2_expectation``:
+    the frames of X's bottom eigenvector, kron(B, y) and kron(y, B), B the
+    one-copy ``frame_b``.  No Haar draw is made.  The first sweep against
+    kron(B, y) finds A at least as good as kron(A1, x), so the result never
+    exceeds v * p beyond rounding.
+    """
+    v, ansatz = one_copy
+    m = np.asarray(x, dtype=complex)
+    big = _power_dims(dims, 2)
+    scale, frame = _eigenvector_start(m, big)
+    # max|eig P| is the square root of max|eig P (x) P|
+    target = p if v >= 0 else -p
+    y = _product_minimum(target, dims, seed, _RANK2_REL_STOP * math.sqrt(scale))[1][:, None]
+    b = ansatz.frame_b
+    fb = np.stack([frame, np.kron(b, y), np.kron(y, b)])
+    return _rank2_from_starts(m, big, fb, scale)
 
 
 def _accepts(value: float, rank: int) -> bool:
@@ -567,12 +653,19 @@ def best_rank2_witness(
     value over many restarts is evidence, not proof, of undistillability).
     The minimum is kept on the state per copy count and ``seed``, so a
     rank-5 check, which asks for it in ``certify_1_distillable`` and again
-    in ``undistillability_margin``, minimizes once.
+    in ``undistillability_margin``, minimizes once.  At one copy it is
+    ``min_rank2_expectation``'s.  At two it is ``_lifted_minimum``'s, lifted
+    from the state's one-copy minimum v at the same seed, which is kept
+    too; when v < 0 the two-copy value is at most v * p < 0, p the largest
+    product value of the partial transpose.
     """
     minima = state._rank2_minima
     if (copies, seed) not in minima:
         pt, dims = _pt_power(state, copies)
-        minima[copies, seed] = min_rank2_expectation(pt, dims, seed)
+        if (1, seed) not in minima:
+            minima[1, seed] = min_rank2_expectation(state._pt, state.dims, seed)
+        if copies > 1:
+            minima[copies, seed] = _lifted_minimum(pt, state._pt, state.dims, minima[1, seed], seed)
     value, ansatz = minima[copies, seed]
     # an ansatz has Schmidt rank at most 2, so only its value can fail the rule
     if not _accepts(value, 2):

@@ -136,6 +136,23 @@ class TestWitness:
         code, _, err = _run(capsys, "witness", "--in", "/nonexistent.json")
         assert code == 2
 
+    def test_two_copy_value_does_not_depend_on_the_seed(self, tmp_path, capsys):
+        # at (0.5, pi/6) five Haar-started ALS runs landed 2.86x apart across seeds;
+        # the lifted starts reach one basin at every seed
+        path = tmp_path / "rho.json"
+        code, _, _ = _run(capsys, "rho", "--b", "0.5", "--theta", str(math.pi / 6), "--out", str(path))
+        assert code == 0
+        values = []
+        for seed in ("0", "2024"):
+            code, out, _ = _run(
+                capsys, "witness", "--in", str(path), "--copies", "2", "--seed", seed, "--json"
+            )
+            assert code == 0
+            doc = json.loads(out)
+            assert doc["certified"] is False
+            values.append(doc["best_value"])
+        assert values[0] == pytest.approx(values[1], rel=1e-3)
+
 
 class TestCertifyRank4:
     def test_accepts_rank4(self, tmp_path, capsys):
@@ -245,6 +262,8 @@ class TestMulticopyCommand:
         doc = json.loads(out)
         assert doc["max_value"] == pytest.approx(1 / 64, abs=1e-6)
         assert doc["min_value"] >= 1 / 576 - 1e-8
+        # a lifted start attains 1/288 = (1/24)(1/12), and no start does better
+        assert doc["min_value"] == pytest.approx(1 / 288, rel=1e-12)
 
 
 class TestRandomCommand:

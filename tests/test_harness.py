@@ -321,21 +321,33 @@ class TestSuites:
 
     def test_multicopy_runs_no_rho_maximum(self, monkeypatch):
         # the undistillability trials read only the n-copy minimum: the suite minimizes
-        # +-X of the Werner power and +PT of rho at n = 1, 2, and never -PT of rho
+        # +-X of the Werner power and +PT of rho at n = 1, 2, and never -PT of rho;
+        # at n = 2 each 81x81 minimization lifts a 9x9 one-copy minimization
         params = EdgeParams(1.0, math.pi / 6)
-        rho_pts = [multicopy._n_copy_claim(params, n)[2] for n in (1, 2)]
-        real, calls = witness.min_rank2_expectation, []
+        claims = [multicopy._n_copy_claim(params, n) for n in (1, 2)]
+        rho_pts = [claims[0][2], claims[1][4].npt_state._pt, claims[1][2]]
+        real, lifted, calls = witness.min_rank2_expectation, witness._lifted_minimum, []
 
         def spy(x, dims, seed=2024):
             calls.append(np.array(x))
             return real(x, dims, seed)
 
+        def lifted_spy(x, p, dims, one_copy, seed):
+            calls.append(np.array(x))
+            return lifted(x, p, dims, one_copy, seed)
+
         for name, module in list(sys.modules.items()):
-            if name.startswith("distill_lab") and vars(module).get("min_rank2_expectation") is real:
-                monkeypatch.setattr(module, "min_rank2_expectation", spy)
+            if not name.startswith("distill_lab"):
+                continue
+            for attr, original, fake in (
+                ("min_rank2_expectation", real, spy),
+                ("_lifted_minimum", lifted, lifted_spy),
+            ):
+                if vars(module).get(attr) is original:
+                    monkeypatch.setattr(module, attr, fake)
         report = run_suite("multicopy")
         assert (report.trials, report.passes) == (5, 5)
-        assert Counter(len(x) for x in calls) == {9: 3, 81: 3}
+        assert Counter(len(x) for x in calls) == {9: 6, 81: 3}
         for pt in rho_pts:
             assert sum(np.array_equal(x, pt) for x in calls) == 1
             assert not any(np.array_equal(x, -pt) for x in calls)
@@ -442,6 +454,24 @@ class TestSharedDraws:
         run_suite("all", 12, 2024)
         assert len(certified) == len(scanned) == 12
         assert all(a is b for a, b in zip(certified, scanned))
+
+    def test_rank5_draws_are_not_kept(self, monkeypatch):
+        # only theorem-rank4 and lemma-2x2 draw the same (dims, rank); the rank-5
+        # states of theorem-two-eigs go to no store, so none outlives its suite
+        real, stores = harness._tally, {}
+
+        def spy(name, count, seed, drawn):
+            report = real(name, count, seed, drawn)
+            stores[name] = drawn
+            return report
+
+        monkeypatch.setattr(harness, "_tally", spy)
+        run_suite("all", 12, 7)
+        assert stores["theorem-rank4"] is stores["lemma-2x2"]
+        assert stores["theorem-two-eigs"] is None
+        assert stores["edge-family"] is None and stores["multicopy"] is None
+        assert {rank for _, rank, _ in stores["theorem-rank4"]} == {4}
+        assert len(stores["theorem-rank4"]) == 12
 
     @pytest.mark.parametrize("seed", [7, 2024])
     def test_sub_reports_equal_the_single_suites(self, seed):

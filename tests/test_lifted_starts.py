@@ -1,0 +1,239 @@
+"""The n = 2 rank-2 minimizer's lifted starts, and the width-generic ALS sweep.
+
+At n = 2 the minimizer of X = s * P^(x 2) starts from the bottom
+eigenvector's frames and from kron(B, y) and kron(y, B), where B is the
+one-copy minimizer's ``frame_b`` and x (x) y the product vector of best
+value p.  The start psi (x) xy has the value v * p, v the one-copy minimum,
+so the n = 2 minimum never exceeds it.
+
+Tolerances.  tau = 1e-6 * max|eig X| is the minimizer's stop
+(``witness._RANK2_REL_STOP``); as in ``test_rank2_crosscheck.py``, a
+linear rate q <= 0.8 leaves a gap of at most 4 tau at that stop, so two
+minima of the same operator agree to 4 tau.  Points of one orbit of the
+edge family give operators with one spectrum and one rank-2 minimum.
+"""
+
+import numpy as np
+import pytest
+
+import distill_lab.multicopy as multicopy
+import distill_lab.witness as witness
+from distill_lab.edgestate import DEFAULT_GRID, EdgeParams
+from distill_lab.harness import EnsembleSpec, sample_ensemble
+from distill_lab.multicopy import extremal_rank2_tensor_power, werner_projector
+from distill_lab.qcore import PSD_TOL, Dims, regroup_tensor_power
+from distill_lab.rng import derive_seed
+from distill_lab.witness import best_rank2_witness, min_rank2_expectation, verify_certificate
+
+D33 = Dims(3, 3)
+D81 = Dims(9, 9)
+_GAP_IN_TAU = 4.0
+SEEDS = list(range(12)) + [2024]
+_EPS = np.finfo(float).eps
+
+
+def _tau(m: np.ndarray) -> float:
+    return witness._RANK2_REL_STOP * float(np.abs(np.linalg.eigvalsh(m)).max())
+
+
+# ---- oracle: the width-2 sweep before it became width-generic, verbatim ------
+
+
+def width2_als_sweep(m, dims, fb):
+    ma, mb = dims
+    rows = len(fb)
+    # sum_jl conj(B[j,p]) X[ij,kl] B[l,q] at row ip, column kq: over j for each i, then l
+    t = fb.conj().transpose(0, 2, 1).reshape(-1, mb) @ m.reshape(ma, mb, -1)
+    comp = (t.reshape(ma, rows, 2 * ma, mb) @ fb).reshape(ma, rows, 2, 2 * ma)
+    a = witness._bottom(comp.transpose(1, 0, 2, 3).reshape(rows, 2 * ma, 2 * ma))[1]
+    fa = np.linalg.qr(a.reshape(rows, ma, 2))[0]
+    # sum_ik conj(A[i,p]) X[ij,kl] A[k,q] at row pj, column ql: over i, then over k
+    t = fa.conj().transpose(0, 2, 1).reshape(-1, ma) @ m.reshape(ma, -1)
+    t = t.reshape(rows, 2 * mb, ma, mb).transpose(0, 1, 3, 2).reshape(rows, -1, ma)
+    comp = (t @ fa).reshape(rows, 2 * mb, mb, 2)
+    values, b = witness._bottom(comp.transpose(0, 1, 3, 2).reshape(rows, 2 * mb, 2 * mb))
+    fb = np.linalg.qr(b.reshape(rows, 2, mb).transpose(0, 2, 1))[0]
+    return values, (fa, fb)
+
+
+@pytest.mark.parametrize("dims", [D33, D81], ids=["9x9", "81x81"])
+@pytest.mark.parametrize("case", range(48))
+def test_width2_sweep_is_bit_equal_to_the_oracle(dims, case):
+    rng = np.random.default_rng(100 * dims.total + case)
+    n, rows = dims.total, 1 + case % 5
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    m = g + g.conj().T
+    fb = np.linalg.qr(rng.normal(size=(rows, dims.dim_b, 2)) + 1j * rng.normal(size=(rows, dims.dim_b, 2)))[0]
+    values, (fa, fb_new) = witness._als_sweep(m, dims, fb)
+    want_values, (want_fa, want_fb) = width2_als_sweep(m, dims, fb)
+    assert values.tobytes() == want_values.tobytes()
+    assert fa.tobytes() == want_fa.tobytes()
+    assert fb_new.tobytes() == want_fb.tobytes()
+
+
+def test_width1_sweep_gives_the_product_value():
+    rng = np.random.default_rng(5)
+    g = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+    m = g + g.conj().T
+    y = np.linalg.qr(rng.normal(size=(4, 3, 1)) + 1j * rng.normal(size=(4, 3, 1)))[0]
+    values, (fa, fb) = witness._als_sweep(m, D33, y)
+    assert fa.shape == fb.shape == (4, 3, 1)
+    for value, x, yy in zip(values, fa[:, :, 0], fb[:, :, 0]):
+        xy = np.kron(x, yy)
+        assert abs(np.linalg.norm(xy) - 1.0) < 1e-14
+        assert value == pytest.approx(float(np.real(xy.conj() @ m @ xy)), abs=1e-13)
+
+
+# ---- the lifted starts -------------------------------------------------------
+
+
+def test_lifted_minimum_makes_no_haar_draw(monkeypatch):
+    # the one draw is the product search's: stream k = 4, one unit vector per start
+    draws = []
+    real = witness._complex_normals
+
+    def spy(seeds, count):
+        draws.append((list(seeds), count))
+        return real(seeds, count)
+
+    monkeypatch.setattr(witness, "_complex_normals", spy)
+    p = werner_projector().mat
+    one_copy = (1 / 24, min_rank2_expectation(p, D33, 7)[1])
+    draws.clear()
+    mat, _ = regroup_tensor_power(p, D33, 2)
+    witness._lifted_minimum(mat, p, D33, one_copy, 7)
+    starts = [derive_seed(7, 4_000_000 + r) for r in range(witness._PRODUCT_STARTS)]
+    assert draws == [(starts, 3)]
+
+
+@pytest.fixture
+def lifts(monkeypatch):
+    """The one-copy value v, P and the product x (x) y of each lifted minimization."""
+    calls = []
+    lifted, search = witness._lifted_minimum, witness._product_minimum
+
+    def lifted_spy(x, p, dims, one_copy, seed):
+        calls.append({"v": one_copy[0], "p_mat": p})
+        return lifted(x, p, dims, one_copy, seed)
+
+    def search_spy(p, dims, seed, tol):
+        found = search(p, dims, seed, tol)
+        calls[-1]["xy"] = np.kron(*found)
+        return found
+
+    monkeypatch.setattr(witness, "_lifted_minimum", lifted_spy)
+    monkeypatch.setattr(multicopy, "_lifted_minimum", lifted_spy)
+    monkeypatch.setattr(witness, "_product_minimum", search_spy)
+    return calls
+
+
+def _lifted_value(call: dict) -> float:
+    """v * p of the lifted start psi (x) xy."""
+    xy = call["xy"]
+    return call["v"] * float(np.real(xy.conj() @ call["p_mat"] @ xy))
+
+
+def _rounding(p: np.ndarray) -> float:
+    """1000 eps times max|X|, for X = +-P^(x 2), whose largest entry is max|P|^2."""
+    return 1e3 * _EPS * float(np.abs(p).max()) ** 2
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2024])
+def test_werner_values_stay_at_most_the_lifted_product(lifts, seed):
+    report = extremal_rank2_tensor_power(2, seed)
+    assert len(lifts) == 2
+    lift_min, lift_max = (_lifted_value(c) for c in lifts)
+    # v * p = (1/24)(1/12) = 1/288 and (-1/8)(1/8) = -1/64
+    assert lift_min == pytest.approx(1 / 288, rel=1e-9)
+    assert lift_max == pytest.approx(-1 / 64, rel=1e-9)
+    assert report.min_value <= lift_min + _rounding(lifts[0]["p_mat"])
+    assert -report.max_value <= lift_max + _rounding(lifts[0]["p_mat"])
+
+
+@pytest.mark.parametrize("point", range(len(DEFAULT_GRID)))
+def test_rho_values_stay_at_most_the_lifted_product(lifts, point):
+    report = multicopy.verify_n_undistillable(EdgeParams(*DEFAULT_GRID[point]), 2)
+    assert len(lifts) == 2
+    lift_min, lift_max = (_lifted_value(c) for c in lifts)
+    assert report.min_value <= lift_min + _rounding(lifts[0]["p_mat"])
+    assert -report.max_value <= lift_max + _rounding(lifts[0]["p_mat"])
+
+
+def _npt_states(count: int) -> list:
+    states = []
+    for rank in range(5, 10):
+        spec = EnsembleSpec(dims=D33, rank=rank, count=count // 5, filter="NPT", seed=2900 + rank)
+        states += sample_ensemble(spec)[0]
+    return states
+
+
+def test_negative_one_copy_minima_lift_to_two_copy_witnesses():
+    checked = 0
+    for state in _npt_states(60):
+        v1, _ = best_rank2_witness(state, 1)
+        if not v1 < -PSD_TOL:
+            continue
+        v2, cert = best_rank2_witness(state, 2)
+        assert cert is not None and verify_certificate(cert, state)
+        assert cert.copies == 2 and cert.value == pytest.approx(v2, rel=1e-12) and v2 < 0
+        checked += 1
+    assert checked >= 50
+
+
+# ---- the rho minimum over orbits, seeds and a pinned reference ---------------
+
+
+def _orbits() -> list[list[int]]:
+    """Grid indices of each orbit {(b, t), (b, -t), (1/b, t), (1/b, -t)}."""
+    seen, orbits = set(), []
+    for i, (b, theta) in enumerate(DEFAULT_GRID):
+        if i in seen:
+            continue
+        members = {(b, theta), (b, -theta), (1 / b, theta), (1 / b, -theta)}
+        orbit = [j for j, pt in enumerate(DEFAULT_GRID) if pt in members]
+        seen.update(orbit)
+        orbits.append(orbit)
+    return orbits
+
+
+def test_grid_has_four_orbits():
+    assert _orbits() == [[0, 1, 8, 9], [2, 3, 10, 11], [4, 5], [6, 7]]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("orbit", range(4))
+def test_rho_minimum_is_the_same_across_an_orbit_and_seeds(n, orbit):
+    points = _orbits()[orbit]
+    values, taus = [], []
+    for i in points:
+        params = EdgeParams(*DEFAULT_GRID[i])
+        claim = multicopy._n_copy_claim(params, n, SEEDS[0])
+        taus.append(_tau(np.asarray(claim[2])))
+        values.append(claim[0])
+        values += [multicopy._n_copy_claim(params, n, seed)[0] for seed in SEEDS[1:]]
+    assert max(values) - min(values) <= _GAP_IN_TAU * max(taus)
+
+
+# the n = 2 rho minimum at each grid point, default noise: the lowest of 64 Haar
+# starts stopped at 1e-9 * max|eig X|, the lifted starts at 13 seeds and an
+# 8-start L-BFGS over vec(A B^T)
+PINNED_N2_MINIMA = [
+    "0x1.f728ff80da635p-15",  # point 0
+    "0x1.f728ff81113e1p-15",  # point 1
+    "0x1.6d0195294dee6p-13",  # point 2
+    "0x1.6d01952944b83p-13",  # point 3
+    "0x1.0ae7fc35f7b8bp-15",  # point 4
+    "0x1.0ae7fc35e0a21p-15",  # point 5
+    "0x1.7cf6a0db1cbc2p-13",  # point 6
+    "0x1.7cf6a0db2199cp-13",  # point 7
+    "0x1.f728ff80aa38ep-15",  # point 8
+    "0x1.f728ff80b4b58p-15",  # point 9
+    "0x1.6d01952949721p-13",  # point 10
+    "0x1.6d01952940dc3p-13",  # point 11
+]
+
+
+@pytest.mark.parametrize("point", range(len(DEFAULT_GRID)))
+def test_rho_n2_minimum_matches_the_pinned_reference(point):
+    value = multicopy._n_copy_claim(EdgeParams(*DEFAULT_GRID[point]), 2)[0]
+    assert value == pytest.approx(float.fromhex(PINNED_N2_MINIMA[point]), rel=1e-3)

@@ -14,7 +14,11 @@ its own convergence, far below tau, so the two minima must agree to 4 tau.
 """
 
 import functools
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -30,7 +34,7 @@ from distill_lab.edgestate import (
     maximally_entangled_qutrits,
 )
 from distill_lab.harness import random_state
-from distill_lab.multicopy import werner_projector
+from distill_lab.multicopy import _n_copy_claim, werner_projector
 from distill_lab.qcore import Dims, partial_transpose, regroup_tensor_power
 from distill_lab.witness import min_rank2_expectation
 
@@ -114,6 +118,44 @@ def test_known_minima():
     assert min_rank2_expectation(*_werner(1))[0] == pytest.approx(1 / 24, abs=1e-12)
     assert -min_rank2_expectation(*_mes_overlap())[0] == pytest.approx(2 / 3, abs=1e-12)
     assert min_rank2_expectation(*_werner(2))[0] == pytest.approx(1 / 288, rel=1e-9)
+
+
+# ---- rho at n = 2 ---------------------------------------------------------------
+
+# computes the references in a child process with BLAS on one thread: an 81x81
+# L-BFGS start makes a few hundred tiny BLAS calls, which a multithreaded BLAS
+# on a loaded machine slows from about 20 ms to seconds
+_RHO_N2_CHILD = """
+import json
+import numpy as np
+from test_rank2_crosscheck import lbfgs_min_rank2
+from distill_lab.edgestate import DEFAULT_GRID, EdgeParams
+from distill_lab.multicopy import _n_copy_claim
+refs = []
+for point in DEFAULT_GRID:
+    _, _, m, dims, *_ = _n_copy_claim(EdgeParams(*point), 2)
+    refs.append(lbfgs_min_rank2(np.asarray(m), dims).hex())
+print(json.dumps(refs))
+"""
+
+
+@functools.lru_cache(maxsize=None)
+def _rho_n2_references() -> tuple[float, ...]:
+    """L-BFGS minima of the n = 2 partial transpose of rho at every grid point."""
+    one = {k: "1" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    path = os.pathsep.join([os.path.dirname(os.path.abspath(__file__))] + sys.path)
+    env = {**os.environ, **one, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-c", _RHO_N2_CHILD], env=env, capture_output=True, text=True, check=True
+    )
+    return tuple(float.fromhex(h) for h in json.loads(done.stdout))
+
+
+@pytest.mark.parametrize("point", range(len(DEFAULT_GRID)))
+def test_rho_n2_agrees_with_lbfgs(point):
+    # the minimum the n = 2 claim reports, from the lifted starts
+    value, _, m, _, *_ = _n_copy_claim(EdgeParams(*DEFAULT_GRID[point]), 2)
+    assert abs(value - _rho_n2_references()[point]) <= _GAP_IN_TAU * _tau(np.asarray(m))
 
 
 # ---- scaling ------------------------------------------------------------------

@@ -85,15 +85,24 @@ def _mes_state() -> BipartiteState:
 
 @pytest.fixture
 def minimizations(monkeypatch):
-    """(dims, seed) of each ``min_rank2_expectation`` call the witness module makes."""
+    """(dims, seed) of each rank-2 minimization the witness module makes.
+
+    A ``min_rank2_expectation`` call records its dims, a two-copy
+    ``_lifted_minimum`` call the two-copy split.
+    """
     calls = []
-    real = witness.min_rank2_expectation
+    real, lifted = witness.min_rank2_expectation, witness._lifted_minimum
 
     def counted(x, dims, seed=2024):
         calls.append((tuple(dims), seed))
         return real(x, dims, seed)
 
+    def counted_lifted(x, p, dims, one_copy, seed):
+        calls.append((tuple(qcore._power_dims(dims, 2)), seed))
+        return lifted(x, p, dims, one_copy, seed)
+
     monkeypatch.setattr(witness, "min_rank2_expectation", counted)
+    monkeypatch.setattr(witness, "_lifted_minimum", counted_lifted)
     return calls
 
 
