@@ -252,7 +252,7 @@ def undistillability_margin(bundle: EdgeBundle, seed: int = 2024) -> float:
 
     Also runs the numeric minimizer and demands it never undercut the
     bound; a violation would indicate a bookkeeping bug, not new physics.
-    The minimum is the one ``best_rank2_witness`` keeps on the state.
+    The minimum is the one ``witness._rank2_minimum`` keeps on the state.
     """
     value, _ = best_rank2_witness(bundle.npt_state, 1, seed)
     if value < bundle.margin - 1e-8:

@@ -10,6 +10,8 @@ attains it, one-copy minimum 1/24 times product minimum 1/12, and the
 question is whether anything beats that.  Combining the lower bound with
 an operator-norm expansion yields an explicit noise threshold ``eps(n)``
 below which the rank-5 NPT edge perturbation stays n-undistillable.
+Every rank-2 extremum is ``witness._rank2_minimum`` of a state: the rank-5
+NPT state, or the Werner projector's PPT pre-image.
 """
 
 from __future__ import annotations
@@ -32,15 +34,15 @@ from .edgestate import (
 )
 from .qcore import (
     BipartiteState,
-    Dims,
     InvariantViolationError,
     PureState,
     _check_copy_count,
+    _power_dims,
     _pt_power,
     min_pt_eigenvalue,
-    regroup_tensor_power,
+    partial_transpose,
 )
-from .witness import Rank2Ansatz, _lifted_minimum, min_rank2_expectation
+from .witness import _rank2_minimum, min_rank2_expectation
 
 
 @dataclass(frozen=True)
@@ -88,34 +90,22 @@ def max_rank2_overlap_with_mes(seed: int = 2024) -> float:
     return -value
 
 
-def _rank2_minimum(
-    x: np.ndarray, p: np.ndarray, sign: int, n: int, seed: int
-) -> tuple[float, Rank2Ansatz]:
-    """Rank-2 minimum of ``x``, the regrouped power sign * P^(x n) of the two-qutrit ``p``.
-
-    At n = 1 the five-start minimizer runs on ``x``.  At n = 2 it runs on
-    sign * P, and ``_lifted_minimum`` lifts that one-copy minimum to ``x``.
-    """
-    if n == 1:
-        return min_rank2_expectation(x, QUTRIT_PAIR, seed)
-    one_copy = min_rank2_expectation(p if sign > 0 else -p, QUTRIT_PAIR, seed)
-    return _lifted_minimum(x, p, QUTRIT_PAIR, one_copy, seed)
-
-
 def extremal_rank2_tensor_power(n: int, seed: int = 2024) -> MulticopyReport:
     """Extremal rank-2 expectations of the n-fold Werner-projector power.
 
     The bipartition groups all A factors against all B factors, exactly
     the cut across which witness Schmidt ranks are counted.  Enforces the
     proven bracket [1/24^n, 1/8^n]; reports the distance of the found
-    minimum to the conjectured (1/2) * 12^-n.  At n = 2 both extrema come
-    from the lifted starts (``_lifted_minimum``).
+    minimum to the conjectured (1/2) * 12^-n.  Both extrema are
+    ``witness._rank2_minimum`` of the projector W's PPT pre-image W^Gamma =
+    (I - F/3)/8 (F the swap; eigenvalues 1/12 and 1/6), whose ``_pt`` is W
+    bit for bit, as the partial transpose is an exact permutation.
     """
     _check_copy_count(n)
-    rho_s = werner_projector()
-    mat, dims = regroup_tensor_power(rho_s.mat, rho_s.dims, n)
-    min_value, min_at = _rank2_minimum(mat, rho_s.mat, 1, n, seed)
-    neg_max, max_at = _rank2_minimum(-mat, rho_s.mat, -1, n, seed)
+    pre = BipartiteState(partial_transpose(werner_projector().mat, QUTRIT_PAIR), QUTRIT_PAIR)
+    mat, dims = _pt_power(pre, n)
+    min_value, min_at = _rank2_minimum(pre, n, seed)
+    neg_max, max_at = _rank2_minimum(pre, n, seed, -1)
     max_value = -neg_max
     # the product |0..0>_A |1..1>_B is basis vector 0 * 3^n + (11..1 in base 3)
     ones = (3**n - 1) // 2
@@ -203,28 +193,28 @@ def _eps_threshold(gap: float, pt_norm: float, n: int) -> float:
 
 def _n_copy_claim(
     params: EdgeParams, n: int, seed: int = 2024, eps: float = 0.0
-) -> tuple[float, PureState, np.ndarray, Dims, EdgeBundle, float, float]:
+) -> tuple[float, PureState, EdgeBundle, float, float]:
     """The checked claim of ``verify_n_undistillable``, without its report-only maximum.
 
     The bound's two constants are computed once and serve the threshold and
-    the bound.  Returns ``(min_value, min_witness, pt, dims, bundle, threshold,
-    bound)``.
+    the bound.  The minimum is ``witness._rank2_minimum`` of the bundle's NPT
+    state, which keeps it.  Returns ``(min_value, min_witness, bundle,
+    threshold, bound)``.
     """
     _check_copy_count(n)
     gap, pt_norm = _gap_and_pt_norm(params)
     threshold = _eps_threshold(gap, pt_norm, n)
     bundle = build_edge_bundle(params, min(_noise(eps, gap), threshold / 2))
 
-    pt, dims = _pt_power(bundle.npt_state, n)
-    min_value, min_at = _rank2_minimum(pt, bundle.npt_state._pt, 1, n, seed)
-    min_witness = PureState(min_at.vector(), dims)
+    min_value, min_at = _rank2_minimum(bundle.npt_state, n, seed)
+    min_witness = PureState(min_at.vector(), _power_dims(QUTRIT_PAIR, n))
 
     bound = _series_bound(gap, pt_norm, n, bundle.eps)
     if min_value <= 0.0 or min_value < bound - 1e-8:
         raise InvariantViolationError(
             f"n={n} rank-2 minimum {min_value} fell below the analytic bound {bound}"
         )
-    return min_value, min_witness, pt, dims, bundle, threshold, bound
+    return min_value, min_witness, bundle, threshold, bound
 
 
 def verify_n_undistillable(
@@ -240,19 +230,17 @@ def verify_n_undistillable(
     violation raises ``InvariantViolationError``; it would mean a bug, not a
     distillation protocol.  Only then is the rank-2 maximum, -min(-PT), added
     to the report; no check reads it, and the multicopy suite runs the claim
-    alone.  At n = 2 both come from the lifted starts (``_lifted_minimum``):
-    the minimum from the one-copy minimum of PT, the maximum from that of -PT.
+    alone.  Both come from ``witness._rank2_minimum`` on the NPT state: the
+    claim's minimum is kept there, and the maximum asks for sign -1.
     """
-    min_value, min_witness, pt, dims, bundle, threshold, bound = _n_copy_claim(
-        params, n, seed, eps
-    )
-    neg_max, max_at = _rank2_minimum(-pt, bundle.npt_state._pt, -1, n, seed)
+    min_value, min_witness, bundle, threshold, bound = _n_copy_claim(params, n, seed, eps)
+    neg_max, max_at = _rank2_minimum(bundle.npt_state, n, seed, -1)
     npt_min = min_pt_eigenvalue(bundle.npt_state)
     return MulticopyReport(
         n=n,
         target="rho",
         max_value=-neg_max,
-        max_witness=PureState(max_at.vector(), dims),
+        max_witness=PureState(max_at.vector(), min_witness.dims),
         min_value=min_value,
         min_witness=min_witness,
         bound_lower=bound,

@@ -103,7 +103,7 @@ class BipartiteState:
     use, and shared by every route, check, NPT filter and n-copy build.
     Likewise ``_pt_powers`` keeps the read-only n-copy transposes that
     ``_pt_power`` builds, n >= 2, and ``_rank2_minima`` the rank-2 minima
-    that ``witness.best_rank2_witness`` finds, one per copy count and seed.
+    that ``witness._rank2_minimum`` finds, one per copy count, seed and sign.
     The checks use the module's ``_HERM_TOL`` and ``PSD_TOL``.
     """
 
@@ -142,7 +142,7 @@ class BipartiteState:
         return {}
 
     @cached_property
-    def _rank2_minima(self) -> dict:  # (copies, seed) -> (value, read-only ansatz)
+    def _rank2_minima(self) -> dict:  # (copies, seed, sign) -> (value, read-only ansatz)
         return {}
 
     @property

@@ -21,6 +21,9 @@ Every route returns ``None`` when its hypothesis is not met.  On a
 two-qutrit NPT state of rank at most 4, whose kernel provably holds a
 product vector, the three routes always yield a witness, so there
 ``certify_1_distillable`` raises ``NumericalFailureError`` if all decline.
+
+Every n-copy rank-2 minimum, here and in ``multicopy``, is
+``_rank2_minimum``'s, which picks the starts by copy count and keeps it.
 """
 
 from __future__ import annotations
@@ -135,8 +138,8 @@ def pt_quadratic_form(
 
 
 # starts of the rank-2 minimizer on a bare matrix: the bottom eigenvector's
-# Schmidt frames and four Haar frames; the n = 2 reports run three lifted
-# starts instead (``_lifted_minimum``)
+# Schmidt frames and four Haar frames; at two copies ``_rank2_minimum`` runs
+# three lifted starts instead (``_lifted_minimum``)
 _RANK2_STARTS = 5
 # seeded starts of the width-1 product search behind the lifted starts
 _PRODUCT_STARTS = 8
@@ -265,12 +268,7 @@ def min_rank2_expectation(x: np.ndarray, dims: Dims, seed: int = 2024) -> tuple[
     ties.  The result never undercuts the true minimum over all unit
     vectors, and no global-optimality claim is made.
 
-    These five starts serve any matrix.  The n = 2 reports and
-    ``best_rank2_witness(state, 2)`` know that X is a two-copy power, and
-    run ``_lifted_minimum`` instead: the same stacked loop from three
-    starts built from the one-copy minimum, with no Haar draw.
-
-    Every call computes; ``best_rank2_witness`` keeps a state's minima.
+    Every call computes; ``_rank2_minimum`` keeps a state's minima.
     """
     m = np.asarray(x, dtype=complex)
     ma, mb = dims
@@ -317,7 +315,7 @@ def _lifted_minimum(
     the frames of X's bottom eigenvector, kron(B, y) and kron(y, B), B the
     one-copy ``frame_b``.  No Haar draw is made.  The first sweep against
     kron(B, y) finds A at least as good as kron(A1, x), so the result never
-    exceeds v * p beyond rounding.
+    exceeds v * p beyond rounding.  ``_rank2_minimum`` is the one caller.
     """
     v, ansatz = one_copy
     m = np.asarray(x, dtype=complex)
@@ -643,6 +641,32 @@ def certify_1_distillable(state: BipartiteState, seed: int = 2024) -> Optional[W
     return cert
 
 
+def _rank2_minimum(
+    state: BipartiteState, copies: int, seed: int, sign: int = 1
+) -> tuple[float, Rank2Ansatz]:
+    """Rank-2 minimum of sign * (state^(x copies))^Gamma, sign = +-1, kept on the state.
+
+    The witness search, both Werner extrema and the rho claim and maximum
+    all ask here.  ``_pt_power`` checks the copy count before any work.  The
+    minimum is kept in ``_rank2_minima`` under ``(copies, seed, sign)``, so
+    a rank-5 check, which asks in ``certify_1_distillable`` and again in
+    ``undistillability_margin``, minimizes once.  At one copy it is the
+    five-start ``min_rank2_expectation`` of sign * PT; at two, the lifted
+    starts' (``_lifted_minimum``) from the kept one-copy minimum v of the
+    same sign and seed, so a negative v gives a negative two-copy value.
+    """
+    pt, _ = _pt_power(state, copies)
+    minima, key = state._rank2_minima, (copies, seed, sign)
+    if key not in minima:
+        x = pt if sign > 0 else -pt
+        if copies == 1:
+            minima[key] = min_rank2_expectation(x, state.dims, seed)
+        else:
+            one_copy = _rank2_minimum(state, 1, seed, sign)
+            minima[key] = _lifted_minimum(x, state._pt, state.dims, one_copy, seed)
+    return minima[key]
+
+
 def best_rank2_witness(
     state: BipartiteState, copies: int = 1, seed: int = 2024
 ) -> tuple[float, Optional[WitnessCertificate]]:
@@ -651,22 +675,9 @@ def best_rank2_witness(
     The certificate is present exactly when the minimizer's vector passes
     ``_accepts``; the value itself is always reported (a positive best
     value over many restarts is evidence, not proof, of undistillability).
-    The minimum is kept on the state per copy count and ``seed``, so a
-    rank-5 check, which asks for it in ``certify_1_distillable`` and again
-    in ``undistillability_margin``, minimizes once.  At one copy it is
-    ``min_rank2_expectation``'s.  At two it is ``_lifted_minimum``'s, lifted
-    from the state's one-copy minimum v at the same seed, which is kept
-    too; when v < 0 the two-copy value is at most v * p < 0, p the largest
-    product value of the partial transpose.
+    The value is ``_rank2_minimum(state, copies, seed)``, kept on the state.
     """
-    minima = state._rank2_minima
-    if (copies, seed) not in minima:
-        pt, dims = _pt_power(state, copies)
-        if (1, seed) not in minima:
-            minima[1, seed] = min_rank2_expectation(state._pt, state.dims, seed)
-        if copies > 1:
-            minima[copies, seed] = _lifted_minimum(pt, state._pt, state.dims, minima[1, seed], seed)
-    value, ansatz = minima[copies, seed]
+    value, ansatz = _rank2_minimum(state, copies, seed)
     # an ansatz has Schmidt rank at most 2, so only its value can fail the rule
     if not _accepts(value, 2):
         return value, None

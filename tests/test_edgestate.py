@@ -30,7 +30,11 @@ from distill_lab.qcore import (
     rank_kernel_range,
     schmidt_rank,
 )
-from distill_lab.witness import certify_1_distillable, product_vector_in_subspace
+from distill_lab.witness import (
+    certify_1_distillable,
+    product_vector_in_subspace,
+    verify_certificate,
+)
 
 D33 = Dims(3, 3)
 
@@ -300,6 +304,28 @@ class TestDistillableOfRank:
         assert rank_kernel_range(state.mat)[0] == target
         cert = certify_1_distillable(state)
         assert cert is not None
+
+    def test_halves_the_noise_until_certified(self, monkeypatch):
+        # the bump adds five unit product projectors, so the trace rises by 5 * eps: at
+        # eps = 10 and 5 the result is PPT, at 2.5 NPT but uncertified, and the third
+        # halving, to 1.25, is certified by the rank-2 minimizer
+        spec = EnsembleSpec(dims=D33, rank=4, count=1, filter="NPT", seed=11)
+        base = sample_ensemble(spec)[0][0]
+        rises, real = [], edgestate.is_ppt
+
+        def spy(state):
+            rises.append(state.trace - base.trace)
+            return real(state)
+
+        monkeypatch.setattr(edgestate, "is_ppt", spy)
+        state = distillable_of_rank(base, 9, 10.0)
+        assert rises == pytest.approx([0.0, 50.0, 25.0, 12.5, 6.25], abs=1e-12)
+        assert rank_kernel_range(state.mat)[0] == 9
+        assert not real(state)
+        cert = certify_1_distillable(state)
+        assert cert.route == "optimizer"
+        assert cert.value == pytest.approx(-0.004134490922383686, rel=1e-6)
+        assert verify_certificate(cert, state)
 
     def test_zero_noise_returns_base(self, base4):
         assert distillable_of_rank(base4, 5, 0.0) is base4

@@ -27,6 +27,7 @@ from distill_lab.qcore import (
     InvariantViolationError,
     NumericalFailureError,
     _numeric_rank,
+    _pt_power,
     partial_transpose,
     rank_kernel_range,
 )
@@ -325,7 +326,8 @@ class TestSuites:
         # at n = 2 each 81x81 minimization lifts a 9x9 one-copy minimization
         params = EdgeParams(1.0, math.pi / 6)
         claims = [multicopy._n_copy_claim(params, n) for n in (1, 2)]
-        rho_pts = [claims[0][2], claims[1][4].npt_state._pt, claims[1][2]]
+        rho_pts = [claims[0][2].npt_state._pt, claims[1][2].npt_state._pt]
+        rho_pts.append(_pt_power(claims[1][2].npt_state, 2)[0])
         real, lifted, calls = witness.min_rank2_expectation, witness._lifted_minimum, []
 
         def spy(x, dims, seed=2024):

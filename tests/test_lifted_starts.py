@@ -21,7 +21,7 @@ import distill_lab.witness as witness
 from distill_lab.edgestate import DEFAULT_GRID, EdgeParams
 from distill_lab.harness import EnsembleSpec, sample_ensemble
 from distill_lab.multicopy import extremal_rank2_tensor_power, werner_projector
-from distill_lab.qcore import PSD_TOL, Dims, regroup_tensor_power
+from distill_lab.qcore import PSD_TOL, Dims, _pt_power, regroup_tensor_power
 from distill_lab.rng import derive_seed
 from distill_lab.witness import best_rank2_witness, min_rank2_expectation, verify_certificate
 
@@ -122,7 +122,6 @@ def lifts(monkeypatch):
         return found
 
     monkeypatch.setattr(witness, "_lifted_minimum", lifted_spy)
-    monkeypatch.setattr(multicopy, "_lifted_minimum", lifted_spy)
     monkeypatch.setattr(witness, "_product_minimum", search_spy)
     return calls
 
@@ -208,7 +207,7 @@ def test_rho_minimum_is_the_same_across_an_orbit_and_seeds(n, orbit):
     for i in points:
         params = EdgeParams(*DEFAULT_GRID[i])
         claim = multicopy._n_copy_claim(params, n, SEEDS[0])
-        taus.append(_tau(np.asarray(claim[2])))
+        taus.append(_tau(np.asarray(_pt_power(claim[2].npt_state, n)[0])))
         values.append(claim[0])
         values += [multicopy._n_copy_claim(params, n, seed)[0] for seed in SEEDS[1:]]
     assert max(values) - min(values) <= _GAP_IN_TAU * max(taus)

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 import distill_lab.multicopy as multicopy
+import distill_lab.witness as witness
 from distill_lab.edgestate import (
     DEFAULT_GRID,
     EdgeParams,
+    build_edge_bundle,
     edge_state,
     edge_state_pt,
     maximally_entangled_qutrits,
@@ -113,6 +115,25 @@ class TestExtremalTensorPower:
     def test_copy_cap(self):
         with pytest.raises(ValueError):
             extremal_rank2_tensor_power(3)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_minimizes_the_werner_pre_image(self, n, monkeypatch):
+        # both extrema minimize the PPT state whose partial transpose is W, bit for bit;
+        # that state is W^Gamma = (I - F/3)/8, with eigenvalues 1/12 (six) and 1/6 (three)
+        calls, real = [], multicopy._rank2_minimum
+
+        def spy(state, copies, seed, sign=1):
+            calls.append((state, copies, sign))
+            return real(state, copies, seed, sign)
+
+        monkeypatch.setattr(multicopy, "_rank2_minimum", spy)
+        extremal_rank2_tensor_power(n)
+        assert [(copies, sign) for _, copies, sign in calls] == [(n, 1), (n, -1)]
+        pre = calls[0][0]
+        assert calls[1][0] is pre
+        assert pre._pt.tobytes() == werner_projector().mat.tobytes()
+        evals = np.linalg.eigvalsh(pre.mat)
+        assert np.allclose(evals, [1 / 12] * 6 + [1 / 6] * 3, rtol=0, atol=1e-15)
 
     def test_product_witness_values_factorize(self):
         ws = werner_projector()
@@ -285,13 +306,23 @@ class TestVerifyUndistillable:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_report_adds_the_maximum_to_the_claim(self, n):
-        # the claim runs no maximum; the report's is -min(-PT), to the last bit
-        min_value, _, pt, dims, *_ = multicopy._n_copy_claim(PARAMS, n)
-        neg_max, max_at = min_rank2_expectation(-pt, dims, 2024)
-        report = verify_n_undistillable(PARAMS, n)
-        assert report.max_value == -neg_max
-        assert report.max_witness.vec.tobytes() == max_at.vector().astype(complex).tobytes()
-        assert report.min_value == min_value
+        # the claim runs no maximum; the report's is -min(-PT), rebuilt here by hand along
+        # the report's path, to the last bit: at n = 1 the five starts on -PT, at n = 2 the
+        # lifted starts on -X from the five-start minimum of -PT (the two start sets give
+        # different maxima at grid points 0 and 8)
+        for params in [EdgeParams(*DEFAULT_GRID[i]) for i in (0, 4, 8)] + [PARAMS]:
+            min_value = multicopy._n_copy_claim(params, n)[0]
+            report = verify_n_undistillable(params, n)
+            p = partial_transpose(build_edge_bundle(params, report.eps_used).npt_state.mat, D33)
+            one_copy = min_rank2_expectation(-p, D33, 2024)
+            if n == 1:
+                neg_max, max_at = one_copy
+            else:
+                x, _ = regroup_tensor_power(p, D33, 2)
+                neg_max, max_at = witness._lifted_minimum(-x, p, D33, one_copy, 2024)
+            assert report.max_value.hex() == (-neg_max).hex()
+            assert report.max_witness.vec.tobytes() == max_at.vector().astype(complex).tobytes()
+            assert report.min_value == min_value
 
     @pytest.mark.parametrize("seed", range(12))
     def test_two_copy_minimum_at_every_seed(self, seed):

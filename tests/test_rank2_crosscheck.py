@@ -35,7 +35,7 @@ from distill_lab.edgestate import (
 )
 from distill_lab.harness import random_state
 from distill_lab.multicopy import _n_copy_claim, werner_projector
-from distill_lab.qcore import Dims, partial_transpose, regroup_tensor_power
+from distill_lab.qcore import Dims, _pt_power, partial_transpose, regroup_tensor_power
 from distill_lab.witness import min_rank2_expectation
 
 D33 = Dims(3, 3)
@@ -131,9 +131,10 @@ import numpy as np
 from test_rank2_crosscheck import lbfgs_min_rank2
 from distill_lab.edgestate import DEFAULT_GRID, EdgeParams
 from distill_lab.multicopy import _n_copy_claim
+from distill_lab.qcore import _pt_power
 refs = []
 for point in DEFAULT_GRID:
-    _, _, m, dims, *_ = _n_copy_claim(EdgeParams(*point), 2)
+    m, dims = _pt_power(_n_copy_claim(EdgeParams(*point), 2)[2].npt_state, 2)
     refs.append(lbfgs_min_rank2(np.asarray(m), dims).hex())
 print(json.dumps(refs))
 """
@@ -154,7 +155,8 @@ def _rho_n2_references() -> tuple[float, ...]:
 @pytest.mark.parametrize("point", range(len(DEFAULT_GRID)))
 def test_rho_n2_agrees_with_lbfgs(point):
     # the minimum the n = 2 claim reports, from the lifted starts
-    value, _, m, _, *_ = _n_copy_claim(EdgeParams(*DEFAULT_GRID[point]), 2)
+    value, _, bundle, *_ = _n_copy_claim(EdgeParams(*DEFAULT_GRID[point]), 2)
+    m, _ = _pt_power(bundle.npt_state, 2)
     assert abs(value - _rho_n2_references()[point]) <= _GAP_IN_TAU * _tau(np.asarray(m))
 
 

@@ -253,7 +253,18 @@ class TestMinimizerMemo:
         monkeypatch.setattr(witness, "min_rank2_expectation", real)
         _, cert = best_rank2_witness(state)
         assert cert is not None
-        assert list(state._rank2_minima) == [(1, 2024)]
+        assert list(state._rank2_minima) == [(1, 2024, 1)]
+
+    def test_each_sign_keeps_its_own_minima(self, minimizations):
+        # a two-copy minimum of -PT lifts the one-copy minimum of -PT, kept apart from +PT's
+        state = _mes_state()
+        neg, _ = witness._rank2_minimum(state, 2, 2024, -1)
+        assert list(state._rank2_minima) == [(1, 2024, -1), (2, 2024, -1)]
+        assert minimizations == [(D33, 2024), ((9, 9), 2024)]
+        best_rank2_witness(state, 2)
+        assert witness._rank2_minimum(state, 2, 2024, -1)[0] == neg
+        assert len(minimizations) == 4
+        assert list(state._rank2_minima)[2:] == [(1, 2024, 1), (2, 2024, 1)]
 
     def test_minimizer_computes_every_call(self, eig_calls):
         pt = partial_transpose(_mes_state().mat, D33)
@@ -438,6 +449,23 @@ class TestTwoNonpositive:
         assert cert.value == pytest.approx(-1 / 3, abs=1e-8)
         assert cert.schmidt_rank == 2
         assert cert.route == ROUTE_TWO_NONPOSITIVE
+
+    def test_second_eigenvector_is_the_witness_when_it_has_schmidt_rank_two(self):
+        # rho = G^Gamma, G = I - 1.2 |Phi><Phi| - 1.1 |psi+><psi+|: the bottom PT
+        # eigenvector is the MES (Schmidt rank 3), so the route returns beta = psi+
+        mes = maximally_entangled_qutrits().vec
+        psi_plus = np.zeros(9, dtype=complex)
+        psi_plus[[1, 3]] = 1 / math.sqrt(2)  # (|01> + |10>)/sqrt(2)
+        g = np.eye(9) - 1.2 * np.outer(mes, mes.conj()) - 1.1 * np.outer(psi_plus, psi_plus)
+        state = BipartiteState(partial_transpose(g, D33), D33)
+        assert np.allclose(state._pt_eigenvalues, [-0.2, -0.1] + [1.0] * 7, rtol=0, atol=1e-14)
+        assert schmidt_rank(hermitian_eig(state._pt).eigenvectors[:, 0], D33) == 3
+        cert = two_nonpositive_witness(state)
+        assert cert is not None and cert.delta is None
+        assert abs(np.vdot(psi_plus, cert.psi.vec)) == pytest.approx(1.0, abs=1e-12)
+        assert cert.value == pytest.approx(-0.1, abs=1e-12)
+        assert cert.schmidt_rank == 2
+        assert verify_certificate(cert, state)
 
     def test_ppt_gives_nothing(self):
         assert two_nonpositive_witness(werner_projector()) is None
