@@ -30,7 +30,6 @@ from .edgestate import (
     EdgeBundle,
     EdgeParams,
     build_edge_bundle,
-    distillable_of_rank,
     edge_state,
     edge_state_pt,
     maximally_entangled_qutrits,
@@ -91,7 +90,6 @@ __all__ = [
     "best_rank2_witness",
     "build_edge_bundle",
     "certify_1_distillable",
-    "distillable_of_rank",
     "edge_state",
     "edge_state_pt",
     "eps_threshold_for_copies",

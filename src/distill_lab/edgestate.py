@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Optional
-
 import numpy as np
 
 from .qcore import (
@@ -24,14 +23,12 @@ from .qcore import (
     InvariantViolationError,
     NumericalFailureError,
     PureState,
-    _RESTARTS,
     _numeric_rank,
     is_ppt,
     min_pt_eigenvalue,
     rank_kernel_range,
 )
-from .rng import SplitMix64, derive_seed
-from .witness import best_rank2_witness, certify_1_distillable
+from .witness import best_rank2_witness
 
 QUTRIT_PAIR = Dims(3, 3)
 
@@ -161,23 +158,21 @@ def min_positive_pt_eigenvalue(params: EdgeParams) -> float:
     return min(first, second) / (6 * c + 3 * b + 3 / b)
 
 
-def range_product_vector(params: EdgeParams) -> tuple[np.ndarray, np.ndarray]:
+def range_product_vector(
+    params: EdgeParams, sigma: Optional[BipartiteState] = None
+) -> tuple[np.ndarray, np.ndarray]:
     """The product vector in the edge state's range, phase convention fixed.
 
     Returns local factors ``(f, g)`` with the joint normalization
     ``1/(sqrt(b) + 1/sqrt(b))`` folded into ``f``, so ``kron(f, g)`` is the
     unit vector
     ``(|0> + sqrt(b) e^{i theta/2} |1>)(|0> - e^{-i theta/2}/sqrt(b) |1>)``
-    up to that prefactor.  Verifies membership in the range and that the
-    conjugated version leaves the range of the partial transpose.
+    up to that prefactor.  Verifies membership in the range of ``sigma``,
+    which must be ``edge_state(params)`` and is built when not given, and
+    that the conjugated version leaves the range of the partial transpose.
     """
-    return _range_product_vector(params, edge_state(params))
-
-
-def _range_product_vector(
-    params: EdgeParams, sigma: BipartiteState
-) -> tuple[np.ndarray, np.ndarray]:
-    """``range_product_vector`` checked against an already built ``edge_state(params)``."""
+    if sigma is None:
+        sigma = edge_state(params)
     b, th = params.b, params.theta
     rb = math.sqrt(b)
     phase = complex(math.cos(th / 2), math.sin(th / 2))
@@ -224,7 +219,7 @@ def build_edge_bundle(params: EdgeParams, eps: float = 0.0) -> EdgeBundle:
     if eps > gap / 3 + 1e-15:
         raise ValueError(f"eps={eps} exceeds the undistillability budget {gap / 3}")
     sigma = edge_state(params)
-    f, g = _range_product_vector(params, sigma)
+    f, g = range_product_vector(params, sigma)
     fg = np.kron(f, g)
     npt_state = BipartiteState(sigma.mat - eps * np.outer(fg, fg.conj()), QUTRIT_PAIR)
 
@@ -261,52 +256,3 @@ def undistillability_margin(bundle: EdgeBundle, seed: int = 2024) -> float:
         )
     return bundle.margin
 
-
-def distillable_of_rank(
-    base: BipartiteState, rank_target: int, eps: float, seed: int = 2024
-) -> BipartiteState:
-    """Raise a rank-4 NPT two-qutrit state to a 1-distillable state of rank 5..9.
-
-    Adds ``eps`` times projectors onto randomly drawn product vectors that
-    extend the base range to the full space, trying at most ``_RESTARTS``
-    seeded draws of five of them; the noise is halved until the result
-    stays NPT and certifiably 1-distillable.
-    """
-    if tuple(base.dims) != (3, 3):
-        raise ValueError("rank-raising construction is defined for 3x3 states")
-    if not 5 <= rank_target <= 9:
-        raise ValueError("target rank must lie in 5..9")
-    if not eps >= 0:
-        raise ValueError(f"eps must be nonnegative, got {eps}")
-    base_rank, _, range_basis = rank_kernel_range(base.mat)
-    if base_rank != 4:
-        raise ValueError(f"base state must have rank 4, got {base_rank}")
-    if is_ppt(base):
-        raise ValueError("base state must be NPT")
-    if eps == 0:
-        return base
-
-    products: Optional[list[np.ndarray]] = None
-    for attempt in range(_RESTARTS):
-        gen = SplitMix64(derive_seed(seed, 3_000_000 + attempt))
-        cand = [np.kron(gen.unit_vector(3), gen.unit_vector(3)) for _ in range(5)]
-        stacked = np.column_stack([range_basis] + cand)
-        if _numeric_rank(stacked) == 9:
-            products = cand
-            break
-    if products is None:
-        raise NumericalFailureError("could not extend the base range to full space")
-
-    extra = rank_target - 4
-    bump = sum(np.outer(p, p.conj()) for p in products[:extra])
-    for _ in range(60):
-        candidate = BipartiteState(base.mat + eps * bump, base.dims)
-        ok_rank = _numeric_rank(candidate.mat) == rank_target
-        if not ok_rank:
-            raise NumericalFailureError(
-                f"eps={eps} too small to realize rank {rank_target} numerically"
-            )
-        if not is_ppt(candidate) and certify_1_distillable(candidate, seed) is not None:
-            return candidate
-        eps /= 2
-    raise NumericalFailureError("noise halving exhausted without an NPT distillable state")

@@ -9,7 +9,7 @@ that loaders ignore.  Loaders take JSON objects where documents belong
 and JSON numbers only where numbers belong: a document that is not an
 object or lacks a key, a bool or a string as an ``[re, im]`` entry, a
 fractional count, a dimension below one, a certificate route that is not
-one of the four route names or copies outside 1..MAX_COPIES raise ``ValueError``.
+one of the five route names or copies outside 1..MAX_COPIES raise ``ValueError``.
 """
 
 from __future__ import annotations

@@ -12,7 +12,6 @@ from distill_lab.edgestate import (
     DEFAULT_GRID,
     EdgeParams,
     build_edge_bundle,
-    distillable_of_rank,
     edge_state,
     edge_state_pt,
     maximally_entangled_qutrits,
@@ -20,7 +19,6 @@ from distill_lab.edgestate import (
     range_product_vector,
     undistillability_margin,
 )
-from distill_lab.harness import EnsembleSpec, sample_ensemble
 from distill_lab.qcore import (
     PSD_TOL,
     RANK_REL_TOL,
@@ -30,11 +28,7 @@ from distill_lab.qcore import (
     rank_kernel_range,
     schmidt_rank,
 )
-from distill_lab.witness import (
-    certify_1_distillable,
-    product_vector_in_subspace,
-    verify_certificate,
-)
+from distill_lab.witness import product_vector_in_subspace
 
 D33 = Dims(3, 3)
 
@@ -290,54 +284,3 @@ class TestMargin:
         gap = min_positive_pt_eigenvalue(params)
         assert undistillability_bound(params, 1, 0.0) == pytest.approx(gap / 3, abs=1e-18)
 
-
-@pytest.fixture(scope="module")
-def base4():
-    spec = EnsembleSpec(dims=D33, rank=4, count=1, filter="NPT", seed=31337)
-    return sample_ensemble(spec)[0][0]
-
-
-class TestDistillableOfRank:
-    @pytest.mark.parametrize("target", [5, 7, 9])
-    def test_raises_rank_and_stays_distillable(self, base4, target):
-        state = distillable_of_rank(base4, target, 1e-3)
-        assert rank_kernel_range(state.mat)[0] == target
-        cert = certify_1_distillable(state)
-        assert cert is not None
-
-    def test_halves_the_noise_until_certified(self, monkeypatch):
-        # the bump adds five unit product projectors, so the trace rises by 5 * eps: at
-        # eps = 10 and 5 the result is PPT, at 2.5 NPT but uncertified, and the third
-        # halving, to 1.25, is certified by the rank-2 minimizer
-        spec = EnsembleSpec(dims=D33, rank=4, count=1, filter="NPT", seed=11)
-        base = sample_ensemble(spec)[0][0]
-        rises, real = [], edgestate.is_ppt
-
-        def spy(state):
-            rises.append(state.trace - base.trace)
-            return real(state)
-
-        monkeypatch.setattr(edgestate, "is_ppt", spy)
-        state = distillable_of_rank(base, 9, 10.0)
-        assert rises == pytest.approx([0.0, 50.0, 25.0, 12.5, 6.25], abs=1e-12)
-        assert rank_kernel_range(state.mat)[0] == 9
-        assert not real(state)
-        cert = certify_1_distillable(state)
-        assert cert.route == "optimizer"
-        assert cert.value == pytest.approx(-0.004134490922383686, rel=1e-6)
-        assert verify_certificate(cert, state)
-
-    def test_zero_noise_returns_base(self, base4):
-        assert distillable_of_rank(base4, 5, 0.0) is base4
-
-    @pytest.mark.parametrize("eps", [float("nan"), -1.0])
-    def test_rejects_nan_and_negative_noise(self, base4, eps):
-        # NaN fails the noise check itself, not the state's finiteness check later
-        with pytest.raises(ValueError, match=f"eps must be nonnegative, got {eps}"):
-            distillable_of_rank(base4, 5, eps)
-
-    def test_rejects_wrong_base_rank(self):
-        spec = EnsembleSpec(dims=D33, rank=5, count=1, filter="NPT", seed=7)
-        state = sample_ensemble(spec)[0][0]
-        with pytest.raises(ValueError):
-            distillable_of_rank(state, 6, 1e-3)

@@ -855,7 +855,7 @@ class TestCertify:
             assert cert is not None and cert.route == ROUTE_KERNEL_PRODUCT
             assert verify_certificate(cert, state)
 
-    @pytest.mark.parametrize("rank, seed", [(6, 23), (7, 3), (8, 2)])
+    @pytest.mark.parametrize("rank, seed", [(6, 23), (7, 3), (8, 2), (9, 0)])
     def test_rank_above_4_skips_the_kernel_route(self, rank, seed, searches):
         # the spectral routes decline on these inputs, so certify reaches the gate
         state = self._npt_state(rank, seed)
