@@ -541,24 +541,6 @@ def product_vector_in_subspace(
     return None
 
 
-def _rotate_to_first(vec: np.ndarray) -> np.ndarray:
-    """Unitary sending ``vec`` to the first basis vector."""
-    d = vec.size
-    cols = [vec / np.linalg.norm(vec)]
-    for i in range(d):
-        e = np.zeros(d, dtype=complex)
-        e[i] = 1.0
-        for c in cols:
-            e = e - c * (c.conj() @ e)
-        nrm = float(np.linalg.norm(e))
-        if nrm > 1e-10:
-            cols.append(e / nrm)
-        if len(cols) == d:
-            break
-    q = np.column_stack(cols)
-    return q.conj().T
-
-
 def kernel_product_witness(state: BipartiteState, seed: int = 2024) -> Optional[WitnessCertificate]:
     """Witness for a two-qutrit NPT state whose kernel contains a product vector.
 
@@ -577,9 +559,8 @@ def kernel_product_witness(state: BipartiteState, seed: int = 2024) -> Optional[
     found = product_vector_in_subspace(kernel, state.dims, seed)
     if found is None:
         return None
-    a, b = found
-    u = _rotate_to_first(a)
-    v = _rotate_to_first(b)
+    # Q^H from a QR of [x | I] sends x to a unimodular multiple of |0>
+    u, v = (np.linalg.qr(np.column_stack([x, np.eye(3)]))[0].conj().T for x in found)
     uv = np.kron(u, v)
     rotated = BipartiteState(uv @ state.mat @ uv.conj().T, state.dims)
     pullback = np.kron(u.T, v.conj().T)
