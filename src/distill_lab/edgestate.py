@@ -154,7 +154,9 @@ def min_positive_pt_eigenvalue(params: EdgeParams) -> float:
     b, th = params.b, params.theta
     c = math.cos(th)
     first = 3 * c - math.sqrt(3.0) * abs(math.sin(th))
-    second = (1 + b * b - math.sqrt(1 + b**4 + 2 * b * b * math.cos(2 * th))) / (2 * b)
+    # (1 + b^2 - root) / (2b), rationalized so that small |theta| does not cancel
+    root = math.sqrt(1 + b**4 + 2 * b * b * math.cos(2 * th))
+    second = 2 * b * math.sin(th) ** 2 / (1 + b * b + root)
     return min(first, second) / (6 * c + 3 * b + 3 / b)
 
 

@@ -215,8 +215,8 @@ class TestEpsThreshold:
 
     # thresholds of the bisection that recomputed its constants at every step, to the last bit
     PINNED = [
-        (0, 1, "0x1.671d98b933ad8p-9"),
-        (0, 2, "0x1.cd925ac5f4612p-17"),
+        (0, 1, "0x1.671d98b933ad4p-9"),
+        (0, 2, "0x1.cd925ac5f4608p-17"),
         (7, 1, "0x1.3856c15603bbdp-7"),
         (7, 2, "0x1.2390f7a4fd590p-13"),
     ]
