@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Optional
+
 import numpy as np
 
 from .qcore import (
@@ -257,4 +258,3 @@ def undistillability_margin(bundle: EdgeBundle, seed: int = 2024) -> float:
             f"rank-2 minimum {value} violates the proven bound {bundle.margin}"
         )
     return bundle.margin
-

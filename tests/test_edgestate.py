@@ -130,12 +130,12 @@ class TestGapFormula:
                 assert plus == pytest.approx(minus, abs=1e-16)
 
     def test_nonnegative_where_the_difference_form_cancels(self):
-        # 1 + b^2 - sqrt(1 + b^4 + 2 b^2 cos 2theta) gave -3.69e-17 here
+        # here the difference form 1 + b^2 - sqrt(1 + b^4 + 2 b^2 cos 2theta) cancels to -3.7e-17
         assert min_positive_pt_eigenvalue(EdgeParams(0.001, 1e-300)) >= 0
 
     def test_small_theta_keeps_its_digits(self):
-        # at b = 1 the gap is sin^2(theta) / (1 + cos theta) / 12, about 1e-18 / 24;
-        # the difference form gave 0
+        # at b = 1 the gap is sin^2(theta) / (1 + cos theta) / 12, about 1e-18 / 24,
+        # where the difference form cancels to 0
         value = min_positive_pt_eigenvalue(EdgeParams(1.0, 1e-9))
         assert value == pytest.approx(4.166666666666667e-20, rel=1e-12)
 
