@@ -409,16 +409,19 @@ def two_nonpositive_witness(
     the state's cached spectrum; returns ``None`` otherwise, before any
     eigenvectors are computed.  With alpha, beta the bottom two
     eigenvectors and A, B their 3x3 matricizations, one construction runs
-    on alpha: alpha if A is singular, else beta, else the best ``alpha +
-    t*beta`` with det(A + tB) = 0 from a nonzero eigenvalue of ``A^-1 B``;
-    each candidate must pass ``_accepts``.  It fails when ``A^-1 B`` has no
-    usable eigenvalue, as when nilpotent; then det B = 0, so beta failed
-    only because lambda_1 lies within ``PSD_TOL`` of 0.  Full-rank states
-    do that (the tests pin one), so the construction then reruns on alpha
-    nudged by ``_RESTARTS`` seeded vectors of shrinking size ``delta``.
-    If no nudge yields a witness, as when the negative eigenvalue is too
-    small for any nudged value to pass the rule, the route declines with
-    ``None`` like any other route.
+    on alpha: alpha if A is singular, else beta (judged once per call),
+    else the first ``alpha + t*beta`` to pass ``_accepts``, t = -1/s over
+    the nonzero eigenvalues s of ``A^-1 B`` (the roots of det(A + tB)),
+    nearest root first.  Normalized, its value (lambda_0 + |t|^2 lambda_1)
+    / (1 + |t|^2) rises with |t|, so on alpha the nearest root is the most
+    negative; on a nudged alpha that holds only approximately.  It fails
+    when ``A^-1 B`` has no usable eigenvalue, as when nilpotent; then det B
+    = 0, so beta failed only because lambda_1 is within ``PSD_TOL`` of 0.
+    Full-rank states do that (the tests pin one), so the construction then
+    reruns on alpha nudged by ``_RESTARTS`` seeded vectors of shrinking
+    size ``delta``.  If no nudge yields a witness, as when the negative
+    eigenvalue is too small for any nudged value to pass the rule, the
+    route declines with ``None`` like any other route.
     """
     if tuple(state.dims) != (3, 3):
         raise DimensionMismatchError("two-nonpositive route applies to 3x3 systems")
@@ -427,6 +430,7 @@ def two_nonpositive_witness(
     pt = state._pt
     alpha, beta = hermitian_eig(pt).eigenvectors[:, :2].T
     mat_b = beta.reshape(3, 3)
+    beta_accepted = _accepts(state._pt_eigenvalues[1], _numeric_rank(mat_b))
 
     def construct(vec: np.ndarray) -> Optional[np.ndarray]:
         """The witness built from ``vec`` (alpha or a nudge of it) and beta, if any."""
@@ -434,23 +438,19 @@ def two_nonpositive_witness(
         rank = _numeric_rank(mat_v)
         if rank <= 2:
             return vec if _accepts(float(np.real(vec.conj() @ pt @ vec)), rank) else None
-        if _accepts(state._pt_eigenvalues[1], _numeric_rank(mat_b)):
+        if beta_accepted:
             return beta
         n_mat = np.linalg.solve(mat_v, mat_b)
         eigs = np.linalg.eigvals(n_mat)
         n_norm = float(np.linalg.norm(n_mat, 2))
         usable = [s for s in eigs if abs(s) > RANK_REL_TOL * max(n_norm, 1e-300)]
-        best: Optional[tuple[float, np.ndarray]] = None
         for s in sorted(usable, key=abs, reverse=True):
             t = -1.0 / s
             phi = vec + t * beta
             phi = phi / np.linalg.norm(phi)
-            val = float(np.real(phi.conj() @ pt @ phi))
-            if not _accepts(val, schmidt_rank(phi, state.dims)):
-                continue
-            if best is None or val < best[0]:
-                best = (val, phi)
-        return None if best is None else best[1]
+            if _accepts(float(np.real(phi.conj() @ pt @ phi)), schmidt_rank(phi, state.dims)):
+                return phi
+        return None
 
     found = construct(alpha)
     if found is not None:
