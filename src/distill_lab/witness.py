@@ -486,7 +486,7 @@ def product_vector_in_subspace(
     Minimizes the violation of the orthogonal-complement constraints over
     local unit vectors by alternating closed-form singular-vector steps:
     b becomes the last right singular vector of C(a), then a that of C(b).
-    Restart r draws a, then b, as unit vectors from
+    Restart r draws a as a unit vector from
     ``SplitMix64(derive_seed(seed, 2_000_000 + r))`` and stops once the
     smallest singular value of C(b) drops below 1e-9 or improves by at
     most ``_PRODUCT_STEP_TOL``, or after ``_OPT_MAX_ITERS`` steps.  A
@@ -522,7 +522,6 @@ def product_vector_in_subspace(
     for r in range(_RESTARTS):
         gen = SplitMix64(derive_seed(seed, 2_000_000 + r))
         a = gen.unit_vector(ma)
-        b = gen.unit_vector(mb)
         smin_prev = np.inf
         for _ in range(_OPT_MAX_ITERS):
             b = np.linalg.svd(np.einsum("dmn,m->dn", ck, a))[2][-1].conj()
