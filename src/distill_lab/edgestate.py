@@ -219,7 +219,7 @@ def build_edge_bundle(params: EdgeParams, eps: float = 0.0) -> EdgeBundle:
     """
     gap = min_positive_pt_eigenvalue(params)
     eps = _noise(eps, gap)
-    if eps > gap / 3 + 1e-15:
+    if eps > gap / 3:
         raise ValueError(f"eps={eps} exceeds the undistillability budget {gap / 3}")
     sigma = edge_state(params)
     f, g = range_product_vector(params, sigma)

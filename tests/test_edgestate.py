@@ -252,6 +252,14 @@ class TestBundle:
             build_edge_bundle(EdgeParams(1.0, math.pi / 6), 1.5 * gap)
 
     @pytest.mark.parametrize("b,theta", DEFAULT_GRID)
+    def test_one_ulp_above_budget_rejected(self, b, theta):
+        # an admitted noise above gap/3 would report a negative proven margin
+        params = EdgeParams(b, theta)
+        eps = math.nextafter(min_positive_pt_eigenvalue(params) / 3, math.inf)
+        with pytest.raises(ValueError, match="exceeds the undistillability budget"):
+            build_edge_bundle(params, eps)
+
+    @pytest.mark.parametrize("b,theta", DEFAULT_GRID)
     def test_pt_signature_one_negative_eight_positive(self, b, theta):
         bundle = build_edge_bundle(EdgeParams(b, theta))
         evals = np.linalg.eigvalsh(
