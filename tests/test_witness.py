@@ -539,6 +539,21 @@ class TestTwoNonpositive:
             assert cert.delta == 0.01
             assert verify_certificate(cert, state)
 
+    def test_beta_is_judged_once(self, monkeypatch):
+        # at mu = 1e-7 the route tries alpha and all 64 nudges, then declines;
+        # beta's matricization is ranked once for all 65 constructions
+        state = _natural_nudge_input(1e-7)
+        mat_b = hermitian_eig(state._pt).eigenvectors[:, 1].reshape(3, 3)
+        ranked = []
+
+        def spied(mat):
+            ranked.append(np.array_equal(mat, mat_b))
+            return qcore._numeric_rank(mat)
+
+        monkeypatch.setattr(witness, "_numeric_rank", spied)
+        assert two_nonpositive_witness(state) is None
+        assert len(ranked) == 66 and sum(ranked) == 1
+
     @pytest.mark.parametrize("mu", [1e-12, 1e-10, 1e-8, 1e-7, 3e-7, 1e-6, 1e-4, 1e-2])
     def test_small_violation_declines_instead_of_raising(self, mu):
         # the natural nudge input: at mu <= 3e-7 no nudged value passes the rule,
