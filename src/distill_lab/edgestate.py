@@ -33,6 +33,10 @@ from .witness import best_rank2_witness
 
 QUTRIT_PAIR = Dims(3, 3)
 
+# pi/3 = _PI_3_HI + _PI_3_LO to about twice double precision
+_PI_3_HI = math.pi / 3
+_PI_3_LO = float.fromhex("0x1.08cb7665c1eadp-53")
+
 #: representative interior points of the admissible (b, theta) region
 DEFAULT_GRID: tuple[tuple[float, float], ...] = tuple(
     (b, th)
@@ -154,10 +158,14 @@ def min_positive_pt_eigenvalue(params: EdgeParams) -> float:
     """
     b, th = params.b, params.theta
     c = math.cos(th)
-    first = 3 * c - math.sqrt(3.0) * abs(math.sin(th))
-    # (1 + b^2 - root) / (2b), rationalized so that small |theta| does not cancel
-    root = math.sqrt(1 + b**4 + 2 * b * b * math.cos(2 * th))
-    second = 2 * b * math.sin(th) ** 2 / (1 + b * b + root)
+    # 3c - sqrt(3)|sin theta| = 2 sqrt(3) sin(pi/3 - |theta|), with pi/3 split into
+    # hi + lo so that the difference does not cancel as |theta| -> pi/3
+    first = 2 * math.sqrt(3.0) * math.sin((_PI_3_HI - abs(th)) + _PI_3_LO)
+    # (1 + m^2 - root) / (2m), rationalized so that small |theta| does not cancel;
+    # unchanged under b -> 1/b, so taken at m = min(b, 1/b), whose m^4 cannot overflow
+    m = min(b, 1 / b)
+    root = math.sqrt(1 + m**4 + 2 * m * m * math.cos(2 * th))
+    second = 2 * m * math.sin(th) ** 2 / (1 + m * m + root)
     return min(first, second) / (6 * c + 3 * b + 3 / b)
 
 

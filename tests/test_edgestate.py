@@ -139,6 +139,28 @@ class TestGapFormula:
         value = min_positive_pt_eigenvalue(EdgeParams(1.0, 1e-9))
         assert value == pytest.approx(4.166666666666667e-20, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "d,pinned",
+        [
+            (1e-6, "0x1.9d487ea030035p-22"),
+            (1e-9, "0x1.a733ca572541fp-32"),
+            (1e-12, "0x1.b17286acd7791p-42"),
+            (1e-14, "0x1.18502853ea508p-48"),
+        ],
+    )
+    def test_near_pi_over_3_keeps_its_digits(self, d, pinned):
+        # 3c - sqrt(3)|sin theta| cancels as |theta| -> pi/3; the pinned values are
+        # the gap at b = 1 and theta = math.pi/3 - d, from 60-digit arithmetic
+        value = min_positive_pt_eigenvalue(EdgeParams(1.0, math.pi / 3 - d))
+        expected = float.fromhex(pinned)
+        assert abs(value - expected) <= 1e-15 * expected
+
+    def test_huge_b_does_not_overflow(self):
+        # b**4 overflows a float near b = 1e77; the second term is the same at b and 1/b
+        huge = min_positive_pt_eigenvalue(EdgeParams(1e80, 0.5))
+        tiny = min_positive_pt_eigenvalue(EdgeParams(1e-80, 0.5))
+        assert huge == tiny == 7.661628235531006e-162
+
 
 class TestRandomParameterSweep:
     def test_closed_forms_hold_off_grid(self):
