@@ -176,12 +176,10 @@ def _cmd_multicopy(args: argparse.Namespace) -> int:
         "min_value": report.min_value,
         "bound_lower": report.bound_lower,
         "conjecture_value": report.conjecture_value,
-        "margin_estimate": report.margin_estimate,
         "eps_threshold": report.eps_threshold,
         "eps_used": report.eps_used,
         "product_maximizer_value": report.product_maximizer_value,
         "npt_min_pt_eigenvalue": report.npt_min_pt_eigenvalue,
-        "engineering_bound": report.engineering_bound,
         "seed": 2024,
         "max_witness": pure_state_document(report.max_witness),
         "min_witness": pure_state_document(report.min_witness),

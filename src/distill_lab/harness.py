@@ -51,7 +51,6 @@ from .qcore import (
     Dims,
     InvariantViolationError,
     NumericalFailureError,
-    _RESTARTS,
     _numeric_rank,
     _pt_power,
     _rank_cut,
@@ -63,6 +62,7 @@ from .rng import _complex_normals, derive_seed
 from .serialize import matrix_document
 from .witness import (
     WitnessCertificate,
+    _RESTARTS,
     certify_1_distillable,
     submatrix_2x2_scan,
     two_nonpositive_witness,

@@ -8,8 +8,10 @@ the true minimum equals ``(1/2) * 12^-n`` is probed numerically and
 reported, never asserted: at n = 2 the lifted vector psi (x) (x (x) y)
 attains it, one-copy minimum 1/24 times product minimum 1/12, and the
 question is whether anything beats that.  Combining the lower bound with
-an operator-norm expansion yields an explicit noise threshold ``eps(n)``
-below which the rank-5 NPT edge perturbation stays n-undistillable.
+an operator-norm expansion gives an analytic n-copy bound for the rank-5
+NPT edge perturbation; its noise terms sum to (N + eps)^n - N^n, N the PT
+operator norm, so the bound's root ``eps(n)`` has a closed form, and below
+it the state stays n-undistillable.
 Every rank-2 extremum is ``witness._rank2_minimum`` of a state: the rank-5
 NPT state, or the Werner projector's PPT pre-image.
 """
@@ -51,9 +53,10 @@ class MulticopyReport:
 
     ``bound_lower`` is proven; ``conjecture_value`` (Werner target only) is
     the open conjecture ``(1/2) * 12^-n``, reported for distance only.
-    ``eps_threshold`` (edge target only) is the engineering bound on the
-    noise that keeps the state n-undistillable; it implies, but is
-    stronger than, the bare existence claim.
+    ``eps_threshold`` (edge target only) is the root of the analytic n-copy
+    bound, capped at gap/3: an explicit noise below which the state is
+    n-undistillable, stronger than the bare existence claim.  ``eps_used``
+    is the noise the claim ran at, at most half of it.
     """
 
     n: int
@@ -64,12 +67,10 @@ class MulticopyReport:
     min_witness: PureState
     bound_lower: float
     conjecture_value: Optional[float]
-    margin_estimate: float
     eps_threshold: Optional[float]
     product_maximizer_value: Optional[float] = None
     eps_used: Optional[float] = None
     npt_min_pt_eigenvalue: Optional[float] = None
-    engineering_bound: bool = False
 
 
 def werner_projector() -> BipartiteState:
@@ -131,7 +132,6 @@ def extremal_rank2_tensor_power(n: int, seed: int = 2024) -> MulticopyReport:
         min_witness=PureState(min_at.vector(), dims),
         bound_lower=bound_lower,
         conjecture_value=0.5 / 12.0**n,
-        margin_estimate=min_value - bound_lower,
         eps_threshold=None,
         product_maximizer_value=product_value,
     )
@@ -140,9 +140,12 @@ def extremal_rank2_tensor_power(n: int, seed: int = 2024) -> MulticopyReport:
 def undistillability_bound(params: EdgeParams, n: int, eps: float) -> float:
     """Closed-form lower bound on the n-copy rank-2 value at noise ``eps``.
 
-    The leading term is (gap/3)^n; every cross term with k noise factors
-    is controlled by operator norms, C(n,k) eps^k ||edge_pt||^(n-k).
-    Raises ``ValueError`` unless ``n >= 1`` and ``eps >= 0`` (so NaN fails).
+    The leading term is (gap/3)^n.  Every cross term with k noise factors
+    is controlled by operator norms, C(n,k) eps^k N^(n-k) with N the PT
+    operator norm, and by the binomial theorem these terms sum to
+    (N + eps)^n - N^n = N^n expm1(n log1p(eps/N)), a form that does not
+    cancel at small ``eps``.  Raises ``ValueError`` unless ``n >= 1`` and
+    ``eps >= 0`` (so NaN fails).
     """
     if n < 1:
         raise ValueError("copy count must be positive")
@@ -158,21 +161,16 @@ def _gap_and_pt_norm(params: EdgeParams) -> tuple[float, float]:
 
 
 def _series_bound(gap: float, pt_norm: float, n: int, eps: float) -> float:
-    bound = (gap / 3.0) ** n
-    for k in range(1, n + 1):
-        bound -= math.comb(n, k) * eps**k * pt_norm ** (n - k)
-    return bound
-
-
-_BISECTION_STEPS = 60  # halvings of [0, gap/3]: more than the 53 bits of a double
+    return (gap / 3.0) ** n - pt_norm**n * math.expm1(n * math.log1p(eps / pt_norm))
 
 
 def eps_threshold_for_copies(params: EdgeParams, n: int) -> float:
-    """Largest dyadic noise (within the budget gap/3) keeping the bound positive.
+    """The noise at which the n-copy bound reaches zero, capped at the budget gap/3.
 
-    Monotone bisection over [0, gap/3]; nonincreasing in the copy count.
-    The bound's constants depend on ``params`` only, so they are computed
-    once, not at every step.
+    Setting (gap/3)^n = (N + eps)^n - N^n gives the root in closed form,
+    eps(n) = N ((1 + (gap/3N)^n)^(1/n) - 1), evaluated as
+    N expm1(log1p((gap/3N)^n) / n).  The bound is positive below eps(n);
+    eps(1) = gap/3, and eps(n) decreases in the copy count.
     """
     if n < 1:
         raise ValueError("copy count must be positive")
@@ -180,15 +178,9 @@ def eps_threshold_for_copies(params: EdgeParams, n: int) -> float:
 
 
 def _eps_threshold(gap: float, pt_norm: float, n: int) -> float:
-    """The bisection of ``eps_threshold_for_copies``, on the bound's two constants."""
-    lo, hi = 0.0, gap / 3.0
-    for _ in range(_BISECTION_STEPS):
-        mid = (lo + hi) / 2.0
-        if _series_bound(gap, pt_norm, n, mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    """The root of ``_series_bound`` in eps, capped at gap/3, on the bound's two constants."""
+    root = pt_norm * math.expm1(math.log1p((gap / (3.0 * pt_norm)) ** n) / n)
+    return min(root, gap / 3.0)
 
 
 def _n_copy_claim(
@@ -245,9 +237,7 @@ def verify_n_undistillable(
         min_witness=min_witness,
         bound_lower=bound,
         conjecture_value=None,
-        margin_estimate=min_value - bound,
         eps_threshold=threshold,
         eps_used=bundle.eps,
         npt_min_pt_eigenvalue=npt_min,
-        engineering_bound=True,
     )

@@ -48,15 +48,6 @@ _HERM_TOL = 1e-10
 _SPEC_TOL = 1e-10
 
 
-# restarts of the product-vector search and nudges of the two-nonpositive route.
-# Restart r of a routine called with ``seed`` draws from
-# derive_seed(seed, k * 1_000_000 + r): k = 0 for the rank-2 minimizer's starts,
-# 1 for the nudges, 2 for the product search and 4 for the product search behind
-# the n = 2 minimizer's lifted starts (3 is retired), so no two routines share a
-# stream while this stays below 1_000_000
-_RESTARTS = 64
-
-
 class DimensionMismatchError(ValueError):
     """Matrix shape inconsistent with the declared dimension split."""
 

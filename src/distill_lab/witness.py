@@ -42,7 +42,6 @@ from .qcore import (
     Dims,
     NumericalFailureError,
     PureState,
-    _RESTARTS,
     _numeric_rank,
     _power_dims,
     _pt_power,
@@ -66,6 +65,13 @@ _ROUTES = (ROUTE_SUBMATRIX, ROUTE_TWO_NONPOSITIVE, ROUTE_KERNEL_PRODUCT, ROUTE_O
 # determinants more negative than this qualify in the 2x2 scan; far above
 # float noise on exactly-PSD inputs, far below any usable violation
 _DET_TOL = 1e-16
+# restarts of the product-vector search and nudges of the two-nonpositive route.
+# Restart r of a routine called with ``seed`` draws from
+# derive_seed(seed, k * 1_000_000 + r): k = 0 for the rank-2 minimizer's starts,
+# 1 for the nudges, 2 for the product search and 4 for the product search behind
+# the n = 2 minimizer's lifted starts (3 is retired), so no two routines share a
+# stream while this stays below 1_000_000
+_RESTARTS = 64
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import distill_lab as dl
-import distill_lab.qcore as qcore
+import distill_lab.witness as witness
 from distill_lab.qcore import PSD_TOL, Dims, partial_transpose, rank_kernel_range
 from distill_lab.rng import SplitMix64, derive_seed, random_unitary
 
@@ -106,7 +106,7 @@ def test_criterion_5_rank5_state_admits_no_witness():
     assert int(np.sum(pt_evals < -PSD_TOL)) == 1
     assert int(np.sum(pt_evals > PSD_TOL)) == 8
 
-    assert qcore._RESTARTS >= 64
+    assert witness._RESTARTS >= 64
     assert dl.certify_1_distillable(bundle.npt_state) is None
 
     margin = bundle.p1 / 3 - bundle.eps

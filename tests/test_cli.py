@@ -220,7 +220,6 @@ class TestMulticopyCommand:
         doc = json.loads(out)
         assert doc["min_value"] > 0
         assert doc["eps_threshold"] > 0
-        assert doc["engineering_bound"] is True
 
     def test_rho_target_rejects_nan_eps(self, capsys):
         code, out, err = _run(

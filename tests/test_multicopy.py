@@ -101,7 +101,6 @@ class TestExtremalTensorPower:
         assert report.min_value <= 1 / 64
         assert report.conjecture_value == pytest.approx(1 / 288, abs=1e-18)
         # the distance to the conjectured minimum is reported, not asserted
-        assert report.margin_estimate == report.min_value - report.bound_lower
         big = Dims(9, 9)
         assert schmidt_rank(report.min_witness.vec, big) <= 2
         assert schmidt_rank(report.max_witness.vec, big) <= 2
@@ -193,47 +192,72 @@ class TestOperatorBound:
 
 
 class TestEpsThreshold:
-    def test_single_copy_just_below_budget(self):
-        gap = min_positive_pt_eigenvalue(PARAMS)
-        thr = eps_threshold_for_copies(PARAMS, 1)
-        assert 0 < thr <= gap / 3
-        assert thr >= gap / 3 * (1 - 1e-12)
-        assert undistillability_bound(PARAMS, 1, thr) > 0
-
-    def test_two_copies_positive(self):
-        thr = eps_threshold_for_copies(PARAMS, 2)
-        assert thr > 0
-        assert undistillability_bound(PARAMS, 2, thr) > 0
+    @pytest.mark.parametrize("b,theta", DEFAULT_GRID)
+    def test_single_copy_is_the_budget(self, b, theta):
+        # at n = 1 the bound is gap/3 - eps, whose root is the budget itself
+        params = EdgeParams(b, theta)
+        gap = min_positive_pt_eigenvalue(params)
+        assert eps_threshold_for_copies(params, 1) == gap / 3
 
     def test_nonincreasing_in_copies(self):
-        for b, theta in ((1.0, math.pi / 6), (0.5, math.pi / 4), (2.0, -math.pi / 6)):
+        # strictly decreasing and positive far past the copy cap, at every grid point
+        for b, theta in DEFAULT_GRID:
             params = EdgeParams(b, theta)
-            t1 = eps_threshold_for_copies(params, 1)
-            t2 = eps_threshold_for_copies(params, 2)
-            t3 = eps_threshold_for_copies(params, 3)
-            assert t1 >= t2 >= t3 > 0
+            thresholds = [eps_threshold_for_copies(params, n) for n in range(1, 41)]
+            assert thresholds[-1] > 0
+            assert all(x > y for x, y in zip(thresholds, thresholds[1:])), (b, theta)
 
-    # thresholds of the bisection that recomputed its constants at every step, to the last bit
-    PINNED = [
-        (0, 1, "0x1.671d98b933ad4p-9"),
-        (0, 2, "0x1.cd925ac5f4608p-17"),
-        (7, 1, "0x1.3856c15603bbdp-7"),
-        (7, 2, "0x1.2390f7a4fd590p-13"),
-    ]
+    # the root of (gap/3)^n = (N + eps)^n - N^n, N the PT operator norm, in the
+    # float constants gap and N, computed once with 60-digit mpmath and rounded
+    PINNED_ROOTS = {
+        0: ["0x1.671d98b933ad5p-9", "0x1.cd925ac5f460ap-17", "0x1.8b868aa52bbbdp-24",
+            "0x1.7d496cbed71e0p-31", "0x1.8810886371d35p-38", "0x1.a3f1ddc07c931p-45",
+            "0x1.cea8c4087e870p-52", "0x1.042b3343927eep-58", "0x1.293f6693c7a7dp-65",
+            "0x1.57db2c196545fp-72", "0x1.91ca6e9317803p-79", "0x1.d9661b97ea79ap-86"],
+        4: ["0x1.0567708d284c9p-8", "0x1.af55cb6a320b3p-16", "0x1.da872c17b057cp-23",
+            "0x1.25a3a054e0784p-29", "0x1.83a2e95048dfdp-36", "0x1.0a85c08890d26p-42",
+            "0x1.78f87f4845a3ep-49", "0x1.10260e492eb06p-55", "0x1.8f2f5c811533ap-62",
+            "0x1.286b7b3abdf86p-68", "0x1.bcaad0f2e4ab3p-75", "0x1.504ed600d1e04p-81"],
+        7: ["0x1.3856c15603bbep-7", "0x1.2390f7a4fd591p-13", "0x1.6b0d3c69f9896p-19",
+            "0x1.fc78c6927a582p-25", "0x1.7bce0fc1f524fp-30", "0x1.2784716e38cccp-35",
+            "0x1.d9026cc352853p-41", "0x1.82708425e370cp-46", "0x1.40b99184bf50ep-51",
+            "0x1.0d832e70eaa0ap-56", "0x1.c987b9c9e0c89p-62", "0x1.8797c92b89bf4p-67"],
+    }
+
+    @pytest.mark.parametrize(
+        "point, n, expected",
+        [(point, n + 1, root) for point, roots in PINNED_ROOTS.items()
+         for n, root in enumerate(roots)],
+    )
+    def test_pinned_roots(self, point, n, expected):
+        params = EdgeParams(*DEFAULT_GRID[point])
+        root = float.fromhex(expected)
+        assert abs(eps_threshold_for_copies(params, n) - root) <= 1e-15 * root
+
+    @pytest.mark.parametrize("b,theta", DEFAULT_GRID)
+    def test_root_is_two_sided(self, b, theta):
+        # the bound changes sign at the threshold, not merely stays positive below it
+        params = EdgeParams(b, theta)
+        for n in range(2, 11):
+            thr = eps_threshold_for_copies(params, n)
+            below = undistillability_bound(params, n, thr * (1 - 1e-9))
+            above = undistillability_bound(params, n, thr * (1 + 1e-9))
+            assert below > 0 > above, (n, thr, below, above)
+
+    def test_huge_copy_count_stays_finite(self):
+        # no binomial coefficient is formed, so nothing overflows; both underflow to 0
+        thr1 = eps_threshold_for_copies(PARAMS, 1)
+        assert math.isfinite(eps_threshold_for_copies(PARAMS, 2000))
+        assert math.isfinite(undistillability_bound(PARAMS, 2000, thr1 / 2))
 
     @pytest.mark.parametrize("b,theta", DEFAULT_GRID)
     def test_bound_at_the_budget_is_not_positive(self, b, theta):
-        # the k = n noise term alone is (gap/3)^n, so the bisection's upper end
-        # never satisfies the bound and needs no test of its own
+        # the k = n noise term alone is (gap/3)^n, so the bound's root is never
+        # above the budget gap/3
         params = EdgeParams(b, theta)
         gap = min_positive_pt_eigenvalue(params)
         for n in (1, 2, 3):
             assert undistillability_bound(params, n, gap / 3) <= 0.0
-
-    @pytest.mark.parametrize("point, n, expected", PINNED)
-    def test_pinned_thresholds(self, point, n, expected):
-        params = EdgeParams(*DEFAULT_GRID[point])
-        assert eps_threshold_for_copies(params, n) == float.fromhex(expected)
 
     @pytest.fixture
     def edge_builds(self, monkeypatch):
@@ -249,7 +273,7 @@ class TestEpsThreshold:
     @pytest.mark.parametrize("n", [1, 2])
     def test_closed_form_pt_built_once_per_threshold(self, edge_builds, n):
         # the PT norm is read from the edge state's cached spectrum, so the
-        # state is built once per threshold, not once per bisection step
+        # state is built once per threshold
         eps_threshold_for_copies(PARAMS, n)
         assert len(edge_builds) == 1
 
@@ -283,7 +307,6 @@ class TestVerifyUndistillable:
         assert report.min_value > 0
         assert report.min_value >= report.bound_lower - 1e-8
         assert report.npt_min_pt_eigenvalue < -1e-9
-        assert report.engineering_bound
 
     def test_two_copies(self):
         report = verify_n_undistillable(PARAMS, 2)

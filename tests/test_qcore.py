@@ -18,7 +18,6 @@ from distill_lab.qcore import (
     DimensionMismatchError,
     Dims,
     PureState,
-    _RESTARTS,
     _SPEC_TOL,
     _numeric_rank,
     _pt_power,
@@ -45,6 +44,7 @@ from distill_lab.witness import (
     ROUTE_KERNEL_PRODUCT,
     ROUTE_SUBMATRIX,
     ROUTE_TWO_NONPOSITIVE,
+    _RESTARTS,
     certify_1_distillable,
     kernel_product_witness,
     submatrix_2x2_scan,
@@ -538,7 +538,7 @@ class TestSeedArgument:
         assert "DEFAULT_TOL" not in distill_lab.__all__
         # the deprecated name returns the seed it is given
         assert distill_lab.ToleranceConfig(seed=7) == 7
-        # the restart budget is the constant qcore._RESTARTS, not an argument
+        # the restart budget is the constant witness._RESTARTS, not an argument
         assert _RESTARTS == 64
 
     def test_config_keyword_is_refused(self):

@@ -22,7 +22,6 @@ from distill_lab.qcore import (
     BipartiteState,
     DimensionMismatchError,
     Dims,
-    _RESTARTS,
     _numeric_rank,
     _two_nonpositive_pt,
     hermitian_eig,
@@ -32,6 +31,7 @@ from distill_lab.rng import SplitMix64, derive_seed
 from distill_lab.witness import (
     ROUTE_TWO_NONPOSITIVE,
     WitnessCertificate,
+    _RESTARTS,
     _accepts,
     _make_certificate,
     two_nonpositive_witness,
