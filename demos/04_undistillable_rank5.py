@@ -42,7 +42,7 @@ print("=" * 70)
 cert = dl.certify_1_distillable(rho)
 print(f"\n  certify_1_distillable -> {cert}")
 best, _ = dl.best_rank2_witness(rho)
-print(f"  best rank-2 PT value found (seeded block ALS) = {best:.6e}")
+print(f"  best rank-2 PT value found (block ALS, fixed) = {best:.6e}")
 print(f"  proven lower bound                            = {bundle.margin:.6e}")
 print(f"  bound respected: {best >= bundle.margin - 1e-8}")
 print("\n  The kernel of this state contains no product vector (it is a")

@@ -144,8 +144,12 @@ def undistillability_bound(params: EdgeParams, n: int, eps: float) -> float:
     is controlled by operator norms, C(n,k) eps^k N^(n-k) with N the PT
     operator norm, and by the binomial theorem these terms sum to
     (N + eps)^n - N^n = N^n expm1(n log1p(eps/N)), a form that does not
-    cancel at small ``eps``.  Raises ``ValueError`` unless ``n >= 1`` and
-    ``eps >= 0`` (so NaN fails).
+    cancel at small ``eps``.  Where n log1p(eps/N) exceeds 53 ln 2 (at the
+    budget gap/3 on ``DEFAULT_GRID``, not below n = 1277), N^n is below half
+    an ulp of (N + eps)^n, and the difference is taken as it stands: there
+    N^n can underflow to 0 while the expm1 form overflows.  Raises
+    ``ValueError`` unless ``n >= 1`` and ``eps >= 0`` (so NaN fails), and
+    ``OverflowError`` only where the bound lies below -1.8e308.
     """
     if n < 1:
         raise ValueError("copy count must be positive")
@@ -160,8 +164,19 @@ def _gap_and_pt_norm(params: EdgeParams) -> tuple[float, float]:
     return gap, float(edge_state(params)._pt_eigenvalues[-1])
 
 
+# past this exponent x = n log1p(eps/N), e^-x is below 2^-53: N^n is under half an
+# ulp of (N + eps)^n, so their difference cannot cancel, while N^n may underflow
+# to 0 and expm1(x) overflow
+_DIRECT_NOISE_EXPONENT = 53 * math.log(2.0)
+
+
 def _series_bound(gap: float, pt_norm: float, n: int, eps: float) -> float:
-    return (gap / 3.0) ** n - pt_norm**n * math.expm1(n * math.log1p(eps / pt_norm))
+    growth = n * math.log1p(eps / pt_norm)
+    if growth > _DIRECT_NOISE_EXPONENT:
+        noise = (pt_norm + eps) ** n - pt_norm**n
+    else:
+        noise = pt_norm**n * math.expm1(growth)
+    return (gap / 3.0) ** n - noise
 
 
 def eps_threshold_for_copies(params: EdgeParams, n: int) -> float:

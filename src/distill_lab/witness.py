@@ -67,10 +67,10 @@ _ROUTES = (ROUTE_SUBMATRIX, ROUTE_TWO_NONPOSITIVE, ROUTE_KERNEL_PRODUCT, ROUTE_O
 _DET_TOL = 1e-16
 # restarts of the product-vector search and nudges of the two-nonpositive route.
 # Restart r of a routine called with ``seed`` draws from
-# derive_seed(seed, k * 1_000_000 + r): k = 0 for the rank-2 minimizer's starts,
-# 1 for the nudges, 2 for the product search and 4 for the product search behind
-# the n = 2 minimizer's lifted starts (3 is retired), so no two routines share a
-# stream while this stays below 1_000_000
+# derive_seed(seed, k * 1_000_000 + r): k = 0 for the rank-2 minimizer's Haar
+# starts (none at 3x3), 1 for the nudges, 2 for the product search and 4 for
+# the product search behind the n = 2 minimizer's lifted starts (3 is retired),
+# so no two routines share a stream while this stays below 1_000_000
 _RESTARTS = 64
 
 
@@ -144,14 +144,27 @@ def pt_quadratic_form(
 
 
 # starts of the rank-2 minimizer on a bare matrix: the bottom eigenvector's
-# Schmidt frames and four Haar frames; at two copies ``_rank2_minimum`` runs
-# three lifted starts instead (``_lifted_minimum``)
+# Schmidt frames and four more, fixed at 3x3 and Haar elsewhere; at two
+# copies ``_rank2_minimum`` runs three lifted starts instead (``_lifted_minimum``)
 _RANK2_STARTS = 5
+# the four fixed frames at 3x3: orthonormal bases of the complements of e0, e1,
+# e2 and (1,1,1)/sqrt3.  The coordinate complements alone miss the minimum's
+# basin on 20 of the 24 rho +-PT grid operators; the last frame reaches it
+_QUTRIT_FRAMES = np.array(
+    [
+        [[0, 0], [1, 0], [0, 1]],
+        [[1, 0], [0, 0], [0, 1]],
+        [[1, 0], [0, 1], [0, 0]],
+        [[1 / math.sqrt(2), 1 / math.sqrt(6)], [-1 / math.sqrt(2), 1 / math.sqrt(6)],
+         [0, -2 / math.sqrt(6)]],
+    ],
+    dtype=complex,
+)
 # seeded starts of the width-1 product search behind the lifted starts
 _PRODUCT_STARTS = 8
 # a rank-2 start stops once a sweep gains at most this fraction of max|eig X|;
 # relative, so that minimizing c*X takes the same sweeps as minimizing X
-_RANK2_REL_STOP = 1e-6
+_RANK2_REL_STOP = 1e-7
 # most sweeps of a rank-2 start, and most steps of a product-search restart
 _OPT_MAX_ITERS = 500
 # a product-search restart stops once a step gains at most this much
@@ -201,29 +214,47 @@ def _descend(
 
     Each sweep advances every start still running.  A start leaves the
     stack, keeping its last frames, after its first sweep that gains at
-    most ``tol``, or after ``_OPT_MAX_ITERS`` sweeps.  The stack gives the
-    values of running the starts one after another.  Returns each start's
-    last value and its frames ``fa`` and ``fb``.
+    most ``tol``, or after ``_OPT_MAX_ITERS`` sweeps.  From the second
+    sweep on, every start still running then tries one extrapolated frame
+    (Rajih, Comon & Harshman, SIAM J. Matrix Anal. Appl. 30, 1128 (2008)):
+    its frame B before the sweep is aligned to its frame B' after it by
+    the polar factor U of B^H B', and the trial qr(B' + beta (B' - B U))
+    gets a sweep of its own.  That sweep replaces the plain one only if
+    its value is lower, and then beta grows by 1.5, up to 8; otherwise
+    beta halves, down to 1/4.  beta starts at 1 for every start.  So no
+    start's value rises beyond rounding, and a start that stops never
+    pays for a trial.  Returns each start's last value and its frames
+    ``fa`` and ``fb``.
     """
     starts, ma, w = len(fb), dims.dim_a, fb.shape[2]
     # each sweep computes fa from fb alone; fa only keeps the frames of stopped starts
     fa = np.empty((starts, ma, w), dtype=complex)
     fb = fb.copy()
     vals = np.empty(starts)
-    rows, prev = np.arange(starts), np.inf
-    b = fb  # the running starts' frames, in start order
+    rows, prev, beta = np.arange(starts), np.inf, np.ones(starts)
+    b_in = fb  # the running starts' frames, in start order
     for sweep in range(_OPT_MAX_ITERS):
-        values, (a, b) = _als_sweep(m, dims, b)
+        values, (a, b) = _als_sweep(m, dims, b_in)
         # a NaN gain compares false, so that start keeps running
         go_on = ~(prev - values <= tol)
         # written back by start index only when a start leaves, or at the last
         # sweep: indexing the full arrays on every sweep was a few percent slower
         if not go_on.all() or sweep == _OPT_MAX_ITERS - 1:
             vals[rows], fa[rows], fb[rows] = values, a, b
-            rows, values, b = rows[go_on], values[go_on], b[go_on]
+            rows, values, a, b = rows[go_on], values[go_on], a[go_on], b[go_on]
+            b_in, beta = b_in[go_on], beta[go_on]
             if not rows.size:
                 break
-        prev = values
+        if 0 < sweep < _OPT_MAX_ITERS - 1:
+            # the polar factor of B^H B' aligns the old frames B to the new B'
+            left, _, right = np.linalg.svd(b_in.conj().transpose(0, 2, 1) @ b)
+            trial = np.linalg.qr(b + beta[:, None, None] * (b - b_in @ (left @ right)))[0]
+            t_values, (t_a, t_b) = _als_sweep(m, dims, trial)
+            keep = t_values < values
+            values = np.where(keep, t_values, values)
+            a, b = (np.where(keep[:, None, None], t, f) for t, f in ((t_a, a), (t_b, b)))
+            beta = np.where(keep, np.minimum(1.5 * beta, 8.0), np.maximum(beta / 2, 0.25))
+        prev, b_in = values, b
     return vals, fa, fb
 
 
@@ -264,15 +295,19 @@ def min_rank2_expectation(x: np.ndarray, dims: Dims, seed: int = 2024) -> tuple[
     contracted straight from X; no I (x) B is formed.  Five starts run as
     one stack, each sweep advancing every start still running: B from the
     two leading Schmidt frames of the bottom eigenvector of X, and four
-    Haar-random frames drawn from ``derive_seed(seed, r)``, r = 0..3.  A
-    start leaves the stack, keeping its last frames, after its first sweep
-    that gains at most 1e-6 * max|eig X|, or after ``_OPT_MAX_ITERS``
-    sweeps; the restart budget ``_RESTARTS`` does not apply here.  The
-    stack gives the values of running the starts one after another, in
-    about half the time at 9x9.  The value is recomputed from the 4x4
-    compression onto the best start's frames, the earliest start winning
-    ties.  The result never undercuts the true minimum over all unit
-    vectors, and no global-optimality claim is made.
+    more.  At 3x3 these are ``_QUTRIT_FRAMES``, spanning the complements of
+    e0, e1, e2 and (1,1,1)/sqrt3, so ``seed`` is not read; elsewhere they
+    are Haar-random frames drawn from ``derive_seed(seed, r)``, r = 0..3.
+    A start leaves the stack, keeping its last frames, after its first
+    sweep that gains at most 1e-7 * max|eig X|, or after
+    ``_OPT_MAX_ITERS`` sweeps; the restart budget ``_RESTARTS`` does not
+    apply here.  From the second sweep on, each start still running tries
+    one extrapolated frame, kept only if its sweep is lower
+    (``_descend``).  The stack gives the values of running the starts one
+    after another, in about half the time at 9x9.  The value is
+    recomputed from the 4x4 compression onto the best start's frames, the
+    earliest start winning ties.  The result never undercuts the true
+    minimum over all unit vectors, and no global-optimality claim is made.
 
     Every call computes; ``_rank2_minimum`` keeps a state's minima.
     """
@@ -287,8 +322,11 @@ def min_rank2_expectation(x: np.ndarray, dims: Dims, seed: int = 2024) -> tuple[
     scale, frame = _eigenvector_start(m, dims)
     fb = np.empty((_RANK2_STARTS, mb, 2), dtype=complex)
     fb[0] = frame
-    seeds = [derive_seed(seed, r) for r in range(_RANK2_STARTS - 1)]
-    fb[1:] = _phase_fixed_qr(_complex_normals(seeds, 2 * mb)[0].reshape(-1, mb, 2))
+    if (ma, mb) == (3, 3):
+        fb[1:] = _QUTRIT_FRAMES
+    else:
+        seeds = [derive_seed(seed, r) for r in range(_RANK2_STARTS - 1)]
+        fb[1:] = _phase_fixed_qr(_complex_normals(seeds, 2 * mb)[0].reshape(-1, mb, 2))
     return _rank2_from_starts(m, dims, fb, scale)
 
 
@@ -297,9 +335,10 @@ def _product_minimum(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Unit x and y whose product x (x) y has the smallest <xy|P|xy> found.
 
-    The ALS loop at frame width 1, from ``_PRODUCT_STARTS`` seeded starts:
-    start r draws y from ``derive_seed(seed, 4_000_000 + r)``, and stops
-    after a sweep that gains at most ``tol``.  The best start wins.
+    The ALS loop of ``_descend`` at frame width 1, extrapolated sweeps
+    included, from ``_PRODUCT_STARTS`` seeded starts: start r draws y from
+    ``derive_seed(seed, 4_000_000 + r)``, and stops after a sweep that
+    gains at most ``tol``.  The best start wins.
     """
     seeds = [derive_seed(seed, 4_000_000 + r) for r in range(_PRODUCT_STARTS)]
     y0 = _phase_fixed_qr(_complex_normals(seeds, dims.dim_b)[0].reshape(-1, dims.dim_b, 1))

@@ -6,7 +6,7 @@ one-copy minimizer's ``frame_b`` and x (x) y the product vector of best
 value p.  The start psi (x) xy has the value v * p, v the one-copy minimum,
 so the n = 2 minimum never exceeds it.
 
-Tolerances.  tau = 1e-6 * max|eig X| is the minimizer's stop
+Tolerances.  tau = 1e-7 * max|eig X| is the minimizer's stop
 (``witness._RANK2_REL_STOP``); as in ``test_rank2_crosscheck.py``, a
 linear rate q <= 0.8 leaves a gap of at most 4 tau at that stop, so two
 minima of the same operator agree to 4 tau.  Points of one orbit of the
@@ -18,7 +18,7 @@ import pytest
 
 import distill_lab.multicopy as multicopy
 import distill_lab.witness as witness
-from distill_lab.edgestate import DEFAULT_GRID, EdgeParams
+from distill_lab.edgestate import DEFAULT_GRID, EdgeParams, build_edge_bundle
 from distill_lab.harness import EnsembleSpec, sample_ensemble
 from distill_lab.multicopy import extremal_rank2_tensor_power, werner_projector
 from distill_lab.qcore import PSD_TOL, Dims, _pt_power, regroup_tensor_power
@@ -88,7 +88,8 @@ def test_width1_sweep_gives_the_product_value():
 
 
 def test_lifted_minimum_makes_no_haar_draw(monkeypatch):
-    # the one draw is the product search's: stream k = 4, one unit vector per start
+    # at 3x3 the one-copy minimizer draws nothing; the one draw left at n = 2 is
+    # the product search's: stream k = 4, one unit vector per start
     draws = []
     real = witness._complex_normals
 
@@ -97,13 +98,19 @@ def test_lifted_minimum_makes_no_haar_draw(monkeypatch):
         return real(seeds, count)
 
     monkeypatch.setattr(witness, "_complex_normals", spy)
+    monkeypatch.setattr(witness, "SplitMix64", None)  # no other generator either
     p = werner_projector().mat
-    one_copy = (1 / 24, min_rank2_expectation(p, D33, 7)[1])
-    draws.clear()
-    mat, _ = regroup_tensor_power(p, D33, 2)
-    witness._lifted_minimum(mat, p, D33, one_copy, 7)
-    starts = [derive_seed(7, 4_000_000 + r) for r in range(witness._PRODUCT_STARTS)]
-    assert draws == [(starts, 3)]
+    for seed in (0, 7, 2024):
+        starts = [derive_seed(seed, 4_000_000 + r) for r in range(witness._PRODUCT_STARTS)]
+        for x in (p, -p):
+            min_rank2_expectation(x, D33, seed)
+        assert draws == []
+        for point in (0, 5):
+            state = build_edge_bundle(EdgeParams(*DEFAULT_GRID[point])).npt_state
+            for sign in (1, -1):
+                witness._rank2_minimum(state, 2, seed, sign)
+                assert draws == [(starts, 3)]
+                draws.clear()
 
 
 @pytest.fixture

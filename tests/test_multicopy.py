@@ -1,6 +1,7 @@
 """Many-copy bounds for the Werner projector and the edge perturbation."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -249,6 +250,34 @@ class TestEpsThreshold:
         thr1 = eps_threshold_for_copies(PARAMS, 1)
         assert math.isfinite(eps_threshold_for_copies(PARAMS, 2000))
         assert math.isfinite(undistillability_bound(PARAMS, 2000, thr1 / 2))
+
+    @staticmethod
+    def _exact_bound(n: int, eps: float) -> Fraction:
+        """(gap/3)^n - ((N + eps)^n - N^n) in exact rationals, from the float constants."""
+        gap, pt_norm = (Fraction(c) for c in multicopy._gap_and_pt_norm(PARAMS))
+        return (gap / 3) ** n - ((pt_norm + Fraction(eps)) ** n - pt_norm**n)
+
+    @pytest.mark.parametrize("n,eps", [(700, 1.0), (700, 0.1656), (40, 1.0), (40, 0.5)])
+    def test_far_above_the_budget_the_difference_is_taken_directly(self, n, eps):
+        # expm1 overflowed at (700, 1.0); at (700, 0.1656) N^700 underflows to 0
+        # while expm1 stays finite, so the expm1 form gave 0 for about -1e-227;
+        # (40, 0.5) sits just past the switch
+        exact = self._exact_bound(n, eps)
+        assert n * math.log1p(eps / multicopy._gap_and_pt_norm(PARAMS)[1]) > 53 * math.log(2)
+        assert undistillability_bound(PARAMS, n, eps) == pytest.approx(float(exact), rel=1e-12, abs=0)
+        assert exact < 0
+
+    def test_value_at_700_copies_and_unit_noise(self):
+        assert undistillability_bound(PARAMS, 700, 1.0) == pytest.approx(-8.9307021e81, rel=1e-7, abs=0)
+
+    @pytest.mark.parametrize("b,theta", DEFAULT_GRID)
+    def test_inside_the_budget_the_bound_keeps_the_expm1_form(self, b, theta):
+        params = EdgeParams(b, theta)
+        gap, pt_norm = multicopy._gap_and_pt_norm(params)
+        for n in (1, 2, 3, 10, 100, 1000):
+            for eps in (gap / 3, gap / 6, 1e-9):
+                expm1_form = (gap / 3.0) ** n - pt_norm**n * math.expm1(n * math.log1p(eps / pt_norm))
+                assert undistillability_bound(params, n, eps) == expm1_form
 
     @pytest.mark.parametrize("b,theta", DEFAULT_GRID)
     def test_bound_at_the_budget_is_not_positive(self, b, theta):

@@ -7,7 +7,7 @@ It shares no code with the block ALS in ``witness``: no eigensolver, no
 frames, no stop rule and another random generator.
 
 Tolerance.  A row of the ALS stops once a sweep gains at most
-tau = 1e-6 * max|eig X| (``witness._RANK2_REL_STOP``).  If the sweeps
+tau = 1e-7 * max|eig X| (``witness._RANK2_REL_STOP``).  If the sweeps
 converge linearly at rate q, the gap left at that stop is at most
 tau * q / (1 - q); allowing q <= 0.8 bounds it by 4 tau.  L-BFGS runs to
 its own convergence, far below tau, so the two minima must agree to 4 tau.

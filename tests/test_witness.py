@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import distill_lab.qcore as qcore
 import distill_lab.witness as witness
@@ -312,37 +313,126 @@ class TestRank2Stack:
     def _rho_pt(n: int) -> tuple[np.ndarray, Dims]:
         return qcore._pt_power(build_edge_bundle(EdgeParams(*DEFAULT_GRID[0])).npt_state, n)
 
+    @staticmethod
+    def _replay(calls, frames, tol, max_sweeps, rounding):
+        """Each start's exit (value, fa, fb, sweep), replayed from the spied sweeps.
+
+        The rule replayed: every running start gets a plain sweep; a start
+        leaves after a sweep that gains at most ``tol`` or after the last
+        allowed sweep; from the second sweep on, each start still running
+        gets one trial sweep from qr(B' + beta (B' - B U)), U the polar
+        factor of B^H B', kept only if its value is lower.
+        """
+        running = list(range(len(frames)))
+        frames, prev = dict(enumerate(frames)), dict.fromkeys(running, np.inf)
+        beta = dict.fromkeys(running, 1.0)
+        exits, kept = {}, {True: 0, False: 0}
+        calls = iter(calls)
+        for k in range(max_sweeps):
+            fb_in, values, fa_out, fb_out = next(calls)
+            # exactly the running starts, in start order, each from its own frames
+            assert np.array_equal(fb_in, np.stack([frames[r] for r in running]))
+            now = {r: (values[i], fa_out[i], fb_out[i]) for i, r in enumerate(running)}
+            for r in list(running):
+                # no start's value rises beyond rounding
+                assert now[r][0] <= prev[r] + rounding
+                if prev[r] - now[r][0] <= tol or k == max_sweeps - 1:
+                    running.remove(r)
+                    exits[r] = (*now[r], k)
+            if not running:
+                break
+            if k > 0:
+                # one trial, for the running starts only
+                t_in, t_values, t_fa, t_fb = next(calls)
+                assert len(t_in) == len(running)
+                for i, r in enumerate(running):
+                    old, new = frames[r], now[r][2]
+                    aligned = old @ scipy.linalg.polar(old.conj().T @ new)[0]
+                    want = np.linalg.svd(new + beta[r] * (new - aligned))[0][:, : new.shape[1]]
+                    assert np.allclose(t_in[i].conj().T @ t_in[i], np.eye(new.shape[1]), atol=1e-12)
+                    assert np.allclose(t_in[i] @ t_in[i].conj().T, want @ want.conj().T, atol=1e-10)
+                    lower = bool(t_values[i] < now[r][0])
+                    kept[lower] += 1
+                    if lower:
+                        now[r] = (t_values[i], t_fa[i], t_fb[i])
+                    beta[r] = min(1.5 * beta[r], 8.0) if lower else max(beta[r] / 2, 0.25)
+            for r in running:
+                prev[r], frames[r] = now[r][0], now[r][2]
+        assert next(calls, None) is None and not running
+        return exits, kept
+
+    def _replayed_descent(self, monkeypatch, run, report=None):
+        """Call ``run``, which makes one ``_descend``, and check that descent's sweeps.
+
+        Returns what ``run`` returned, each start's exit sweep, the counts
+        of kept and rejected trials, and the frames ``fa``, ``fb`` of the
+        start that must win: the earliest of the lowest.
+        """
+        descents = []
+        descend = witness._descend
+
+        def descend_spy(m, dims, fb, tol):
+            out = descend(m, dims, fb, tol)
+            descents.append((fb.copy(), tol, out))
+            return out
+
+        monkeypatch.setattr(witness, "_descend", descend_spy)
+        calls = self._spy(monkeypatch, report)
+        result = run()
+        (fb0, tol, (vals, fa, fb)), = descents
+        # rounding allowance: 1e-12 of the scale the stop is relative to
+        rounding = 1e-12 * tol / witness._RANK2_REL_STOP
+        exits, kept = self._replay(calls, fb0, tol, witness._OPT_MAX_ITERS, rounding)
+        # the stop and the sweep cap both keep each start's last frames
+        for r, (value, fa_r, fb_r, _) in exits.items():
+            assert vals[r] == value
+            assert np.array_equal(fa[r], fa_r) and np.array_equal(fb[r], fb_r)
+        best = min(exits, key=lambda r: (exits[r][0], r))
+        return result, {r: k for r, (*_, k) in exits.items()}, kept, fa[best], fb[best]
+
     @pytest.mark.parametrize("n,max_sweeps", [(1, None), (2, None), (1, 5)])
     def test_sweeps_advance_the_running_starts(self, monkeypatch, n, max_sweeps):
         mat, dims = self._rho_pt(n)
+        if n == 1:  # every +PT start stops after two sweeps, before any trial
+            mat = -mat
         if max_sweeps is not None:  # some starts still running when the sweeps run out
             monkeypatch.setattr(witness, "_OPT_MAX_ITERS", max_sweeps)
-        calls = self._spy(monkeypatch)
-        _, ansatz = min_rank2_expectation(mat, dims)
-        tol = witness._RANK2_REL_STOP * float(np.abs(hermitian_eig(mat).eigenvalues).max())
+        (_, ansatz), left_at, kept, fa, fb = self._replayed_descent(
+            monkeypatch, lambda: min_rank2_expectation(mat, dims)
+        )
+        assert kept[True] and kept[False]
+        if max_sweeps is None:  # the stack shrank before it emptied
+            assert len(set(left_at.values())) > 1
+        else:
+            assert max_sweeps - 1 in left_at.values()
+        assert np.array_equal(ansatz.frame_a, fa)
+        assert np.array_equal(ansatz.frame_b, fb)
 
-        running = list(range(witness._RANK2_STARTS))
-        prev = [np.inf] * len(running)
-        last = {}  # start -> (value, fa, fb) of its last sweep
-        left_at = {}
-        for k, (fb_in, values, fa_out, fb_out) in enumerate(calls):
-            # exactly the running starts, in start order, each from its own frames
-            if k == 0:
-                assert len(fb_in) == len(running)
-            else:
-                assert np.array_equal(fb_in, np.stack([last[r][2] for r in running]))
-            for i, r in enumerate(list(running)):
-                last[r] = (values[i], fa_out[i], fb_out[i])
-                if prev[r] - values[i] <= tol or k == witness._OPT_MAX_ITERS - 1:
-                    running.remove(r)
-                    left_at[r] = k
-                prev[r] = values[i]
-        # every start left, and not all at the same sweep
-        assert not running and len(set(left_at.values())) > 1
+    def test_product_search_sweeps_follow_the_same_rule(self, monkeypatch):
+        p, dims = self._rho_pt(1)
+        tol = witness._RANK2_REL_STOP * float(np.abs(hermitian_eig(p).eigenvalues).max())
+        (x, y), _, kept, fa, fb = self._replayed_descent(
+            monkeypatch, lambda: witness._product_minimum(p, dims, 7, tol)
+        )
+        assert kept[True] and kept[False]
+        assert fb.shape == (3, 1)
+        assert np.array_equal(x, fa[:, 0]) and np.array_equal(y, fb[:, 0])
 
-        best = min(last, key=lambda r: (last[r][0], r))
-        assert np.array_equal(ansatz.frame_a, last[best][1])
-        assert np.array_equal(ansatz.frame_b, last[best][2])
+    def test_rejected_trials_halve_beta_down_to_a_quarter(self, monkeypatch):
+        # while any start runs, the sweeps alternate plain, trial from the second
+        # on: calls 2, 4, 6, ... are trials, and reporting them 1 higher rejects them
+        mat, dims = self._rho_pt(1)
+        count = iter(range(10**6))
+
+        def reject_trials(values):
+            k = next(count)
+            return values + 1.0 if k >= 2 and k % 2 == 0 else values
+
+        _, left_at, kept, _, _ = self._replayed_descent(
+            monkeypatch, lambda: min_rank2_expectation(-mat, dims), reject_trials
+        )
+        # beta reached 1/4 after two rejections and stayed there
+        assert not kept[True] and max(left_at.values()) >= 4
 
     def test_gain_of_tol_stops_and_earliest_lowest_start_wins(self, monkeypatch):
         mat, dims = self._rho_pt(1)
