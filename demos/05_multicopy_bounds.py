@@ -69,5 +69,6 @@ print(f"  NPT check (min PT eigenvalue) = {rep.npt_min_pt_eigenvalue:+.3e}")
 print(f"  numeric 2-copy rank-2 min   = {rep.min_value:.6e}")
 print(f"  analytic lower bound        = {rep.bound_lower:.6e}")
 print(f"  minimum > 0 and >= bound: {rep.min_value > 0 and rep.min_value >= rep.bound_lower - 1e-8}")
-print("\nThe threshold is an engineering bound: it is quantitative, and it")
-print("implies the bare existence of a suitable eps for each copy count.")
+print("\nThe threshold is the closed-form root of the proven series bound: it is")
+print("quantitative, and it implies the bare existence of a suitable eps for each")
+print("copy count.")

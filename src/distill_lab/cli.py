@@ -200,8 +200,8 @@ def _cmd_multicopy(args: argparse.Namespace) -> int:
             )
         if report.eps_threshold is not None:
             print(
-                f"eps threshold {report.eps_threshold:.6e} "
-                f"(engineering bound, implies the undistillability claim); "
+                f"eps threshold {report.eps_threshold:.6e} (closed-form root of the proven "
+                f"series bound, implies the undistillability claim); "
                 f"eps used {report.eps_used:.6e}"
             )
     return EXIT_OK

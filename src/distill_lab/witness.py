@@ -42,9 +42,11 @@ from .qcore import (
     Dims,
     NumericalFailureError,
     PureState,
+    SpectralData,
     _numeric_rank,
     _power_dims,
     _pt_power,
+    _pt_power_spectrum,
     _two_nonpositive_pt,
     hermitian_eig,
     is_ppt,
@@ -258,12 +260,17 @@ def _descend(
     return vals, fa, fb
 
 
-def _eigenvector_start(m: np.ndarray, dims: Dims) -> tuple[float, np.ndarray]:
-    """max|eig X|, and the two leading right Schmidt vectors of X's bottom eigenvector."""
+def _eigenvector_start(spec: SpectralData, dims: Dims, sign: int = 1) -> tuple[float, np.ndarray]:
+    """max|eig X|, and the start frame of sign * X, from the spectrum ``spec`` of X.
+
+    The frame holds the two leading right Schmidt vectors of the bottom
+    eigenvector of sign * X: X's bottom eigenvector for sign +1, its top
+    one for sign -1.
+    """
     ma, mb = dims
-    spec = hermitian_eig(m)
+    vec = spec.eigenvectors[:, 0 if sign > 0 else -1]
     # rows of vh, unconjugated
-    frame = np.linalg.svd(spec.eigenvectors[:, 0].reshape(ma, mb))[2][:2].T
+    frame = np.linalg.svd(vec.reshape(ma, mb))[2][:2].T
     return float(np.abs(spec.eigenvalues).max()), frame
 
 
@@ -319,7 +326,7 @@ def min_rank2_expectation(x: np.ndarray, dims: Dims, seed: int = 2024) -> tuple[
         )
     if min(ma, mb) < 2:
         raise DimensionMismatchError("rank-2 ansatz needs both local dimensions >= 2")
-    scale, frame = _eigenvector_start(m, dims)
+    scale, frame = _eigenvector_start(hermitian_eig(m), dims)
     fb = np.empty((_RANK2_STARTS, mb, 2), dtype=complex)
     fb[0] = frame
     if (ma, mb) == (3, 3):
@@ -348,7 +355,12 @@ def _product_minimum(
 
 
 def _lifted_minimum(
-    x: np.ndarray, p: np.ndarray, dims: Dims, one_copy: tuple[float, Rank2Ansatz], seed: int
+    x: np.ndarray,
+    p: np.ndarray,
+    dims: Dims,
+    one_copy: tuple[float, Rank2Ansatz],
+    seed: int,
+    start: tuple[float, np.ndarray],
 ) -> tuple[float, Rank2Ansatz]:
     """Rank-2 minimum of X = s * P^(x 2), regrouped, from the lifted one-copy minimum.
 
@@ -358,14 +370,18 @@ def _lifted_minimum(
     (``_product_minimum``) minimizes P when v >= 0 and -P when v < 0.  Three
     starts run through the same stacked loop as ``min_rank2_expectation``:
     the frames of X's bottom eigenvector, kron(B, y) and kron(y, B), B the
-    one-copy ``frame_b``.  No Haar draw is made.  The first sweep against
-    kron(B, y) finds A at least as good as kron(A1, x), so the result never
-    exceeds v * p beyond rounding.  ``_rank2_minimum`` is the one caller.
+    one-copy ``frame_b``.  ``start`` = (max|eig X|, that first frame) is
+    ``_eigenvector_start`` of the one kept decomposition of P^(x 2), its
+    bottom eigenvector for s = +1 and its top one for s = -1, so no
+    eigendecomposition runs here.  No Haar draw is made.  The first sweep
+    against kron(B, y) finds A at least as good as kron(A1, x), so the
+    result never exceeds v * p beyond rounding.  ``_rank2_minimum`` is the
+    one caller.
     """
     v, ansatz = one_copy
     m = np.asarray(x, dtype=complex)
     big = _power_dims(dims, 2)
-    scale, frame = _eigenvector_start(m, big)
+    scale, frame = start
     # max|eig P| is the square root of max|eig P (x) P|
     target = p if v >= 0 else -p
     y = _product_minimum(target, dims, seed, _RANK2_REL_STOP * math.sqrt(scale))[1][:, None]
@@ -679,8 +695,11 @@ def _rank2_minimum(
     five-start ``min_rank2_expectation`` of sign * PT; at two, the lifted
     starts' (``_lifted_minimum``) from the kept one-copy minimum v of the
     same sign and seed, so a negative v gives a negative two-copy value.
+    Both signs at two copies start from the state's one kept
+    eigendecomposition of the two-copy PT (``_pt_power_spectrum``), so a
+    report that asks for the minimum and the maximum decomposes it once.
     """
-    pt, _ = _pt_power(state, copies)
+    pt, big = _pt_power(state, copies)
     minima, key = state._rank2_minima, (copies, seed, sign)
     if key not in minima:
         x = pt if sign > 0 else -pt
@@ -688,7 +707,8 @@ def _rank2_minimum(
             minima[key] = min_rank2_expectation(x, state.dims, seed)
         else:
             one_copy = _rank2_minimum(state, 1, seed, sign)
-            minima[key] = _lifted_minimum(x, state._pt, state.dims, one_copy, seed)
+            start = _eigenvector_start(_pt_power_spectrum(state, copies), big, sign)
+            minima[key] = _lifted_minimum(x, state._pt, state.dims, one_copy, seed, start)
     return minima[key]
 
 

@@ -1,10 +1,13 @@
 """The n = 2 rank-2 minimizer's lifted starts, and the width-generic ALS sweep.
 
-At n = 2 the minimizer of X = s * P^(x 2) starts from the bottom
-eigenvector's frames and from kron(B, y) and kron(y, B), where B is the
+At n = 2 the minimizer of X = s * P^(x 2) starts from the Schmidt frames
+of one kept decomposition of P^(x 2), its bottom eigenvector for s = +1 and
+its top one for s = -1, and from kron(B, y) and kron(y, B), where B is the
 one-copy minimizer's ``frame_b`` and x (x) y the product vector of best
 value p.  The start psi (x) xy has the value v * p, v the one-copy minimum,
-so the n = 2 minimum never exceeds it.
+so the n = 2 minimum never exceeds it.  The oracle is the per-sign path
+that ran one ``hermitian_eig(s * X)`` per call: at s = +1 the kept path
+gives its value and ansatz bit for bit, and at s = -1 a value near it.
 
 Tolerances.  tau = 1e-7 * max|eig X| is the minimizer's stop
 (``witness._RANK2_REL_STOP``); as in ``test_rank2_crosscheck.py``, a
@@ -12,6 +15,8 @@ linear rate q <= 0.8 leaves a gap of at most 4 tau at that stop, so two
 minima of the same operator agree to 4 tau.  Points of one orbit of the
 edge family give operators with one spectrum and one rank-2 minimum.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -21,7 +26,16 @@ import distill_lab.witness as witness
 from distill_lab.edgestate import DEFAULT_GRID, EdgeParams, build_edge_bundle
 from distill_lab.harness import EnsembleSpec, sample_ensemble
 from distill_lab.multicopy import extremal_rank2_tensor_power, werner_projector
-from distill_lab.qcore import PSD_TOL, Dims, _pt_power, regroup_tensor_power
+from distill_lab.qcore import (
+    PSD_TOL,
+    BipartiteState,
+    Dims,
+    _power_dims,
+    _pt_power,
+    hermitian_eig,
+    partial_transpose,
+    regroup_tensor_power,
+)
 from distill_lab.rng import derive_seed
 from distill_lab.witness import best_rank2_witness, min_rank2_expectation, verify_certificate
 
@@ -119,9 +133,9 @@ def lifts(monkeypatch):
     calls = []
     lifted, search = witness._lifted_minimum, witness._product_minimum
 
-    def lifted_spy(x, p, dims, one_copy, seed):
+    def lifted_spy(x, p, dims, one_copy, seed, start):
         calls.append({"v": one_copy[0], "p_mat": p})
-        return lifted(x, p, dims, one_copy, seed)
+        return lifted(x, p, dims, one_copy, seed, start)
 
     def search_spy(p, dims, seed, tol):
         found = search(p, dims, seed, tol)
@@ -184,6 +198,81 @@ def test_negative_one_copy_minima_lift_to_two_copy_witnesses():
         assert cert.copies == 2 and cert.value == pytest.approx(v2, rel=1e-12) and v2 < 0
         checked += 1
     assert checked >= 50
+
+
+# ---- oracle: the per-sign eigenvector start, one hermitian_eig(+-X) per call, verbatim
+
+
+def per_sign_eigenvector_start(m: np.ndarray, dims: Dims) -> tuple[float, np.ndarray]:
+    """max|eig X|, and the two leading right Schmidt vectors of X's bottom eigenvector."""
+    ma, mb = dims
+    spec = hermitian_eig(m)
+    # rows of vh, unconjugated
+    frame = np.linalg.svd(spec.eigenvectors[:, 0].reshape(ma, mb))[2][:2].T
+    return float(np.abs(spec.eigenvalues).max()), frame
+
+
+def per_sign_lifted_minimum(x, p, dims, one_copy, seed):
+    """``witness._lifted_minimum`` when it decomposed its own X = s * P^(x 2)."""
+    v, ansatz = one_copy
+    m = np.asarray(x, dtype=complex)
+    big = _power_dims(dims, 2)
+    scale, frame = per_sign_eigenvector_start(m, big)
+    # max|eig P| is the square root of max|eig P (x) P|
+    target = p if v >= 0 else -p
+    y = witness._product_minimum(target, dims, seed, witness._RANK2_REL_STOP * math.sqrt(scale))[1][:, None]
+    b = ansatz.frame_b
+    fb = np.stack([frame, np.kron(b, y), np.kron(y, b)])
+    return witness._rank2_from_starts(m, big, fb, scale)
+
+
+def _oracle_states() -> list:
+    """The rho state at each grid point, the Werner projector's pre-image, 40 NPT states."""
+    grid = [build_edge_bundle(EdgeParams(*pt)).npt_state for pt in DEFAULT_GRID]
+    pre = BipartiteState(partial_transpose(werner_projector().mat, D33), D33)
+    return grid + [pre] + _npt_states(40)
+
+
+@pytest.fixture(scope="module")
+def oracle_pairs() -> list:
+    """(sign, kept minimum, per-sign oracle minimum, tau) for each oracle state and sign."""
+    pairs = []
+    for state in _oracle_states():
+        p = np.asarray(state._pt)
+        x, _ = regroup_tensor_power(p, D33, 2)
+        for sign in (1, -1):
+            one_copy = min_rank2_expectation(sign * p, D33, 2024)
+            want = per_sign_lifted_minimum(sign * x, p, D33, one_copy, 2024)
+            got = witness._rank2_minimum(state, 2, 2024, sign)
+            pairs.append((sign, got, want, _tau(x)))
+    assert len(pairs) == 2 * (len(DEFAULT_GRID) + 1 + 40)
+    return pairs
+
+
+def test_plus_sign_is_bit_equal_to_the_per_sign_oracle(oracle_pairs):
+    # the bottom eigenvector of the kept decomposition is the one hermitian_eig(X) gives
+    for sign, (value, ansatz), (want, want_at), _ in oracle_pairs:
+        if sign < 0:
+            continue
+        assert value.hex() == want.hex()
+        for got_part, want_part in zip(
+            (ansatz.frame_a, ansatz.frame_b, ansatz.coeff),
+            (want_at.frame_a, want_at.frame_b, want_at.coeff),
+        ):
+            assert got_part.tobytes() == want_part.tobytes()
+
+
+def test_minus_sign_stays_near_the_per_sign_oracle(oracle_pairs):
+    # X's top eigenvector and hermitian_eig(-X)'s bottom one agree only up to rounding
+    # and a phase, and the sweeps can carry that to another stopping point.  Measured:
+    # at the grid points and Werner the kept value lies within rounding of the oracle;
+    # of the 40 seeded states one (rank 5, the eighth) lies 14.9 tau (1.5e-6 relative)
+    # above it, all others within rounding.  Pinned: 4 tau there, and at most one seeded state beyond it,
+    # below 16 tau
+    gaps = [(got[0] - want[0]) / tau for sign, got, want, tau in oracle_pairs if sign < 0]
+    edge_and_werner, seeded = gaps[: len(DEFAULT_GRID) + 1], sorted(gaps[len(DEFAULT_GRID) + 1 :])
+    assert max(edge_and_werner) <= _GAP_IN_TAU
+    assert seeded[-2] <= _GAP_IN_TAU and seeded[-1] <= 16.0
 
 
 # ---- the rho minimum over orbits, seeds and a pinned reference ---------------

@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import sys
 import warnings
 from dataclasses import replace
 
@@ -28,7 +29,11 @@ from distill_lab.harness import (
     run_suite,
     sample_ensemble,
 )
-from distill_lab.multicopy import werner_projector
+from distill_lab.multicopy import (
+    extremal_rank2_tensor_power,
+    verify_n_undistillable,
+    werner_projector,
+)
 from distill_lab.qcore import (
     PSD_TOL,
     BipartiteState,
@@ -98,9 +103,9 @@ def minimizations(monkeypatch):
         calls.append((tuple(dims), seed))
         return real(x, dims, seed)
 
-    def counted_lifted(x, p, dims, one_copy, seed):
+    def counted_lifted(x, p, dims, one_copy, seed, start):
         calls.append((tuple(qcore._power_dims(dims, 2)), seed))
-        return lifted(x, p, dims, one_copy, seed)
+        return lifted(x, p, dims, one_copy, seed, start)
 
     monkeypatch.setattr(witness, "min_rank2_expectation", counted)
     monkeypatch.setattr(witness, "_lifted_minimum", counted_lifted)
@@ -288,6 +293,45 @@ class TestMinimizerMemo:
         assert "no witness found" in capsys.readouterr().out
         state = state_from_json(path.read_text())
         self._assert_one_minimization(sweeps, partial_transpose(state.mat, D33))
+
+    @pytest.fixture
+    def decompositions(self, monkeypatch):
+        """The order of each ``hermitian_eig`` call, through any module's binding."""
+        orders = []
+
+        def counted(mat):
+            orders.append(len(mat))
+            return hermitian_eig(mat)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("distill_lab") and vars(module).get("hermitian_eig") is hermitian_eig:
+                monkeypatch.setattr(module, "hermitian_eig", counted)
+        return orders
+
+    def test_werner_report_decomposes_its_two_copy_pt_once(self, decompositions):
+        # the minimum and the maximum read one decomposition of the 81x81 power
+        extremal_rank2_tensor_power(2)
+        assert decompositions.count(81) == 1
+
+    def test_rho_report_decomposes_its_two_copy_pt_once(self, decompositions):
+        verify_n_undistillable(EdgeParams(1.0, math.pi / 6), 2)
+        assert decompositions.count(81) == 1
+
+    def test_two_copy_search_decomposes_once_for_both_signs(self, decompositions):
+        spec = EnsembleSpec(dims=D33, rank=6, count=1, filter="NPT", seed=35)
+        state = sample_ensemble(spec)[0][0]
+        v1, _ = best_rank2_witness(state, 2)
+        v2, _ = best_rank2_witness(state, 2)
+        assert v1 == v2 and decompositions.count(81) == 1
+        witness._rank2_minimum(state, 2, 2024, -1)
+        assert decompositions.count(81) == 1
+        assert list(state._pt_power_spectra) == [2]
+
+    def test_rank5_check_decomposes_no_two_copy_pt(self, decompositions):
+        bundle = build_edge_bundle(EdgeParams(1.0, math.pi / 6))
+        assert certify_1_distillable(bundle.npt_state) is None
+        assert decompositions and 81 not in decompositions
+        assert bundle.npt_state._pt_power_spectra == {}
 
 
 class TestRank2Stack:
