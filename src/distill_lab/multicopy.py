@@ -238,7 +238,8 @@ def verify_n_undistillable(
     distillation protocol.  Only then is the rank-2 maximum, -min(-PT), added
     to the report; no check reads it, and the multicopy suite runs the claim
     alone.  Both come from ``witness._rank2_minimum`` on the NPT state: the
-    claim's minimum is kept there, and the maximum asks for sign -1.
+    claim's minimum is kept there, and the maximum asks for sign -1.  On
+    this two-qutrit state neither reads ``seed`` at n <= 2.
     """
     min_value, min_witness, bundle, threshold, bound = _n_copy_claim(params, n, seed, eps)
     neg_max, max_at = _rank2_minimum(bundle.npt_state, n, seed, -1)

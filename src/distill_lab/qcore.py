@@ -11,8 +11,8 @@ arithmetic), so applying it twice returns the input bit-for-bit; a
 ``BipartiteState`` forms its own once and caches it.  ``_pt_power``
 gives every n-copy witness operator, n = 1 included: that cached
 transpose, or its n-th power regrouped to (A..A : B..B), formed once per
-state and copy count.  The library's one setting is the ``seed``
-argument (default 2024) of its randomized routines.
+state and copy count and never decomposed.  The library's one setting
+is the ``seed`` argument (default 2024) of its randomized routines.
 """
 
 from __future__ import annotations
@@ -93,12 +93,11 @@ class BipartiteState:
     transpose's ascending spectrum are each formed at most once, on first
     use, and shared by every route, check, NPT filter and n-copy build.
     Likewise ``_pt_powers`` keeps the read-only n-copy transposes that
-    ``_pt_power`` builds, n >= 2, ``_pt_power_spectra`` the one checked
-    eigendecomposition of each that ``_pt_power_spectrum`` forms, and
-    ``_rank2_minima`` the rank-2 minima that ``witness._rank2_minimum``
-    finds, one per copy count, seed and sign; both signs of a copy count
-    read its one decomposition.  The checks use the module's ``_HERM_TOL``
-    and ``PSD_TOL``.
+    ``_pt_power`` builds, n >= 2, and ``_rank2_minima`` the rank-2 minima
+    that ``witness._rank2_minimum`` finds, one per copy count, seed and
+    sign.  No n-copy transpose is decomposed: the n-copy minimizer's
+    starts come from the one-copy transpose's eigenvectors.  The checks
+    use the module's ``_HERM_TOL`` and ``PSD_TOL``.
     """
 
     mat: np.ndarray
@@ -133,10 +132,6 @@ class BipartiteState:
 
     @cached_property
     def _pt_powers(self) -> dict:  # copies -> (read-only n-copy transpose, its split)
-        return {}
-
-    @cached_property
-    def _pt_power_spectra(self) -> dict:  # copies -> read-only ``SpectralData`` of that transpose
         return {}
 
     @cached_property
@@ -362,7 +357,6 @@ def _pt_power(state: BipartiteState, n: int) -> tuple[np.ndarray, Dims]:
     at most once per state and copy count: at n = 1 the state's cached
     ``_pt``, and at n >= 2 the regrouped power of ``_pt``, which equals the
     transpose of the regrouped power bit for bit, kept in ``_pt_powers``.
-    Its checked eigendecomposition is ``_pt_power_spectrum``'s.
     """
     if n == 1:
         return state._pt, state.dims
@@ -372,23 +366,6 @@ def _pt_power(state: BipartiteState, n: int) -> tuple[np.ndarray, Dims]:
         pt.setflags(write=False)
         powers[n] = pt, dims
     return powers[n]
-
-
-def _pt_power_spectrum(state: BipartiteState, n: int) -> SpectralData:
-    """Checked ``hermitian_eig`` of ``_pt_power(state, n)``, read-only, formed at most once.
-
-    Kept in ``_pt_power_spectra`` and shared by both signs: the
-    decomposition of X is one of -X with the eigenvalues negated, so the
-    bottom eigenvector of -X is the top one of X, and as negation is
-    exact, the reconstruction check on X is the check on -X bit for bit.
-    """
-    spectra = state._pt_power_spectra
-    if n not in spectra:
-        spec = hermitian_eig(_pt_power(state, n)[0])
-        spec.eigenvalues.setflags(write=False)
-        spec.eigenvectors.setflags(write=False)
-        spectra[n] = spec
-    return spectra[n]
 
 
 def min_pt_eigenvalue(state: BipartiteState) -> float:

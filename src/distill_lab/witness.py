@@ -46,7 +46,6 @@ from .qcore import (
     _numeric_rank,
     _power_dims,
     _pt_power,
-    _pt_power_spectrum,
     _two_nonpositive_pt,
     hermitian_eig,
     is_ppt,
@@ -71,8 +70,8 @@ _DET_TOL = 1e-16
 # Restart r of a routine called with ``seed`` draws from
 # derive_seed(seed, k * 1_000_000 + r): k = 0 for the rank-2 minimizer's Haar
 # starts (none at 3x3), 1 for the nudges, 2 for the product search and 4 for
-# the product search behind the n = 2 minimizer's lifted starts (3 is retired),
-# so no two routines share a stream while this stays below 1_000_000
+# the product search behind the n = 2 minimizer's lifted starts (none at 3x3;
+# 3 is retired), so no two routines share a stream while this stays below 1_000_000
 _RESTARTS = 64
 
 
@@ -162,7 +161,14 @@ _QUTRIT_FRAMES = np.array(
     ],
     dtype=complex,
 )
-# seeded starts of the width-1 product search behind the lifted starts
+# y starts of the width-1 product search behind the lifted starts: at 3x3 the
+# basis vectors and (1, w^i, w^(i^2))/sqrt3, w = exp(2 pi i/3), i = 0, 1, 2;
+# the basis and (1,1,1)/sqrt3 alone miss the n = 2 minimum's basin on 4 of 212
+# seeded and grid states.  Elsewhere ``_PRODUCT_STARTS`` seeded ones
+_QUTRIT_PRODUCT_STARTS = np.vstack([
+    np.eye(3),
+    np.exp(2j * math.pi / 3 * np.array([[0, 0, 0], [0, 1, 1], [0, 2, 1]])) / math.sqrt(3),
+])[:, :, None]
 _PRODUCT_STARTS = 8
 # a rank-2 start stops once a sweep gains at most this fraction of max|eig X|;
 # relative, so that minimizing c*X takes the same sweeps as minimizing X
@@ -260,18 +266,10 @@ def _descend(
     return vals, fa, fb
 
 
-def _eigenvector_start(spec: SpectralData, dims: Dims, sign: int = 1) -> tuple[float, np.ndarray]:
-    """max|eig X|, and the start frame of sign * X, from the spectrum ``spec`` of X.
-
-    The frame holds the two leading right Schmidt vectors of the bottom
-    eigenvector of sign * X: X's bottom eigenvector for sign +1, its top
-    one for sign -1.
-    """
-    ma, mb = dims
-    vec = spec.eigenvectors[:, 0 if sign > 0 else -1]
+def _schmidt_frame(mat: np.ndarray) -> np.ndarray:
+    """The two leading right Schmidt vectors, as columns, of the vector of coefficients ``mat``."""
     # rows of vh, unconjugated
-    frame = np.linalg.svd(vec.reshape(ma, mb))[2][:2].T
-    return float(np.abs(spec.eigenvalues).max()), frame
+    return np.linalg.svd(mat)[2][:2].T
 
 
 def _rank2_from_starts(
@@ -326,15 +324,15 @@ def min_rank2_expectation(x: np.ndarray, dims: Dims, seed: int = 2024) -> tuple[
         )
     if min(ma, mb) < 2:
         raise DimensionMismatchError("rank-2 ansatz needs both local dimensions >= 2")
-    scale, frame = _eigenvector_start(hermitian_eig(m), dims)
+    spec = hermitian_eig(m)
     fb = np.empty((_RANK2_STARTS, mb, 2), dtype=complex)
-    fb[0] = frame
+    fb[0] = _schmidt_frame(spec.eigenvectors[:, 0].reshape(ma, mb))
     if (ma, mb) == (3, 3):
         fb[1:] = _QUTRIT_FRAMES
     else:
         seeds = [derive_seed(seed, r) for r in range(_RANK2_STARTS - 1)]
         fb[1:] = _phase_fixed_qr(_complex_normals(seeds, 2 * mb)[0].reshape(-1, mb, 2))
-    return _rank2_from_starts(m, dims, fb, scale)
+    return _rank2_from_starts(m, dims, fb, float(np.abs(spec.eigenvalues).max()))
 
 
 def _product_minimum(
@@ -343,15 +341,41 @@ def _product_minimum(
     """Unit x and y whose product x (x) y has the smallest <xy|P|xy> found.
 
     The ALS loop of ``_descend`` at frame width 1, extrapolated sweeps
-    included, from ``_PRODUCT_STARTS`` seeded starts: start r draws y from
-    ``derive_seed(seed, 4_000_000 + r)``, and stops after a sweep that
-    gains at most ``tol``.  The best start wins.
+    included.  At 3x3 the y starts are ``_QUTRIT_PRODUCT_STARTS``, so
+    ``seed`` is not read; elsewhere ``_PRODUCT_STARTS`` of them, start r
+    drawn from ``derive_seed(seed, 4_000_000 + r)``.  Each stops after a
+    sweep that gains at most ``tol``.  The best start wins, the earliest on
+    ties.
     """
-    seeds = [derive_seed(seed, 4_000_000 + r) for r in range(_PRODUCT_STARTS)]
-    y0 = _phase_fixed_qr(_complex_normals(seeds, dims.dim_b)[0].reshape(-1, dims.dim_b, 1))
+    if tuple(dims) == (3, 3):
+        y0 = _QUTRIT_PRODUCT_STARTS
+    else:
+        seeds = [derive_seed(seed, 4_000_000 + r) for r in range(_PRODUCT_STARTS)]
+        y0 = _phase_fixed_qr(_complex_normals(seeds, dims.dim_b)[0].reshape(-1, dims.dim_b, 1))
     vals, fa, fb = _descend(p, dims, y0, tol)
     best = int(np.argmin(vals))
     return fa[best, :, 0], fb[best, :, 0]
+
+
+def _two_copy_frame(spec: SpectralData, dims: Dims, sign: int) -> np.ndarray:
+    """The eigenvector start frame of X = sign * P^(x 2), regrouped, from the spectrum of P.
+
+    With u and w P's bottom and top eigenvectors, the frame for sign +1 is
+    the Schmidt frame of u (x) w - w (x) u, regrouped, whose value
+    lambda_min * lambda_max is X's bottom eigenvalue when P is NPT.  For
+    sign -1, X's bottom eigenvector is t (x) t, t P's eigenvector of
+    largest |eigenvalue|; with v1, v2 the leading right Schmidt vectors of
+    t, the frame is [v1 (x) v1, (v1 (x) v2 + v2 (x) v1)/sqrt2], whose
+    symmetric second column settles t (x) t's equal Schmidt values
+    s1 s2 = s2 s1.
+    """
+    if sign > 0:
+        u, w = (spec.eigenvectors[:, k].reshape(dims) for k in (0, -1))
+        # kron of the coefficient matrices is the regrouped kron of the vectors
+        return _schmidt_frame(np.kron(u, w) - np.kron(w, u))
+    t = spec.eigenvectors[:, int(np.argmax(np.abs(spec.eigenvalues)))]
+    v1, v2 = _schmidt_frame(t.reshape(dims)).T
+    return np.column_stack([np.kron(v1, v1), (np.kron(v1, v2) + np.kron(v2, v1)) / math.sqrt(2)])
 
 
 def _lifted_minimum(
@@ -360,34 +384,31 @@ def _lifted_minimum(
     dims: Dims,
     one_copy: tuple[float, Rank2Ansatz],
     seed: int,
-    start: tuple[float, np.ndarray],
+    sign: int,
 ) -> tuple[float, Rank2Ansatz]:
-    """Rank-2 minimum of X = s * P^(x 2), regrouped, from the lifted one-copy minimum.
+    """Rank-2 minimum of X = sign * P^(x 2), regrouped, from the lifted one-copy minimum.
 
-    ``one_copy`` = (v, ansatz) is the rank-2 minimum of s * P, P on ``dims``
-    and s = +-1.  For the product x (x) y with p = <xy|P|xy>, the vector
-    psi (x) xy has the value v * p, so the product search
+    ``one_copy`` = (v, ansatz) is the rank-2 minimum of sign * P, P on
+    ``dims`` and sign = +-1.  For the product x (x) y with p = <xy|P|xy>,
+    the vector psi (x) xy has the value v * p, so the product search
     (``_product_minimum``) minimizes P when v >= 0 and -P when v < 0.  Three
     starts run through the same stacked loop as ``min_rank2_expectation``:
-    the frames of X's bottom eigenvector, kron(B, y) and kron(y, B), B the
-    one-copy ``frame_b``.  ``start`` = (max|eig X|, that first frame) is
-    ``_eigenvector_start`` of the one kept decomposition of P^(x 2), its
-    bottom eigenvector for s = +1 and its top one for s = -1, so no
-    eigendecomposition runs here.  No Haar draw is made.  The first sweep
+    ``_two_copy_frame``, kron(B, y) and kron(y, B), B the one-copy
+    ``frame_b``.  All come from P alone, 9x9 at 3x3, whose one
+    ``hermitian_eig`` also gives the stop scale max|eig P|^2 = max|eig X|;
+    X is never decomposed, and at 3x3 no draw is made.  The first sweep
     against kron(B, y) finds A at least as good as kron(A1, x), so the
     result never exceeds v * p beyond rounding.  ``_rank2_minimum`` is the
     one caller.
     """
     v, ansatz = one_copy
-    m = np.asarray(x, dtype=complex)
-    big = _power_dims(dims, 2)
-    scale, frame = start
-    # max|eig P| is the square root of max|eig P (x) P|
+    spec = hermitian_eig(p)
+    scale = float(np.abs(spec.eigenvalues).max())
     target = p if v >= 0 else -p
-    y = _product_minimum(target, dims, seed, _RANK2_REL_STOP * math.sqrt(scale))[1][:, None]
+    y = _product_minimum(target, dims, seed, _RANK2_REL_STOP * scale)[1][:, None]
     b = ansatz.frame_b
-    fb = np.stack([frame, np.kron(b, y), np.kron(y, b)])
-    return _rank2_from_starts(m, big, fb, scale)
+    fb = np.stack([_two_copy_frame(spec, dims, sign), np.kron(b, y), np.kron(y, b)])
+    return _rank2_from_starts(np.asarray(x, dtype=complex), _power_dims(dims, 2), fb, scale**2)
 
 
 def _accepts(value: float, rank: int) -> bool:
@@ -695,11 +716,10 @@ def _rank2_minimum(
     five-start ``min_rank2_expectation`` of sign * PT; at two, the lifted
     starts' (``_lifted_minimum``) from the kept one-copy minimum v of the
     same sign and seed, so a negative v gives a negative two-copy value.
-    Both signs at two copies start from the state's one kept
-    eigendecomposition of the two-copy PT (``_pt_power_spectrum``), so a
-    report that asks for the minimum and the maximum decomposes it once.
+    Those starts decompose only the one-copy PT, never the two-copy one,
+    and at 3x3 neither copy count reads ``seed``.
     """
-    pt, big = _pt_power(state, copies)
+    pt, _ = _pt_power(state, copies)
     minima, key = state._rank2_minima, (copies, seed, sign)
     if key not in minima:
         x = pt if sign > 0 else -pt
@@ -707,8 +727,7 @@ def _rank2_minimum(
             minima[key] = min_rank2_expectation(x, state.dims, seed)
         else:
             one_copy = _rank2_minimum(state, 1, seed, sign)
-            start = _eigenvector_start(_pt_power_spectrum(state, copies), big, sign)
-            minima[key] = _lifted_minimum(x, state._pt, state.dims, one_copy, seed, start)
+            minima[key] = _lifted_minimum(x, state._pt, state.dims, one_copy, seed, sign)
     return minima[key]
 
 

@@ -334,9 +334,9 @@ class TestSuites:
             calls.append(np.array(x))
             return real(x, dims, seed)
 
-        def lifted_spy(x, p, dims, one_copy, seed, start):
+        def lifted_spy(x, p, dims, one_copy, seed, sign):
             calls.append(np.array(x))
-            return lifted(x, p, dims, one_copy, seed, start)
+            return lifted(x, p, dims, one_copy, seed, sign)
 
         for name, module in list(sys.modules.items()):
             if not name.startswith("distill_lab"):

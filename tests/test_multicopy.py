@@ -29,7 +29,6 @@ from distill_lab.multicopy import (
 from distill_lab.qcore import (
     MAX_COPIES,
     Dims,
-    hermitian_eig,
     is_ppt,
     partial_transpose,
     regroup_tensor_power,
@@ -361,9 +360,8 @@ class TestVerifyUndistillable:
     def test_report_adds_the_maximum_to_the_claim(self, n):
         # the claim runs no maximum; the report's is -min(-PT), rebuilt here by hand along
         # the report's path, to the last bit: at n = 1 the five starts on -PT, at n = 2 the
-        # lifted starts on -X from the five-start minimum of -PT, their eigenvector start
-        # the top eigenvector of the one decomposition of X that the claim's minimum of +X
-        # also reads (the two start sets give different maxima at grid points 0 and 8)
+        # lifted starts on -X from the five-start minimum of -PT, their first frame built
+        # from the top |eigenvalue| eigenvector of PT, sign -1
         for params in [EdgeParams(*DEFAULT_GRID[i]) for i in (0, 4, 8)] + [PARAMS]:
             min_value = multicopy._n_copy_claim(params, n)[0]
             report = verify_n_undistillable(params, n)
@@ -372,9 +370,8 @@ class TestVerifyUndistillable:
             if n == 1:
                 neg_max, max_at = one_copy
             else:
-                x, big = regroup_tensor_power(p, D33, 2)
-                start = witness._eigenvector_start(hermitian_eig(x), big, -1)
-                neg_max, max_at = witness._lifted_minimum(-x, p, D33, one_copy, 2024, start)
+                x, _ = regroup_tensor_power(p, D33, 2)
+                neg_max, max_at = witness._lifted_minimum(-x, p, D33, one_copy, 2024, -1)
             assert report.max_value.hex() == (-neg_max).hex()
             assert report.max_witness.vec.tobytes() == max_at.vector().astype(complex).tobytes()
             assert report.min_value == min_value
