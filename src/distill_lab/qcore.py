@@ -93,11 +93,13 @@ class BipartiteState:
     transpose's ascending spectrum are each formed at most once, on first
     use, and shared by every route, check, NPT filter and n-copy build.
     Likewise ``_pt_powers`` keeps the read-only n-copy transposes that
-    ``_pt_power`` builds, n >= 2, and ``_rank2_minima`` the rank-2 minima
+    ``_pt_power`` builds, n >= 2, ``_rank2_minima`` the rank-2 minima
     that ``witness._rank2_minimum`` finds, one per copy count, seed and
-    sign.  No n-copy transpose is decomposed: the n-copy minimizer's
-    starts come from the one-copy transpose's eigenvectors.  The checks
-    use the module's ``_HERM_TOL`` and ``PSD_TOL``.
+    sign, and ``_mes_dual`` the one-copy MES dual bound (L, t) that
+    ``witness._mes_dual`` finds, once it has.  No n-copy transpose is
+    decomposed: the n-copy minimizer's starts come from the one-copy
+    transpose's eigenvectors.  The checks use the module's ``_HERM_TOL``
+    and ``PSD_TOL``.
     """
 
     mat: np.ndarray
@@ -137,6 +139,10 @@ class BipartiteState:
     @cached_property
     def _rank2_minima(self) -> dict:  # (copies, seed, sign) -> (value, read-only ansatz)
         return {}
+
+    @cached_property
+    def _mes_dual(self) -> list:  # [] until ``witness._mes_dual`` keeps its (L, t) here
+        return []
 
     @property
     def trace(self) -> float:

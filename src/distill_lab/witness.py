@@ -24,6 +24,8 @@ product vector, the three routes always yield a witness, so there
 
 Every n-copy rank-2 minimum, here and in ``multicopy``, is
 ``_rank2_minimum``'s, which picks the starts by copy count and keeps it.
+At one copy and 3x3, ``_mes_dual_bound`` gives a proven lower bound on that
+minimum, which lets ``certify_1_distillable`` prove a ``None``.
 """
 
 from __future__ import annotations
@@ -411,6 +413,110 @@ def _lifted_minimum(
     return _rank2_from_starts(np.asarray(x, dtype=complex), _power_dims(dims, 2), fb, scale**2)
 
 
+# the MES dual's operator Z = I - (3/2)|Phi><Phi|, Phi = (|00> + |11> + |22>)/sqrt3
+_MES_Z = np.eye(9) - 0.5 * np.kron(np.eye(3).reshape(9, 1), np.eye(3).reshape(1, 9))
+# a weight |<Phi|u>|^2 at or below this means Phi misses the eigenvector u: rounding
+# leaves about 1e-30 where Phi is orthogonal to u (at b = 1), and treating a true
+# weight w as missed moves L by about sqrt(w) times the eigenvalue gap.  At b = 1
+# this finds the kink in one step; kept as a pole, it took about 50 Illinois steps
+_UNSEEN = 1e-24
+# two eigenvalues of X/max|eig X| closer than this count as one
+_TIE = 1e-15
+# L's rounding allowance, relative to max|eig X| + t, the norm bound of X - tZ (|Z| = 1):
+# eigvalsh's computed bottom eigenvalue is exact for a matrix within about 9u|X - tZ|,
+# 2e-15 relative, of the X - tZ it was given; 1e-13 also covers forming X - tZ and a
+# minimizer's rounding in <psi|X|psi>
+_DUAL_SLACK = 1e-13
+# Illinois steps of the secular solve, which stops once its bracket is this narrow
+# relative to the gap between X's two bottom eigenvalues
+_SECULAR_STEPS = 100
+_SECULAR_TOL = 1e-14
+
+
+def _mes_dual_bound(x: np.ndarray) -> tuple[float, float]:
+    """A proven lower bound L, and its t, on <psi|X|psi> over unit psi of Schmidt rank <= 2 at 3x3.
+
+    A unit psi of Schmidt rank <= 2 has |<Phi|psi>|^2 <= 2/3 for the
+    maximally entangled Phi, so Z = I - (3/2)|Phi><Phi| has <psi|Z|psi> >= 0
+    (Terhal & P. Horodecki, PRA 61, 040301(R) (2000)), and <psi|X|psi> >=
+    lambda_min(X - tZ) for every t >= 0.  That bound is concave in t, with
+    slope (3/2)|<Phi|v>|^2 - 1 at the bottom eigenvector v of X - tZ.  Since
+    X - tZ = X - tI + s|Phi><Phi|, s = 3t/2, is a rank-one update, one
+    ``hermitian_eig`` of X = sum_i d_i u_i u_i^H gives the best t (Bunch,
+    Nielsen & Sorensen, Numer. Math. 31, 31 (1978)).  With w_i =
+    |<Phi|u_i>|^2, g(mu) = sum_i w_i / (d_i - mu) and d_0 <= d_1 <= ... , the
+    update's bottom eigenvalue is the mu in (d_0, d_1) with 1 + s g(mu) = 0,
+    its eigenvector has overlap g^2/g' with Phi, and the best t solves
+    g^2 = (2/3) g' there, t = -2/(3 g).  If w_0 <= 2/3 the slope starts
+    nonpositive and t = 0.  An eigenvalue that Phi misses (w_i at most
+    ``_UNSEEN``) stays an eigenvalue of the update, so when d_1 is one the
+    bottom eigenvalue stops at d_1, and if the overlap still exceeds 2/3
+    there the best t is that kink's (every ``DEFAULT_GRID`` point at b = 1).
+    The root is taken by Illinois steps on the secular condition times the
+    squared distances to the poles at d_0 and at a seen d_1, smooth on the
+    bracket; a naive secant fails at b = 1.  The tests' 60-step bisection
+    over t is the reference.
+
+    Any t >= 0 gives a valid bound, so the solve needs no proof: L is the
+    bottom eigenvalue of X - tZ less the rounding allowance ``_DUAL_SLACK`` *
+    (max|eig X| + t).
+    """
+    spec = hermitian_eig(x)
+    scale = float(np.abs(spec.eigenvalues).max())
+    u = spec.eigenvectors
+    w = (np.abs(u[0] + u[4] + u[8]) ** 2 / 3).tolist()
+    # in units of max|eig X|, so that the solve reads c*X as it reads X
+    d = (spec.eigenvalues / (scale or 1.0)).tolist()
+    delta, t = d[1] - d[0], 0.0
+    if w[0] > 2 / 3 and delta > _TIE:
+        # mu = d_1 - tau, tau in [0, delta]; the weight at d_1, ties included, is its pole
+        w0, w1, rest = w[0], 0.0, []
+        for di, wi in zip(d[1:], w[1:]):
+            if di - d[1] <= _TIE:
+                w1 += wi
+            elif wi > _UNSEEN:
+                rest.append((di - d[1], wi))
+        pole = w1 > _UNSEEN
+        w1 = w1 if pole else 0.0
+
+        def secular(tau: float) -> float:
+            """(g^2 - (2/3) g') (tau - delta)^2, times tau^2 at a pole: < 0 above the root in mu."""
+            s1 = s2 = 0.0
+            for e, wi in rest:
+                q = e + tau
+                s1 += wi / q
+                s2 += wi / (q * q)
+            a, p = tau - delta, tau if pole else 1.0
+            g = w0 * p + w1 * a + a * p * s1
+            return g * g - 2 / 3 * (w0 * p * p + w1 * a * a + (a * p) ** 2 * s2)
+
+        lo, hi, f_lo, f_hi, side = 0.0, delta, secular(0.0), secular(delta), 0
+        tau = 0.0
+        # f_lo < 0 at a pole; without one, f_lo >= 0 puts the best t at the kink mu = d_1
+        if f_lo < 0:
+            for _ in range(_SECULAR_STEPS):
+                tau = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+                if not lo < tau < hi:
+                    tau = (lo + hi) / 2
+                f = secular(tau)
+                if f == 0:
+                    break
+                # Illinois: a side kept twice in a row has its value halved
+                if f < 0:
+                    lo, f_lo = tau, f
+                    f_hi, side = (f_hi / 2 if side < 0 else f_hi), -1
+                else:
+                    hi, f_hi = tau, f
+                    f_lo, side = (f_lo / 2 if side > 0 else f_lo), 1
+                if hi - lo <= _SECULAR_TOL * delta:
+                    break
+        g = w0 / (tau - delta) + sum(wi / (e + tau) for e, wi in rest) + (w1 / tau if pole else 0.0)
+        if g < 0:
+            t = -2 / (3 * g) * scale
+    bottom = float(np.linalg.eigvalsh(x - t * _MES_Z)[0])
+    return bottom - _DUAL_SLACK * (scale + t), t
+
+
 def _accepts(value: float, rank: int) -> bool:
     """The one witness rule: Schmidt rank at most 2 and a form below ``-PSD_TOL``."""
     return bool(rank <= 2 and value < -PSD_TOL)
@@ -676,11 +782,15 @@ def certify_1_distillable(state: BipartiteState, seed: int = 2024) -> Optional[W
     least 5, provably holds a product vector (``_holds_product_vector``),
     so one of the three routes must fire, and ``NumericalFailureError``
     naming the rank and kernel dimension is raised if none does.  Other
-    states go on to the rank-2 minimizer.
+    states go on to the rank-2 minimizer, except a 3x3 state whose MES dual
+    bound L (``_mes_dual``, kept on the state) is positive: L > 0 proves
+    that no Schmidt-rank-2 vector has a negative value, so ``None`` returns
+    without a search.
 
     Returns the first verifiable certificate, or ``None`` when no witness
-    with value below ``-PSD_TOL`` was found.  ``None`` on its own is not a
-    proof of undistillability.
+    with value below ``-PSD_TOL`` was found.  At 3x3 a ``None`` reached
+    through L > 0 is a proof of 1-undistillability; any other ``None`` is
+    not: it says only that the minimizer found no witness.
     """
     if is_ppt(state):
         return None
@@ -693,6 +803,9 @@ def certify_1_distillable(state: BipartiteState, seed: int = 2024) -> Optional[W
         return cert
     rank = _numeric_rank(state.mat)
     if not _holds_product_vector(state.dims, state.dims.total - rank):
+        # a positive MES dual bound proves that no rank-2 vector has a negative value
+        if tuple(state.dims) == (3, 3) and _mes_dual(state)[0] > 0:
+            return None
         return best_rank2_witness(state, 1, seed)[1]
     cert = kernel_product_witness(state, seed)
     if cert is None:
@@ -703,6 +816,14 @@ def certify_1_distillable(state: BipartiteState, seed: int = 2024) -> Optional[W
     return cert
 
 
+def _mes_dual(state: BipartiteState) -> tuple[float, float]:
+    """``_mes_dual_bound`` of a 3x3 state's partial transpose, kept in its ``_mes_dual``."""
+    kept = state._mes_dual
+    if not kept:
+        kept.append(_mes_dual_bound(state._pt))
+    return kept[0]
+
+
 def _rank2_minimum(
     state: BipartiteState, copies: int, seed: int, sign: int = 1
 ) -> tuple[float, Rank2Ansatz]:
@@ -711,8 +832,10 @@ def _rank2_minimum(
     The witness search, both Werner extrema and the rho claim and maximum
     all ask here.  ``_pt_power`` checks the copy count before any work.  The
     minimum is kept in ``_rank2_minima`` under ``(copies, seed, sign)``, so
-    a rank-5 check, which asks in ``certify_1_distillable`` and again in
-    ``undistillability_margin``, minimizes once.  At one copy it is the
+    a rank-5 check, which may ask in ``certify_1_distillable`` and again in
+    ``undistillability_margin``, minimizes at most once; where the state's
+    MES dual bound settles both (``_mes_dual``), as on the edge family at
+    the default noise, it minimizes not at all.  At one copy it is the
     five-start ``min_rank2_expectation`` of sign * PT; at two, the lifted
     starts' (``_lifted_minimum``) from the kept one-copy minimum v of the
     same sign and seed, so a negative v gives a negative two-copy value.
@@ -737,9 +860,11 @@ def best_rank2_witness(
     """Best rank-2 value of the n-copy partial transpose, plus a certificate.
 
     The certificate is present exactly when the minimizer's vector passes
-    ``_accepts``; the value itself is always reported (a positive best
-    value over many restarts is evidence, not proof, of undistillability).
-    The value is ``_rank2_minimum(state, copies, seed)``, kept on the state.
+    ``_accepts``; the value itself is always reported.  A positive best
+    value is evidence, not proof, of undistillability: the minimizer's five
+    starts (three at two copies) make no global-optimality claim.  At one
+    copy and 3x3 the proof is the MES dual bound (``_mes_dual``).  The value
+    is ``_rank2_minimum(state, copies, seed)``, kept on the state.
     """
     value, ansatz = _rank2_minimum(state, copies, seed)
     # an ansatz has Schmidt rank at most 2, so only its value can fail the rule
