@@ -27,7 +27,6 @@ from .qcore import (
     PSD_TOL,
     Dims,
     NumericalFailureError,
-    _numeric_rank,
     is_ppt,
     min_pt_eigenvalue,
 )
@@ -125,7 +124,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 
 def _cmd_certify_rank4(args: argparse.Namespace) -> int:
     state = _load_state(args.infile)
-    rank = _numeric_rank(state.mat)
+    rank = state._rank
     if rank != 4:
         print(f"input state has rank {rank}, expected 4", file=sys.stderr)
         return EXIT_INVALID

@@ -29,7 +29,6 @@ from .qcore import (
     InvariantViolationError,
     NumericalFailureError,
     PureState,
-    _numeric_rank,
     is_ppt,
     min_pt_eigenvalue,
     rank_kernel_range,
@@ -85,6 +84,10 @@ def maximally_entangled_qutrits() -> PureState:
     v = np.zeros(9, dtype=complex)
     v[0] = v[4] = v[8] = 1.0 / math.sqrt(3.0)
     return PureState(v, QUTRIT_PAIR)
+
+
+# the MES as one read-only vector, shared by every module that reads it
+_MES = maximally_entangled_qutrits().vec
 
 
 def edge_state(params: EdgeParams) -> BipartiteState:
@@ -195,15 +198,14 @@ def range_product_vector(
     f = np.array([1.0, rb * phase, 0.0], dtype=complex) / (rb + 1 / rb)
     g = np.array([1.0, -phase.conjugate() / rb, 0.0], dtype=complex)
 
-    fg = np.kron(f, g)
+    fg = np.outer(f, g).ravel()
     _, kernel, _ = rank_kernel_range(sigma.mat)
     residual = float(np.linalg.norm(kernel.conj().T @ fg))
     if residual > 1e-10:
         raise NumericalFailureError(
             f"product vector failed range membership (residual {residual:.3e})"
         )
-    mes = maximally_entangled_qutrits().vec
-    overlap = abs(complex(mes.conj() @ np.kron(f.conj(), g)))
+    overlap = abs(complex(_MES.conj() @ np.outer(f.conj(), g).ravel()))
     if overlap <= 1e-6:
         raise NumericalFailureError(
             f"conjugated product vector unexpectedly orthogonal to the"
@@ -236,10 +238,10 @@ def build_edge_bundle(params: EdgeParams, eps: float = 0.0) -> EdgeBundle:
         raise ValueError(f"eps={eps} exceeds the undistillability budget {gap / 3}")
     sigma = edge_state(params)
     f, g = range_product_vector(params, sigma)
-    fg = np.kron(f, g)
+    fg = np.outer(f, g).ravel()
     npt_state = BipartiteState(sigma.mat - eps * np.outer(fg, fg.conj()), QUTRIT_PAIR)
 
-    rank = _numeric_rank(npt_state.mat)
+    rank = npt_state._rank
     if rank != 5 or is_ppt(npt_state):
         raise NumericalFailureError(
             f"perturbed edge state fails its rank-5 NPT check: rank {rank}, smallest PT"

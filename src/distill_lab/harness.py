@@ -35,11 +35,11 @@ import numpy as np
 
 from .edgestate import (
     DEFAULT_GRID,
+    _MES,
     EdgeParams,
     build_edge_bundle,
     edge_state,
     edge_state_pt,
-    maximally_entangled_qutrits,
     min_positive_pt_eigenvalue,
 )
 from .multicopy import _n_copy_claim, extremal_rank2_tensor_power, werner_projector
@@ -296,17 +296,16 @@ def _judge_edge_point(idx: int, point: tuple[float, float]):
     sigma = edge_state(params)
     closed = edge_state_pt(params)
     pt = sigma._pt
-    mes = maximally_entangled_qutrits().vec
 
     if abs(sigma.trace - 1.0) > 1e-12:
         problems.append(f"trace {sigma.trace} != 1")
-    if _numeric_rank(sigma.mat) != 5:
+    if sigma._rank != 5:
         problems.append("edge state rank != 5")
     if _numeric_rank(pt) != 8:
         problems.append("edge-state PT rank != 8")
     if float(np.abs(pt - closed).max()) > 1e-15:
         problems.append("closed-form PT disagrees with the permutation PT")
-    if float(np.abs(pt @ mes).max()) > 1e-12:
+    if float(np.abs(pt @ _MES).max()) > 1e-12:
         problems.append("MES not in the PT kernel")
 
     gap = min_positive_pt_eigenvalue(params)
@@ -314,14 +313,14 @@ def _judge_edge_point(idx: int, point: tuple[float, float]):
     positive = evals[evals > RANK_REL_TOL * evals[-1]]
     if abs(gap - float(positive[0])) > 1e-10:
         problems.append("closed-form gap disagrees with eigendecomposition")
-    bound_op = pt - gap * (np.eye(9) - np.outer(mes, mes.conj()))
+    bound_op = pt - gap * (np.eye(9) - np.outer(_MES, _MES.conj()))
     if float(np.linalg.eigvalsh(bound_op)[0]) < -PSD_TOL:
         problems.append("operator lower bound violated at n=1")
 
     # the bundle finds the range product vector with its membership checks
     try:
         bundle = build_edge_bundle(params)
-        if abs(np.linalg.norm(np.kron(bundle.factor_a, bundle.factor_b)) - 1.0) > 1e-12:
+        if abs(np.linalg.norm(np.outer(bundle.factor_a, bundle.factor_b).ravel()) - 1.0) > 1e-12:
             problems.append("range product vector is not normalized")
         pt_evals = bundle.npt_state._pt_eigenvalues
         if int(np.sum(pt_evals < -PSD_TOL)) != 1:

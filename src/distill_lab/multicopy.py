@@ -26,12 +26,12 @@ import numpy as np
 
 from .edgestate import (
     QUTRIT_PAIR,
+    _MES,
     EdgeBundle,
     EdgeParams,
     _noise,
     build_edge_bundle,
     edge_state,
-    maximally_entangled_qutrits,
     min_positive_pt_eigenvalue,
 )
 from .qcore import (
@@ -75,8 +75,7 @@ class MulticopyReport:
 
 def werner_projector() -> BipartiteState:
     """(identity - MES projector) / 8: separable, trace one, rank eight, PPT."""
-    mes = maximally_entangled_qutrits().vec
-    mat = (np.eye(9, dtype=complex) - np.outer(mes, mes.conj())) / 8
+    mat = (np.eye(9, dtype=complex) - np.outer(_MES, _MES.conj())) / 8
     return BipartiteState(mat, QUTRIT_PAIR)
 
 
@@ -86,8 +85,7 @@ def max_rank2_overlap_with_mes(seed: int = 2024) -> float:
     Computed by minimizing the expectation of minus the MES projector;
     the exact answer is 2/3.
     """
-    mes = maximally_entangled_qutrits().vec
-    value, _ = min_rank2_expectation(-np.outer(mes, mes.conj()), QUTRIT_PAIR, seed)
+    value, _ = min_rank2_expectation(-np.outer(_MES, _MES.conj()), QUTRIT_PAIR, seed)
     return -value
 
 

@@ -95,8 +95,9 @@ class BipartiteState:
     Likewise ``_pt_powers`` keeps the read-only n-copy transposes that
     ``_pt_power`` builds, n >= 2, ``_rank2_minima`` the rank-2 minima
     that ``witness._rank2_minimum`` finds, one per copy count, seed and
-    sign, and ``_mes_dual`` the one-copy MES dual bound (L, t) that
-    ``witness._mes_dual`` finds, once it has.  No n-copy transpose is
+    sign, ``_mes_dual`` the one-copy MES dual bound (L, t) that
+    ``witness._mes_dual`` finds, once it has, and ``_rank`` the numeric
+    rank (``_numeric_rank``), ranked once.  No n-copy transpose is
     decomposed: the n-copy minimizer's starts come from the one-copy
     transpose's eigenvectors.  The checks use the module's ``_HERM_TOL``
     and ``PSD_TOL``.
@@ -131,6 +132,10 @@ class BipartiteState:
         ev = np.linalg.eigvalsh(self._pt)
         ev.setflags(write=False)
         return ev
+
+    @cached_property
+    def _rank(self) -> int:
+        return _numeric_rank(self.mat)
 
     @cached_property
     def _pt_powers(self) -> dict:  # copies -> (read-only n-copy transpose, its split)

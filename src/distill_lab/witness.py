@@ -801,7 +801,7 @@ def certify_1_distillable(state: BipartiteState, seed: int = 2024) -> Optional[W
     cert = _spectral_routes(state, seed)
     if cert is not None:
         return cert
-    rank = _numeric_rank(state.mat)
+    rank = state._rank
     if not _holds_product_vector(state.dims, state.dims.total - rank):
         # a positive MES dual bound proves that no rank-2 vector has a negative value
         if tuple(state.dims) == (3, 3) and _mes_dual(state)[0] > 0:

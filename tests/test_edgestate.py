@@ -1,6 +1,7 @@
 """Edge-family structure: spectra, product vectors, and the rank-5 NPT state."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -227,7 +228,40 @@ class TestRangeProductVector:
         assert float(np.linalg.norm(kernel.conj().T @ np.kron(f, g))) < 1e-10
 
 
+def _pin_points() -> list[tuple[float, float]]:
+    """The 12 grid points, then 100 seeded ones over b in [1/2, 2], pi/12 <= |theta| <= pi/4."""
+    rng = random.Random(38)
+    points = list(DEFAULT_GRID)
+    for _ in range(100):
+        b = 2.0 ** rng.uniform(-1.0, 1.0)
+        points.append((b, rng.choice((-1, 1)) * rng.uniform(math.pi / 12, math.pi / 4)))
+    return points
+
+
 class TestBundle:
+    def test_npt_state_matches_the_kron_reference_bit_for_bit(self):
+        # the bundle forms f (x) g as an outer product; each entry is the one
+        # product f_i g_j, so the state equals the kron-built reference exactly
+        points = _pin_points()
+        assert len(points) == 112
+        for b, theta in points:
+            params = EdgeParams(b, theta)
+            bundle = build_edge_bundle(params)
+            f, g = range_product_vector(params)
+            assert np.array_equal(f, bundle.factor_a) and np.array_equal(g, bundle.factor_b)
+            fg = np.kron(f, g)
+            reference = edge_state(params).mat - bundle.eps * np.outer(fg, fg.conj())
+            assert np.array_equal(bundle.npt_state.mat, reference)
+
+    def test_membership_check_rejects_another_edge_state(self):
+        # the product vector of one point is not in the range of another's edge state
+        for p, q in (
+            ((1.0, math.pi / 6), (2.0, -math.pi / 4)),
+            ((0.5, -math.pi / 6), (0.5, math.pi / 6)),
+        ):
+            with pytest.raises(NumericalFailureError, match="range membership"):
+                range_product_vector(EdgeParams(*p), edge_state(EdgeParams(*q)))
+
     @pytest.mark.parametrize("b,theta", DEFAULT_GRID)
     def test_boundary_eps_allowed(self, b, theta):
         gap = min_positive_pt_eigenvalue(EdgeParams(b, theta))

@@ -3,6 +3,7 @@
 import inspect
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -320,6 +321,26 @@ def _decomposition_rank(m: np.ndarray) -> int:
 def _decomposition_schmidt_rank(vec: np.ndarray, dims: Dims) -> int:
     s, _, _ = schmidt_decompose(vec, dims)
     return int(np.sum(s > RANK_REL_TOL * s[0]))
+
+
+class TestKeptRank:
+    """A state ranks itself once, by the one rank rule."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dims=st.sampled_from([D33, Dims(2, 4)]),
+        rank=st.integers(1, 9),
+        seed=st.integers(0, 2**32 - 1),
+        log_c=st.floats(-6.0, 6.0),
+    )
+    def test_kept_rank_is_the_rank_rule(self, dims, rank, seed, log_c):
+        rho = random_state(dims, min(rank, dims.total), seed)
+        for state in (rho, BipartiteState(10.0**log_c * rho.mat, dims)):
+            with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+                first = state._rank
+                assert state._rank == first and svd.call_count == 1
+            assert first == _numeric_rank(state.mat) == rank_kernel_range(state.mat)[0]
+        assert rho._rank == min(rank, dims.total)
 
 
 class TestSingularValueRank:

@@ -287,6 +287,31 @@ class TestMinimizerMemo:
         assert undistillability_margin(bundle) > 0
         assert sweeps == []
 
+    @pytest.mark.parametrize("b,theta", DEFAULT_GRID)
+    def test_rank5_check_ranks_the_npt_state_once(self, monkeypatch, b, theta):
+        # the bundle's rank-5 check and certify read the state's one kept rank, so the
+        # whole check runs two SVDs: sigma's kernel and that rank
+        ranked, svds = [], []
+        rank, svd = qcore._numeric_rank, np.linalg.svd
+
+        def spied_rank(mat):
+            ranked.append(np.array(mat))
+            return rank(mat)
+
+        def spied_svd(*args, **kwargs):
+            svds.append(np.shape(args[0]))
+            return svd(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("distill_lab") and vars(module).get("_numeric_rank") is rank:
+                monkeypatch.setattr(module, "_numeric_rank", spied_rank)
+        monkeypatch.setattr(np.linalg, "svd", spied_svd)
+        bundle = build_edge_bundle(EdgeParams(b, theta))
+        assert certify_1_distillable(bundle.npt_state) is None
+        assert undistillability_margin(bundle) == bundle.margin
+        assert sum(np.array_equal(m, bundle.npt_state.mat) for m in ranked) == 1
+        assert svds == [(9, 9), (9, 9)]
+
     def test_cli_witness_minimizes_once(self, tmp_path, capsys, sweeps):
         path = tmp_path / "rho.json"
         assert main(["rho", "--b", "1.0", "--theta", str(math.pi / 6), "--out", str(path)]) == 0
