@@ -270,9 +270,9 @@ def undistillability_margin(bundle: EdgeBundle, seed: int = 2024) -> float:
     in [1/2, 2] and pi/12 <= |theta| <= pi/4.  Where L < margin (a state
     turned by a local unitary that moves the MES, say), the numeric
     minimizer runs, and its value must undercut neither bound: not the
-    margin beyond 1e-8, nor L beyond L's rounding allowance.  A violation
-    would indicate a bookkeeping bug, not new physics.  The minimum is the
-    one ``witness._rank2_minimum`` keeps on the state.
+    margin beyond 1e-8, nor L beyond L's rounding allowance on the scale L
+    read from ``_pt_spectrum``.  A violation would be a bookkeeping bug, not
+    new physics.  The minimum is the one ``witness._rank2_minimum`` keeps.
     """
     state = bundle.npt_state
     dual, t = _mes_dual(state)
@@ -283,7 +283,7 @@ def undistillability_margin(bundle: EdgeBundle, seed: int = 2024) -> float:
         raise InvariantViolationError(
             f"rank-2 minimum {value} violates the proven bound {bundle.margin}"
         )
-    if value < dual - _DUAL_SLACK * (float(np.abs(state._pt_eigenvalues).max()) + t):
+    if value < dual - _DUAL_SLACK * (float(np.abs(state._pt_spectrum.eigenvalues).max()) + t):
         raise InvariantViolationError(
             f"rank-2 minimum {value} violates the proven MES dual bound {dual}"
         )

@@ -3,8 +3,8 @@
 States are Ginibre-style ``G G*`` draws with ``G`` filled from the
 portable SplitMix64/Box-Muller stream, so a (seed, trial) pair pins every
 sample bit-for-bit.  An ensemble draws its attempts in blocks, each block
-as one stack of streams, products and singular values, which equal the
-one-at-a-time draws bit for bit; ``random_state`` is the one-seed case.
+as one stack of streams and products, which equal the one-at-a-time draws
+bit for bit; ``random_state`` is the one-seed case.
 
 A suite runs from its name, a trial count and a seed, which pick only the
 sampled states: the routes and checks inside every suite run at the
@@ -51,7 +51,6 @@ from .qcore import (
     Dims,
     InvariantViolationError,
     NumericalFailureError,
-    _numeric_rank,
     _pt_power,
     _rank_cut,
     _two_nonpositive_pt,
@@ -153,10 +152,9 @@ def _draws(dims: Dims, rank: int, seeds: list[int], drawn: dict) -> Iterator[Bip
     """The states ``random_state(dims, rank, s)`` for ``s`` in ``seeds``, in order.
 
     Seeds whose state ``drawn`` holds, keyed by (dims, rank, seed), reuse
-    it; the others are drawn as one stack: one ``_complex_normals`` call,
-    one stacked ``G G*`` and one stacked singular-value solve, which give
-    the per-seed values bit for bit.  Each new state is stored in ``drawn``
-    once it is built and its rank checked.
+    it; the others are drawn as one stack: one ``_complex_normals`` call
+    and one stacked ``G G*``, which give the per-seed values bit for bit.
+    Each new state is stored in ``drawn`` once its kept rank is checked.
     """
     new = [s for s in seeds if (dims, rank, s) not in drawn]
     fresh = iter(())
@@ -164,16 +162,14 @@ def _draws(dims: Dims, rank: int, seeds: list[int], drawn: dict) -> Iterator[Bip
         g = _complex_normals(new, dims.total * rank)[0].reshape(len(new), dims.total, rank)
         mats = g @ g.conj().transpose(0, 2, 1)
         mats /= np.trace(mats, axis1=1, axis2=2).real[:, None, None]
-        fresh = zip(mats, np.linalg.svd(mats, compute_uv=False))
+        fresh = iter(mats)
     for s in seeds:
         key = (dims, rank, s)
         if key not in drawn:
-            mat, sv = next(fresh)
-            state = BipartiteState(mat, dims)
-            got = _rank_cut(sv)
-            if got != rank:
+            state = BipartiteState(next(fresh), dims)
+            if state._rank != rank:
                 raise NumericalFailureError(
-                    f"sampled state has numeric rank {got}, expected {rank}"
+                    f"sampled state has numeric rank {state._rank}, expected {rank}"
                 )
             drawn[key] = state
         yield drawn[key]
@@ -301,7 +297,8 @@ def _judge_edge_point(idx: int, point: tuple[float, float]):
         problems.append(f"trace {sigma.trace} != 1")
     if sigma._rank != 5:
         problems.append("edge state rank != 5")
-    if _numeric_rank(pt) != 8:
+    evals = sigma._pt_spectrum.eigenvalues  # ranked as a state ranks itself
+    if _rank_cut(np.sort(np.abs(evals))[::-1]) != 8:
         problems.append("edge-state PT rank != 8")
     if float(np.abs(pt - closed).max()) > 1e-15:
         problems.append("closed-form PT disagrees with the permutation PT")
@@ -309,7 +306,6 @@ def _judge_edge_point(idx: int, point: tuple[float, float]):
         problems.append("MES not in the PT kernel")
 
     gap = min_positive_pt_eigenvalue(params)
-    evals = sigma._pt_eigenvalues
     positive = evals[evals > RANK_REL_TOL * evals[-1]]
     if abs(gap - float(positive[0])) > 1e-10:
         problems.append("closed-form gap disagrees with eigendecomposition")
@@ -322,7 +318,7 @@ def _judge_edge_point(idx: int, point: tuple[float, float]):
         bundle = build_edge_bundle(params)
         if abs(np.linalg.norm(np.outer(bundle.factor_a, bundle.factor_b).ravel()) - 1.0) > 1e-12:
             problems.append("range product vector is not normalized")
-        pt_evals = bundle.npt_state._pt_eigenvalues
+        pt_evals = bundle.npt_state._pt_spectrum.eigenvalues
         if int(np.sum(pt_evals < -PSD_TOL)) != 1:
             problems.append("perturbed state does not have exactly one negative PT eigenvalue")
         if int(np.sum(pt_evals > PSD_TOL)) != 8:

@@ -157,9 +157,9 @@ def undistillability_bound(params: EdgeParams, n: int, eps: float) -> float:
 
 
 def _gap_and_pt_norm(params: EdgeParams) -> tuple[float, float]:
-    """The bound's two constants: the PT gap and the PT operator norm."""
+    """The bound's two constants: the PT gap and the PT operator norm (from ``_pt_spectrum``)."""
     gap = min_positive_pt_eigenvalue(params)
-    return gap, float(edge_state(params)._pt_eigenvalues[-1])
+    return gap, float(edge_state(params)._pt_spectrum.eigenvalues[-1])
 
 
 # past this exponent x = n log1p(eps/N), e^-x is below 2^-53: N^n is under half an

@@ -7,9 +7,11 @@ thresholds.  Each threshold is one module constant: ``PSD_TOL`` for sign
 decisions and ``RANK_REL_TOL`` for ranks, which the other modules share,
 and the private Hermiticity and reconstruction gates.  The partial
 transpose is implemented as an exact entry permutation (no floating-point
-arithmetic), so applying it twice returns the input bit-for-bit; a
-``BipartiteState`` forms its own once and caches it.  ``_pt_power``
-gives every n-copy witness operator, n = 1 included: that cached
+arithmetic), so applying it twice returns the input bit-for-bit.  A
+``BipartiteState`` decomposes each matrix it holds once: its construction
+spectrum ranks it, and one checked ``hermitian_eig`` of its cached
+transpose serves every NPT rule, route, dual bound and start.
+``_pt_power`` gives every n-copy witness operator, n = 1 included: that
 transpose, or its n-th power regrouped to (A..A : B..B), formed once per
 state and copy count and never decomposed.  The library's one setting
 is the ``seed`` argument (default 2024) of its randomized routines.
@@ -88,19 +90,19 @@ class BipartiteState:
     """A positive-semidefinite operator on an ``dim_a x dim_b`` product space.
 
     Hermiticity, positivity and a positive trace are checked at
-    construction; normalization is deliberately not required.  The matrix
-    is stored read-only, so its partial transpose ``_pt`` and that
-    transpose's ascending spectrum are each formed at most once, on first
-    use, and shared by every route, check, NPT filter and n-copy build.
-    Likewise ``_pt_powers`` keeps the read-only n-copy transposes that
-    ``_pt_power`` builds, n >= 2, ``_rank2_minima`` the rank-2 minima
-    that ``witness._rank2_minimum`` finds, one per copy count, seed and
-    sign, ``_mes_dual`` the one-copy MES dual bound (L, t) that
-    ``witness._mes_dual`` finds, once it has, and ``_rank`` the numeric
-    rank (``_numeric_rank``), ranked once.  No n-copy transpose is
-    decomposed: the n-copy minimizer's starts come from the one-copy
-    transpose's eigenvectors.  The checks use the module's ``_HERM_TOL``
-    and ``PSD_TOL``.
+    construction; normalization is deliberately not required.  The
+    positivity check's eigenvalues give ``_rank`` by ``_rank_cut`` on their
+    magnitudes, a PSD matrix's singular values.  The matrix is stored
+    read-only, so its partial transpose ``_pt`` and that transpose's
+    checked, read-only ``hermitian_eig`` ``_pt_spectrum`` are each formed
+    at most once, on first use, and shared by every route, check, NPT
+    filter, dual bound, start and n-copy build.  Likewise ``_pt_powers``
+    keeps the read-only n-copy transposes that ``_pt_power`` builds, n >=
+    2, ``_rank2_minima`` the rank-2 minima that ``witness._rank2_minimum``
+    finds, one per copy count, seed and sign, and ``_mes_dual`` the
+    one-copy MES dual bound (L, t) that ``witness._mes_dual`` finds.  No
+    n-copy transpose is decomposed.  The checks use the module's
+    ``_HERM_TOL`` and ``PSD_TOL``.
     """
 
     mat: np.ndarray
@@ -120,6 +122,7 @@ class BipartiteState:
             raise ValueError("state must have positive trace")
         m.setflags(write=False)
         object.__setattr__(self, "mat", m)
+        object.__setattr__(self, "_rank", _rank_cut(np.sort(np.abs(evals))[::-1]))
 
     @cached_property
     def _pt(self) -> np.ndarray:
@@ -128,14 +131,11 @@ class BipartiteState:
         return pt
 
     @cached_property
-    def _pt_eigenvalues(self) -> np.ndarray:
-        ev = np.linalg.eigvalsh(self._pt)
-        ev.setflags(write=False)
-        return ev
-
-    @cached_property
-    def _rank(self) -> int:
-        return _numeric_rank(self.mat)
+    def _pt_spectrum(self) -> SpectralData:
+        spec = hermitian_eig(self._pt)
+        spec.eigenvalues.setflags(write=False)
+        spec.eigenvectors.setflags(write=False)
+        return spec
 
     @cached_property
     def _pt_powers(self) -> dict:  # copies -> (read-only n-copy transpose, its split)
@@ -380,24 +380,24 @@ def _pt_power(state: BipartiteState, n: int) -> tuple[np.ndarray, Dims]:
 
 
 def min_pt_eigenvalue(state: BipartiteState) -> float:
-    """Smallest eigenvalue of the partial transpose (the state's cached spectrum)."""
-    return float(state._pt_eigenvalues[0])
+    """Smallest eigenvalue of the partial transpose, from the state's kept ``_pt_spectrum``."""
+    return float(state._pt_spectrum.eigenvalues[0])
 
 
 def is_ppt(state: BipartiteState) -> bool:
     """True when the partial transpose has no eigenvalue below ``-PSD_TOL``.
 
     The one NPT rule: every filter, route and build that asks whether a
-    state is NPT asks this, on the state's cached spectrum.
+    state is NPT asks this, on the state's kept ``_pt_spectrum``.
     """
     return min_pt_eigenvalue(state) >= -PSD_TOL
 
 
 def _two_nonpositive_pt(state: BipartiteState) -> bool:
-    """The two-qutrit theorem's hypothesis, on the state's cached PT spectrum.
+    """The two-qutrit theorem's hypothesis, on the state's kept ``_pt_spectrum``.
 
     The smallest eigenvalue lies below ``-PSD_TOL`` (the state is NPT, as
     ``is_ppt`` decides) and the second smallest is at most ``PSD_TOL``.
     """
-    ev = state._pt_eigenvalues
+    ev = state._pt_spectrum.eigenvalues
     return bool(ev[0] < -PSD_TOL and ev[1] <= PSD_TOL)

@@ -319,14 +319,20 @@ def min_rank2_expectation(x: np.ndarray, dims: Dims, seed: int = 2024) -> tuple[
     Every call computes; ``_rank2_minimum`` keeps a state's minima.
     """
     m = np.asarray(x, dtype=complex)
-    ma, mb = dims
     if m.shape != (dims.total, dims.total):
         raise DimensionMismatchError(
             f"matrix of shape {m.shape} does not match dims {tuple(dims)}"
         )
-    if min(ma, mb) < 2:
+    if min(dims) < 2:
         raise DimensionMismatchError("rank-2 ansatz needs both local dimensions >= 2")
-    spec = hermitian_eig(m)
+    return _one_copy_minimum(m, dims, hermitian_eig(m), seed)
+
+
+def _one_copy_minimum(
+    m: np.ndarray, dims: Dims, spec: SpectralData, seed: int
+) -> tuple[float, Rank2Ansatz]:
+    """``min_rank2_expectation`` of ``m``, read from ``spec``, the decomposition of ``m``."""
+    ma, mb = dims
     fb = np.empty((_RANK2_STARTS, mb, 2), dtype=complex)
     fb[0] = _schmidt_frame(spec.eigenvectors[:, 0].reshape(ma, mb))
     if (ma, mb) == (3, 3):
@@ -381,30 +387,25 @@ def _two_copy_frame(spec: SpectralData, dims: Dims, sign: int) -> np.ndarray:
 
 
 def _lifted_minimum(
-    x: np.ndarray,
-    p: np.ndarray,
-    dims: Dims,
-    one_copy: tuple[float, Rank2Ansatz],
-    seed: int,
-    sign: int,
+    x: np.ndarray, state: BipartiteState, one_copy: tuple[float, Rank2Ansatz], seed: int, sign: int
 ) -> tuple[float, Rank2Ansatz]:
     """Rank-2 minimum of X = sign * P^(x 2), regrouped, from the lifted one-copy minimum.
 
-    ``one_copy`` = (v, ansatz) is the rank-2 minimum of sign * P, P on
-    ``dims`` and sign = +-1.  For the product x (x) y with p = <xy|P|xy>,
-    the vector psi (x) xy has the value v * p, so the product search
+    ``one_copy`` = (v, ansatz) is the rank-2 minimum of sign * P, P the
+    state's ``_pt``, sign = +-1.  For the product x (x) y with p =
+    <xy|P|xy>, the vector psi (x) xy has the value v * p, so the product search
     (``_product_minimum``) minimizes P when v >= 0 and -P when v < 0.  Three
     starts run through the same stacked loop as ``min_rank2_expectation``:
     ``_two_copy_frame``, kron(B, y) and kron(y, B), B the one-copy
-    ``frame_b``.  All come from P alone, 9x9 at 3x3, whose one
-    ``hermitian_eig`` also gives the stop scale max|eig P|^2 = max|eig X|;
+    ``frame_b``.  All come from P alone, 9x9 at 3x3, whose kept
+    ``_pt_spectrum`` also gives the stop scale max|eig P|^2 = max|eig X|;
     X is never decomposed, and at 3x3 no draw is made.  The first sweep
     against kron(B, y) finds A at least as good as kron(A1, x), so the
     result never exceeds v * p beyond rounding.  ``_rank2_minimum`` is the
     one caller.
     """
     v, ansatz = one_copy
-    spec = hermitian_eig(p)
+    p, spec, dims = state._pt, state._pt_spectrum, state.dims
     scale = float(np.abs(spec.eigenvalues).max())
     target = p if v >= 0 else -p
     y = _product_minimum(target, dims, seed, _RANK2_REL_STOP * scale)[1][:, None]
@@ -433,7 +434,7 @@ _SECULAR_STEPS = 100
 _SECULAR_TOL = 1e-14
 
 
-def _mes_dual_bound(x: np.ndarray) -> tuple[float, float]:
+def _mes_dual_bound(x: np.ndarray, spec: SpectralData) -> tuple[float, float]:
     """A proven lower bound L, and its t, on <psi|X|psi> over unit psi of Schmidt rank <= 2 at 3x3.
 
     A unit psi of Schmidt rank <= 2 has |<Phi|psi>|^2 <= 2/3 for the
@@ -441,8 +442,8 @@ def _mes_dual_bound(x: np.ndarray) -> tuple[float, float]:
     (Terhal & P. Horodecki, PRA 61, 040301(R) (2000)), and <psi|X|psi> >=
     lambda_min(X - tZ) for every t >= 0.  That bound is concave in t, with
     slope (3/2)|<Phi|v>|^2 - 1 at the bottom eigenvector v of X - tZ.  Since
-    X - tZ = X - tI + s|Phi><Phi|, s = 3t/2, is a rank-one update, one
-    ``hermitian_eig`` of X = sum_i d_i u_i u_i^H gives the best t (Bunch,
+    X - tZ = X - tI + s|Phi><Phi|, s = 3t/2, is a rank-one update, the
+    ``hermitian_eig`` ``spec`` of X = sum_i d_i u_i u_i^H gives the best t (Bunch,
     Nielsen & Sorensen, Numer. Math. 31, 31 (1978)).  With w_i =
     |<Phi|u_i>|^2, g(mu) = sum_i w_i / (d_i - mu) and d_0 <= d_1 <= ... , the
     update's bottom eigenvalue is the mu in (d_0, d_1) with 1 + s g(mu) = 0,
@@ -461,7 +462,6 @@ def _mes_dual_bound(x: np.ndarray) -> tuple[float, float]:
     bottom eigenvalue of X - tZ less the rounding allowance ``_DUAL_SLACK`` *
     (max|eig X| + t).
     """
-    spec = hermitian_eig(x)
     scale = float(np.abs(spec.eigenvalues).max())
     u = spec.eigenvectors
     w = (np.abs(u[0] + u[4] + u[8]) ** 2 / 3).tolist()
@@ -594,8 +594,8 @@ def two_nonpositive_witness(
 
     Requires the smallest eigenvalue below ``-PSD_TOL`` and the second
     smallest at most ``PSD_TOL``, as ``_two_nonpositive_pt`` decides from
-    the state's cached spectrum; returns ``None`` otherwise, before any
-    eigenvectors are computed.  With alpha, beta the bottom two
+    the state's kept ``_pt_spectrum``; returns ``None`` otherwise, before
+    any further work.  With alpha, beta the bottom two kept
     eigenvectors and A, B their 3x3 matricizations, one construction runs
     on alpha: alpha if A is singular, else beta (judged once per call),
     else the first ``alpha + t*beta`` to pass ``_accepts``, t = -1/s over
@@ -615,10 +615,10 @@ def two_nonpositive_witness(
         raise DimensionMismatchError("two-nonpositive route applies to 3x3 systems")
     if not _two_nonpositive_pt(state):
         return None
-    pt = state._pt
-    alpha, beta = hermitian_eig(pt).eigenvectors[:, :2].T
+    pt, spec = state._pt, state._pt_spectrum
+    alpha, beta = spec.eigenvectors[:, :2].T
     mat_b = beta.reshape(3, 3)
-    beta_accepted = _accepts(state._pt_eigenvalues[1], _numeric_rank(mat_b))
+    beta_accepted = _accepts(spec.eigenvalues[1], _numeric_rank(mat_b))
 
     def construct(vec: np.ndarray) -> Optional[np.ndarray]:
         """The witness built from ``vec`` (alpha or a nudge of it) and beta, if any."""
@@ -795,7 +795,7 @@ def certify_1_distillable(state: BipartiteState, seed: int = 2024) -> Optional[W
     if is_ppt(state):
         return None
     if min(state.dims) == 2:
-        vec = hermitian_eig(state._pt).eigenvectors[:, 0]
+        vec = state._pt_spectrum.eigenvectors[:, 0]
         cert = _make_certificate(vec, state, ROUTE_BOTTOM_EIGENVECTOR, seed)
         return cert if _usable(cert) else None
     cert = _spectral_routes(state, seed)
@@ -820,7 +820,7 @@ def _mes_dual(state: BipartiteState) -> tuple[float, float]:
     """``_mes_dual_bound`` of a 3x3 state's partial transpose, kept in its ``_mes_dual``."""
     kept = state._mes_dual
     if not kept:
-        kept.append(_mes_dual_bound(state._pt))
+        kept.append(_mes_dual_bound(state._pt, state._pt_spectrum))
     return kept[0]
 
 
@@ -836,21 +836,24 @@ def _rank2_minimum(
     ``undistillability_margin``, minimizes at most once; where the state's
     MES dual bound settles both (``_mes_dual``), as on the edge family at
     the default noise, it minimizes not at all.  At one copy it is the
-    five-start ``min_rank2_expectation`` of sign * PT; at two, the lifted
-    starts' (``_lifted_minimum``) from the kept one-copy minimum v of the
-    same sign and seed, so a negative v gives a negative two-copy value.
-    Those starts decompose only the one-copy PT, never the two-copy one,
-    and at 3x3 neither copy count reads ``seed``.
+    five-start ``min_rank2_expectation`` of sign * PT, read from the kept
+    ``_pt_spectrum``; at two, the lifted starts' (``_lifted_minimum``) from
+    the kept one-copy minimum v of the same sign and seed, so a negative v
+    gives a negative two-copy value.  Neither decomposes anything else, and
+    at 3x3 neither reads ``seed``.
     """
     pt, _ = _pt_power(state, copies)
     minima, key = state._rank2_minima, (copies, seed, sign)
     if key not in minima:
         x = pt if sign > 0 else -pt
         if copies == 1:
-            minima[key] = min_rank2_expectation(x, state.dims, seed)
+            spec = state._pt_spectrum
+            if sign < 0:  # -PT's ascending decomposition: PT's, negated and reversed
+                spec = SpectralData(-spec.eigenvalues[::-1], spec.eigenvectors[:, ::-1])
+            minima[key] = _one_copy_minimum(x, state.dims, spec, seed)
         else:
             one_copy = _rank2_minimum(state, 1, seed, sign)
-            minima[key] = _lifted_minimum(x, state._pt, state.dims, one_copy, seed, sign)
+            minima[key] = _lifted_minimum(x, state, one_copy, seed, sign)
     return minima[key]
 
 

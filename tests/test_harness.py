@@ -12,6 +12,7 @@ import pytest
 import distill_lab.edgestate as edgestate
 import distill_lab.harness as harness
 import distill_lab.multicopy as multicopy
+import distill_lab.qcore as qcore
 import distill_lab.witness as witness
 from distill_lab.edgestate import DEFAULT_GRID, EdgeParams
 from distill_lab.harness import (
@@ -170,14 +171,17 @@ class TestEnsemble:
             EnsembleSpec(filter=name)
 
     def test_pt_spectrum_computed_once_per_state(self, monkeypatch):
-        seen = []
-        eigvalsh = np.linalg.eigvalsh
+        # each sampled state's PT is decomposed once, by the checked eigh, and never by
+        # eigvalsh: every NPT rule, route and start reads that one decomposition
+        seen = {"eigh": [], "eigvalsh": []}
+        for name in seen:
+            real = getattr(np.linalg, name)
 
-        def counting(a, *args, **kwargs):
-            seen.append(np.array(a, copy=True))
-            return eigvalsh(a, *args, **kwargs)
+            def counting(a, *args, _real=real, _name=name, **kwargs):
+                seen[_name].append(np.array(a, copy=True))
+                return _real(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+            monkeypatch.setattr(np.linalg, name, counting)
         spec = EnsembleSpec(rank=4, count=3, filter="NPT", seed=21)
         states, _ = sample_ensemble(spec)
         for state in states:
@@ -185,7 +189,8 @@ class TestEnsemble:
             kernel_product_witness(state)
         for state in states:
             pt = partial_transpose(state.mat, state.dims)
-            assert sum(np.array_equal(a, pt) for a in seen) == 1
+            assert sum(np.array_equal(a, pt) for a in seen["eigh"]) == 1
+            assert not any(np.array_equal(a, pt) for a in seen["eigvalsh"])
 
     def test_rejection_abort(self, monkeypatch, drawn_rows):
         # every 1xN state is PPT, so an NPT filter on them stalls
@@ -248,7 +253,8 @@ class TestStackedSampling:
         assert drawn_rows == []
 
     def test_rank_miss_is_a_numerical_failure(self, monkeypatch):
-        monkeypatch.setattr(harness, "_rank_cut", lambda s: 3)
+        # every state ranks itself at construction, by qcore's rank rule
+        monkeypatch.setattr(qcore, "_rank_cut", lambda s: 3)
         with pytest.raises(NumericalFailureError, match="numeric rank 3, expected 4"):
             random_state(D33, 4, 1)
         with pytest.raises(NumericalFailureError, match="numeric rank 3, expected 4"):
@@ -328,21 +334,21 @@ class TestSuites:
         claims = [multicopy._n_copy_claim(params, n) for n in (1, 2)]
         rho_pts = [claims[0][2].npt_state._pt, claims[1][2].npt_state._pt]
         rho_pts.append(_pt_power(claims[1][2].npt_state, 2)[0])
-        real, lifted, calls = witness.min_rank2_expectation, witness._lifted_minimum, []
+        real, lifted, calls = witness._one_copy_minimum, witness._lifted_minimum, []
 
-        def spy(x, dims, seed=2024):
+        def spy(x, dims, spec, seed):
             calls.append(np.array(x))
-            return real(x, dims, seed)
+            return real(x, dims, spec, seed)
 
-        def lifted_spy(x, p, dims, one_copy, seed, sign):
+        def lifted_spy(x, state, one_copy, seed, sign):
             calls.append(np.array(x))
-            return lifted(x, p, dims, one_copy, seed, sign)
+            return lifted(x, state, one_copy, seed, sign)
 
         for name, module in list(sys.modules.items()):
             if not name.startswith("distill_lab"):
                 continue
             for attr, original, fake in (
-                ("min_rank2_expectation", real, spy),
+                ("_one_copy_minimum", real, spy),
                 ("_lifted_minimum", lifted, lifted_spy),
             ):
                 if vars(module).get(attr) is original:

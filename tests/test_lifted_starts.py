@@ -185,9 +185,9 @@ def lifts(monkeypatch):
     calls = []
     lifted, search = witness._lifted_minimum, witness._product_minimum
 
-    def lifted_spy(x, p, dims, one_copy, seed, sign):
-        calls.append({"v": one_copy[0], "p_mat": p})
-        return lifted(x, p, dims, one_copy, seed, sign)
+    def lifted_spy(x, state, one_copy, seed, sign):
+        calls.append({"v": one_copy[0], "p_mat": state._pt})
+        return lifted(x, state, one_copy, seed, sign)
 
     def search_spy(p, dims, seed, tol):
         found = search(p, dims, seed, tol)
@@ -237,6 +237,17 @@ def _npt_states(count: int) -> list:
         spec = EnsembleSpec(dims=D33, rank=rank, count=count // 5, filter="NPT", seed=2900 + rank)
         states += sample_ensemble(spec)[0]
     return states
+
+
+def test_one_copy_maximum_from_the_kept_spectrum_meets_the_public_path():
+    # at sign -1 the one-copy minimum starts from the kept decomposition of PT, negated
+    # and reversed; min_rank2_expectation(-PT) decomposes -PT itself.  Both must agree
+    # to the minimizer's 4 tau
+    grid = [build_edge_bundle(EdgeParams(*pt)).npt_state for pt in DEFAULT_GRID]
+    for state in grid + [_werner_pre_image()] + _npt_states(40):
+        x = -np.asarray(state._pt)
+        value = witness._rank2_minimum(state, 1, 2024, -1)[0]
+        assert abs(value - min_rank2_expectation(x, D33, 2024)[0]) <= _GAP_IN_TAU * _tau(x)
 
 
 def test_negative_one_copy_minima_lift_to_two_copy_witnesses():

@@ -17,7 +17,7 @@ from distill_lab.edgestate import (
     maximally_entangled_qutrits,
     undistillability_margin,
 )
-from distill_lab.qcore import BipartiteState, Dims, InvariantViolationError
+from distill_lab.qcore import BipartiteState, Dims, InvariantViolationError, hermitian_eig
 from distill_lab.rng import SplitMix64, derive_seed, random_unitary
 from distill_lab.witness import (
     _DUAL_SLACK,
@@ -59,6 +59,11 @@ def bisection_dual(x: np.ndarray, steps: int = 60) -> tuple[float, float]:
     return float(np.linalg.eigvalsh(x - t * Z)[0]), t
 
 
+def dual_bound(x: np.ndarray) -> tuple[float, float]:
+    """``_mes_dual_bound`` of a bare operator, from its checked decomposition."""
+    return _mes_dual_bound(x, hermitian_eig(x))
+
+
 def allowance(x: np.ndarray, t: float) -> float:
     """L's rounding allowance, as ``_mes_dual_bound`` subtracts it."""
     return _DUAL_SLACK * (float(np.abs(np.linalg.eigvalsh(x)).max()) + t)
@@ -85,7 +90,7 @@ class TestProperties:
     @given(seed=st.integers(0, 2**32 - 1), log_c=st.floats(-6.0, 6.0))
     def test_never_above_the_minimizer_or_a_rank2_value(self, seed, log_c):
         x = 10.0**log_c * random_hermitian(seed)
-        bound, t = _mes_dual_bound(x)
+        bound, t = dual_bound(x)
         assert t >= 0
         slack = allowance(x, t)
         assert bound <= min_rank2_expectation(x, D33)[0] + slack
@@ -98,8 +103,8 @@ class TestProperties:
     @given(seed=st.integers(0, 2**32 - 1), log_c=st.floats(-6.0, 6.0))
     def test_scales_with_the_operator(self, seed, log_c):
         x, c = random_hermitian(seed), 10.0**log_c
-        bound, t = _mes_dual_bound(x)
-        scaled, t_scaled = _mes_dual_bound(c * x)
+        bound, t = dual_bound(x)
+        scaled, t_scaled = dual_bound(c * x)
         assert scaled == pytest.approx(c * bound, abs=c * allowance(x, t))
         assert t_scaled == pytest.approx(c * t, rel=1e-6, abs=c * allowance(x, 0.0))
 
@@ -110,8 +115,8 @@ class TestProperties:
         x = random_hermitian(seed)
         u = random_unitary(SplitMix64(derive_seed(seed, 1)), 3)
         uu = np.kron(u, u.conj())
-        bound, t = _mes_dual_bound(x)
-        assert _mes_dual_bound(uu @ x @ uu.conj().T)[0] == pytest.approx(bound, abs=allowance(x, t))
+        bound, t = dual_bound(x)
+        assert dual_bound(uu @ x @ uu.conj().T)[0] == pytest.approx(bound, abs=allowance(x, t))
 
     @settings(max_examples=60, deadline=None)
     @given(a=st.floats(-10.0, 10.0), b=st.floats(-10.0, 10.0))
@@ -120,7 +125,7 @@ class TestProperties:
         # least at overlap 2/3 when a < b and at overlap 0 otherwise.  For a < b
         # the best t is the kink at the eightfold eigenvalue b, which Phi misses
         x = b * np.eye(9) + (a - b) * np.outer(PHI, PHI.conj())
-        bound, t = _mes_dual_bound(x)
+        bound, t = dual_bound(x)
         exact = (2 * a + b) / 3 if a < b else b
         assert exact - 4 * allowance(x, t) <= bound <= exact
 
@@ -128,7 +133,7 @@ class TestProperties:
     @given(seed=st.integers(0, 2**32 - 1))
     def test_meets_the_bisection(self, seed):
         x = random_hermitian(seed)
-        bound, t = _mes_dual_bound(x)
+        bound, t = dual_bound(x)
         reference, _ = bisection_dual(x)
         assert bound <= reference
         assert bound == pytest.approx(reference, abs=2 * allowance(x, t))
@@ -138,7 +143,7 @@ class TestEdgeFamily:
     @pytest.mark.parametrize("index", range(len(DEFAULT_GRID)))
     def test_grid_meets_the_bisection(self, index):
         bundle = build_edge_bundle(EdgeParams(*DEFAULT_GRID[index]))
-        bound, _ = _mes_dual_bound(bundle.npt_state._pt)
+        bound, _ = _mes_dual(bundle.npt_state)
         reference, _ = bisection_dual(bundle.npt_state._pt)
         assert bound == pytest.approx(reference, rel=1e-9)
         if index in GRID_REFERENCE:
@@ -156,7 +161,7 @@ class TestEdgeFamily:
             points.append((b, gen.choice((1, -1)) * theta))
         for b, theta in points:
             bundle = build_edge_bundle(EdgeParams(b, theta))
-            bound, _ = _mes_dual_bound(bundle.npt_state._pt)
+            bound, _ = _mes_dual(bundle.npt_state)
             assert bound >= 9.5 * bundle.margin > 0, (b, theta)
 
 
@@ -165,16 +170,17 @@ class TestChecks:
         calls = []
         real = witness._mes_dual_bound
 
-        def counted(x):
+        def counted(x, spec):
             calls.append(x)
-            return real(x)
+            return real(x, spec)
 
         monkeypatch.setattr(witness, "_mes_dual_bound", counted)
         bundle = build_edge_bundle(EdgeParams(1.0, math.pi / 6))
         assert certify_1_distillable(bundle.npt_state) is None
         assert undistillability_margin(bundle) == bundle.margin
         assert len(calls) == 1
-        assert bundle.npt_state._mes_dual == [real(bundle.npt_state._pt)]
+        state = bundle.npt_state
+        assert state._mes_dual == [real(state._pt, state._pt_spectrum)]
 
     @pytest.fixture
     def rotated(self):
@@ -188,13 +194,13 @@ class TestChecks:
     @pytest.fixture
     def minimizations(self, monkeypatch):
         calls = []
-        real = witness.min_rank2_expectation
+        real = witness._one_copy_minimum
 
-        def counted(x, dims, seed=2024):
+        def counted(x, dims, spec, seed):
             calls.append(tuple(dims))
-            return real(x, dims, seed)
+            return real(x, dims, spec, seed)
 
-        monkeypatch.setattr(witness, "min_rank2_expectation", counted)
+        monkeypatch.setattr(witness, "_one_copy_minimum", counted)
         return calls
 
     def test_rotation_falls_back_to_the_minimizer(self, rotated, minimizations):
@@ -211,7 +217,7 @@ class TestChecks:
         value, _ = state._rank2_minima[(1, 2024, 1)]
         unrotated_pt = build_edge_bundle(EdgeParams(1.0, math.pi / 6)).npt_state._pt
         unrotated, _ = min_rank2_expectation(unrotated_pt, D33)
-        tau = witness._RANK2_REL_STOP * float(np.abs(state._pt_eigenvalues).max())
+        tau = witness._RANK2_REL_STOP * float(np.abs(state._pt_spectrum.eigenvalues).max())
         assert abs(value - unrotated) <= 4 * tau
         assert value == pytest.approx(MIN_AT_1_PI6, rel=1e-6)
 

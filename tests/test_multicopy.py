@@ -211,18 +211,18 @@ class TestEpsThreshold:
     # the root of (gap/3)^n = (N + eps)^n - N^n, N the PT operator norm, in the
     # float constants gap and N, computed once with 60-digit mpmath and rounded
     PINNED_ROOTS = {
-        0: ["0x1.671d98b933ad5p-9", "0x1.cd925ac5f460ap-17", "0x1.8b868aa52bbbdp-24",
-            "0x1.7d496cbed71e0p-31", "0x1.8810886371d35p-38", "0x1.a3f1ddc07c931p-45",
-            "0x1.cea8c4087e870p-52", "0x1.042b3343927eep-58", "0x1.293f6693c7a7dp-65",
-            "0x1.57db2c196545fp-72", "0x1.91ca6e9317803p-79", "0x1.d9661b97ea79ap-86"],
+        0: ["0x1.671d98b933ad5p-9", "0x1.cd925ac5f460ep-17", "0x1.8b868aa52bbc3p-24",
+            "0x1.7d496cbed71e8p-31", "0x1.8810886371d40p-38", "0x1.a3f1ddc07c940p-45",
+            "0x1.cea8c4087e884p-52", "0x1.042b3343927fbp-58", "0x1.293f6693c7a8ep-65",
+            "0x1.57db2c1965475p-72", "0x1.91ca6e9317820p-79", "0x1.d9661b97ea7c0p-86"],
         4: ["0x1.0567708d284c9p-8", "0x1.af55cb6a320b3p-16", "0x1.da872c17b057cp-23",
             "0x1.25a3a054e0784p-29", "0x1.83a2e95048dfdp-36", "0x1.0a85c08890d26p-42",
             "0x1.78f87f4845a3ep-49", "0x1.10260e492eb06p-55", "0x1.8f2f5c811533ap-62",
             "0x1.286b7b3abdf86p-68", "0x1.bcaad0f2e4ab3p-75", "0x1.504ed600d1e04p-81"],
-        7: ["0x1.3856c15603bbep-7", "0x1.2390f7a4fd591p-13", "0x1.6b0d3c69f9896p-19",
-            "0x1.fc78c6927a582p-25", "0x1.7bce0fc1f524fp-30", "0x1.2784716e38cccp-35",
-            "0x1.d9026cc352853p-41", "0x1.82708425e370cp-46", "0x1.40b99184bf50ep-51",
-            "0x1.0d832e70eaa0ap-56", "0x1.c987b9c9e0c89p-62", "0x1.8797c92b89bf4p-67"],
+        7: ["0x1.3856c15603bbep-7", "0x1.2390f7a4fd593p-13", "0x1.6b0d3c69f989ap-19",
+            "0x1.fc78c6927a58bp-25", "0x1.7bce0fc1f5258p-30", "0x1.2784716e38cd5p-35",
+            "0x1.d9026cc352864p-41", "0x1.82708425e371cp-46", "0x1.40b99184bf51ep-51",
+            "0x1.0d832e70eaa18p-56", "0x1.c987b9c9e0ca5p-62", "0x1.8797c92b89c0ep-67"],
     }
 
     @pytest.mark.parametrize(
@@ -365,13 +365,14 @@ class TestVerifyUndistillable:
         for params in [EdgeParams(*DEFAULT_GRID[i]) for i in (0, 4, 8)] + [PARAMS]:
             min_value = multicopy._n_copy_claim(params, n)[0]
             report = verify_n_undistillable(params, n)
-            p = partial_transpose(build_edge_bundle(params, report.eps_used).npt_state.mat, D33)
+            state = build_edge_bundle(params, report.eps_used).npt_state
+            p = partial_transpose(state.mat, D33)
             one_copy = min_rank2_expectation(-p, D33, 2024)
             if n == 1:
                 neg_max, max_at = one_copy
             else:
                 x, _ = regroup_tensor_power(p, D33, 2)
-                neg_max, max_at = witness._lifted_minimum(-x, p, D33, one_copy, 2024, -1)
+                neg_max, max_at = witness._lifted_minimum(-x, state, one_copy, 2024, -1)
             assert report.max_value.hex() == (-neg_max).hex()
             assert report.max_witness.vec.tobytes() == max_at.vector().astype(complex).tobytes()
             assert report.min_value == min_value
@@ -380,6 +381,26 @@ class TestVerifyUndistillable:
     def test_two_copy_minimum_at_every_seed(self, seed):
         report = verify_n_undistillable(PARAMS, 2, seed)
         assert report.bound_lower < report.min_value <= 3.2e-5
+
+    def test_each_state_decomposes_its_pt_once(self, monkeypatch):
+        # both n = 2 reports decompose three 9x9 matrices, each once: the PTs of the
+        # Werner pre-image (W itself), of sigma (its norm N) and of the NPT state (its
+        # NPT check, both signs' one-copy starts and both lifted minima)
+        seen, eigh = [], np.linalg.eigh
+
+        def spied(a, *args, **kwargs):
+            if np.shape(a) == (9, 9):
+                seen.append(np.array(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", spied)
+        extremal_rank2_tensor_power(2)
+        report = verify_n_undistillable(PARAMS, 2)
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        npt = build_edge_bundle(PARAMS, report.eps_used).npt_state
+        expected = [werner_projector().mat, edge_state_pt(PARAMS), npt._pt]
+        assert len(seen) == 3
+        assert all(np.array_equal(got, want) for got, want in zip(seen, expected))
 
     def test_rank4_control_state_fails_the_same_check(self):
         # sanity: a distillable state drives the same minimum negative

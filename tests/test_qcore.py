@@ -14,6 +14,7 @@ from hypothesis.extra.numpy import arrays
 import distill_lab
 import distill_lab.qcore as qcore
 from distill_lab.qcore import (
+    PSD_TOL,
     RANK_REL_TOL,
     BipartiteState,
     DimensionMismatchError,
@@ -22,6 +23,7 @@ from distill_lab.qcore import (
     _SPEC_TOL,
     _numeric_rank,
     _pt_power,
+    _two_nonpositive_pt,
     hermitian_eig,
     is_ppt,
     min_pt_eigenvalue,
@@ -324,7 +326,7 @@ def _decomposition_schmidt_rank(vec: np.ndarray, dims: Dims) -> int:
 
 
 class TestKeptRank:
-    """A state ranks itself once, by the one rank rule."""
+    """A state ranks itself at construction, by the one rank rule, from its spectrum."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -338,9 +340,34 @@ class TestKeptRank:
         for state in (rho, BipartiteState(10.0**log_c * rho.mat, dims)):
             with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
                 first = state._rank
-                assert state._rank == first and svd.call_count == 1
+                assert state._rank == first and svd.call_count == 0
             assert first == _numeric_rank(state.mat) == rank_kernel_range(state.mat)[0]
         assert rho._rank == min(rank, dims.total)
+
+
+class TestKeptPtSpectrum:
+    """The one kept decomposition of the partial transpose against ``eigvalsh``'s spectrum."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dims=st.sampled_from([D33, Dims(2, 4)]),
+        rank=st.integers(1, 9),
+        seed=st.integers(0, 2**32 - 1),
+        log_c=st.floats(-6.0, 6.0),
+    )
+    def test_matches_the_eigvalsh_spectrum_and_its_verdicts(self, dims, rank, seed, log_c):
+        rho = random_state(dims, min(rank, dims.total), seed)
+        for state in (rho, BipartiteState(10.0**log_c * rho.mat, dims)):
+            spec = state._pt_spectrum
+            for arr in (spec.eigenvalues, spec.eigenvectors):
+                with pytest.raises(ValueError):
+                    arr[0] = 0.0
+            reference = np.linalg.eigvalsh(state._pt)
+            scale = float(np.abs(reference).max())
+            assert np.abs(spec.eigenvalues - reference).max() <= 1e-13 * scale
+            assert is_ppt(state) == bool(reference[0] >= -PSD_TOL)
+            two_nonpositive = bool(reference[0] < -PSD_TOL and reference[1] <= PSD_TOL)
+            assert _two_nonpositive_pt(state) == two_nonpositive
 
 
 class TestSingularValueRank:
@@ -533,16 +560,17 @@ class TestStateValidation:
             with pytest.raises(ValueError):
                 st._pt[0, 0] = 0.0
 
-    def test_cached_pt_spectrum_is_the_eigvalsh_spectrum(self):
+    def test_kept_pt_spectrum_is_the_checked_decomposition(self):
         gen = SplitMix64(67)
         for dims in (D33, Dims(2, 3)):
             st = _random_psd_state(gen, dims, 3)
-            expected = np.linalg.eigvalsh(partial_transpose(st.mat, dims))
-            assert st._pt_eigenvalues.tobytes() == expected.tobytes()
-            assert st._pt_eigenvalues is st._pt_eigenvalues
-            assert min_pt_eigenvalue(st) == float(expected[0])
+            expected = hermitian_eig(partial_transpose(st.mat, dims))
+            assert st._pt_spectrum.eigenvalues.tobytes() == expected.eigenvalues.tobytes()
+            assert st._pt_spectrum.eigenvectors.tobytes() == expected.eigenvectors.tobytes()
+            assert st._pt_spectrum is st._pt_spectrum
+            assert min_pt_eigenvalue(st) == float(expected.eigenvalues[0])
             with pytest.raises(ValueError):
-                st._pt_eigenvalues[0] = 0.0
+                st._pt_spectrum.eigenvalues[0] = 0.0
 
     def test_ppt_detection(self):
         mes_state = BipartiteState(maximally_entangled_qutrits().projector(), D33)

@@ -60,7 +60,7 @@ def reference_two_nonpositive_witness(
         rank = _numeric_rank(mat_v)
         if rank <= 2:
             return vec if _accepts(float(np.real(vec.conj() @ pt @ vec)), rank) else None
-        if _accepts(state._pt_eigenvalues[1], _numeric_rank(mat_b)):
+        if _accepts(state._pt_spectrum.eigenvalues[1], _numeric_rank(mat_b)):
             return beta
         n_mat = np.linalg.solve(mat_v, mat_b)
         eigs = np.linalg.eigvals(n_mat)

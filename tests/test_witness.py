@@ -93,21 +93,22 @@ def _mes_state() -> BipartiteState:
 def minimizations(monkeypatch):
     """(dims, seed) of each rank-2 minimization the witness module makes.
 
-    A ``min_rank2_expectation`` call records its dims, a two-copy
+    A one-copy ``_one_copy_minimum`` call, the core that a state's minima
+    and ``min_rank2_expectation`` share, records its dims, a two-copy
     ``_lifted_minimum`` call the two-copy split.
     """
     calls = []
-    real, lifted = witness.min_rank2_expectation, witness._lifted_minimum
+    real, lifted = witness._one_copy_minimum, witness._lifted_minimum
 
-    def counted(x, dims, seed=2024):
+    def counted(x, dims, spec, seed):
         calls.append((tuple(dims), seed))
-        return real(x, dims, seed)
+        return real(x, dims, spec, seed)
 
-    def counted_lifted(x, p, dims, one_copy, seed, sign):
-        calls.append((tuple(qcore._power_dims(dims, 2)), seed))
-        return lifted(x, p, dims, one_copy, seed, sign)
+    def counted_lifted(x, state, one_copy, seed, sign):
+        calls.append((tuple(qcore._power_dims(state.dims, 2)), seed))
+        return lifted(x, state, one_copy, seed, sign)
 
-    monkeypatch.setattr(witness, "min_rank2_expectation", counted)
+    monkeypatch.setattr(witness, "_one_copy_minimum", counted)
     monkeypatch.setattr(witness, "_lifted_minimum", counted_lifted)
     return calls
 
@@ -247,16 +248,16 @@ class TestMinimizerMemo:
         state = _mes_state()
         with pytest.raises(ValueError):
             best_rank2_witness(state, qcore.MAX_COPIES + 1)
-        real = witness.min_rank2_expectation
+        real = witness._one_copy_minimum
 
-        def fail(x, dims, seed=2024):
+        def fail(x, dims, spec, seed):
             raise NumericalFailureError("solver gave up")
 
-        monkeypatch.setattr(witness, "min_rank2_expectation", fail)
+        monkeypatch.setattr(witness, "_one_copy_minimum", fail)
         with pytest.raises(NumericalFailureError):
             best_rank2_witness(state)
         assert state._rank2_minima == {}
-        monkeypatch.setattr(witness, "min_rank2_expectation", real)
+        monkeypatch.setattr(witness, "_one_copy_minimum", real)
         _, cert = best_rank2_witness(state)
         assert cert is not None
         assert list(state._rank2_minima) == [(1, 2024, 1)]
@@ -289,28 +290,38 @@ class TestMinimizerMemo:
 
     @pytest.mark.parametrize("b,theta", DEFAULT_GRID)
     def test_rank5_check_ranks_the_npt_state_once(self, monkeypatch, b, theta):
-        # the bundle's rank-5 check and certify read the state's one kept rank, so the
-        # whole check runs two SVDs: sigma's kernel and that rank
-        ranked, svds = [], []
-        rank, svd = qcore._numeric_rank, np.linalg.svd
+        # the NPT state ranks itself from its construction spectrum and its PT is
+        # decomposed once, so the whole check runs one SVD (sigma's membership kernel)
+        # and one decomposition of that PT, shared by the NPT check and the MES dual
+        ranked, svds, decomposed = [], [], []
+        rank = qcore._numeric_rank
 
         def spied_rank(mat):
             ranked.append(np.array(mat))
             return rank(mat)
 
-        def spied_svd(*args, **kwargs):
-            svds.append(np.shape(args[0]))
-            return svd(*args, **kwargs)
+        def spy(name, seen):
+            real = getattr(np.linalg, name)
+
+            def spied(*args, **kwargs):
+                seen.append(np.array(args[0]))
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, spied)
 
         for name, module in list(sys.modules.items()):
             if name.startswith("distill_lab") and vars(module).get("_numeric_rank") is rank:
                 monkeypatch.setattr(module, "_numeric_rank", spied_rank)
-        monkeypatch.setattr(np.linalg, "svd", spied_svd)
+        spy("svd", svds)
+        spy("eigh", decomposed)
+        spy("eigvalsh", decomposed)
         bundle = build_edge_bundle(EdgeParams(b, theta))
-        assert certify_1_distillable(bundle.npt_state) is None
+        state = bundle.npt_state
+        assert certify_1_distillable(state) is None
         assert undistillability_margin(bundle) == bundle.margin
-        assert sum(np.array_equal(m, bundle.npt_state.mat) for m in ranked) == 1
-        assert svds == [(9, 9), (9, 9)]
+        assert not any(np.array_equal(m, state.mat) for m in ranked)
+        assert len(svds) == 1 and np.array_equal(svds[0], bundle.edge.mat)
+        assert sum(np.array_equal(m, state._pt) for m in decomposed) == 1
 
     def test_cli_witness_minimizes_once(self, tmp_path, capsys, sweeps):
         path = tmp_path / "rho.json"
@@ -615,7 +626,7 @@ class TestTwoNonpositive:
         psi_plus[[1, 3]] = 1 / math.sqrt(2)  # (|01> + |10>)/sqrt(2)
         g = np.eye(9) - 1.2 * np.outer(mes, mes.conj()) - 1.1 * np.outer(psi_plus, psi_plus)
         state = BipartiteState(partial_transpose(g, D33), D33)
-        assert np.allclose(state._pt_eigenvalues, [-0.2, -0.1] + [1.0] * 7, rtol=0, atol=1e-14)
+        assert np.allclose(state._pt_spectrum.eigenvalues, [-0.2, -0.1] + [1.0] * 7, rtol=0, atol=1e-14)
         assert schmidt_rank(hermitian_eig(state._pt).eigenvectors[:, 0], D33) == 3
         cert = two_nonpositive_witness(state)
         assert cert is not None and cert.delta is None
@@ -688,7 +699,7 @@ class TestTwoNonpositive:
     def test_natural_input_reaches_the_nudge(self, mu):
         state = _natural_nudge_input(mu)
         assert rank_kernel_range(state.mat)[0] == 9
-        assert np.allclose(state._pt_eigenvalues, [-mu, 0.0] + [1 / 9] * 7, rtol=0, atol=1e-15)
+        assert np.allclose(state._pt_spectrum.eigenvalues, [-mu, 0.0] + [1 / 9] * 7, rtol=0, atol=1e-15)
         assert submatrix_2x2_scan(state) is None
         for seed in range(6):
             cert = certify_1_distillable(state, seed)
