@@ -66,7 +66,7 @@ __version__ = "0.1.0"
 
 
 def ToleranceConfig(seed: int = 2024) -> int:
-    """Deprecated, outside ``__all__``: seeded routines take ``seed`` itself, so this returns it."""
+    """Deprecated, outside ``__all__``: returns ``seed``, which no library routine reads."""
     return seed
 
 

@@ -94,9 +94,9 @@ def _cmd_rho(args: argparse.Namespace) -> int:
 def _cmd_witness(args: argparse.Namespace) -> int:
     state = _load_state(args.infile)
 
-    cert = certify_1_distillable(state, args.seed) if args.copies == 1 else None
+    cert = certify_1_distillable(state) if args.copies == 1 else None
     if cert is None:
-        best, cert = best_rank2_witness(state, args.copies, args.seed)
+        best, cert = best_rank2_witness(state, args.copies)
 
     if cert is not None:
         doc = {"certified": True, "certificate": certificate_document(cert)}
@@ -109,12 +109,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
             )
         return EXIT_OK
 
-    doc = {
-        "certified": False,
-        "copies": args.copies,
-        "best_value": best,
-        "seed": args.seed,
-    }
+    doc = {"certified": False, "copies": args.copies, "best_value": best}
     if args.json:
         print(dumps(doc))
     else:
@@ -179,7 +174,6 @@ def _cmd_multicopy(args: argparse.Namespace) -> int:
         "eps_used": report.eps_used,
         "product_maximizer_value": report.product_maximizer_value,
         "npt_min_pt_eigenvalue": report.npt_min_pt_eigenvalue,
-        "seed": 2024,
         "max_witness": pure_state_document(report.max_witness),
         "min_witness": pure_state_document(report.min_witness),
     }
@@ -260,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("witness", help="search a state file for a distillation witness")
     p.add_argument("--in", dest="infile", required=True, metavar="FILE")
     p.add_argument("--copies", type=int, choices=_COPY_CHOICES, default=1)
-    p.add_argument("--seed", type=int, default=2024, metavar="S")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_witness)
 

@@ -232,11 +232,15 @@ def build_edge_bundle(params: EdgeParams, eps: float = 0.0) -> EdgeBundle:
     decision and raises ``NumericalFailureError``, as when the PT's negative
     eigenvalue, about -eps |<MES|conj(f) g>|^2, lies above ``-PSD_TOL``.
     """
+    return _edge_bundle(params, eps, edge_state(params))
+
+
+def _edge_bundle(params: EdgeParams, eps: float, sigma: BipartiteState) -> EdgeBundle:
+    """``build_edge_bundle(params, eps)`` on ``sigma``, the caller's ``edge_state(params)``."""
     gap = min_positive_pt_eigenvalue(params)
     eps = _noise(eps, gap)
     if eps > gap / 3:
         raise ValueError(f"eps={eps} exceeds the undistillability budget {gap / 3}")
-    sigma = edge_state(params)
     f, g = range_product_vector(params, sigma)
     fg = np.outer(f, g).ravel()
     npt_state = BipartiteState(sigma.mat - eps * np.outer(fg, fg.conj()), QUTRIT_PAIR)
@@ -260,7 +264,7 @@ def build_edge_bundle(params: EdgeParams, eps: float = 0.0) -> EdgeBundle:
     )
 
 
-def undistillability_margin(bundle: EdgeBundle, seed: int = 2024) -> float:
+def undistillability_margin(bundle: EdgeBundle) -> float:
     """Proven lower bound ``bundle.margin`` = gap/3 - eps on the best rank-2 PT value.
 
     A second proven bound, the state's MES dual bound L
@@ -278,7 +282,7 @@ def undistillability_margin(bundle: EdgeBundle, seed: int = 2024) -> float:
     dual, t = _mes_dual(state)
     if dual >= bundle.margin:
         return bundle.margin
-    value, _ = best_rank2_witness(state, 1, seed)
+    value, _ = best_rank2_witness(state)
     if value < bundle.margin - 1e-8:
         raise InvariantViolationError(
             f"rank-2 minimum {value} violates the proven bound {bundle.margin}"

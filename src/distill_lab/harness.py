@@ -7,8 +7,8 @@ as one stack of streams and products, which equal the one-at-a-time draws
 bit for bit; ``random_state`` is the one-seed case.
 
 A suite runs from its name, a trial count and a seed, which pick only the
-sampled states: the routes and checks inside every suite run at the
-library seed 2024.  Within one ``run_suite("all")`` call the ensemble
+sampled states: the routes and checks inside every suite take no seed.
+Within one ``run_suite("all")`` call the ensemble
 suites that draw the same (dims, rank) share the states they draw, so
 ``lemma-2x2`` judges the states ``theorem-rank4`` drew; the store lives
 only as long as that call.
@@ -37,7 +37,7 @@ from .edgestate import (
     DEFAULT_GRID,
     _MES,
     EdgeParams,
-    build_edge_bundle,
+    _edge_bundle,
     edge_state,
     edge_state_pt,
     min_positive_pt_eigenvalue,
@@ -313,9 +313,10 @@ def _judge_edge_point(idx: int, point: tuple[float, float]):
     if float(np.linalg.eigvalsh(bound_op)[0]) < -PSD_TOL:
         problems.append("operator lower bound violated at n=1")
 
-    # the bundle finds the range product vector with its membership checks
+    # the bundle, on the trial's own state, finds the range product vector with its
+    # membership checks
     try:
-        bundle = build_edge_bundle(params)
+        bundle = _edge_bundle(params, 0.0, sigma)
         if abs(np.linalg.norm(np.outer(bundle.factor_a, bundle.factor_b).ravel()) - 1.0) > 1e-12:
             problems.append("range product vector is not normalized")
         pt_evals = bundle.npt_state._pt_spectrum.eigenvalues
@@ -434,7 +435,7 @@ def run_suite(name: str, count: int = 100, seed: int = 2024) -> SuiteReport:
     whose dimensions, rank and filter are fixed.  They choose the sampled
     states of ``theorem-rank4``, ``theorem-two-eigs`` and ``lemma-2x2``;
     ``edge-family`` and ``multicopy`` run the same trials at any count and
-    seed.  The routes and checks run at the library seed.  Within ``"all"``
+    seed.  The routes and checks take no seed.  Within ``"all"``
     the ensemble suites that draw the same (dims, rank) share the states
     they draw, so ``lemma-2x2`` judges the draws of ``theorem-rank4``, and
     no store keeps the rank-5 draws of ``theorem-two-eigs``; each suite's

@@ -29,8 +29,8 @@ from .edgestate import (
     _MES,
     EdgeBundle,
     EdgeParams,
+    _edge_bundle,
     _noise,
-    build_edge_bundle,
     edge_state,
     min_positive_pt_eigenvalue,
 )
@@ -79,13 +79,13 @@ def werner_projector() -> BipartiteState:
     return BipartiteState(mat, QUTRIT_PAIR)
 
 
-def max_rank2_overlap_with_mes(seed: int = 2024) -> float:
+def max_rank2_overlap_with_mes() -> float:
     """Largest squared overlap of a Schmidt-rank-<=2 unit vector with the MES.
 
     Computed by minimizing the expectation of minus the MES projector;
     the exact answer is 2/3.
     """
-    value, _ = min_rank2_expectation(-np.outer(_MES, _MES.conj()), QUTRIT_PAIR, seed)
+    value, _ = min_rank2_expectation(-np.outer(_MES, _MES.conj()), QUTRIT_PAIR)
     return -value
 
 
@@ -98,13 +98,15 @@ def extremal_rank2_tensor_power(n: int, seed: int = 2024) -> MulticopyReport:
     minimum to the conjectured (1/2) * 12^-n.  Both extrema are
     ``witness._rank2_minimum`` of the projector W's PPT pre-image W^Gamma =
     (I - F/3)/8 (F the swap; eigenvalues 1/12 and 1/6), whose ``_pt`` is W
-    bit for bit, as the partial transpose is an exact permutation.
+    bit for bit, as the partial transpose is an exact permutation.  ``seed``
+    is not read; it stays, with ``ToleranceConfig``, only because
+    ``perfbench/workloads.py`` passes one positionally.
     """
     _check_copy_count(n)
     pre = BipartiteState(partial_transpose(werner_projector().mat, QUTRIT_PAIR), QUTRIT_PAIR)
     mat, dims = _pt_power(pre, n)
-    min_value, min_at = _rank2_minimum(pre, n, seed)
-    neg_max, max_at = _rank2_minimum(pre, n, seed, -1)
+    min_value, min_at = _rank2_minimum(pre, n)
+    neg_max, max_at = _rank2_minimum(pre, n, -1)
     max_value = -neg_max
     # the product |0..0>_A |1..1>_B is basis vector 0 * 3^n + (11..1 in base 3)
     ones = (3**n - 1) // 2
@@ -153,13 +155,12 @@ def undistillability_bound(params: EdgeParams, n: int, eps: float) -> float:
         raise ValueError("copy count must be positive")
     if not eps >= 0:
         raise ValueError(f"noise eps must be nonnegative, got {eps}")
-    return _series_bound(*_gap_and_pt_norm(params), n, eps)
+    return _series_bound(*_gap_and_pt_norm(params, edge_state(params)), n, eps)
 
 
-def _gap_and_pt_norm(params: EdgeParams) -> tuple[float, float]:
-    """The bound's two constants: the PT gap and the PT operator norm (from ``_pt_spectrum``)."""
-    gap = min_positive_pt_eigenvalue(params)
-    return gap, float(edge_state(params)._pt_spectrum.eigenvalues[-1])
+def _gap_and_pt_norm(params: EdgeParams, sigma: BipartiteState) -> tuple[float, float]:
+    """The bound's two constants: the gap and the PT norm of ``sigma = edge_state(params)``."""
+    return min_positive_pt_eigenvalue(params), float(sigma._pt_spectrum.eigenvalues[-1])
 
 
 # past this exponent x = n log1p(eps/N), e^-x is below 2^-53: N^n is under half an
@@ -187,7 +188,7 @@ def eps_threshold_for_copies(params: EdgeParams, n: int) -> float:
     """
     if n < 1:
         raise ValueError("copy count must be positive")
-    return _eps_threshold(*_gap_and_pt_norm(params), n)
+    return _eps_threshold(*_gap_and_pt_norm(params, edge_state(params)), n)
 
 
 def _eps_threshold(gap: float, pt_norm: float, n: int) -> float:
@@ -197,21 +198,23 @@ def _eps_threshold(gap: float, pt_norm: float, n: int) -> float:
 
 
 def _n_copy_claim(
-    params: EdgeParams, n: int, seed: int = 2024, eps: float = 0.0
+    params: EdgeParams, n: int, eps: float = 0.0
 ) -> tuple[float, PureState, EdgeBundle, float, float]:
     """The checked claim of ``verify_n_undistillable``, without its report-only maximum.
 
-    The bound's two constants are computed once and serve the threshold and
-    the bound.  The minimum is ``witness._rank2_minimum`` of the bundle's NPT
+    The edge state is built once, and serves the bound's two constants and
+    the bundle; those constants are computed once and serve the threshold
+    and the bound.  The minimum is ``witness._rank2_minimum`` of the bundle's NPT
     state, which keeps it.  Returns ``(min_value, min_witness, bundle,
     threshold, bound)``.
     """
     _check_copy_count(n)
-    gap, pt_norm = _gap_and_pt_norm(params)
+    sigma = edge_state(params)
+    gap, pt_norm = _gap_and_pt_norm(params, sigma)
     threshold = _eps_threshold(gap, pt_norm, n)
-    bundle = build_edge_bundle(params, min(_noise(eps, gap), threshold / 2))
+    bundle = _edge_bundle(params, min(_noise(eps, gap), threshold / 2), sigma)
 
-    min_value, min_at = _rank2_minimum(bundle.npt_state, n, seed)
+    min_value, min_at = _rank2_minimum(bundle.npt_state, n)
     min_witness = PureState(min_at.vector(), _power_dims(QUTRIT_PAIR, n))
 
     bound = _series_bound(gap, pt_norm, n, bundle.eps)
@@ -236,11 +239,12 @@ def verify_n_undistillable(
     distillation protocol.  Only then is the rank-2 maximum, -min(-PT), added
     to the report; no check reads it, and the multicopy suite runs the claim
     alone.  Both come from ``witness._rank2_minimum`` on the NPT state: the
-    claim's minimum is kept there, and the maximum asks for sign -1.  On
-    this two-qutrit state neither reads ``seed`` at n <= 2.
+    claim's minimum is kept there, and the maximum asks for sign -1.
+    ``seed`` is not read; it stays, with ``ToleranceConfig``, only because
+    ``perfbench/workloads.py`` passes one positionally.
     """
-    min_value, min_witness, bundle, threshold, bound = _n_copy_claim(params, n, seed, eps)
-    neg_max, max_at = _rank2_minimum(bundle.npt_state, n, seed, -1)
+    min_value, min_witness, bundle, threshold, bound = _n_copy_claim(params, n, eps)
+    neg_max, max_at = _rank2_minimum(bundle.npt_state, n, -1)
     npt_min = min_pt_eigenvalue(bundle.npt_state)
     return MulticopyReport(
         n=n,

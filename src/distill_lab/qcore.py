@@ -13,8 +13,8 @@ spectrum ranks it, and one checked ``hermitian_eig`` of its cached
 transpose serves every NPT rule, route, dual bound and start.
 ``_pt_power`` gives every n-copy witness operator, n = 1 included: that
 transpose, or its n-th power regrouped to (A..A : B..B), formed once per
-state and copy count and never decomposed.  The library's one setting
-is the ``seed`` argument (default 2024) of its randomized routines.
+state and copy count and never decomposed.  The certifier has no
+setting: only the samplers of ``harness`` take a seed.
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ class BipartiteState:
     filter, dual bound, start and n-copy build.  Likewise ``_pt_powers``
     keeps the read-only n-copy transposes that ``_pt_power`` builds, n >=
     2, ``_rank2_minima`` the rank-2 minima that ``witness._rank2_minimum``
-    finds, one per copy count, seed and sign, and ``_mes_dual`` the
+    finds, one per copy count and sign, and ``_mes_dual`` the
     one-copy MES dual bound (L, t) that ``witness._mes_dual`` finds.  No
     n-copy transpose is decomposed.  The checks use the module's
     ``_HERM_TOL`` and ``PSD_TOL``.
@@ -142,7 +142,7 @@ class BipartiteState:
         return {}
 
     @cached_property
-    def _rank2_minima(self) -> dict:  # (copies, seed, sign) -> (value, read-only ansatz)
+    def _rank2_minima(self) -> dict:  # (copies, sign) -> (value, read-only ansatz)
         return {}
 
     @cached_property

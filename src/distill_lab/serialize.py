@@ -179,7 +179,6 @@ def certificate_document(cert: WitnessCertificate) -> dict:
         "value": cert.value,
         "psi": pure_state_document(cert.psi),
         "schmidt_rank": cert.schmidt_rank,
-        "seed": cert.seed,
     }
     if cert.delta is not None:
         doc["delta"] = cert.delta
@@ -191,7 +190,7 @@ def certificate_to_json(cert: WitnessCertificate) -> str:
 
 
 def certificate_from_json(text: str) -> WitnessCertificate:
-    """Certificate from its document; a ``restarts`` key, if present, is ignored."""
+    """Certificate from its document; a ``seed`` or ``restarts`` key, if present, is ignored."""
     doc = _DECODER.decode(text)
     route = _field(doc, "route")
     if route not in _ROUTES:
@@ -202,6 +201,5 @@ def certificate_from_json(text: str) -> WitnessCertificate:
         copies=_check_copy_count(_integer(doc, "copies"), "'copies'"),
         route=route,
         schmidt_rank=_integer(doc, "schmidt_rank"),
-        seed=_integer(doc, "seed"),
         delta=None if doc.get("delta") is None else _number(doc, "delta"),
     )

@@ -14,8 +14,8 @@ generic rank-2 minimizer:
   3x3 matricization.
 * ``kernelProduct``  -- a product vector in the kernel reduces, after a
   local rotation, to one of the two routes above; the product search
-  (``product_vector_in_subspace``) runs seeded restarts of alternating SVD
-  steps one after another.
+  (``product_vector_in_subspace``) runs restarts of alternating SVD steps
+  one after another.
 
 Every route returns ``None`` when its hypothesis is not met.  On a
 two-qutrit NPT state of rank at most 4, whose kernel provably holds a
@@ -26,6 +26,9 @@ Every n-copy rank-2 minimum, here and in ``multicopy``, is
 ``_rank2_minimum``'s, which picks the starts by copy count and keeps it.
 At one copy and 3x3, ``_mes_dual_bound`` gives a proven lower bound on that
 minimum, which lets ``certify_1_distillable`` prove a ``None``.
+
+No routine here takes a seed: the few draws left come from fixed streams
+of the module's ``_SEED``, so the certifier gives one answer per input.
 """
 
 from __future__ import annotations
@@ -68,13 +71,13 @@ _ROUTES = (ROUTE_SUBMATRIX, ROUTE_TWO_NONPOSITIVE, ROUTE_KERNEL_PRODUCT, ROUTE_O
 # determinants more negative than this qualify in the 2x2 scan; far above
 # float noise on exactly-PSD inputs, far below any usable violation
 _DET_TOL = 1e-16
-# restarts of the product-vector search and nudges of the two-nonpositive route.
-# Restart r of a routine called with ``seed`` draws from
-# derive_seed(seed, k * 1_000_000 + r): k = 0 for the rank-2 minimizer's Haar
-# starts (none at 3x3), 1 for the nudges, 2 for the product search and 4 for
-# the product search behind the n = 2 minimizer's lifted starts (none at 3x3;
-# 3 is retired), so no two routines share a stream while this stays below 1_000_000
+# restarts of the product-vector search and nudges of the two-nonpositive route
 _RESTARTS = 64
+# the one seed of the draws left: draw r of stream k comes from derive_seed(_SEED,
+# k * 1_000_000 + r), k = 0 for the rank-2 minimizer's Haar starts (none at 3x3), 1 for
+# the nudges, 2 for the product search and 4 for the product search behind the n = 2
+# lifted starts (none at 3x3; 3 is retired), so no two streams meet below 1_000_000 draws
+_SEED = 2024
 
 
 @dataclass(frozen=True)
@@ -119,7 +122,6 @@ class WitnessCertificate:
     copies: int
     route: str
     schmidt_rank: int
-    seed: int
     delta: Optional[float] = None
 
 
@@ -166,7 +168,7 @@ _QUTRIT_FRAMES = np.array(
 # y starts of the width-1 product search behind the lifted starts: at 3x3 the
 # basis vectors and (1, w^i, w^(i^2))/sqrt3, w = exp(2 pi i/3), i = 0, 1, 2;
 # the basis and (1,1,1)/sqrt3 alone miss the n = 2 minimum's basin on 4 of 212
-# seeded and grid states.  Elsewhere ``_PRODUCT_STARTS`` seeded ones
+# seeded and grid states.  Elsewhere ``_PRODUCT_STARTS`` drawn ones
 _QUTRIT_PRODUCT_STARTS = np.vstack([
     np.eye(3),
     np.exp(2j * math.pi / 3 * np.array([[0, 0, 0], [0, 1, 1], [0, 2, 1]])) / math.sqrt(3),
@@ -292,7 +294,7 @@ def _rank2_from_starts(
     return value, ansatz
 
 
-def min_rank2_expectation(x: np.ndarray, dims: Dims, seed: int = 2024) -> tuple[float, Rank2Ansatz]:
+def min_rank2_expectation(x: np.ndarray, dims: Dims) -> tuple[float, Rank2Ansatz]:
     """Minimize <psi|X|psi> over unit vectors of Schmidt rank at most two.
 
     Block alternating least squares over psi = vec(A B^T), A of shape
@@ -303,8 +305,8 @@ def min_rank2_expectation(x: np.ndarray, dims: Dims, seed: int = 2024) -> tuple[
     one stack, each sweep advancing every start still running: B from the
     two leading Schmidt frames of the bottom eigenvector of X, and four
     more.  At 3x3 these are ``_QUTRIT_FRAMES``, spanning the complements of
-    e0, e1, e2 and (1,1,1)/sqrt3, so ``seed`` is not read; elsewhere they
-    are Haar-random frames drawn from ``derive_seed(seed, r)``, r = 0..3.
+    e0, e1, e2 and (1,1,1)/sqrt3, so nothing is drawn; elsewhere they are
+    Haar-random frames drawn from ``derive_seed(_SEED, r)``, r = 0..3.
     A start leaves the stack, keeping its last frames, after its first
     sweep that gains at most 1e-7 * max|eig X|, or after
     ``_OPT_MAX_ITERS`` sweeps; the restart budget ``_RESTARTS`` does not
@@ -325,12 +327,10 @@ def min_rank2_expectation(x: np.ndarray, dims: Dims, seed: int = 2024) -> tuple[
         )
     if min(dims) < 2:
         raise DimensionMismatchError("rank-2 ansatz needs both local dimensions >= 2")
-    return _one_copy_minimum(m, dims, hermitian_eig(m), seed)
+    return _one_copy_minimum(m, dims, hermitian_eig(m))
 
 
-def _one_copy_minimum(
-    m: np.ndarray, dims: Dims, spec: SpectralData, seed: int
-) -> tuple[float, Rank2Ansatz]:
+def _one_copy_minimum(m: np.ndarray, dims: Dims, spec: SpectralData) -> tuple[float, Rank2Ansatz]:
     """``min_rank2_expectation`` of ``m``, read from ``spec``, the decomposition of ``m``."""
     ma, mb = dims
     fb = np.empty((_RANK2_STARTS, mb, 2), dtype=complex)
@@ -338,27 +338,25 @@ def _one_copy_minimum(
     if (ma, mb) == (3, 3):
         fb[1:] = _QUTRIT_FRAMES
     else:
-        seeds = [derive_seed(seed, r) for r in range(_RANK2_STARTS - 1)]
+        seeds = [derive_seed(_SEED, r) for r in range(_RANK2_STARTS - 1)]
         fb[1:] = _phase_fixed_qr(_complex_normals(seeds, 2 * mb)[0].reshape(-1, mb, 2))
     return _rank2_from_starts(m, dims, fb, float(np.abs(spec.eigenvalues).max()))
 
 
-def _product_minimum(
-    p: np.ndarray, dims: Dims, seed: int, tol: float
-) -> tuple[np.ndarray, np.ndarray]:
+def _product_minimum(p: np.ndarray, dims: Dims, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Unit x and y whose product x (x) y has the smallest <xy|P|xy> found.
 
     The ALS loop of ``_descend`` at frame width 1, extrapolated sweeps
     included.  At 3x3 the y starts are ``_QUTRIT_PRODUCT_STARTS``, so
-    ``seed`` is not read; elsewhere ``_PRODUCT_STARTS`` of them, start r
-    drawn from ``derive_seed(seed, 4_000_000 + r)``.  Each stops after a
+    nothing is drawn; elsewhere ``_PRODUCT_STARTS`` of them, start r drawn
+    from ``derive_seed(_SEED, 4_000_000 + r)``.  Each stops after a
     sweep that gains at most ``tol``.  The best start wins, the earliest on
     ties.
     """
     if tuple(dims) == (3, 3):
         y0 = _QUTRIT_PRODUCT_STARTS
     else:
-        seeds = [derive_seed(seed, 4_000_000 + r) for r in range(_PRODUCT_STARTS)]
+        seeds = [derive_seed(_SEED, 4_000_000 + r) for r in range(_PRODUCT_STARTS)]
         y0 = _phase_fixed_qr(_complex_normals(seeds, dims.dim_b)[0].reshape(-1, dims.dim_b, 1))
     vals, fa, fb = _descend(p, dims, y0, tol)
     best = int(np.argmin(vals))
@@ -387,7 +385,7 @@ def _two_copy_frame(spec: SpectralData, dims: Dims, sign: int) -> np.ndarray:
 
 
 def _lifted_minimum(
-    x: np.ndarray, state: BipartiteState, one_copy: tuple[float, Rank2Ansatz], seed: int, sign: int
+    x: np.ndarray, state: BipartiteState, one_copy: tuple[float, Rank2Ansatz], sign: int
 ) -> tuple[float, Rank2Ansatz]:
     """Rank-2 minimum of X = sign * P^(x 2), regrouped, from the lifted one-copy minimum.
 
@@ -408,7 +406,7 @@ def _lifted_minimum(
     p, spec, dims = state._pt, state._pt_spectrum, state.dims
     scale = float(np.abs(spec.eigenvalues).max())
     target = p if v >= 0 else -p
-    y = _product_minimum(target, dims, seed, _RANK2_REL_STOP * scale)[1][:, None]
+    y = _product_minimum(target, dims, _RANK2_REL_STOP * scale)[1][:, None]
     b = ansatz.frame_b
     fb = np.stack([_two_copy_frame(spec, dims, sign), np.kron(b, y), np.kron(y, b)])
     return _rank2_from_starts(np.asarray(x, dtype=complex), _power_dims(dims, 2), fb, scale**2)
@@ -530,7 +528,6 @@ def _make_certificate(
     psi: np.ndarray,
     state: BipartiteState,
     route: str,
-    seed: int,
     copies: int = 1,
     delta: Optional[float] = None,
 ) -> WitnessCertificate:
@@ -545,12 +542,11 @@ def _make_certificate(
         copies=copies,
         route=route,
         schmidt_rank=rank,
-        seed=seed,
         delta=delta,
     )
 
 
-def submatrix_2x2_scan(state: BipartiteState, seed: int = 2024) -> Optional[ScanHit]:
+def submatrix_2x2_scan(state: BipartiteState) -> Optional[ScanHit]:
     """Scan the partial transpose for a negative-determinant 2x2 principal minor.
 
     Only minors whose diagonal entries sit in different A-blocks can be
@@ -583,13 +579,11 @@ def submatrix_2x2_scan(state: BipartiteState, seed: int = 2024) -> Optional[Scan
     rows = list(range(k * mb, (k + 1) * mb)) + list(range(l * mb, (l + 1) * mb))
     psi = np.zeros(n, dtype=complex)
     psi[rows] = _bottom(pt[np.ix_(rows, rows)][None])[1][0]
-    cert = _make_certificate(psi, state, ROUTE_SUBMATRIX, seed)
+    cert = _make_certificate(psi, state, ROUTE_SUBMATRIX)
     return ScanHit(blocks=(k, l), indices=(r, s), determinant=best_det, certificate=cert)
 
 
-def two_nonpositive_witness(
-    state: BipartiteState, seed: int = 2024
-) -> Optional[WitnessCertificate]:
+def two_nonpositive_witness(state: BipartiteState) -> Optional[WitnessCertificate]:
     """Witness from two nonpositive eigenvalues of a two-qutrit partial transpose.
 
     Requires the smallest eigenvalue below ``-PSD_TOL`` and the second
@@ -606,10 +600,11 @@ def two_nonpositive_witness(
     when ``A^-1 B`` has no usable eigenvalue, as when nilpotent; then det B
     = 0, so beta failed only because lambda_1 is within ``PSD_TOL`` of 0.
     Full-rank states do that (the tests pin one), so the construction then
-    reruns on alpha nudged by ``_RESTARTS`` seeded vectors of shrinking
-    size ``delta``.  If no nudge yields a witness, as when the negative
-    eigenvalue is too small for any nudged value to pass the rule, the
-    route declines with ``None`` like any other route.
+    reruns on alpha nudged by ``_RESTARTS`` unit vectors of shrinking size
+    ``delta``, drawn from ``derive_seed(_SEED, 1_000_000 + attempt)``.  If
+    no nudge yields a witness, as when the negative eigenvalue is too small
+    for any nudged value to pass the rule, the route declines with ``None``
+    like any other route.
     """
     if tuple(state.dims) != (3, 3):
         raise DimensionMismatchError("two-nonpositive route applies to 3x3 systems")
@@ -642,14 +637,14 @@ def two_nonpositive_witness(
 
     found = construct(alpha)
     if found is not None:
-        return _make_certificate(found, state, ROUTE_TWO_NONPOSITIVE, seed)
+        return _make_certificate(found, state, ROUTE_TWO_NONPOSITIVE)
     for attempt in range(_RESTARTS):
         delta = 10.0 ** (-2 - (attempt % 5))
-        eta = SplitMix64(derive_seed(seed, 1_000_000 + attempt)).unit_vector(9)
+        eta = SplitMix64(derive_seed(_SEED, 1_000_000 + attempt)).unit_vector(9)
         nudged = alpha + delta * eta
         found = construct(nudged / np.linalg.norm(nudged))
         if found is not None:
-            return _make_certificate(found, state, ROUTE_TWO_NONPOSITIVE, seed, delta=delta)
+            return _make_certificate(found, state, ROUTE_TWO_NONPOSITIVE, delta=delta)
     return None
 
 
@@ -667,7 +662,7 @@ def _holds_product_vector(dims: Dims, k: int) -> bool:
 
 
 def product_vector_in_subspace(
-    basis: np.ndarray, dims: Dims, seed: int = 2024
+    basis: np.ndarray, dims: Dims
 ) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """Search a subspace (orthonormal basis columns) for a product vector.
 
@@ -675,7 +670,7 @@ def product_vector_in_subspace(
     local unit vectors by alternating closed-form singular-vector steps:
     b becomes the last right singular vector of C(a), then a that of C(b).
     Restart r draws a as a unit vector from
-    ``SplitMix64(derive_seed(seed, 2_000_000 + r))`` and stops once the
+    ``SplitMix64(derive_seed(_SEED, 2_000_000 + r))`` and stops once the
     smallest singular value of C(b) drops below 1e-9 or improves by at
     most ``_PRODUCT_STEP_TOL``, or after ``_OPT_MAX_ITERS`` steps.  A
     solution must pass an SVD check: the smallest singular value of C(a)
@@ -708,8 +703,7 @@ def product_vector_in_subspace(
     ck = comp.conj().T.reshape(comp.shape[1], ma, mb)
 
     for r in range(_RESTARTS):
-        gen = SplitMix64(derive_seed(seed, 2_000_000 + r))
-        a = gen.unit_vector(ma)
+        a = SplitMix64(derive_seed(_SEED, 2_000_000 + r)).unit_vector(ma)
         smin_prev = np.inf
         for _ in range(_OPT_MAX_ITERS):
             b = np.linalg.svd(np.einsum("dmn,m->dn", ck, a))[2][-1].conj()
@@ -728,7 +722,7 @@ def product_vector_in_subspace(
     return None
 
 
-def kernel_product_witness(state: BipartiteState, seed: int = 2024) -> Optional[WitnessCertificate]:
+def kernel_product_witness(state: BipartiteState) -> Optional[WitnessCertificate]:
     """Witness for a two-qutrit NPT state whose kernel contains a product vector.
 
     Local unitaries move the product vector to |0,0>, after which either
@@ -743,7 +737,7 @@ def kernel_product_witness(state: BipartiteState, seed: int = 2024) -> Optional[
     _, kernel, _ = rank_kernel_range(state.mat)
     if kernel.shape[1] == 0:
         return None
-    found = product_vector_in_subspace(kernel, state.dims, seed)
+    found = product_vector_in_subspace(kernel, state.dims)
     if found is None:
         return None
     # Q^H from a QR of [x | I] sends x to a unimodular multiple of |0>
@@ -752,27 +746,27 @@ def kernel_product_witness(state: BipartiteState, seed: int = 2024) -> Optional[
     rotated = BipartiteState(uv @ state.mat @ uv.conj().T, state.dims)
     pullback = np.kron(u.T, v.conj().T)
 
-    cert_rotated = _spectral_routes(rotated, seed)
+    cert_rotated = _spectral_routes(rotated)
     if cert_rotated is None:
         return None
     psi = pullback @ cert_rotated.psi.vec
-    cert = _make_certificate(psi, state, ROUTE_KERNEL_PRODUCT, seed)
+    cert = _make_certificate(psi, state, ROUTE_KERNEL_PRODUCT)
     return cert if _usable(cert) else None
 
 
-def _spectral_routes(state: BipartiteState, seed: int) -> Optional[WitnessCertificate]:
+def _spectral_routes(state: BipartiteState) -> Optional[WitnessCertificate]:
     """The 2x2 scan's witness, else (3x3 only) the two-nonpositive route's, if usable."""
-    hit = submatrix_2x2_scan(state, seed)
+    hit = submatrix_2x2_scan(state)
     if hit is not None and _usable(hit.certificate):
         return hit.certificate
     if tuple(state.dims) == (3, 3):
-        cert = two_nonpositive_witness(state, seed)
+        cert = two_nonpositive_witness(state)
         if _usable(cert):
             return cert
     return None
 
 
-def certify_1_distillable(state: BipartiteState, seed: int = 2024) -> Optional[WitnessCertificate]:
+def certify_1_distillable(state: BipartiteState) -> Optional[WitnessCertificate]:
     """Try the constructive routes, then, off the rank-4 theorem, the generic minimizer.
 
     A 2xN state is certified by the bottom eigenvector of its partial
@@ -796,9 +790,9 @@ def certify_1_distillable(state: BipartiteState, seed: int = 2024) -> Optional[W
         return None
     if min(state.dims) == 2:
         vec = state._pt_spectrum.eigenvectors[:, 0]
-        cert = _make_certificate(vec, state, ROUTE_BOTTOM_EIGENVECTOR, seed)
+        cert = _make_certificate(vec, state, ROUTE_BOTTOM_EIGENVECTOR)
         return cert if _usable(cert) else None
-    cert = _spectral_routes(state, seed)
+    cert = _spectral_routes(state)
     if cert is not None:
         return cert
     rank = state._rank
@@ -806,8 +800,8 @@ def certify_1_distillable(state: BipartiteState, seed: int = 2024) -> Optional[W
         # a positive MES dual bound proves that no rank-2 vector has a negative value
         if tuple(state.dims) == (3, 3) and _mes_dual(state)[0] > 0:
             return None
-        return best_rank2_witness(state, 1, seed)[1]
-    cert = kernel_product_witness(state, seed)
+        return best_rank2_witness(state)[1]
+    cert = kernel_product_witness(state)
     if cert is None:
         raise NumericalFailureError(
             f"rank-4 construction failed: on a 3x3 NPT state of rank {rank} (kernel dimension "
@@ -824,41 +818,39 @@ def _mes_dual(state: BipartiteState) -> tuple[float, float]:
     return kept[0]
 
 
-def _rank2_minimum(
-    state: BipartiteState, copies: int, seed: int, sign: int = 1
-) -> tuple[float, Rank2Ansatz]:
+def _rank2_minimum(state: BipartiteState, copies: int, sign: int = 1) -> tuple[float, Rank2Ansatz]:
     """Rank-2 minimum of sign * (state^(x copies))^Gamma, sign = +-1, kept on the state.
 
     The witness search, both Werner extrema and the rho claim and maximum
     all ask here.  ``_pt_power`` checks the copy count before any work.  The
-    minimum is kept in ``_rank2_minima`` under ``(copies, seed, sign)``, so
+    minimum is kept in ``_rank2_minima`` under ``(copies, sign)``, so
     a rank-5 check, which may ask in ``certify_1_distillable`` and again in
     ``undistillability_margin``, minimizes at most once; where the state's
     MES dual bound settles both (``_mes_dual``), as on the edge family at
     the default noise, it minimizes not at all.  At one copy it is the
     five-start ``min_rank2_expectation`` of sign * PT, read from the kept
     ``_pt_spectrum``; at two, the lifted starts' (``_lifted_minimum``) from
-    the kept one-copy minimum v of the same sign and seed, so a negative v
-    gives a negative two-copy value.  Neither decomposes anything else, and
-    at 3x3 neither reads ``seed``.
+    the kept one-copy minimum v of the same sign, so a negative v gives a
+    negative two-copy value.  Neither decomposes anything else, and at 3x3
+    neither draws.
     """
     pt, _ = _pt_power(state, copies)
-    minima, key = state._rank2_minima, (copies, seed, sign)
+    minima, key = state._rank2_minima, (copies, sign)
     if key not in minima:
         x = pt if sign > 0 else -pt
         if copies == 1:
             spec = state._pt_spectrum
             if sign < 0:  # -PT's ascending decomposition: PT's, negated and reversed
                 spec = SpectralData(-spec.eigenvalues[::-1], spec.eigenvectors[:, ::-1])
-            minima[key] = _one_copy_minimum(x, state.dims, spec, seed)
+            minima[key] = _one_copy_minimum(x, state.dims, spec)
         else:
-            one_copy = _rank2_minimum(state, 1, seed, sign)
-            minima[key] = _lifted_minimum(x, state, one_copy, seed, sign)
+            one_copy = _rank2_minimum(state, 1, sign)
+            minima[key] = _lifted_minimum(x, state, one_copy, sign)
     return minima[key]
 
 
 def best_rank2_witness(
-    state: BipartiteState, copies: int = 1, seed: int = 2024
+    state: BipartiteState, copies: int = 1
 ) -> tuple[float, Optional[WitnessCertificate]]:
     """Best rank-2 value of the n-copy partial transpose, plus a certificate.
 
@@ -867,13 +859,13 @@ def best_rank2_witness(
     value is evidence, not proof, of undistillability: the minimizer's five
     starts (three at two copies) make no global-optimality claim.  At one
     copy and 3x3 the proof is the MES dual bound (``_mes_dual``).  The value
-    is ``_rank2_minimum(state, copies, seed)``, kept on the state.
+    is ``_rank2_minimum(state, copies)``, kept on the state.
     """
-    value, ansatz = _rank2_minimum(state, copies, seed)
+    value, ansatz = _rank2_minimum(state, copies)
     # an ansatz has Schmidt rank at most 2, so only its value can fail the rule
     if not _accepts(value, 2):
         return value, None
-    cert = _make_certificate(ansatz.vector(), state, ROUTE_OPTIMIZER, seed, copies=copies)
+    cert = _make_certificate(ansatz.vector(), state, ROUTE_OPTIMIZER, copies=copies)
     return value, cert if _usable(cert) else None
 
 

@@ -302,19 +302,31 @@ class TestSuites:
         assert report.trials == 12
         assert report.passes == 12
 
-    def test_edge_point_builds_the_edge_state_twice(self, monkeypatch):
-        # the trial's own state, then the bundle's, which its range-membership check reuses
-        calls = []
-        real = edgestate.edge_state
-
-        def counted(params, *rest):
-            calls.append(params)
-            return real(params, *rest)
-
-        monkeypatch.setattr(harness, "edge_state", counted)
-        monkeypatch.setattr(edgestate, "edge_state", counted)
+    def test_edge_point_builds_the_edge_state_once(self, edge_states):
+        # the trial's own state is the bundle's, which its range-membership check reuses
         assert harness._judge_edge_point(0, DEFAULT_GRID[0]) is None
-        assert len(calls) == 2
+        assert edge_states == [EdgeParams(*DEFAULT_GRID[0])]
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_rho_report_builds_the_edge_state_once(self, edge_states, n):
+        # the bound's two constants and the bundle read one edge state
+        params = EdgeParams(*DEFAULT_GRID[5])
+        report = multicopy.verify_n_undistillable(params, n)
+        assert edge_states == [params]
+        assert report.min_value == multicopy._n_copy_claim(params, n)[0]
+
+    @pytest.fixture
+    def edge_states(self, monkeypatch):
+        """The params of each ``edge_state`` call, under every name a module binds it to."""
+        calls, real = [], edgestate.edge_state
+
+        def counted(params):
+            calls.append(params)
+            return real(params)
+
+        for module in (edgestate, harness, multicopy):
+            monkeypatch.setattr(module, "edge_state", counted)
+        return calls
 
     def test_multicopy_counts_library_errors(self, monkeypatch):
         def fail(*args, **kwargs):
@@ -336,13 +348,13 @@ class TestSuites:
         rho_pts.append(_pt_power(claims[1][2].npt_state, 2)[0])
         real, lifted, calls = witness._one_copy_minimum, witness._lifted_minimum, []
 
-        def spy(x, dims, spec, seed):
+        def spy(x, dims, spec):
             calls.append(np.array(x))
-            return real(x, dims, spec, seed)
+            return real(x, dims, spec)
 
-        def lifted_spy(x, state, one_copy, seed, sign):
+        def lifted_spy(x, state, one_copy, sign):
             calls.append(np.array(x))
-            return lifted(x, state, one_copy, seed, sign)
+            return lifted(x, state, one_copy, sign)
 
         for name, module in list(sys.modules.items()):
             if not name.startswith("distill_lab"):
@@ -365,15 +377,15 @@ class TestSuites:
         [NumericalFailureError, InvariantViolationError, DimensionMismatchError, AssertionError],
     )
     def test_edge_family_counts_library_errors(self, monkeypatch, error):
-        real, calls = harness.build_edge_bundle, []
+        real, calls = harness._edge_bundle, []
 
-        def fails_on_point_1(params):
+        def fails_on_point_1(params, eps, sigma):
             calls.append(params)
             if len(calls) == 2:
                 raise error("bundle gave up")
-            return real(params)
+            return real(params, eps, sigma)
 
-        monkeypatch.setattr(harness, "build_edge_bundle", fails_on_point_1)
+        monkeypatch.setattr(harness, "_edge_bundle", fails_on_point_1)
         report = run_suite("edge-family")
         assert len(calls) == 12
         assert report.trials == 12
@@ -387,10 +399,10 @@ class TestSuites:
         ]
 
     def test_edge_family_propagates_programming_errors(self, monkeypatch):
-        def broken(params):
+        def broken(params, eps, sigma):
             raise TypeError("shape bug")
 
-        monkeypatch.setattr(harness, "build_edge_bundle", broken)
+        monkeypatch.setattr(harness, "_edge_bundle", broken)
         with pytest.raises(TypeError, match="shape bug"):
             run_suite("edge-family")
 

@@ -196,9 +196,9 @@ class TestChecks:
         calls = []
         real = witness._one_copy_minimum
 
-        def counted(x, dims, spec, seed):
+        def counted(x, dims, spec):
             calls.append(tuple(dims))
-            return real(x, dims, spec, seed)
+            return real(x, dims, spec)
 
         monkeypatch.setattr(witness, "_one_copy_minimum", counted)
         return calls
@@ -214,18 +214,26 @@ class TestChecks:
         assert minimizations == [(3, 3)]
         # a local unitary keeps the rank-2 minimum; the minimizer, stopped at
         # tau = 1e-7 max|eig X|, reaches it from other starts within the tests' 4 tau
-        value, _ = state._rank2_minima[(1, 2024, 1)]
+        value, _ = state._rank2_minima[(1, 1)]
         unrotated_pt = build_edge_bundle(EdgeParams(1.0, math.pi / 6)).npt_state._pt
         unrotated, _ = min_rank2_expectation(unrotated_pt, D33)
         tau = witness._RANK2_REL_STOP * float(np.abs(state._pt_spectrum.eigenvalues).max())
         assert abs(value - unrotated) <= 4 * tau
         assert value == pytest.approx(MIN_AT_1_PI6, rel=1e-6)
+        # complex conjugation and the A <-> B swap of the turned state: Phi, real and
+        # symmetric, keeps its overlaps, so L stays negative, and the minimum stays
+        swap = np.eye(9)[[3 * (k % 3) + k // 3 for k in range(9)]]
+        for mat in (state.mat.conj(), swap @ state.mat @ swap.T):
+            mapped = BipartiteState(mat, D33)
+            assert abs(_mes_dual(mapped)[0] - bound) <= 1e-12
+            assert certify_1_distillable(mapped) is None
+            assert abs(mapped._rank2_minima[(1, 1)][0] - value) <= 4 * tau
 
     def test_margin_check_catches_a_minimum_below_the_dual(self, rotated):
         # a minimum below L can only be a bookkeeping bug: plant one through a kept L
         # above the minimum, with a margin above L that the minimum still meets
         state = rotated.npt_state
-        value = witness._rank2_minimum(state, 1, 2024)[0]
+        value = witness._rank2_minimum(state, 1)[0]
         state._mes_dual.append((value + 5e-9, 0.0))
         with pytest.raises(InvariantViolationError, match="MES dual"):
             undistillability_margin(replace(rotated, margin=value + 9e-9))

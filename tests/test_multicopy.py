@@ -122,9 +122,9 @@ class TestExtremalTensorPower:
         # that state is W^Gamma = (I - F/3)/8, with eigenvalues 1/12 (six) and 1/6 (three)
         calls, real = [], multicopy._rank2_minimum
 
-        def spy(state, copies, seed, sign=1):
+        def spy(state, copies, sign=1):
             calls.append((state, copies, sign))
-            return real(state, copies, seed, sign)
+            return real(state, copies, sign)
 
         monkeypatch.setattr(multicopy, "_rank2_minimum", spy)
         extremal_rank2_tensor_power(n)
@@ -171,7 +171,7 @@ class TestCopyCap:
         def unreachable(*args, **kwargs):
             raise AssertionError("work done before the copy count was checked")
 
-        for name in ("eps_threshold_for_copies", "build_edge_bundle", "werner_projector"):
+        for name in ("eps_threshold_for_copies", "edge_state", "_edge_bundle", "werner_projector"):
             monkeypatch.setattr(multicopy, name, unreachable)
         for call in (
             lambda: extremal_rank2_tensor_power(n),
@@ -254,7 +254,7 @@ class TestEpsThreshold:
     @staticmethod
     def _exact_bound(n: int, eps: float) -> Fraction:
         """(gap/3)^n - ((N + eps)^n - N^n) in exact rationals, from the float constants."""
-        gap, pt_norm = (Fraction(c) for c in multicopy._gap_and_pt_norm(PARAMS))
+        gap, pt_norm = (Fraction(c) for c in multicopy._gap_and_pt_norm(PARAMS, edge_state(PARAMS)))
         return (gap / 3) ** n - ((pt_norm + Fraction(eps)) ** n - pt_norm**n)
 
     @pytest.mark.parametrize("n,eps", [(700, 1.0), (700, 0.1656), (40, 1.0), (40, 0.5)])
@@ -263,7 +263,8 @@ class TestEpsThreshold:
         # while expm1 stays finite, so the expm1 form gave 0 for about -1e-227;
         # (40, 0.5) sits just past the switch
         exact = self._exact_bound(n, eps)
-        assert n * math.log1p(eps / multicopy._gap_and_pt_norm(PARAMS)[1]) > 53 * math.log(2)
+        pt_norm = multicopy._gap_and_pt_norm(PARAMS, edge_state(PARAMS))[1]
+        assert n * math.log1p(eps / pt_norm) > 53 * math.log(2)
         assert undistillability_bound(PARAMS, n, eps) == pytest.approx(float(exact), rel=1e-12, abs=0)
         assert exact < 0
 
@@ -273,7 +274,7 @@ class TestEpsThreshold:
     @pytest.mark.parametrize("b,theta", DEFAULT_GRID)
     def test_inside_the_budget_the_bound_keeps_the_expm1_form(self, b, theta):
         params = EdgeParams(b, theta)
-        gap, pt_norm = multicopy._gap_and_pt_norm(params)
+        gap, pt_norm = multicopy._gap_and_pt_norm(params, edge_state(params))
         for n in (1, 2, 3, 10, 100, 1000):
             for eps in (gap / 3, gap / 6, 1e-9):
                 expm1_form = (gap / 3.0) ** n - pt_norm**n * math.expm1(n * math.log1p(eps / pt_norm))
@@ -367,12 +368,12 @@ class TestVerifyUndistillable:
             report = verify_n_undistillable(params, n)
             state = build_edge_bundle(params, report.eps_used).npt_state
             p = partial_transpose(state.mat, D33)
-            one_copy = min_rank2_expectation(-p, D33, 2024)
+            one_copy = min_rank2_expectation(-p, D33)
             if n == 1:
                 neg_max, max_at = one_copy
             else:
                 x, _ = regroup_tensor_power(p, D33, 2)
-                neg_max, max_at = witness._lifted_minimum(-x, state, one_copy, 2024, -1)
+                neg_max, max_at = witness._lifted_minimum(-x, state, one_copy, -1)
             assert report.max_value.hex() == (-neg_max).hex()
             assert report.max_witness.vec.tobytes() == max_at.vector().astype(complex).tobytes()
             assert report.min_value == min_value

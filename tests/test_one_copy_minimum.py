@@ -7,7 +7,8 @@ start once a sweep gains at most 1e-7 * max|eig X|.  What is pinned here:
 * on the 24 rho +-PT operators of ``DEFAULT_GRID`` (default noise) the
   minimum lies within 1e-7 * max|eig X| above a reference, and never below
   it by more than the reference's own stop residual;
-* the result, value and frames, is bit-identical at seeds 0-11 and 2024;
+* the result, value and frames, is bit-identical at module seeds
+  (``witness._SEED``) 0-11 and 2024;
 * no basin is missed, a gap above 1e-4 * max|eig X| counting as a miss, on
   +-PT of 40 seeded NPT states of rank 5-8 and of 30 locally rotated rho.
 
@@ -76,11 +77,12 @@ def test_grid_minimum_is_near_the_reference_and_never_below_it(point, sign):
 
 @pytest.mark.parametrize("sign", SIGNS, ids=["+PT", "-PT"])
 @pytest.mark.parametrize("point", range(len(DEFAULT_GRID)))
-def test_grid_minimum_reads_no_seed(point, sign):
+def test_grid_minimum_reads_no_seed(point, sign, monkeypatch):
     x = sign * _rho_pt(point)
-    value, ansatz = min_rank2_expectation(x, D33, SEEDS[0])
-    for seed in SEEDS[1:]:
-        other_value, other = min_rank2_expectation(x, D33, seed)
+    value, ansatz = min_rank2_expectation(x, D33)
+    for seed in SEEDS[:-1]:
+        monkeypatch.setattr(witness, "_SEED", seed)
+        other_value, other = min_rank2_expectation(x, D33)
         assert other_value.hex() == value.hex()
         for name in ("frame_a", "frame_b", "coeff"):
             assert getattr(other, name).tobytes() == getattr(ansatz, name).tobytes()

@@ -579,7 +579,7 @@ class TestStateValidation:
 
 
 class TestSeedArgument:
-    """The seed is a plain argument; the one-field config class that carried it is gone."""
+    """Only sampling takes a seed; the one-field config class that carried it is gone."""
 
     def test_config_names_are_gone(self):
         assert not hasattr(qcore, "ToleranceConfig") and not hasattr(qcore, "DEFAULT_TOL")
@@ -596,7 +596,8 @@ class TestSeedArgument:
             certify_1_distillable(state, cfg=2024)
 
     def test_public_signatures(self):
-        # no public callable takes ``cfg``, and every defaulted ``seed`` defaults to 2024
+        # no public callable takes ``cfg``, and only the samplers take a seed, besides the
+        # two multicopy reports, which accept one for positional callers and read none
         seeded = []
         for name in distill_lab.__all__:
             obj = getattr(distill_lab, name)
@@ -605,7 +606,13 @@ class TestSeedArgument:
             params = inspect.signature(obj).parameters
             assert "cfg" not in params, name
             seed = params.get("seed")
-            if seed is not None and seed.default is not inspect.Parameter.empty:
-                assert seed.default == 2024, name
+            if seed is not None:
+                assert seed.default in (2024, inspect.Parameter.empty), name
                 seeded.append(name)
-        assert "certify_1_distillable" in seeded and "verify_n_undistillable" in seeded
+        assert seeded == [
+            "EnsembleSpec", "extremal_rank2_tensor_power", "random_state", "run_suite",
+            "verify_n_undistillable",
+        ]
+        state = BipartiteState(maximally_entangled_qutrits().projector(), D33)
+        with pytest.raises(TypeError):
+            certify_1_distillable(state, 2024)

@@ -121,7 +121,7 @@ class TestMatrixRoundTrip:
                 certificate_from_json(text)
         spec = EnsembleSpec(rank=4, count=1, filter="NPT", seed=515)
         cert_doc = certificate_document(certify_1_distillable(sample_ensemble(spec)[0][0]))
-        for key in ("route", "copies", "value", "psi", "schmidt_rank", "seed"):
+        for key in ("route", "copies", "value", "psi", "schmidt_rank"):
             bad = {k: v for k, v in cert_doc.items() if k != key}
             with pytest.raises(ValueError, match=key):
                 certificate_from_json(dumps(bad))
@@ -188,11 +188,10 @@ class TestPureStateAndCertificate:
              ROUTE_BOTTOM_EIGENVECTOR]
         ),
         schmidt_rank=st.integers(1, 4),
-        seed=st.integers(0, 2**64 - 1),
         delta=st.none() | st.floats(allow_nan=False, allow_infinity=False),
     )
     def test_property_certificate_reserializes_byte_for_byte(
-        self, dims, data, value, copies, route, schmidt_rank, seed, delta
+        self, dims, data, value, copies, route, schmidt_rank, delta
     ):
         dims = Dims(*dims)
         parts = st.floats(-1.0, 1.0)
@@ -208,7 +207,6 @@ class TestPureStateAndCertificate:
             copies=copies,
             route=route,
             schmidt_rank=schmidt_rank,
-            seed=seed,
             delta=delta,
         )
         text = certificate_to_json(cert)
@@ -322,12 +320,14 @@ class TestStrictDocumentNumbers:
         with pytest.raises(ValueError):
             _pairs_to_complex([[0.0, 0.0], pair], 2)
 
-    def _certificate_doc(self) -> dict:
-        spec = EnsembleSpec(rank=4, count=1, filter="NPT", seed=515)
-        state = sample_ensemble(spec)[0][0]
-        return json.loads(certificate_to_json(certify_1_distillable(state)))
+    @staticmethod
+    def _state():
+        return sample_ensemble(EnsembleSpec(rank=4, count=1, filter="NPT", seed=515))[0][0]
 
-    @pytest.mark.parametrize("key", ["copies", "schmidt_rank", "seed"])
+    def _certificate_doc(self) -> dict:
+        return json.loads(certificate_to_json(certify_1_distillable(self._state())))
+
+    @pytest.mark.parametrize("key", ["copies", "schmidt_rank"])
     @pytest.mark.parametrize("bad", [2.7, True, False, "2", None, [2]])
     def test_certificate_rejects_non_integer_fields(self, key, bad):
         doc = self._certificate_doc()
@@ -354,12 +354,28 @@ class TestStrictDocumentNumbers:
         rank = doc["schmidt_rank"]
         doc["copies"] = 1.0
         doc["schmidt_rank"] = float(rank)
-        doc["seed"] = -0.0  # written as "-0", read back as -0.0
         cert = certificate_from_json(dumps(doc))
-        assert (cert.copies, cert.schmidt_rank, cert.seed) == (1, rank, 0)
-        assert all(type(v) is int for v in (cert.copies, cert.schmidt_rank, cert.seed))
-        doc["seed"] = 2024
-        assert certificate_to_json(certificate_from_json(dumps(doc))) == text
+        assert (cert.copies, cert.schmidt_rank) == (1, rank)
+        assert all(type(v) is int for v in (cert.copies, cert.schmidt_rank))
+        assert certificate_to_json(cert) == text
+        doc["copies"] = -0.0  # written as "-0", read back as -0.0, then refused as 0
+        with pytest.raises(ValueError, match="'copies' must lie in 1.."):
+            certificate_from_json(dumps(doc))
+
+    @pytest.mark.parametrize("seed", [2024, 9, 2.7, True, "2", None, [2]])
+    def test_certificate_ignores_seed(self, seed):
+        # documents written while certificates carried a seed, between schmidt_rank and
+        # delta, still load and verify; the seed is dropped on the way back out
+        state = self._state()
+        doc = self._certificate_doc()
+        text = dumps(doc)
+        assert "seed" not in doc
+        old = {k: v for k, v in doc.items() if k != "delta"}
+        old["seed"] = seed
+        old.update({k: v for k, v in doc.items() if k == "delta"})
+        cert = certificate_from_json(dumps(old))
+        assert verify_certificate(cert, state)
+        assert certificate_to_json(cert) == text
 
     @pytest.mark.parametrize("key", ["value", "delta"])
     @pytest.mark.parametrize("bad", [True, "-0.5", [0.5]])

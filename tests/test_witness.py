@@ -91,7 +91,7 @@ def _mes_state() -> BipartiteState:
 
 @pytest.fixture
 def minimizations(monkeypatch):
-    """(dims, seed) of each rank-2 minimization the witness module makes.
+    """The dims of each rank-2 minimization the witness module makes.
 
     A one-copy ``_one_copy_minimum`` call, the core that a state's minima
     and ``min_rank2_expectation`` share, records its dims, a two-copy
@@ -100,13 +100,13 @@ def minimizations(monkeypatch):
     calls = []
     real, lifted = witness._one_copy_minimum, witness._lifted_minimum
 
-    def counted(x, dims, spec, seed):
-        calls.append((tuple(dims), seed))
-        return real(x, dims, spec, seed)
+    def counted(x, dims, spec):
+        calls.append(tuple(dims))
+        return real(x, dims, spec)
 
-    def counted_lifted(x, state, one_copy, seed, sign):
-        calls.append((tuple(qcore._power_dims(state.dims, 2)), seed))
-        return lifted(x, state, one_copy, seed, sign)
+    def counted_lifted(x, state, one_copy, sign):
+        calls.append(tuple(qcore._power_dims(state.dims, 2)))
+        return lifted(x, state, one_copy, sign)
 
     monkeypatch.setattr(witness, "_one_copy_minimum", counted)
     monkeypatch.setattr(witness, "_lifted_minimum", counted_lifted)
@@ -220,20 +220,21 @@ class TestMinimizerMemo:
         assert seen == sweeps and set(seen) == {D33}
 
     def test_same_state_and_seed_compute_once(self, minimizations):
+        # a state's minima are keyed by copy count and sign: the module seed is one
         state = _mes_state()
         v1, c1 = best_rank2_witness(state)
-        v2, c2 = best_rank2_witness(state, 1, 2024)
-        assert minimizations == [(D33, 2024)]
+        v2, c2 = best_rank2_witness(state, 1)
+        assert minimizations == [D33]
         assert v1 == v2 and v1 == pytest.approx(-1 / 3, abs=1e-8)
         assert np.array_equal(c1.psi.vec, c2.psi.vec)
 
-    def test_other_seed_or_copy_count_recomputes(self, minimizations):
+    def test_other_copy_count_recomputes(self, minimizations):
         state = _mes_state()
-        for _ in range(2):  # the second round finds all three on the state
+        for _ in range(2):  # the second round finds both on the state
             best_rank2_witness(state)
-            best_rank2_witness(state, 1, 7)
             best_rank2_witness(state, 2)
-        assert minimizations == [(D33, 2024), (D33, 7), ((9, 9), 2024)]
+        assert minimizations == [D33, (9, 9)]
+        assert list(state._rank2_minima) == [(1, 1), (2, 1)]
 
     def test_other_state_with_equal_bytes_recomputes(self, minimizations):
         state = _mes_state()
@@ -250,7 +251,7 @@ class TestMinimizerMemo:
             best_rank2_witness(state, qcore.MAX_COPIES + 1)
         real = witness._one_copy_minimum
 
-        def fail(x, dims, spec, seed):
+        def fail(x, dims, spec):
             raise NumericalFailureError("solver gave up")
 
         monkeypatch.setattr(witness, "_one_copy_minimum", fail)
@@ -260,18 +261,18 @@ class TestMinimizerMemo:
         monkeypatch.setattr(witness, "_one_copy_minimum", real)
         _, cert = best_rank2_witness(state)
         assert cert is not None
-        assert list(state._rank2_minima) == [(1, 2024, 1)]
+        assert list(state._rank2_minima) == [(1, 1)]
 
     def test_each_sign_keeps_its_own_minima(self, minimizations):
         # a two-copy minimum of -PT lifts the one-copy minimum of -PT, kept apart from +PT's
         state = _mes_state()
-        neg, _ = witness._rank2_minimum(state, 2, 2024, -1)
-        assert list(state._rank2_minima) == [(1, 2024, -1), (2, 2024, -1)]
-        assert minimizations == [(D33, 2024), ((9, 9), 2024)]
+        neg, _ = witness._rank2_minimum(state, 2, -1)
+        assert list(state._rank2_minima) == [(1, -1), (2, -1)]
+        assert minimizations == [D33, (9, 9)]
         best_rank2_witness(state, 2)
-        assert witness._rank2_minimum(state, 2, 2024, -1)[0] == neg
+        assert witness._rank2_minimum(state, 2, -1)[0] == neg
         assert len(minimizations) == 4
-        assert list(state._rank2_minima)[2:] == [(1, 2024, 1), (2, 2024, 1)]
+        assert list(state._rank2_minima)[2:] == [(1, 1), (2, 1)]
 
     def test_minimizer_computes_every_call(self, eig_calls):
         pt = partial_transpose(_mes_state().mat, D33)
@@ -359,7 +360,7 @@ class TestMinimizerMemo:
         state = sample_ensemble(spec)[0][0]
         v1, _ = best_rank2_witness(state, 2)
         v2, _ = best_rank2_witness(state, 2)
-        witness._rank2_minimum(state, 2, 2024, -1)
+        witness._rank2_minimum(state, 2, -1)
         assert v1 == v2 and decompositions and 81 not in decompositions
 
     def test_rank5_check_decomposes_no_two_copy_pt(self, decompositions):
@@ -490,7 +491,7 @@ class TestRank2Stack:
         p, dims = self._rho_pt(1)
         tol = witness._RANK2_REL_STOP * float(np.abs(hermitian_eig(p).eigenvalues).max())
         (x, y), _, kept, fa, fb = self._replayed_descent(
-            monkeypatch, lambda: witness._product_minimum(p, dims, 7, tol)
+            monkeypatch, lambda: witness._product_minimum(p, dims, tol)
         )
         assert kept[True] and kept[False]
         assert fb.shape == (3, 1)
@@ -701,11 +702,10 @@ class TestTwoNonpositive:
         assert rank_kernel_range(state.mat)[0] == 9
         assert np.allclose(state._pt_spectrum.eigenvalues, [-mu, 0.0] + [1 / 9] * 7, rtol=0, atol=1e-15)
         assert submatrix_2x2_scan(state) is None
-        for seed in range(6):
-            cert = certify_1_distillable(state, seed)
-            assert cert is not None and cert.route == ROUTE_TWO_NONPOSITIVE
-            assert cert.delta == 0.01
-            assert verify_certificate(cert, state)
+        cert = certify_1_distillable(state)
+        assert cert is not None and cert.route == ROUTE_TWO_NONPOSITIVE
+        assert cert.delta == 0.01
+        assert verify_certificate(cert, state)
 
     def test_beta_is_judged_once(self, monkeypatch):
         # at mu = 1e-7 the route tries alpha and all 64 nudges, then declines;
@@ -727,19 +727,18 @@ class TestTwoNonpositive:
         # the natural nudge input: at mu <= 3e-7 no nudged value passes the rule,
         # and the route declines so that certify moves on to the other routes
         state = _natural_nudge_input(mu)
-        for seed in range(4):
-            route = two_nonpositive_witness(state, seed)
-            cert = certify_1_distillable(state, seed)
-            if mu <= 1e-10:  # PPT by the rule
-                assert qcore.is_ppt(state) and route is None and cert is None
-            elif mu <= 3e-7:
-                # the minimizer's value does not pass the rule either
-                assert route is None and cert is None
-                assert best_rank2_witness(state, 1, seed)[0] >= -PSD_TOL
-            else:
-                assert route is not None and route.route == ROUTE_TWO_NONPOSITIVE
-                assert cert is not None and cert.route == ROUTE_TWO_NONPOSITIVE
-                assert verify_certificate(route, state) and verify_certificate(cert, state)
+        route = two_nonpositive_witness(state)
+        cert = certify_1_distillable(state)
+        if mu <= 1e-10:  # PPT by the rule
+            assert qcore.is_ppt(state) and route is None and cert is None
+        elif mu <= 3e-7:
+            # the minimizer's value does not pass the rule either
+            assert route is None and cert is None
+            assert best_rank2_witness(state)[0] >= -PSD_TOL
+        else:
+            assert route is not None and route.route == ROUTE_TWO_NONPOSITIVE
+            assert cert is not None and cert.route == ROUTE_TWO_NONPOSITIVE
+            assert verify_certificate(route, state) and verify_certificate(cert, state)
 
     def test_combination_obeys_spectral_chain(self):
         # for invertible bottom matricization, the witness comes from a root t
@@ -821,7 +820,7 @@ class TestProductVectorSearch:
             for i in range(12):
                 kernel = _kernel(random_state(dims, 4, derive_seed(9500, i)))
                 drawn.clear()
-                found = product_vector_in_subspace(kernel, dims, i)
+                found = product_vector_in_subspace(kernel, dims)
                 first = drawn[-1] - 2_000_000
                 assert drawn == [2_000_000 + r for r in range(first + 1)]
                 if found is None:
@@ -833,9 +832,9 @@ class TestProductVectorSearch:
                 late += 1
                 with pytest.MonkeyPatch.context() as budget:
                     budget.setattr(witness, "_RESTARTS", first)
-                    assert product_vector_in_subspace(kernel, dims, i) is None
+                    assert product_vector_in_subspace(kernel, dims) is None
                     budget.setattr(witness, "_RESTARTS", first + 1)
-                    again = product_vector_in_subspace(kernel, dims, i)
+                    again = product_vector_in_subspace(kernel, dims)
                 assert again[0].tobytes() == found[0].tobytes()
                 assert again[1].tobytes() == found[1].tobytes()
         assert late >= 4
@@ -845,7 +844,7 @@ class TestProductVectorSearch:
         for i in range(40):
             kernel = _kernel(random_state(D33, 4, derive_seed(9300, i)))
             assert kernel.shape[1] == 5
-            found = product_vector_in_subspace(kernel, D33, i)
+            found = product_vector_in_subspace(kernel, D33)
             assert found is not None
             _assert_product_in(found, kernel)
 
@@ -857,7 +856,7 @@ class TestProductVectorSearch:
             with warnings.catch_warnings():
                 # a 4-dimensional kernel need not hold a product vector: no warning
                 warnings.simplefilter("error", RuntimeWarning)
-                assert product_vector_in_subspace(kernel, D33, i) is None
+                assert product_vector_in_subspace(kernel, D33) is None
 
     def test_edge_kernels_exhaust_every_restart(self):
         for b, theta in ((1.0, math.pi / 6), (0.7, -math.pi / 5), (1.6, math.pi / 9)):
@@ -874,7 +873,7 @@ class TestProductVectorSearch:
             g = SplitMix64(derive_seed(9995, i)).complex_vector(3 + 3 + 9 * 3)
             planted = np.kron(g[:3], g[3:6])
             basis = np.linalg.qr(np.column_stack([planted, g[6:].reshape(9, 3)]))[0]
-            found = product_vector_in_subspace(basis, D33, i)
+            found = product_vector_in_subspace(basis, D33)
             assert found is not None
             _assert_product_in(found, basis)
             overlap = abs(np.vdot(np.kron(*found), planted)) / np.linalg.norm(planted)
@@ -889,7 +888,7 @@ class TestProductVectorSearch:
                 kernel = _kernel(random_state(D24, rank, derive_seed(9600 + rank, seed)))
                 with warnings.catch_warnings():
                     warnings.simplefilter("error", RuntimeWarning)
-                    found = product_vector_in_subspace(kernel, D24, seed)
+                    found = product_vector_in_subspace(kernel, D24)
                 assert (found is not None) == (kernel.shape[1] >= 4)
                 if found is not None:
                     _assert_product_in(found, kernel)
@@ -943,11 +942,11 @@ class TestKernelProductWitness:
         states, _ = sample_ensemble(spec)
         route, rotated = witness.two_nonpositive_witness, []
 
-        def spy(state, seed=2024):
-            rotated.append(route(state, seed))
+        def spy(state):
+            rotated.append(route(state))
             return rotated[-1]
 
-        monkeypatch.setattr(witness, "submatrix_2x2_scan", lambda state, seed=2024: None)
+        monkeypatch.setattr(witness, "submatrix_2x2_scan", lambda state: None)
         monkeypatch.setattr(witness, "two_nonpositive_witness", spy)
         for state in states:
             rotated.clear()
@@ -974,8 +973,8 @@ class TestKernelProductWitness:
 
         route, rotated = witness.two_nonpositive_witness, []
 
-        def spy(state, seed=2024):
-            rotated.append(route(state, seed))
+        def spy(state):
+            rotated.append(route(state))
             return rotated[-1]
 
         monkeypatch.setattr(witness, "two_nonpositive_witness", spy)
@@ -1001,9 +1000,9 @@ class TestCertify:
         calls = []
         real = witness.product_vector_in_subspace
 
-        def counted(basis, dims, seed=2024):
+        def counted(basis, dims):
             calls.append(basis.shape[1])
-            return real(basis, dims, seed)
+            return real(basis, dims)
 
         monkeypatch.setattr(witness, "product_vector_in_subspace", counted)
         return calls
@@ -1031,7 +1030,7 @@ class TestCertify:
         for i in range(3):
             state = self._npt_state(rank, derive_seed(4400 + rank, i))
             monkeypatch.setattr(
-                witness, "_spectral_routes", lambda s, seed: None if s is state else real(s, seed)
+                witness, "_spectral_routes", lambda s: None if s is state else real(s)
             )
             searches.clear()
             cert = certify_1_distillable(state)
@@ -1043,7 +1042,7 @@ class TestCertify:
     def test_rank_above_4_skips_the_kernel_route(self, rank, seed, searches):
         # the spectral routes decline on these inputs, so certify reaches the gate
         state = self._npt_state(rank, seed)
-        assert witness._spectral_routes(state, 2024) is None
+        assert witness._spectral_routes(state) is None
         cert = certify_1_distillable(state)
         assert searches == []
         assert cert is not None and cert.route == ROUTE_OPTIMIZER
@@ -1096,9 +1095,9 @@ class TestRank4Chain:
 
     @pytest.fixture
     def all_routes_decline(self, monkeypatch):
-        monkeypatch.setattr(witness, "_spectral_routes", lambda state, seed: None)
+        monkeypatch.setattr(witness, "_spectral_routes", lambda state: None)
         monkeypatch.setattr(
-            witness, "product_vector_in_subspace", lambda basis, dims, seed=2024: None
+            witness, "product_vector_in_subspace", lambda basis, dims: None
         )
 
     def test_a_miss_raises_and_never_minimizes(self, all_routes_decline, minimizations):
@@ -1130,7 +1129,7 @@ class TestRank4Chain:
         # no theorem guarantees a constructive witness at 3x4, so a miss there is no error
         state = sample_ensemble(EnsembleSpec(dims=Dims(3, 4), rank=4, count=1, filter="NPT"))[0][0]
         certify_1_distillable(state)
-        assert minimizations == [((3, 4), 2024)]
+        assert minimizations == [(3, 4)]
 
     @pytest.mark.parametrize("rank", [1, 2, 3, 4])
     def test_seeded_ensembles_never_minimize(self, rank, minimizations):
